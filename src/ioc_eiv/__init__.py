@@ -60,6 +60,7 @@ from .numerics import (
     Qp,
     QpSolution,
     cholesky,
+    cholesky_solve,
     solve_qp,
 )
 from .tls_estimator import TlsConfig, TlsResult, tls_inner
@@ -95,6 +96,7 @@ __all__ = [
     "TlsResult",
     "build_stationarity",
     "cholesky",
+    "cholesky_solve",
     "consistency_cost_check",
     "default_priors",
     "generate",

@@ -39,7 +39,7 @@ from . import model
 from .demos import DemoSet, generate, noise_cov_stacked
 from .kkt_baseline import NormalizationRule
 from .mcmc import Priors, default_priors, gibbs_run
-from .numerics import Infeasible, Qp, solve_qp
+from .numerics import Infeasible, Qp, cholesky, cholesky_solve, solve_qp
 
 __all__ = [
     "GibbsConfig",
@@ -83,14 +83,10 @@ class MapResult:
 
 
 def _spd_solve_factory(M):
-    import scipy.linalg
-
-    from .numerics import cholesky
-
     L = cholesky(np.asarray(M, dtype=float))
 
     def solve(rhs):
-        return scipy.linalg.cho_solve((L, True), rhs)
+        return cholesky_solve(L, rhs)
 
     return solve
 
@@ -203,8 +199,14 @@ def _u_step(bs, ds, beta, Sigma_U, priors, active_tol):
 
 def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig | None = None,
              rng: np.random.Generator | None = None) -> MapResult:
-    """Run the full MAP pipeline: Gibbs warm start, then QP alternation."""
+    """Run the full MAP pipeline: Gibbs warm start, then QP alternation.
+
+    Raises ValueError when ``cfg.max_outer_iters < 1``: without one
+    alternation step there is no iterate to return.
+    """
     cfg = cfg or MapConfig()
+    if cfg.max_outer_iters < 1:
+        raise ValueError(f"max_outer_iters must be >= 1, got {cfg.max_outer_iters}")
     if rng is None:
         rng = np.random.default_rng()
     bs = model.build_stationarity(fp)
@@ -254,7 +256,6 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig | None = None
             break
         prev_full = cost_u
 
-    assert best is not None
     _, U_best, beta_best = best
     q = bs.n_features
     return MapResult(

@@ -27,7 +27,7 @@ import numpy as np
 from . import model
 from .demos import DemoSet, sample_mean
 from .kkt_baseline import NormalizationRule, kkt_single
-from .numerics import cholesky
+from .numerics import cholesky, cholesky_solve
 
 __all__ = [
     "Priors",
@@ -47,7 +47,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Priors:
-    """Prior hyperparameters; all covariances symmetric positive definite."""
+    """Prior hyperparameters; all covariances symmetric positive definite.
+
+    The precisions ``Sigma_U0_inv``, ``Sigma_beta_inv`` and ``Sigma_Y_inv``
+    are derived once at construction, from the factor of the SPD check, so
+    the Gibbs conditionals never invert a constant.
+    """
 
     U0: np.ndarray
     Sigma_U0: np.ndarray
@@ -56,6 +61,9 @@ class Priors:
     W_U: np.ndarray
     m_U: float
     Sigma_Y: np.ndarray
+    Sigma_U0_inv: np.ndarray = field(init=False, repr=False)
+    Sigma_beta_inv: np.ndarray = field(init=False, repr=False)
+    Sigma_Y_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         U0 = np.asarray(self.U0, dtype=float).ravel()
@@ -71,8 +79,10 @@ class Priors:
                 raise ValueError(f"{name} must be square, got shape {mat.shape}")
             if dim is not None and mat.shape[0] != dim:
                 raise ValueError(f"{name} has shape {mat.shape}, expected ({dim}, {dim})")
-            cholesky(mat)  # SPD check; raises otherwise
+            L = cholesky(mat)  # SPD check; raises otherwise
             object.__setattr__(self, name, mat)
+            if name != "W_U":
+                object.__setattr__(self, f"{name}_inv", _inverse_from_factor(L))
         if self.m_U <= U0.shape[0] + 1:
             raise ValueError(
                 f"m_U must exceed dim(U) + 1 = {U0.shape[0] + 1} for the prior mean to exist"
@@ -101,16 +111,13 @@ class ChainOutput:
     Sigma_U_mean: np.ndarray
 
 
-def _solve_spd(M, rhs):
-    import scipy.linalg
-
-    L = cholesky(M)
-    return scipy.linalg.cho_solve((L, True), rhs)
+def _inverse_from_factor(L):
+    C = cholesky_solve(L, np.eye(L.shape[0]))
+    return 0.5 * (C + C.T)
 
 
 def _spd_inverse(M):
-    C = _solve_spd(M, np.eye(M.shape[0]))
-    return 0.5 * (C + C.T)
+    return _inverse_from_factor(cholesky(M))
 
 
 def sample_mvn(mean, cov, rng: np.random.Generator) -> np.ndarray:
@@ -135,8 +142,7 @@ def sample_inverse_wishart(W, nu: float, rng: np.random.Generator) -> np.ndarray
     A = np.zeros((p, p))
     for i in range(p):
         A[i, i] = np.sqrt(rng.chisquare(nu - i))
-        for j in range(i):
-            A[i, j] = rng.standard_normal()
+        A[i, :i] = rng.standard_normal(i)  # same stream as i scalar draws
     LA = Lw @ A
     X = LA @ LA.T  # Wishart(W^{-1}, nu)
     out = _spd_inverse(X)
@@ -152,9 +158,8 @@ def full_conditional_beta(ds: DemoSet, U, bs: model.BilinearStationarity, priors
     """
     D = ds.n_demos
     J = bs.J(np.asarray(U, dtype=float))
-    SigY_inv = _spd_inverse(priors.Sigma_Y)
-    prec_prior = _spd_inverse(priors.Sigma_beta)
-    prec = prec_prior + D * (J.T @ SigY_inv @ J)
+    prec_prior = priors.Sigma_beta_inv
+    prec = prec_prior + D * (J.T @ priors.Sigma_Y_inv @ J)
     cov = _spd_inverse(prec)
     mean = cov @ (prec_prior @ priors.beta0)
     return mean, cov
@@ -174,9 +179,9 @@ def full_conditional_U(ds: DemoSet, beta, Sigma_U, bs: model.BilinearStationarit
     Mb = bs.M_beta(theta)
     Ebeta = bs.E_theta @ theta + bs.J_lambda @ lam
 
-    SigY_inv = _spd_inverse(priors.Sigma_Y)
+    SigY_inv = priors.Sigma_Y_inv
     SigU_inv = _spd_inverse(np.asarray(Sigma_U, dtype=float))
-    prec_prior = _spd_inverse(priors.Sigma_U0)
+    prec_prior = priors.Sigma_U0_inv
 
     prec = prec_prior + D * (Mb.T @ SigY_inv @ Mb) + D * SigU_inv
     cov = _spd_inverse(prec)
@@ -267,9 +272,9 @@ def _u_log_conditional(ds, beta, Sigma_U, bs, priors, stationarity_fn=None):
     if stationarity_fn is None:
         def stationarity_fn(U):
             return bs.stationarity(U, theta, lam)
-    SigY_inv = _spd_inverse(priors.Sigma_Y)
+    SigY_inv = priors.Sigma_Y_inv
     SigU_inv = _spd_inverse(np.asarray(Sigma_U, dtype=float))
-    prec_prior = _spd_inverse(priors.Sigma_U0)
+    prec_prior = priors.Sigma_U0_inv
     stackd = ds.stacked()
 
     def logp(U):

@@ -1,5 +1,12 @@
 """Dense numerical kernels: Cholesky factorization and a strictly convex QP solver.
 
+:func:`cholesky` is the package's one SPD factorization and
+:func:`cholesky_solve` its one solve with that factor.  The factor is a
+C-ordered lower-triangular array.  The ordering is part of the contract:
+numpy's matrix-vector kernels round differently on a Fortran-ordered
+operand, so a sampler computing ``L @ z`` with the raw LAPACK output would
+draw different bits from the same random stream.
+
 The QP solver is a textbook primal active-set method.  The choice is
 deliberate: every estimator in this package needs *exact* active sets and
 bit-reproducible solves, which first-order or interior-point methods do not
@@ -27,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 from scipy.optimize import linprog
 
@@ -38,6 +44,7 @@ __all__ = [
     "Qp",
     "QpSolution",
     "cholesky",
+    "cholesky_solve",
     "solve_qp",
     "ACTIVE_TOL",
     "DUAL_TOL",
@@ -72,7 +79,7 @@ class IterationLimit(RuntimeError):
 
 
 def cholesky(M) -> np.ndarray:
-    """Lower-triangular factor L with ``L L' = M`` for symmetric PD ``M``.
+    """C-ordered lower-triangular factor L with ``L L' = M`` for symmetric PD ``M``.
 
     Raises :class:`NotPositiveDefinite` carrying the index of the first
     non-positive leading minor, and ValueError for an asymmetric input.
@@ -91,7 +98,27 @@ def cholesky(M) -> np.ndarray:
         raise NotPositiveDefinite(info)
     if info < 0:
         raise ValueError(f"invalid input to factorization (argument {-info})")
-    return np.tril(L)
+    # dpotrf already zeroed the strict upper triangle (scipy's clean=1)
+    return np.ascontiguousarray(L)
+
+
+def cholesky_solve(L: np.ndarray, rhs) -> np.ndarray:
+    """Solve ``(L L') x = rhs`` given the lower factor from :func:`cholesky`.
+
+    ``rhs`` may be a vector or a matrix of right-hand sides.  Raises
+    ValueError when ``L`` or ``rhs`` holds a NaN or an infinity.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    if not (np.isfinite(L).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[1] != rhs.shape[0]:
+        raise ValueError(f"incompatible dimensions ({L.shape} and {rhs.shape})")
+    if rhs.size == 0:
+        return np.empty_like(rhs)
+    x, info = lapack.dpotrs(L, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"invalid input to triangular solve (argument {-info})")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +193,6 @@ def _chol_with_regularization(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return cholesky(Hreg), Hreg  # second failure propagates
 
 
-def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return scipy.linalg.cho_solve((L, True), rhs)
-
-
 def _eliminate_equalities(Aeq, beq, n):
     """Particular solution plus orthonormal null-space basis.
 
@@ -194,10 +217,10 @@ def _eqp(L, c, A, b):
 
     Returns (y, mu) with stationarity H y + c + A' mu = 0.
     """
-    Hinv_c = _cho_solve(L, c)
+    Hinv_c = cholesky_solve(L, c)
     if A.shape[0] == 0:
         return -Hinv_c, np.zeros(0)
-    Hinv_At = _cho_solve(L, A.T)
+    Hinv_At = cholesky_solve(L, A.T)
     S = A @ Hinv_At
     rhs = -(b + A @ Hinv_c)
     mu = np.linalg.solve(S, rhs)
@@ -336,7 +359,7 @@ def solve_qp(qp: Qp, warm_start=None) -> QpSolution:
                 if _feasible(Ar, br, y_try, feas_scale):
                     y0, W0 = y_try, ws
         if y0 is None:
-            y_unc = -_cho_solve(Lr, cr)
+            y_unc = -cholesky_solve(Lr, cr)
             if _feasible(Ar, br, y_unc, feas_scale):
                 y0, W0 = y_unc, []
         if y0 is None and _feasible(Ar, br, np.zeros(nz), feas_scale):

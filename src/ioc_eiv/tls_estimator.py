@@ -33,7 +33,15 @@ from . import model
 from .demos import DemoSet, sample_mean
 from .forward import solve as forward_solve
 from .kkt_baseline import NormalizationRule, kkt_single
-from .numerics import Infeasible, IterationLimit, NotPositiveDefinite, Qp, solve_qp
+from .numerics import (
+    Infeasible,
+    IterationLimit,
+    NotPositiveDefinite,
+    Qp,
+    cholesky,
+    cholesky_solve,
+    solve_qp,
+)
 
 __all__ = ["TlsConfig", "TlsResult", "tls_inner", "estimate"]
 
@@ -75,12 +83,8 @@ class _Inner:
         self.bs = bs
         self.q = bs.n_features
         self.L = bs.n_multipliers
-        import scipy.linalg
-
-        from .numerics import cholesky
-
         Lc = cholesky(np.asarray(Sigma_U, dtype=float))
-        self.SU_inv = scipy.linalg.cho_solve((Lc, True), np.eye(bs.n_inputs))
+        self.SU_inv = cholesky_solve(Lc, np.eye(bs.n_inputs))
         self.SU_inv = 0.5 * (self.SU_inv + self.SU_inv.T)
         self.stackd = ds.stacked()
         self.demo_sum = self.stackd.sum(axis=0)

@@ -307,6 +307,21 @@ def test_bench_negative_level_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bench_records_zero_map_iterations_as_failed_row(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path, methods=["kkt", "map"], map={"max_outer_iters": 0},
+        gibbs={"n_iter": 20, "n_keep": 10},
+    )
+    out_dir = tmp_path / "zero"
+    rc = main(["bench", "--config", cfg, "--out-dir", str(out_dir)])
+    capsys.readouterr()
+    assert rc == 1  # every map cell failed, but the grid ran to the end
+    rows = _read_rows(out_dir)[1:]
+    assert len(rows) == 8
+    assert {r[6] for r in rows if r[0] == "kkt"} == {"ok"}
+    assert {r[6] for r in rows if r[0] == "map"} == {"failed:ValueError"}
+
+
 def test_bench_unknown_method_fails(tmp_path, capsys):
     cfg = _write_config(tmp_path, methods=["kkt", "lasso"])
     rc = main(["bench", "--config", cfg, "--out-dir", str(tmp_path / "bad")])

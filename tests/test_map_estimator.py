@@ -1,6 +1,7 @@
 """Posterior-cost minimization with complementarity handled by activity sets."""
 
 import numpy as np
+import pytest
 
 import oracles
 from ioc_eiv import (
@@ -131,6 +132,20 @@ def test_estimate_deterministic_given_rng():
     b = map_estimate(ds, fp, cfg, rng=np.random.default_rng(11))
     np.testing.assert_array_equal(a.theta, b.theta)
     np.testing.assert_array_equal(a.U_hat, b.U_hat)
+
+
+def test_estimate_rejects_zero_outer_iterations_before_sampling(monkeypatch):
+    import ioc_eiv.map_estimator as me
+
+    fp, _, ds = _benchmark_demos(10.0, 8, 3)
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the Gibbs chain must not start")
+
+    monkeypatch.setattr(me, "gibbs_run", no_chain)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="max_outer_iters"):
+            map_estimate(ds, fp, MapConfig(max_outer_iters=n), rng=np.random.default_rng(0))
 
 
 def _scaled_problem(fp, c):

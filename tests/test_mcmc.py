@@ -1,5 +1,8 @@
 """Sampling primitives, closed-form full conditionals, and the Gibbs chain."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ import oracles
 from ioc_eiv import (
     NoiseSpec,
     Priors,
+    cholesky,
     default_priors,
     generate,
     gibbs_run,
@@ -18,6 +22,7 @@ from ioc_eiv import (
     solve_forward,
 )
 from ioc_eiv.mcmc import (
+    _spd_inverse,
     full_conditional_SigmaU,
     full_conditional_U,
     full_conditional_beta,
@@ -111,6 +116,53 @@ def test_inverse_wishart_matrix_mean_and_spd():
     mean = acc / 100_000
     expect = W / (nu - 2.0 - 1.0)
     assert np.linalg.norm(mean - expect) <= 0.05 * np.linalg.norm(expect)
+
+
+def test_inverse_wishart_matches_scalar_bartlett_reference():
+    # the Bartlett rows are filled by one vector draw each; a Generator
+    # fills arrays in order, so the draw equals i scalar draws per row, bit
+    # for bit
+    def reference(W, nu, rng):
+        p = W.shape[0]
+        Lw = cholesky(_spd_inverse(W))
+        A = np.zeros((p, p))
+        for i in range(p):
+            A[i, i] = np.sqrt(rng.chisquare(nu - i))
+            for j in range(i):
+                A[i, j] = rng.standard_normal()
+        LA = Lw @ A
+        return _spd_inverse(LA @ LA.T)
+
+    G = np.random.default_rng(0).standard_normal((6, 6))
+    W = G @ G.T + np.eye(6)
+    rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(20):
+        got = sample_inverse_wishart(W, 9.5, rng_a)
+        ref = reference(W, 9.5, rng_b)
+        np.testing.assert_array_equal(got, ref)
+    # both streams consumed the same number of variates
+    assert rng_a.standard_normal() == rng_b.standard_normal()
+
+
+def test_priors_precisions_equal_spd_inverse_bitwise():
+    G = np.random.default_rng(4).standard_normal((3, 3))
+    priors = Priors(
+        U0=np.zeros(3),
+        Sigma_U0=G @ G.T + np.eye(3),
+        beta0=np.ones(2),
+        Sigma_beta=np.array([[2.0, 0.3], [0.3, 1.5]]),
+        W_U=np.eye(3),
+        m_U=5.0,
+        Sigma_Y=0.01 * np.eye(3),
+    )
+    changed = dataclasses.replace(priors, Sigma_Y=G.T @ G + 0.5 * np.eye(3))
+    for pr in (priors, changed):
+        for name in ("Sigma_U0", "Sigma_beta", "Sigma_Y"):
+            assert np.array_equal(getattr(pr, f"{name}_inv"), _spd_inverse(getattr(pr, name)))
+    assert not np.array_equal(changed.Sigma_Y_inv, priors.Sigma_Y_inv)
+    with pytest.raises(TypeError):
+        Priors(U0=np.zeros(1), Sigma_U0=np.eye(1), beta0=np.ones(1), Sigma_beta=np.eye(1),
+               W_U=np.eye(1), m_U=3.0, Sigma_Y=np.eye(1), Sigma_Y_inv=np.eye(1))
 
 
 def test_beta_conditional_matches_grid():
@@ -326,6 +378,26 @@ def test_gibbs_seeded_determinism():
     b = gibbs_run(ds, fp, priors, n_iter=100, n_keep=50, rng=np.random.default_rng(42))
     np.testing.assert_array_equal(a.U_mean, b.U_mean)
     np.testing.assert_array_equal(a.Sigma_U_mean, b.Sigma_U_mean)
+
+
+# sha256 of the trace below, recorded before the hot path was rewritten;
+# a "bit-exact" speed-up that moves any draw of the chain changes it.  The
+# bytes depend on the floating-point kernels of the numpy/OpenBLAS build.
+GOLDEN_TRACE_SHA256 = "a155ff68b1f085f4c0997d990768aa9ea52615ca7b1929f4b2f8358ba6046db0"
+
+
+def test_gibbs_trace_is_bit_identical_to_golden(tmp_path):
+    fp = oracles.spring_damper()
+    sol = solve_forward(fp, oracles.SPRING_THETA)
+    sig = noise_scale_from_percent(sol.U, 10.0)
+    ds = generate(sol.U, NoiseSpec.gaussian(np.diag(sig**2), seed=11), 10, fp)
+    priors = default_priors(ds, fp)
+    path = tmp_path / "trace.csv"
+    gibbs_run(
+        ds, fp, priors, n_iter=200, n_keep=50, rng=np.random.default_rng(2024),
+        trace_csv=str(path),
+    )
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256
 
 
 def test_gibbs_dispersed_initializations_agree():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import lapack
 
 import oracles
 from ioc_eiv import (
@@ -10,8 +12,14 @@ from ioc_eiv import (
     NotPositiveDefinite,
     Qp,
     cholesky,
+    cholesky_solve,
     solve_qp,
 )
+
+
+def _random_spd(rng, dim):
+    G = rng.standard_normal((dim, dim))
+    return G @ G.T + 0.1 * np.eye(dim)
 
 
 def test_cholesky_identity():
@@ -42,6 +50,68 @@ def test_cholesky_rejects_indefinite_with_minor_index():
     with pytest.raises(NotPositiveDefinite) as exc:
         cholesky(np.diag([-1.0, 1.0]))
     assert exc.value.minor_index == 1
+    # the failure sits in the third leading minor of a dense matrix
+    M = np.array([[4.0, 2.0, 1.0], [2.0, 3.0, 0.5], [1.0, 0.5, -2.0]])
+    with pytest.raises(NotPositiveDefinite) as exc:
+        cholesky(M)
+    assert exc.value.minor_index == 3
+
+
+def test_cholesky_rejects_asymmetric_and_non_square():
+    with pytest.raises(ValueError, match="symmetric") as exc:
+        cholesky(np.array([[2.0, 1.0], [0.0, 2.0]]))
+    assert not isinstance(exc.value, NotPositiveDefinite)
+    with pytest.raises(ValueError, match="square"):
+        cholesky(np.ones((2, 3)))
+
+
+def test_cholesky_is_c_ordered_lower_and_bitwise_lapack():
+    # the factor must be C-ordered: L @ z rounds differently on a
+    # Fortran-ordered operand, which would move every Gibbs draw
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 5, 10, 31):
+        M = _random_spd(rng, dim)
+        L = cholesky(M)
+        assert L.flags.c_contiguous
+        assert np.all(np.triu(L, 1) == 0.0)
+        ref, info = lapack.dpotrf(0.5 * (M + M.T), lower=1)
+        assert info == 0
+        assert np.array_equal(L, np.tril(ref))
+        z = rng.standard_normal(dim)
+        assert np.array_equal(L @ z, np.ascontiguousarray(np.tril(ref)) @ z)
+
+
+def test_cholesky_solve_bitwise_matches_scipy():
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        dim = int(rng.integers(1, 13))
+        L = cholesky(_random_spd(rng, dim))
+        for rhs in (
+            rng.standard_normal(dim),
+            rng.standard_normal((dim, int(rng.integers(1, 4)))),
+            np.eye(dim),
+        ):
+            ref = scipy.linalg.cho_solve((L, True), rhs)
+            got = cholesky_solve(L, rhs)
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref)
+    # LAPACK rejects empty operands; the solve returns an empty result
+    assert cholesky_solve(cholesky(np.zeros((0, 0))), np.zeros(0)).shape == (0,)
+    assert cholesky_solve(np.eye(2), np.zeros((2, 0))).shape == (2, 0)
+
+
+def test_cholesky_solve_rejects_non_finite_and_mismatched_inputs():
+    L = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
+    with pytest.raises(ValueError):
+        cholesky_solve(L, np.array([1.0, np.nan]))
+    with pytest.raises(ValueError):
+        cholesky_solve(L, np.array([[np.inf], [0.0]]))
+    bad = L.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        cholesky_solve(bad, np.ones(2))
+    with pytest.raises(ValueError):
+        cholesky_solve(L, np.ones(3))
 
 
 def test_qp_scalar_bound():
