@@ -15,7 +15,7 @@ demos in parallel or serially yields identical bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,20 +91,39 @@ def _cov_factor(sigma: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DemoSet:
-    """A set of noisy demonstrations of one forward problem."""
+    """A set of noisy demonstrations of one forward problem.
+
+    The demos are immutable: ``U_list`` holds read-only views of the given
+    arrays, and :meth:`stacked` builds its (D, mN) array once and returns
+    that same read-only array on every later call.
+    """
 
     U_list: tuple
     x0: np.ndarray
     fp_ref: ForwardProblem
     U_star: np.ndarray | None = None
+    _stacked: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "U_list", tuple(_read_only(U) for U in self.U_list))
 
     @property
     def n_demos(self) -> int:
         return len(self.U_list)
 
     def stacked(self) -> np.ndarray:
-        """Demos as a (D, mN) array."""
-        return np.vstack(self.U_list)
+        """Demos as a read-only (D, mN) array, built on the first call."""
+        if self._stacked is None:
+            out = np.vstack(self.U_list)
+            out.flags.writeable = False
+            object.__setattr__(self, "_stacked", out)
+        return self._stacked
+
+
+def _read_only(a) -> np.ndarray:
+    view = np.asarray(a, dtype=float).view()
+    view.flags.writeable = False
+    return view
 
 
 def generate(U_star, spec: NoiseSpec, D: int, fp: ForwardProblem) -> DemoSet:

@@ -18,8 +18,6 @@ from .numerics import Infeasible, Qp, solve_qp
 
 __all__ = ["ForwardSolution", "solve", "objective"]
 
-_ZERO_ROW_TOL = 1e-13
-
 
 @dataclass(frozen=True, eq=False)
 class ForwardSolution:
@@ -66,8 +64,7 @@ def solve(fp: model.ForwardProblem, theta) -> ForwardSolution:
     # constraint rows: g(U) = J_lambda' U + g_offset <= 0
     G = bs.J_lambda.T
     g0 = bs.g_offset
-    row_norm = np.max(np.abs(G), axis=1, initial=0.0) if G.shape[0] else np.zeros(0)
-    nonzero = row_norm > _ZERO_ROW_TOL
+    nonzero = bs.nonzero_rows
     const_viol = g0[~nonzero]
     if const_viol.size and np.max(const_viol) > 1e-9:
         k_bad = int(np.argmax(~nonzero & (g0 > 1e-9)))

@@ -96,14 +96,13 @@ def kkt_ls(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> Kk
                for E, M in zip(bs.E_theta.T, bs.Mj)):
         raise ValueError("all features have identically zero gradients")
 
-    h_ref = np.abs(np.tile(fp.constraints.h, fp.horizon + 1))
     # multipliers with a zero stationarity column (rows that no input can
     # influence) are unidentifiable; leave them out of the fit
-    identifiable = np.max(np.abs(bs.J_lambda), axis=0, initial=0.0) > 1e-13
+    identifiable = bs.nonzero_rows
     blocks = []   # per demo: (J_theta_d, J_act_d, active_idx)
     offsets = [q]
     for U_d in ds.U_list:
-        act = np.flatnonzero(demo_activity(bs, U_d, h_ref=h_ref) & identifiable)
+        act = np.flatnonzero(demo_activity(bs, U_d, h_ref=bs.h_ref) & identifiable)
         Jt = bs.J_theta(U_d)
         Ja = bs.J_lambda[:, act]
         blocks.append((Jt, Ja, act))

@@ -51,8 +51,6 @@ __all__ = [
     "rescale_to_l1",
 ]
 
-_ZERO_ROW_TOL = 1e-13
-
 
 @dataclass(frozen=True, eq=False)
 class GibbsConfig:
@@ -82,65 +80,86 @@ class MapResult:
     gibbs_diag: dict
 
 
-def _spd_solve_factory(M):
-    L = cholesky(np.asarray(M, dtype=float))
+class _Workspace:
+    """What the MAP cost and both half-steps hold fixed for one ``Sigma_U``.
 
-    def solve(rhs):
-        return cholesky_solve(L, rhs)
+    The four covariances are factored once, beta's prior precision ``Pi``
+    is inverted once, and the U-step keeps its constant Hessian and linear
+    terms.  The terms are stored apart, not summed: each step adds them to
+    its varying term in the order of the one-line formula, so the sums
+    round exactly as they would if everything were recomputed.
+    """
 
-    return solve
+    def __init__(self, bs, ds: DemoSet, Sigma_U, priors: Priors):
+        self.bs = bs
+        self.ds = ds
+        self.L_SU = cholesky(np.asarray(Sigma_U, dtype=float))
+        self.L_SY = cholesky(np.asarray(priors.Sigma_Y, dtype=float))
+        self.L_SU0 = cholesky(np.asarray(priors.Sigma_U0, dtype=float))
+        self.L_Sb = cholesky(np.asarray(priors.Sigma_beta, dtype=float))
+        Pi = np.linalg.inv(priors.Sigma_beta)
+        self.Pi = 0.5 * (Pi + Pi.T)
+        self.Pi_beta0 = self.Pi @ priors.beta0
+        D = ds.n_demos
+        eye = np.eye(bs.n_inputs)
+        # U-step: H = H_demo + 2D Mb' SY^-1 Mb + H_prior,
+        #         c = c_demo + 2D Mb' SY^-1 E(beta) - c_prior
+        self.H_demo = 2.0 * D * cholesky_solve(self.L_SU, eye)
+        self.H_prior = 2.0 * cholesky_solve(self.L_SU0, eye)
+        self.c_demo = -2.0 * cholesky_solve(self.L_SU, ds.stacked().sum(axis=0))
+        self.c_prior = 2.0 * cholesky_solve(self.L_SU0, priors.U0)
 
 
-def map_cost(U, beta, Sigma_U, ds: DemoSet, priors: Priors, bs=None) -> float:
-    """Negative log posterior of ``(beta, U)`` up to an additive constant."""
-    fp = ds.fp_ref
-    if bs is None:
-        bs = model.build_stationarity(fp)
+def map_cost(U, beta, Sigma_U, ds: DemoSet, priors: Priors, bs=None, *,
+             workspace: _Workspace | None = None) -> float:
+    """Negative log posterior of ``(beta, U)`` up to an additive constant.
+
+    ``workspace`` is an estimate's own, built from these ``Sigma_U``,
+    ``ds`` and ``priors``; without one the call builds its own.
+    """
+    if workspace is None:
+        if bs is None:
+            bs = model.build_stationarity(ds.fp_ref)
+        workspace = _Workspace(bs, ds, Sigma_U, priors)
+    ws = workspace
     U = np.asarray(U, dtype=float).ravel()
     beta = np.asarray(beta, dtype=float).ravel()
-    q = bs.n_features
+    q = ws.bs.n_features
     theta, lam = beta[:q], beta[q:]
 
-    solve_SU = _spd_solve_factory(Sigma_U)
-    solve_SY = _spd_solve_factory(priors.Sigma_Y)
-    solve_SU0 = _spd_solve_factory(priors.Sigma_U0)
-    solve_Sb = _spd_solve_factory(priors.Sigma_beta)
-
     R = ds.stacked() - U
-    total = float(np.sum(R * solve_SU(R.T).T))
-    s = bs.stationarity(U, theta, lam)
-    total += ds.n_demos * float(s @ solve_SY(s))
+    total = float(np.sum(R * cholesky_solve(ws.L_SU, R.T).T))
+    s = ws.bs.stationarity(U, theta, lam)
+    total += ds.n_demos * float(s @ cholesky_solve(ws.L_SY, s))
     dU = U - priors.U0
-    total += float(dU @ solve_SU0(dU))
+    total += float(dU @ cholesky_solve(ws.L_SU0, dU))
     db = beta - priors.beta0
-    total += float(db @ solve_Sb(db))
+    total += float(db @ cholesky_solve(ws.L_Sb, db))
     return total
 
 
-def _activity(bs, U, active_tol, h_ref):
+def _activity(bs, U, active_tol):
     g = bs.constraint_values(U)
-    return np.abs(g) <= active_tol * (1.0 + h_ref)
+    return np.abs(g) <= active_tol * (1.0 + bs.h_ref)
 
 
-def _beta_step(bs, ds, U, priors, active_tol, h_ref, norm: NormalizationRule):
+def _beta_step(ws: _Workspace, U, active_tol, norm: NormalizationRule):
     """Minimize the MAP cost over beta at fixed U. Returns full beta."""
+    bs = ws.bs
     q = bs.n_features
     L = bs.n_multipliers
-    act = np.flatnonzero(_activity(bs, U, active_tol, h_ref))
+    act = np.flatnonzero(_activity(bs, U, active_tol))
     B = np.hstack([bs.J_theta(U), bs.J_lambda[:, act]])
     nv = q + act.size
 
-    solve_SY = _spd_solve_factory(priors.Sigma_Y)
-    Pi = np.linalg.inv(priors.Sigma_beta)
-    Pi = 0.5 * (Pi + Pi.T)
     free = np.concatenate([np.arange(q), q + act])
     Pf = np.zeros((q + L, nv))
     Pf[free, np.arange(nv)] = 1.0
 
-    D = ds.n_demos
-    H = 2.0 * D * (B.T @ solve_SY(B)) + 2.0 * (Pf.T @ Pi @ Pf)
+    D = ws.ds.n_demos
+    H = 2.0 * D * (B.T @ cholesky_solve(ws.L_SY, B)) + 2.0 * (Pf.T @ ws.Pi @ Pf)
     H = 0.5 * (H + H.T)
-    c = -2.0 * (Pf.T @ (Pi @ priors.beta0))
+    c = -2.0 * (Pf.T @ ws.Pi_beta0)
     norm_row = np.zeros(nv)
     norm_row[:q] = norm.row(q)
     sol = solve_qp(
@@ -152,28 +171,22 @@ def _beta_step(bs, ds, U, priors, active_tol, h_ref, norm: NormalizationRule):
     return beta
 
 
-def _u_step(bs, ds, beta, Sigma_U, priors, active_tol):
+def _u_step(ws: _Workspace, beta, active_tol):
     """Minimize the MAP cost over U at fixed beta. Returns (U, eq_rows)."""
+    bs = ws.bs
     q = bs.n_features
     theta, lam = beta[:q], beta[q:]
     Mb = bs.M_beta(theta)
     Ebeta = bs.E_theta @ theta + bs.J_lambda @ lam
-    D = ds.n_demos
+    D = ws.ds.n_demos
 
-    solve_SU = _spd_solve_factory(Sigma_U)
-    solve_SY = _spd_solve_factory(priors.Sigma_Y)
-    solve_SU0 = _spd_solve_factory(priors.Sigma_U0)
-
-    mN = bs.n_inputs
-    H = 2.0 * D * solve_SU(np.eye(mN)) + 2.0 * D * (Mb.T @ solve_SY(Mb)) + 2.0 * solve_SU0(np.eye(mN))
+    H = ws.H_demo + 2.0 * D * (Mb.T @ cholesky_solve(ws.L_SY, Mb)) + ws.H_prior
     H = 0.5 * (H + H.T)
-    demo_sum = ds.stacked().sum(axis=0)
-    c = -2.0 * solve_SU(demo_sum) + 2.0 * D * (Mb.T @ solve_SY(Ebeta)) - 2.0 * solve_SU0(priors.U0)
+    c = ws.c_demo + 2.0 * D * (Mb.T @ cholesky_solve(ws.L_SY, Ebeta)) - ws.c_prior
 
     G = bs.J_lambda.T
     g0 = bs.g_offset
-    row_norm = np.max(np.abs(G), axis=1, initial=0.0) if G.shape[0] else np.zeros(0)
-    nonzero = row_norm > _ZERO_ROW_TOL
+    nonzero = bs.nonzero_rows
     pinned = (lam > active_tol) & nonzero
     free_rows = nonzero & ~pinned
 
@@ -218,7 +231,7 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig | None = None
     Sigma_U = 0.5 * (chain.Sigma_U_mean + chain.Sigma_U_mean.T)
     U = chain.U_mean.copy()
     beta = chain.beta_mean.copy()
-    h_ref = np.abs(np.tile(fp.constraints.h, fp.horizon + 1))
+    ws = _Workspace(bs, ds, Sigma_U, priors)
     norm = cfg.norm
     if norm is None:
         # anchor the scale where the prior sits so the two do not fight
@@ -229,18 +242,18 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig | None = None
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     prev_full = None
     for it in range(cfg.max_outer_iters):
-        beta_new = _beta_step(bs, ds, U, priors, cfg.active_tol, h_ref, norm)
-        cost_b = map_cost(U, beta_new, Sigma_U, ds, priors, bs=bs)
+        beta_new = _beta_step(ws, U, cfg.active_tol, norm)
+        cost_b = map_cost(U, beta_new, Sigma_U, ds, priors, workspace=ws)
         if it > 0 and cost_b > trace[-1]:
             break
-        U_new, pinned = _u_step(bs, ds, beta_new, Sigma_U, priors, cfg.active_tol)
+        U_new, pinned = _u_step(ws, beta_new, cfg.active_tol)
         if pinned.size == 0 and np.any(beta_new[bs.n_features :] > cfg.active_tol):
             # fallback ran: drop multipliers that lost their face
             g = bs.constraint_values(U_new)
             lam_new = beta_new[bs.n_features :].copy()
-            lam_new[np.abs(g) > cfg.active_tol * (1.0 + h_ref)] = 0.0
+            lam_new[np.abs(g) > cfg.active_tol * (1.0 + bs.h_ref)] = 0.0
             beta_new = np.concatenate([beta_new[: bs.n_features], lam_new])
-        cost_u = map_cost(U_new, beta_new, Sigma_U, ds, priors, bs=bs)
+        cost_u = map_cost(U_new, beta_new, Sigma_U, ds, priors, workspace=ws)
         if it == 0:
             # first iteration projects the Gibbs means onto complementarity;
             # the trace starts at the first feasible iterate
@@ -313,7 +326,7 @@ def consistency_cost_check(
     ds = generate(U_star, noise, D_large, fp)
     Sigma_U = noise_cov_stacked(noise, fp.system.m, fp.horizon)
     Sigma_U = Sigma_U + 1e-12 * np.eye(Sigma_U.shape[0])
-    solve_SU = _spd_solve_factory(Sigma_U)
+    L_SU = cholesky(Sigma_U)
     SY_inv = np.linalg.inv(sigma_y * np.eye(fp.n_inputs))
 
     stackd = ds.stacked()
@@ -321,7 +334,7 @@ def consistency_cost_check(
 
     def cost(U, beta):
         R = stackd - U
-        val = float(np.sum(R * solve_SU(R.T).T)) / ds.n_demos
+        val = float(np.sum(R * cholesky_solve(L_SU, R.T).T)) / ds.n_demos
         s = bs.stationarity(U, beta[:q], beta[q:])
         return val + float(s @ SY_inv @ s)
 

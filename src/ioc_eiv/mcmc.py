@@ -19,8 +19,11 @@ stationarity is not affine in U; it only needs a callable residual.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,8 +114,16 @@ class ChainOutput:
     Sigma_U_mean: np.ndarray
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """Shared read-only identity of order ``n``."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _inverse_from_factor(L):
-    C = cholesky_solve(L, np.eye(L.shape[0]))
+    C = cholesky_solve(L, _identity(L.shape[0]))
     return 0.5 * (C + C.T)
 
 
@@ -141,7 +152,7 @@ def sample_inverse_wishart(W, nu: float, rng: np.random.Generator) -> np.ndarray
     Lw = cholesky(_spd_inverse(W))
     A = np.zeros((p, p))
     for i in range(p):
-        A[i, i] = np.sqrt(rng.chisquare(nu - i))
+        A[i, i] = math.sqrt(rng.chisquare(nu - i))
         A[i, :i] = rng.standard_normal(i)  # same stream as i scalar draws
     LA = Lw @ A
     X = LA @ LA.T  # Wishart(W^{-1}, nu)
@@ -362,7 +373,10 @@ def gibbs_run(
     U = sample_mean(ds)
     beta = priors.beta0.copy()
     Sigma_U = np.eye(mN)
-    states = [ChainState(iteration=1, U=U.copy(), beta=beta.copy(), Sigma_U=Sigma_U.copy())]
+    # states share the chain's arrays, which nothing writes to; only the
+    # retained tail is kept unless the whole trace is written
+    states = [] if trace_csv is not None else deque(maxlen=n_keep)
+    states.append(ChainState(iteration=1, U=U, beta=beta, Sigma_U=Sigma_U))
     n_acc = 0
     for it in range(2, n_iter + 1):
         mean_b, cov_b = full_conditional_beta(ds, U, bs, priors)
@@ -376,9 +390,9 @@ def gibbs_run(
             n_acc += int(acc)
         W_post, nu_post = full_conditional_SigmaU(ds, U, priors)
         Sigma_U = sample_inverse_wishart(W_post, nu_post, rng)
-        states.append(ChainState(iteration=it, U=U.copy(), beta=beta.copy(), Sigma_U=Sigma_U.copy()))
+        states.append(ChainState(iteration=it, U=U, beta=beta, Sigma_U=Sigma_U))
 
-    kept = states[-n_keep:]
+    kept = list(states)[-n_keep:]
     out = ChainOutput(
         samples=kept,
         acceptance_rate={

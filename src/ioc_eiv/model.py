@@ -51,6 +51,11 @@ __all__ = [
 ]
 
 
+# a constraint row whose coefficients on U are all at most this in magnitude
+# is treated as constant
+ZERO_ROW_TOL = 1e-13
+
+
 def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.flags.writeable = False
@@ -266,16 +271,28 @@ class BilinearStationarity:
     + J_lambda lam`` with ``beta = (theta, lam)``.  ``J_lambda.T`` is also
     the Jacobian of the stacked constraint values, so
     ``g(U) = J_lambda.T U + g_offset``.
+
+    ``h_ref`` is the per-row scale of the activity tests, ``|h|`` tiled over
+    steps ``0..N``: row ``i`` counts as active when
+    ``|g_i| <= tol * (1 + h_ref_i)``.  ``nonzero_rows`` marks the rows that
+    some input moves, those whose largest ``|J_lambda|`` entry exceeds
+    ``ZERO_ROW_TOL``; the others are constants that no QP may carry as a
+    constraint row.
     """
 
     Mj: tuple
     E_theta: np.ndarray
     J_lambda: np.ndarray
     g_offset: np.ndarray
+    h_ref: np.ndarray
     n_features: int = field(init=False)
+    nonzero_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n_features", len(self.Mj))
+        nonzero = np.max(np.abs(self.J_lambda), axis=0, initial=0.0) > ZERO_ROW_TOL
+        nonzero.flags.writeable = False
+        object.__setattr__(self, "nonzero_rows", nonzero)
 
     @property
     def n_inputs(self) -> int:
@@ -375,8 +392,10 @@ def build_stationarity(fp: ForwardProblem) -> BilinearStationarity:
     E_theta.flags.writeable = False
     J_lambda.flags.writeable = False
     g_offset.flags.writeable = False
+    h_ref = np.abs(np.tile(con.h, N + 1))
+    h_ref.flags.writeable = False
     return BilinearStationarity(
-        Mj=tuple(Mj), E_theta=E_theta, J_lambda=J_lambda, g_offset=g_offset
+        Mj=tuple(Mj), E_theta=E_theta, J_lambda=J_lambda, g_offset=g_offset, h_ref=h_ref
     )
 
 

@@ -7,6 +7,17 @@ numpy's matrix-vector kernels round differently on a Fortran-ordered
 operand, so a sampler computing ``L @ z`` with the raw LAPACK output would
 draw different bits from the same random stream.
 
+:func:`cholesky` factors the symmetrized ``0.5 * (M + M')``.  Most inputs
+are already exactly symmetric (an inverse symmetrized by its builder,
+``X @ X.T``, ``W + R.T @ R``), and for those it factors ``M`` itself after
+one ``M == M.T`` comparison.  That fast path is exact, not approximate:
+equality passes the 1e-10 symmetry test trivially, and ``0.5 * (M + M)``
+equals ``M`` bitwise because doubling and halving a double are exact, unless
+``M + M`` overflows.  The path is therefore taken only when every entry is
+finite and below 1e307 in magnitude; a NaN fails the comparison and an
+infinity fails the bound, so both still take the general path and behave
+as before.
+
 The QP solver is a textbook primal active-set method.  The choice is
 deliberate: every estimator in this package needs *exact* active sets and
 bit-reproducible solves, which first-order or interior-point methods do not
@@ -35,7 +46,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.optimize import linprog
 
 __all__ = [
     "NotPositiveDefinite",
@@ -87,13 +97,15 @@ def cholesky(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    scale = np.max(np.abs(M)) if M.size else 0.0
-    if M.size and np.max(np.abs(M - M.T)) > 1e-10 * (1.0 + scale):
-        raise ValueError("matrix is not symmetric to tolerance 1e-10")
     if M.shape[0] == 0:
         return np.zeros((0, 0))
-    Msym = 0.5 * (M + M.T)
-    L, info = lapack.dpotrf(Msym, lower=1)
+    if not ((M == M.T).all() and abs(M).max() < 1e307):
+        # not exactly symmetric, or too large for M + M to stay finite:
+        # test the tolerance and factor the symmetrized matrix
+        if abs(M - M.T).max() > 1e-10 * (1.0 + abs(M).max()):
+            raise ValueError("matrix is not symmetric to tolerance 1e-10")
+        M = 0.5 * (M + M.T)
+    L, info = lapack.dpotrf(M, lower=1)
     if info > 0:
         raise NotPositiveDefinite(info)
     if info < 0:
@@ -246,6 +258,10 @@ def _feasible(A, b, y, tol):
 
 def _phase1(Ar, br):
     """LP feasibility: min sum(s) s.t. Ar y - s <= br, s >= 0."""
+    # imported here: scipy.optimize costs a large share of the package import
+    # and only this rarely taken path needs it
+    from scipy.optimize import linprog
+
     ni, nz = Ar.shape
     cost = np.concatenate([np.zeros(nz), np.ones(ni)])
     A_ub = np.hstack([Ar, -np.eye(ni)])

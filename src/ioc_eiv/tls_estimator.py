@@ -45,7 +45,6 @@ from .numerics import (
 
 __all__ = ["TlsConfig", "TlsResult", "tls_inner", "estimate"]
 
-_ZERO_ROW_TOL = 1e-13
 _PROX_WEIGHT = 1e-6
 
 
@@ -88,12 +87,10 @@ class _Inner:
         self.SU_inv = 0.5 * (self.SU_inv + self.SU_inv.T)
         self.stackd = ds.stacked()
         self.demo_sum = self.stackd.sum(axis=0)
-        self.h_ref = np.abs(np.tile(fp.constraints.h, fp.horizon + 1))
-        G = bs.J_lambda.T
-        self.G = G
+        self.h_ref = bs.h_ref
+        self.G = bs.J_lambda.T
         self.g0 = bs.g_offset
-        row_norm = np.max(np.abs(G), axis=1, initial=0.0) if G.shape[0] else np.zeros(0)
-        self.nonzero_rows = row_norm > _ZERO_ROW_TOL
+        self.nonzero_rows = bs.nonzero_rows
 
     def demo_cost(self, U):
         R = self.stackd - U

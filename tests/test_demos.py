@@ -143,3 +143,17 @@ def test_rmse_definition():
     assert np.isclose(rmse(a, b), loop, rtol=1e-12)
     with pytest.raises(ValueError):
         rmse(np.ones(3), np.ones(4))
+
+
+def test_stacked_is_built_once_read_only_and_equal_to_vstack():
+    fp, U_star = _benchmark_setup()
+    ds = generate(U_star, NoiseSpec.gaussian(np.array([[0.04]]), seed=12), 5, fp)
+    first = ds.stacked()
+    assert ds.stacked() is first
+    assert np.array_equal(first, np.vstack(ds.U_list))
+    assert first.shape == (5, 10)
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+    # the demos themselves are read-only too, so the cache cannot go stale
+    with pytest.raises(ValueError):
+        ds.U_list[0][0] = 1.0

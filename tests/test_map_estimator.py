@@ -1,5 +1,7 @@
 """Posterior-cost minimization with complementarity handled by activity sets."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,41 @@ def test_noisy_output_satisfies_optimality_blocks():
     assert np.all(res.theta >= -1e-10)
     diffs = np.diff(res.cost_trace)
     assert np.all(diffs <= 1e-12)
+
+
+# sha256 of one estimate's outputs, recorded before the alternation kept its
+# factors in a per-estimate workspace; a "bit-exact" change to the cost or
+# either half-step that moves any output changes it.  The bytes depend on
+# the floating-point kernels of the numpy/OpenBLAS build.
+GOLDEN_MAP_SHA256 = "919d2e4c8ff28b82a20462fdbeb68cab0eec853d64faa1061006aa4c2351d9d7"
+
+
+def test_estimate_outputs_are_bit_identical_to_golden():
+    fp, _, ds = _benchmark_demos(10.0, 11, 10)
+    cfg = MapConfig(gibbs=GibbsConfig(n_iter=200, n_keep=50, seed=2024))
+    res = map_estimate(ds, fp, cfg)
+    h = hashlib.sha256()
+    for a in (res.theta, res.lam, res.U_hat, res.Sigma_U_hat, np.array(res.cost_trace)):
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    assert h.hexdigest() == GOLDEN_MAP_SHA256
+
+
+def test_map_cost_with_shared_workspace_equals_standalone_call():
+    from ioc_eiv.map_estimator import _Workspace
+
+    fp, sol, ds = _benchmark_demos(10.0, 12, 5)
+    priors = default_priors(ds, fp)
+    bs = build_stationarity(fp)
+    rng = np.random.default_rng(4)
+    G = rng.standard_normal((10, 10))
+    Sigma_U = G @ G.T + np.eye(10)
+    ws = _Workspace(bs, ds, Sigma_U, priors)
+    for _ in range(5):
+        U = sol.U + 0.01 * rng.standard_normal(10)
+        beta = priors.beta0 + 0.1 * rng.standard_normal(priors.beta0.shape[0])
+        alone = map_cost(U, beta, Sigma_U, ds, priors)
+        shared = map_cost(U, beta, Sigma_U, ds, priors, bs=bs, workspace=ws)
+        assert alone == shared
 
 
 def test_estimate_deterministic_given_rng():

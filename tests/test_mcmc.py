@@ -400,6 +400,28 @@ def test_gibbs_trace_is_bit_identical_to_golden(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256
 
 
+def test_gibbs_output_does_not_depend_on_trace_csv(tmp_path):
+    # without a trace file only the retained tail is kept; the result must
+    # not change
+    fp = oracles.spring_damper()
+    sol = solve_forward(fp, oracles.SPRING_THETA)
+    sig = noise_scale_from_percent(sol.U, 10.0)
+    ds = generate(sol.U, NoiseSpec.gaussian(np.diag(sig**2), seed=19), 6, fp)
+    priors = default_priors(ds, fp)
+    a = gibbs_run(ds, fp, priors, n_iter=120, n_keep=30, rng=np.random.default_rng(3))
+    b = gibbs_run(ds, fp, priors, n_iter=120, n_keep=30, rng=np.random.default_rng(3),
+                  trace_csv=str(tmp_path / "trace.csv"))
+    assert len(a.samples) == len(b.samples) == 30
+    assert [s.iteration for s in a.samples] == list(range(91, 121))
+    for sa, sb in zip(a.samples, b.samples):
+        assert sa.iteration == sb.iteration
+        for name in ("U", "beta", "Sigma_U"):
+            assert np.array_equal(getattr(sa, name), getattr(sb, name))
+    for name in ("U_mean", "beta_mean", "Sigma_U_mean"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.acceptance_rate == b.acceptance_rate
+
+
 def test_gibbs_dispersed_initializations_agree():
     # chains from different RNG streams must agree to Monte Carlo accuracy
     fp = oracles.spring_damper()

@@ -1,11 +1,18 @@
 """Cholesky factorization and the dense active-set QP solver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg import lapack
 
+import ioc_eiv
 import oracles
+from ioc_eiv import numerics
 from ioc_eiv import (
     Infeasible,
     IterationLimit,
@@ -79,6 +86,70 @@ def test_cholesky_is_c_ordered_lower_and_bitwise_lapack():
         assert np.array_equal(L, np.tril(ref))
         z = rng.standard_normal(dim)
         assert np.array_equal(L @ z, np.ascontiguousarray(np.tril(ref)) @ z)
+
+
+def _symmetrized_dpotrf(M):
+    """The factor as computed before the exact-symmetry fast path existed."""
+    L, info = lapack.dpotrf(0.5 * (M + M.T), lower=1)
+    assert info == 0
+    return np.ascontiguousarray(np.tril(L))
+
+
+def test_cholesky_fast_path_bitwise_equals_symmetrized_factor():
+    rng = np.random.default_rng(7)
+    scales = (1e-300, 1e-5, 1.0, 1e5, 1e300)
+    for k in range(200):
+        dim = int(rng.integers(1, 13))
+        M = _random_spd(rng, dim) * scales[k % len(scales)]
+        assert np.array_equal(M, M.T)  # G @ G.T is exactly symmetric
+        L = cholesky(M)
+        assert L.flags.c_contiguous
+        assert np.array_equal(L, _symmetrized_dpotrf(M))
+
+
+def test_cholesky_symmetrizes_input_asymmetric_within_tolerance():
+    M = np.array([[4.0, 2.0, 1.0], [2.0, 3.0, 0.5], [1.0, 0.5, 2.0]])
+    M[1, 0] += 1e-12  # dpotrf reads only the lower triangle
+    L = cholesky(M)
+    assert np.array_equal(L, _symmetrized_dpotrf(M))
+    direct, _ = lapack.dpotrf(M, lower=1)
+    assert not np.array_equal(L, np.tril(direct))
+    M[1, 0] += 1e-8
+    with pytest.raises(ValueError, match="symmetric"):
+        cholesky(M)
+
+
+def _diag2(a, b=1.0, off=0.0):
+    return np.array([[a, off], [off, b]])
+
+
+# outcomes recorded before the fast path was added: these inputs fail its
+# guard and must keep their old result, a factor or an exception type.  For
+# the largest ones M + M overflows, so the old factor is inf where factoring
+# M itself would give a finite one.
+_NON_FINITE_OR_HUGE = [
+    (_diag2(np.nan), None),
+    (_diag2(1.0, off=np.nan), None),
+    (_diag2(np.inf), None),
+    (_diag2(1.0, off=np.inf), NotPositiveDefinite),
+    (_diag2(-np.inf), NotPositiveDefinite),
+    (_diag2(1e307), None),
+    (_diag2(5e307), None),
+    (_diag2(1e308, 1e308, 1e300), None),
+    (_diag2(np.finfo(float).max), None),
+]
+
+
+@pytest.mark.parametrize("M, error", _NON_FINITE_OR_HUGE)
+def test_cholesky_non_finite_and_huge_inputs_keep_their_outcome(M, error):
+    with np.errstate(invalid="ignore", over="ignore"):
+        if error is not None:
+            with pytest.raises(error):
+                cholesky(M)
+            return
+        L = cholesky(M)
+        ref, _ = lapack.dpotrf(0.5 * (M + M.T), lower=1)
+    assert L.tobytes() == np.ascontiguousarray(np.tril(ref)).tobytes()
 
 
 def test_cholesky_solve_bitwise_matches_scipy():
@@ -200,6 +271,37 @@ def test_qp_detects_empty_region():
     )
     with pytest.raises(Infeasible):
         solve_qp(qp)
+
+
+def test_qp_phase1_finds_a_start_when_both_guesses_are_infeasible(monkeypatch):
+    # min 0.5 x^2 s.t. 1 <= x <= 2: neither the unconstrained minimizer nor
+    # the origin is feasible, so the LP of phase 1 supplies the start
+    calls = []
+    phase1 = numerics._phase1
+
+    def spy(Ar, br):
+        calls.append(1)
+        return phase1(Ar, br)
+
+    monkeypatch.setattr(numerics, "_phase1", spy)
+    sol = solve_qp(Qp(H=np.eye(1), c=np.zeros(1),
+                      Ain=np.array([[-1.0], [1.0]]), bin=np.array([-1.0, 2.0])))
+    assert calls == [1]
+    np.testing.assert_allclose(sol.z, [1.0], atol=1e-10)
+    assert sol.active_set == (0,)
+    np.testing.assert_allclose(sol.mult_in, [1.0, 0.0], atol=1e-10)
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is only needed by the rare phase-1 path and is a large
+    # share of the import time, so importing the CLI must not load it
+    src = str(Path(ioc_eiv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, ioc_eiv.bench_cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_qp_semidefinite_hessian_recovered_by_ridge():
