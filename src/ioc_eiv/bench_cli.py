@@ -9,6 +9,10 @@ Exit codes: 0 success; 1 invalid input (bad JSON reports the line number),
 numerical failure, or a benchmark cell with no successful run; 2 usage
 errors (unknown flags, unknown method).
 
+``estimate`` and ``bench`` fit and score every method through one table,
+``_METHODS``; settings a config leaves out take the defaults of
+``MapConfig``, ``GibbsConfig`` and ``TlsConfig``.
+
 Benchmark outputs are split so that reruns are reproducible bit for bit:
 ``rows.csv`` holds one row per (method, noise level, repetition) with seeds
 and errors and is byte-identical across reruns of the same config, wall
@@ -50,11 +54,6 @@ __all__ = ["main", "parse_problem", "problem_to_json", "matrix_to_json"]
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-_METHODS = ("kkt", "mean", "map", "tls")
-# substream tags for estimator-internal randomness, per repetition seed
-_STREAM_TAG = {"map": 1}
-
 
 class ConfigError(Exception):
     """Invalid configuration or input file; maps to exit code 1."""
@@ -313,61 +312,88 @@ def _default_norm(fp: model.ForwardProblem) -> NormalizationRule:
     return NormalizationRule(kind="sum", value=float(fp.q))
 
 
+# ------------------------------------------------------------ method table
+# (ds, fp, norm, cfg, rng) -> (theta_hat, U_hat, extra estimate-JSON fields),
+# None for what a method does not estimate.  Estimators are looked up at call
+# time, so a rebinding of ``kkt_ls`` or a module's ``estimate`` reaches both.
+
+
+def _fit_kkt(ds, fp, norm, cfg, rng):
+    fit = kkt_ls(ds, fp, norm)
+    return fit.theta, None, {"residual": fit.residual}
+
+
+def _fit_mean(ds, fp, norm, cfg, rng):
+    return None, sample_mean(ds), {}
+
+
+def _fit_map(ds, fp, norm, cfg, rng):
+    gibbs = cfg.get("gibbs", {})
+    mcfg = MapConfig(
+        max_outer_iters=int(cfg.get("map", {}).get("max_outer_iters", MapConfig.max_outer_iters)),
+        norm=norm,
+        gibbs=GibbsConfig(
+            n_iter=int(gibbs.get("n_iter", GibbsConfig.n_iter)),
+            n_keep=int(gibbs.get("n_keep", GibbsConfig.n_keep)),
+        ),
+    )
+    res = map_estimator.estimate(ds, fp, mcfg, rng=rng)
+    return res.theta, res.U_hat, {
+        "Sigma_U": matrix_to_json(res.Sigma_U_hat),
+        "cost_trace": [float(v) for v in res.cost_trace],
+    }
+
+
+def _fit_tls(ds, fp, norm, cfg, rng):
+    tcfg = TlsConfig(
+        norm=norm,
+        max_outer_iters=int(cfg.get("tls", {}).get("max_outer_iters", TlsConfig.max_outer_iters)),
+    )
+    res = tls_estimator.estimate(ds, fp, tcfg)
+    return res.theta, res.U_hat, {
+        "Sigma_U": matrix_to_json(res.Sigma_U_hat),
+        "outer_trace": [
+            [float(c) if np.isfinite(c) else None, float(d) if np.isfinite(d) else None]
+            for c, d in res.outer_trace
+        ],
+        "path": res.path,
+    }
+
+
+_METHODS = {"kkt": _fit_kkt, "mean": _fit_mean, "map": _fit_map, "tls": _fit_tls}
+# the bench draws repetition r's MAP chain from SeedSequence([master + r, _MAP_STREAM])
+_MAP_STREAM = 1
+
+
+def _errors(theta_hat, U_hat, theta_star, U_star) -> tuple:
+    """``(rmse_theta, rmse_U)``, None where either side is missing; theta at the truth's l1."""
+    rmse_theta = rmse_U = None
+    if theta_hat is not None and theta_star is not None:
+        scaled = rescale_to_l1(theta_hat, float(np.sum(np.abs(theta_star))))
+        rmse_theta = rmse(scaled, theta_star)
+    if U_hat is not None and U_star is not None:
+        rmse_U = rmse(U_hat, U_star)
+    return rmse_theta, rmse_U
+
+
 def cmd_estimate(args) -> int:
     obj = _load_json(args.demos)
     ds, fp = _demoset_from_json(obj)
     cfg = _load_json(args.config) if args.config else {}
     norm = _parse_norm(cfg.get("norm"), _default_norm(fp))
-    method = args.method
-    out: dict = {"method": method}
-    if method == "mean":
-        U_hat = sample_mean(ds)
-        theta_hat = None
-    elif method == "kkt":
-        fit = kkt_ls(ds, fp, norm)
-        theta_hat, U_hat = fit.theta, None
-        out["residual"] = fit.residual
-    elif method == "map":
-        gibbs_obj = cfg.get("gibbs", {})
-        mcfg = MapConfig(
-            max_outer_iters=int(cfg.get("map", {}).get("max_outer_iters", 100)),
-            norm=norm,
-            gibbs=GibbsConfig(
-                n_iter=int(gibbs_obj.get("n_iter", 2000)),
-                n_keep=int(gibbs_obj.get("n_keep", 300)),
-                seed=None,
-            ),
-        )
-        rng = np.random.default_rng(args.seed)
-        res = map_estimator.estimate(ds, fp, mcfg, rng=rng)
-        theta_hat, U_hat = res.theta, res.U_hat
-        out["Sigma_U"] = matrix_to_json(res.Sigma_U_hat)
-        out["cost_trace"] = [float(v) for v in res.cost_trace]
-    elif method == "tls":
-        tcfg = TlsConfig(
-            norm=norm,
-            max_outer_iters=int(cfg.get("tls", {}).get("max_outer_iters", 50)),
-        )
-        res = tls_estimator.estimate(ds, fp, tcfg)
-        theta_hat, U_hat = res.theta, res.U_hat
-        out["Sigma_U"] = matrix_to_json(res.Sigma_U_hat)
-        out["outer_trace"] = [
-            [float(c) if np.isfinite(c) else None, float(d) if np.isfinite(d) else None]
-            for c, d in res.outer_trace
-        ]
-        out["path"] = res.path
-    else:
-        raise ConfigError(f"unknown method {method!r}")
+    rng = np.random.default_rng(args.seed)
+    theta_hat, U_hat, extra = _METHODS[args.method](ds, fp, norm, cfg, rng)
+    out: dict = {"method": args.method, **extra}
     if theta_hat is not None:
         out["theta"] = [float(v) for v in theta_hat]
     if U_hat is not None:
         out["U_hat"] = [float(v) for v in U_hat]
     if ds.U_star is not None:
-        if theta_hat is not None and fp.theta_true is not None:
-            scaled = rescale_to_l1(theta_hat, float(np.sum(np.abs(fp.theta_true))))
-            out["rmse_theta"] = rmse(scaled, fp.theta_true)
-        if U_hat is not None:
-            out["rmse_U"] = rmse(U_hat, ds.U_star)
+        rmse_theta, rmse_U = _errors(theta_hat, U_hat, fp.theta_true, ds.U_star)
+        if rmse_theta is not None:
+            out["rmse_theta"] = rmse_theta
+        if rmse_U is not None:
+            out["rmse_U"] = rmse_U
     _write_output(out, args.out)
     return EXIT_OK
 
@@ -382,7 +408,6 @@ def _run_task(payload: dict) -> dict:
     """
     fp = parse_problem(payload["problem"])
     theta_star = fp.theta_true
-    l1_star = float(np.sum(np.abs(theta_star)))
     method = payload["method"]
     level = float(payload["level"])
     seed_rep = int(payload["seed_rep"])
@@ -390,44 +415,15 @@ def _run_task(payload: dict) -> dict:
     U_star = forward.solve(fp, theta_star).U
     spec = _noise_spec(payload["noise"], U_star, fp.system.m, level, seed_rep)
     ds = generate(U_star, spec, int(payload["n_demos"]), fp)
-    norm = NormalizationRule(kind="sum", value=float(np.sum(theta_star)))
+    norm = _default_norm(fp)
+    rng = np.random.default_rng(np.random.SeedSequence([seed_rep, _MAP_STREAM]))
 
-    rmse_theta = None
-    rmse_U = None
+    rmse_theta = rmse_U = None
     status = "ok"
     t0 = perf_counter()
     try:
-        if method == "mean":
-            rmse_U = rmse(sample_mean(ds), U_star)
-        elif method == "kkt":
-            fit = kkt_ls(ds, fp, norm)
-            rmse_theta = rmse(rescale_to_l1(fit.theta, l1_star), theta_star)
-        elif method == "map":
-            mcfg = MapConfig(
-                max_outer_iters=int(payload["map"].get("max_outer_iters", 100)),
-                norm=norm,
-                gibbs=GibbsConfig(
-                    n_iter=int(payload["gibbs"].get("n_iter", 2000)),
-                    n_keep=int(payload["gibbs"].get("n_keep", 300)),
-                    seed=None,
-                ),
-            )
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed_rep, _STREAM_TAG["map"]])
-            )
-            res = map_estimator.estimate(ds, fp, mcfg, rng=rng)
-            rmse_theta = rmse(rescale_to_l1(res.theta, l1_star), theta_star)
-            rmse_U = rmse(res.U_hat, U_star)
-        elif method == "tls":
-            tcfg = TlsConfig(
-                norm=norm,
-                max_outer_iters=int(payload["tls"].get("max_outer_iters", 50)),
-            )
-            res = tls_estimator.estimate(ds, fp, tcfg)
-            rmse_theta = rmse(rescale_to_l1(res.theta, l1_star), theta_star)
-            rmse_U = rmse(res.U_hat, U_star)
-        else:  # validated in cmd_bench; defensive
-            raise ConfigError(f"unknown method {method!r}")
+        theta_hat, U_hat, _ = _METHODS[method](ds, fp, norm, payload, rng)
+        rmse_theta, rmse_U = _errors(theta_hat, U_hat, theta_star, U_star)
     except (Infeasible, IterationLimit, NotPositiveDefinite, ValueError) as e:
         status = f"failed:{type(e).__name__}"
     wall = perf_counter() - t0
@@ -620,7 +616,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("estimate", help="run one estimator on a demo file")
     pe.add_argument("--demos", required=True, help="demo JSON from the demos command")
-    pe.add_argument("--method", required=True, choices=_METHODS)
+    pe.add_argument("--method", required=True, choices=list(_METHODS))
     pe.add_argument("--config", default=None, help="optional estimator parameter JSON")
     pe.add_argument("--seed", type=int, default=0, help="estimator RNG seed (map)")
     pe.add_argument("--out", default=None, help="output JSON path (default: stdout)")

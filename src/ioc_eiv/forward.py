@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
+from .model import objective
 from .numerics import Infeasible, Qp, solve_qp
 
 __all__ = ["ForwardSolution", "solve", "objective"]
@@ -27,20 +28,6 @@ class ForwardSolution:
     lam: np.ndarray
     active_set: tuple
     objective: float
-
-
-def objective(fp: model.ForwardProblem, theta, U) -> float:
-    """Cost of input sequence ``U`` evaluated by explicit rollout."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[0] != fp.q:
-        raise ValueError(f"theta has length {theta.shape[0]}, expected q = {fp.q}")
-    m, N = fp.system.m, fp.horizon
-    U = np.asarray(U, dtype=float).ravel()
-    X = model.rollout(fp.system, fp.x0, U, N)
-    total = 0.0
-    for k in range(N):
-        total += float(theta @ model.feature_values(fp, X[k], U[k * m : (k + 1) * m]))
-    return total
 
 
 def solve(fp: model.ForwardProblem, theta) -> ForwardSolution:

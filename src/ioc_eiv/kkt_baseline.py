@@ -2,11 +2,13 @@
 
 Weights ``theta`` are shared across demonstrations while each demonstration
 gets its own multipliers.  Complementarity is handled by classifying each
-constraint row as active or inactive at the (noisy) demonstration itself:
-inactive rows have their multiplier pinned to zero, active rows keep a free
-nonnegative multiplier.  Because the stationarity residual is homogeneous
-in ``(theta, lam)``, a normalization rule is mandatory; without one the
-zero vector is a perfect minimizer and the estimator refuses to run.
+constraint row as active or inactive at the (noisy) demonstration itself,
+with :meth:`ioc_eiv.model.BilinearStationarity.active_rows` at
+``model.DEMO_ACTIVE_TOL``: inactive rows have their multiplier pinned to
+zero, active rows keep a free nonnegative multiplier.  Because the
+stationarity residual is homogeneous in ``(theta, lam)``, a normalization
+rule is mandatory; without one the zero vector is a perfect minimizer and
+the estimator refuses to run.
 
 This estimator treats the noisy inputs as exact regressors, which is what
 makes it inconsistent: the quadratic terms of the residual accumulate a
@@ -23,10 +25,7 @@ from . import model
 from .demos import DemoSet
 from .numerics import Qp, solve_qp
 
-__all__ = ["NormalizationRule", "KktLsResult", "kkt_ls", "kkt_single", "demo_activity"]
-
-# |g| <= ACTIVITY_TOL * (1 + |h_row|) marks a row active at a demonstration
-ACTIVITY_TOL = 1e-6
+__all__ = ["NormalizationRule", "KktLsResult", "kkt_ls", "kkt_single"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,17 +65,6 @@ class KktLsResult:
     residual: float
 
 
-def demo_activity(bs: model.BilinearStationarity, U, tol: float = ACTIVITY_TOL, h_ref=None) -> np.ndarray:
-    """Boolean mask of rows counted active at ``U``.
-
-    ``h_ref`` supplies the per-row scale (defaults to |g_offset| which
-    contains the -h part); the classification is |g| <= tol * (1 + scale).
-    """
-    g = bs.constraint_values(U)
-    scale = np.abs(h_ref) if h_ref is not None else np.abs(bs.g_offset)
-    return np.abs(g) <= tol * (1.0 + scale)
-
-
 def kkt_ls(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> KktLsResult:
     """Joint least-squares fit of shared weights and per-demo multipliers.
 
@@ -102,7 +90,7 @@ def kkt_ls(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> Kk
     blocks = []   # per demo: (J_theta_d, J_act_d, active_idx)
     offsets = [q]
     for U_d in ds.U_list:
-        act = np.flatnonzero(demo_activity(bs, U_d, h_ref=bs.h_ref) & identifiable)
+        act = np.flatnonzero(bs.active_rows(U_d, model.DEMO_ACTIVE_TOL) & identifiable)
         Jt = bs.J_theta(U_d)
         Ja = bs.J_lambda[:, act]
         blocks.append((Jt, Ja, act))

@@ -12,6 +12,8 @@ estimate and a good starting point, then maximizes the posterior over
   equalities ``g_i(U) = 0``, the rest inequalities ``g_i(U) <= 0``; the
   posterior is quadratic in ``U``.
 
+Both steps classify rows at ``model.ITERATE_ACTIVE_TOL``.
+
 The normalization equality in the beta-step anchors the scale that the
 stationarity term cannot see.  The residual ``J(U) beta`` is homogeneous
 in ``beta``, so its squared norm always prefers a smaller ``beta``; with
@@ -51,6 +53,8 @@ __all__ = [
     "rescale_to_l1",
 ]
 
+COST_TOL = 1e-9  # stop once an iteration lowers the cost by at most this, relatively
+
 
 @dataclass(frozen=True, eq=False)
 class GibbsConfig:
@@ -62,12 +66,9 @@ class GibbsConfig:
 @dataclass(frozen=True, eq=False)
 class MapConfig:
     max_outer_iters: int = 100
-    cost_tol: float = 1e-9
-    active_tol: float = 1e-7
     priors: Priors | None = None
     gibbs: GibbsConfig = field(default_factory=GibbsConfig)
     norm: NormalizationRule | None = None
-    sigma_y: float = 1e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,17 +139,12 @@ def map_cost(U, beta, Sigma_U, ds: DemoSet, priors: Priors, bs=None, *,
     return total
 
 
-def _activity(bs, U, active_tol):
-    g = bs.constraint_values(U)
-    return np.abs(g) <= active_tol * (1.0 + bs.h_ref)
-
-
-def _beta_step(ws: _Workspace, U, active_tol, norm: NormalizationRule):
+def _beta_step(ws: _Workspace, U, norm: NormalizationRule):
     """Minimize the MAP cost over beta at fixed U. Returns full beta."""
     bs = ws.bs
     q = bs.n_features
     L = bs.n_multipliers
-    act = np.flatnonzero(_activity(bs, U, active_tol))
+    act = np.flatnonzero(bs.active_rows(U, model.ITERATE_ACTIVE_TOL))
     B = np.hstack([bs.J_theta(U), bs.J_lambda[:, act]])
     nv = q + act.size
 
@@ -171,7 +167,7 @@ def _beta_step(ws: _Workspace, U, active_tol, norm: NormalizationRule):
     return beta
 
 
-def _u_step(ws: _Workspace, beta, active_tol):
+def _u_step(ws: _Workspace, beta):
     """Minimize the MAP cost over U at fixed beta. Returns (U, eq_rows)."""
     bs = ws.bs
     q = bs.n_features
@@ -187,7 +183,7 @@ def _u_step(ws: _Workspace, beta, active_tol):
     G = bs.J_lambda.T
     g0 = bs.g_offset
     nonzero = bs.nonzero_rows
-    pinned = (lam > active_tol) & nonzero
+    pinned = (lam > model.ITERATE_ACTIVE_TOL) & nonzero
     free_rows = nonzero & ~pinned
 
     def _solve(with_equalities: bool):
@@ -223,9 +219,7 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig | None = None
     if rng is None:
         rng = np.random.default_rng()
     bs = model.build_stationarity(fp)
-    priors = cfg.priors if cfg.priors is not None else default_priors(
-        ds, fp, norm=cfg.norm, sigma_y=cfg.sigma_y
-    )
+    priors = cfg.priors if cfg.priors is not None else default_priors(ds, fp, norm=cfg.norm)
     gibbs_rng = np.random.default_rng(cfg.gibbs.seed) if cfg.gibbs.seed is not None else rng
     chain = gibbs_run(ds, fp, priors, n_iter=cfg.gibbs.n_iter, n_keep=cfg.gibbs.n_keep, rng=gibbs_rng)
     Sigma_U = 0.5 * (chain.Sigma_U_mean + chain.Sigma_U_mean.T)
@@ -242,16 +236,15 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig | None = None
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     prev_full = None
     for it in range(cfg.max_outer_iters):
-        beta_new = _beta_step(ws, U, cfg.active_tol, norm)
+        beta_new = _beta_step(ws, U, norm)
         cost_b = map_cost(U, beta_new, Sigma_U, ds, priors, workspace=ws)
         if it > 0 and cost_b > trace[-1]:
             break
-        U_new, pinned = _u_step(ws, beta_new, cfg.active_tol)
-        if pinned.size == 0 and np.any(beta_new[bs.n_features :] > cfg.active_tol):
+        U_new, pinned = _u_step(ws, beta_new)
+        if pinned.size == 0 and np.any(beta_new[bs.n_features :] > model.ITERATE_ACTIVE_TOL):
             # fallback ran: drop multipliers that lost their face
-            g = bs.constraint_values(U_new)
             lam_new = beta_new[bs.n_features :].copy()
-            lam_new[np.abs(g) > cfg.active_tol * (1.0 + bs.h_ref)] = 0.0
+            lam_new[~bs.active_rows(U_new, model.ITERATE_ACTIVE_TOL)] = 0.0
             beta_new = np.concatenate([beta_new[: bs.n_features], lam_new])
         cost_u = map_cost(U_new, beta_new, Sigma_U, ds, priors, workspace=ws)
         if it == 0:
@@ -265,7 +258,7 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig | None = None
         U, beta = U_new, beta_new
         if best is None or cost_u < best[0]:
             best = (cost_u, U.copy(), beta.copy())
-        if prev_full is not None and prev_full - cost_u <= cfg.cost_tol * max(1.0, abs(prev_full)):
+        if prev_full is not None and prev_full - cost_u <= COST_TOL * max(1.0, abs(prev_full)):
             break
         prev_full = cost_u
 

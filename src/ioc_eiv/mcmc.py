@@ -23,14 +23,13 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from . import model
 from .demos import DemoSet, sample_mean
 from .kkt_baseline import NormalizationRule, kkt_single
-from .numerics import cholesky, cholesky_solve
+from .numerics import cholesky, cholesky_inverse
 
 __all__ = [
     "Priors",
@@ -85,7 +84,7 @@ class Priors:
             L = cholesky(mat)  # SPD check; raises otherwise
             object.__setattr__(self, name, mat)
             if name != "W_U":
-                object.__setattr__(self, f"{name}_inv", _inverse_from_factor(L))
+                object.__setattr__(self, f"{name}_inv", cholesky_inverse(L))
         if self.m_U <= U0.shape[0] + 1:
             raise ValueError(
                 f"m_U must exceed dim(U) + 1 = {U0.shape[0] + 1} for the prior mean to exist"
@@ -114,23 +113,6 @@ class ChainOutput:
     Sigma_U_mean: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def _identity(n: int) -> np.ndarray:
-    """Shared read-only identity of order ``n``."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
-def _inverse_from_factor(L):
-    C = cholesky_solve(L, _identity(L.shape[0]))
-    return 0.5 * (C + C.T)
-
-
-def _spd_inverse(M):
-    return _inverse_from_factor(cholesky(M))
-
-
 def sample_mvn(mean, cov, rng: np.random.Generator) -> np.ndarray:
     """One multivariate normal draw via the lower Cholesky factor."""
     mean = np.asarray(mean, dtype=float).ravel()
@@ -149,15 +131,14 @@ def sample_inverse_wishart(W, nu: float, rng: np.random.Generator) -> np.ndarray
     p = W.shape[0]
     if nu <= p - 1:
         raise ValueError(f"need nu > p - 1 = {p - 1}, got {nu}")
-    Lw = cholesky(_spd_inverse(W))
+    Lw = cholesky(cholesky_inverse(cholesky(W)))
     A = np.zeros((p, p))
     for i in range(p):
         A[i, i] = math.sqrt(rng.chisquare(nu - i))
         A[i, :i] = rng.standard_normal(i)  # same stream as i scalar draws
     LA = Lw @ A
     X = LA @ LA.T  # Wishart(W^{-1}, nu)
-    out = _spd_inverse(X)
-    return out
+    return cholesky_inverse(cholesky(X))
 
 
 def full_conditional_beta(ds: DemoSet, U, bs: model.BilinearStationarity, priors: Priors):
@@ -171,7 +152,7 @@ def full_conditional_beta(ds: DemoSet, U, bs: model.BilinearStationarity, priors
     J = bs.J(np.asarray(U, dtype=float))
     prec_prior = priors.Sigma_beta_inv
     prec = prec_prior + D * (J.T @ priors.Sigma_Y_inv @ J)
-    cov = _spd_inverse(prec)
+    cov = cholesky_inverse(cholesky(prec))
     mean = cov @ (prec_prior @ priors.beta0)
     return mean, cov
 
@@ -191,11 +172,11 @@ def full_conditional_U(ds: DemoSet, beta, Sigma_U, bs: model.BilinearStationarit
     Ebeta = bs.E_theta @ theta + bs.J_lambda @ lam
 
     SigY_inv = priors.Sigma_Y_inv
-    SigU_inv = _spd_inverse(np.asarray(Sigma_U, dtype=float))
+    SigU_inv = cholesky_inverse(cholesky(np.asarray(Sigma_U, dtype=float)))
     prec_prior = priors.Sigma_U0_inv
 
     prec = prec_prior + D * (Mb.T @ SigY_inv @ Mb) + D * SigU_inv
-    cov = _spd_inverse(prec)
+    cov = cholesky_inverse(cholesky(prec))
     demo_sum = ds.stacked().sum(axis=0)
     rhs = prec_prior @ priors.U0 - D * (Mb.T @ (SigY_inv @ Ebeta)) + SigU_inv @ demo_sum
     mean = cov @ rhs
@@ -284,7 +265,7 @@ def _u_log_conditional(ds, beta, Sigma_U, bs, priors, stationarity_fn=None):
         def stationarity_fn(U):
             return bs.stationarity(U, theta, lam)
     SigY_inv = priors.Sigma_Y_inv
-    SigU_inv = _spd_inverse(np.asarray(Sigma_U, dtype=float))
+    SigU_inv = cholesky_inverse(cholesky(np.asarray(Sigma_U, dtype=float)))
     prec_prior = priors.Sigma_U0_inv
     stackd = ds.stacked()
 

@@ -45,6 +45,7 @@ __all__ = [
     "build_stationarity",
     "feature_values",
     "constraint_values",
+    "objective",
     "lagrangian",
     "kkt_residual",
     "multiplier_index",
@@ -54,6 +55,11 @@ __all__ = [
 # a constraint row whose coefficients on U are all at most this in magnitude
 # is treated as constant
 ZERO_ROW_TOL = 1e-13
+# activity tolerances of BilinearStationarity.active_rows: the inverse-KKT
+# baseline classifies noisy demonstrations with the looser one, MAP and TLS
+# classify their own iterates with the tighter one
+DEMO_ACTIVE_TOL = 1e-6
+ITERATE_ACTIVE_TOL = 1e-7
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -272,8 +278,8 @@ class BilinearStationarity:
     the Jacobian of the stacked constraint values, so
     ``g(U) = J_lambda.T U + g_offset``.
 
-    ``h_ref`` is the per-row scale of the activity tests, ``|h|`` tiled over
-    steps ``0..N``: row ``i`` counts as active when
+    ``h_ref`` is the per-row scale of the activity test, ``|h|`` tiled over
+    steps ``0..N``: :meth:`active_rows` counts row ``i`` active when
     ``|g_i| <= tol * (1 + h_ref_i)``.  ``nonzero_rows`` marks the rows that
     some input moves, those whose largest ``|J_lambda|`` entry exceeds
     ``ZERO_ROW_TOL``; the others are constants that no QP may carry as a
@@ -329,6 +335,10 @@ class BilinearStationarity:
     def constraint_values(self, U) -> np.ndarray:
         """All stagewise constraint values ``g`` at ``U``, flat step-major."""
         return self.J_lambda.T @ np.asarray(U, dtype=float) + self.g_offset
+
+    def active_rows(self, U, tol: float) -> np.ndarray:
+        """Boolean mask of the rows active at ``U``: ``|g| <= tol * (1 + h_ref)``."""
+        return np.abs(self.constraint_values(U)) <= tol * (1.0 + self.h_ref)
 
 
 def _input_selector(k: int, m: int, n_inputs: int) -> np.ndarray:
@@ -429,22 +439,28 @@ def constraint_values(fp: ForwardProblem, U) -> np.ndarray:
     return out
 
 
-def lagrangian(fp: ForwardProblem, theta, lam, U) -> float:
-    """Lagrangian value via rollout (cost stages plus all constraint terms)."""
+def objective(fp: ForwardProblem, theta, U) -> float:
+    """Cost of input sequence ``U`` evaluated by explicit rollout."""
     theta = np.asarray(theta, dtype=float)
-    lam = np.asarray(lam, dtype=float).ravel()
-    if lam.shape[0] != fp.n_multipliers:
-        raise ValueError(
-            f"lam has length {lam.shape[0]}, expected I*(N+1) = {fp.n_multipliers}"
-        )
+    if theta.shape[0] != fp.q:
+        raise ValueError(f"theta has length {theta.shape[0]}, expected q = {fp.q}")
     m, N = fp.system.m, fp.horizon
     U = np.asarray(U, dtype=float).ravel()
     X = rollout(fp.system, fp.x0, U, N)
     total = 0.0
     for k in range(N):
         total += float(theta @ feature_values(fp, X[k], U[k * m : (k + 1) * m]))
-    total += float(lam @ constraint_values(fp, U))
     return total
+
+
+def lagrangian(fp: ForwardProblem, theta, lam, U) -> float:
+    """Lagrangian value via rollout (cost stages plus all constraint terms)."""
+    lam = np.asarray(lam, dtype=float).ravel()
+    if lam.shape[0] != fp.n_multipliers:
+        raise ValueError(
+            f"lam has length {lam.shape[0]}, expected I*(N+1) = {fp.n_multipliers}"
+        )
+    return objective(fp, theta, U) + float(lam @ constraint_values(fp, U))
 
 
 class KktResidual(NamedTuple):

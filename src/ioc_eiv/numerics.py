@@ -1,11 +1,12 @@
 """Dense numerical kernels: Cholesky factorization and a strictly convex QP solver.
 
-:func:`cholesky` is the package's one SPD factorization and
-:func:`cholesky_solve` its one solve with that factor.  The factor is a
-C-ordered lower-triangular array.  The ordering is part of the contract:
-numpy's matrix-vector kernels round differently on a Fortran-ordered
-operand, so a sampler computing ``L @ z`` with the raw LAPACK output would
-draw different bits from the same random stream.
+:func:`cholesky` is the package's one SPD factorization,
+:func:`cholesky_solve` its one solve with that factor and
+:func:`cholesky_inverse` its one inverse built from that factor.  The
+factor is a C-ordered lower-triangular array.  The ordering is part of the
+contract: numpy's matrix-vector kernels round differently on a
+Fortran-ordered operand, so a sampler computing ``L @ z`` with the raw
+LAPACK output would draw different bits from the same random stream.
 
 :func:`cholesky` factors the symmetrized ``0.5 * (M + M')``.  Most inputs
 are already exactly symmetric (an inverse symmetrized by its builder,
@@ -43,6 +44,7 @@ with H symmetric positive definite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -55,6 +57,7 @@ __all__ = [
     "QpSolution",
     "cholesky",
     "cholesky_solve",
+    "cholesky_inverse",
     "solve_qp",
     "ACTIVE_TOL",
     "DUAL_TOL",
@@ -131,6 +134,24 @@ def cholesky_solve(L: np.ndarray, rhs) -> np.ndarray:
     if info != 0:
         raise ValueError(f"invalid input to triangular solve (argument {-info})")
     return x
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """Shared read-only identity of order ``n``."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def cholesky_inverse(L: np.ndarray) -> np.ndarray:
+    """Exactly symmetric inverse of ``L L'`` given the lower factor from :func:`cholesky`.
+
+    Solves against the identity and returns ``0.5 * (C + C')``, so the result
+    passes :func:`cholesky`'s exact-symmetry test when it is factored again.
+    """
+    C = cholesky_solve(L, _identity(L.shape[0]))
+    return 0.5 * (C + C.T)
 
 
 @dataclass(frozen=True, eq=False)

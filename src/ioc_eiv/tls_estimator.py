@@ -39,25 +39,24 @@ from .numerics import (
     NotPositiveDefinite,
     Qp,
     cholesky,
-    cholesky_solve,
+    cholesky_inverse,
     solve_qp,
 )
 
 __all__ = ["TlsConfig", "TlsResult", "tls_inner", "estimate"]
 
 _PROX_WEIGHT = 1e-6
+SIGMA_TOL = 1e-6  # outer loop stops once the covariance moves less (Frobenius)
+RIDGE = 1e-8  # added to every covariance estimate
+MAX_INNER_ITERS = 100  # alternations per inner phase
+COST_TOL = 1e-9  # an inner phase stops once the merit falls by at most this, relatively
+PENALTY_WEIGHTS = (1e2, 1e4, 1e6)  # homotopy run when the hard constraint set is empty
 
 
 @dataclass(frozen=True, eq=False)
 class TlsConfig:
     norm: NormalizationRule | None = None
     max_outer_iters: int = 50
-    sigma_tol: float = 1e-6
-    ridge: float = 1e-8
-    max_inner_iters: int = 100
-    cost_tol: float = 1e-9
-    active_tol: float = 1e-7
-    penalty_weights: tuple = (1e2, 1e4, 1e6)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,12 +81,9 @@ class _Inner:
         self.bs = bs
         self.q = bs.n_features
         self.L = bs.n_multipliers
-        Lc = cholesky(np.asarray(Sigma_U, dtype=float))
-        self.SU_inv = cholesky_solve(Lc, np.eye(bs.n_inputs))
-        self.SU_inv = 0.5 * (self.SU_inv + self.SU_inv.T)
+        self.SU_inv = cholesky_inverse(cholesky(np.asarray(Sigma_U, dtype=float)))
         self.stackd = ds.stacked()
         self.demo_sum = self.stackd.sum(axis=0)
-        self.h_ref = bs.h_ref
         self.G = bs.J_lambda.T
         self.g0 = bs.g_offset
         self.nonzero_rows = bs.nonzero_rows
@@ -101,8 +97,7 @@ class _Inner:
         return float(np.max(np.abs(s), initial=0.0))
 
     def activity(self, U):
-        g = self.bs.constraint_values(U)
-        return (np.abs(g) <= self.cfg.active_tol * (1.0 + self.h_ref)) & self.nonzero_rows
+        return self.bs.active_rows(U, model.ITERATE_ACTIVE_TOL) & self.nonzero_rows
 
     def beta_step(self, U, beta_prev, weight=None):
         """Update beta at fixed U; exact when weight is None."""
@@ -136,7 +131,7 @@ class _Inner:
         D = self.ds.n_demos
         H = 2.0 * D * self.SU_inv
         c = -2.0 * (self.SU_inv @ self.demo_sum)
-        pinned = (lam > self.cfg.active_tol) & self.nonzero_rows
+        pinned = (lam > model.ITERATE_ACTIVE_TOL) & self.nonzero_rows
         free_rows = self.nonzero_rows & ~pinned
         kw = {}
         if weight is None:
@@ -173,7 +168,7 @@ class _Inner:
         mN = self.bs.n_inputs
         candidates = [
             np.flatnonzero(self.activity(U)),
-            np.flatnonzero((lam > self.cfg.active_tol) & self.nonzero_rows),
+            np.flatnonzero((lam > model.ITERATE_ACTIVE_TOL) & self.nonzero_rows),
             np.zeros(0, dtype=int),
         ]
         for S in candidates:
@@ -248,7 +243,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, cfg: TlsConfig,
 
         last = merit(U, beta)
         trace.append((label, last))
-        for _ in range(cfg.max_inner_iters):
+        for _ in range(MAX_INNER_ITERS):
             beta_new = ws.beta_step(U, beta, weight)
             m_b = merit(U, beta_new)
             if m_b > last + 1e-12 * max(1.0, abs(last)):
@@ -266,7 +261,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, cfg: TlsConfig,
             U, beta = U_new, beta_new
             trace.append((label, m_b))
             trace.append((label, m_u))
-            if last - m_u <= cfg.cost_tol * max(1.0, abs(last)) and moved <= 1e-9 * (
+            if last - m_u <= COST_TOL * max(1.0, abs(last)) and moved <= 1e-9 * (
                 1.0 + float(np.max(np.abs(U), initial=0.0))
             ):
                 break
@@ -276,7 +271,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, cfg: TlsConfig,
         alternate(None)
     except Infeasible:
         path = "penalty"
-        for w in cfg.penalty_weights:
+        for w in PENALTY_WEIGHTS:
             alternate(w)
         proj = ws.project(U, beta)
         if proj is None:
@@ -296,9 +291,9 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, cfg: TlsConfig,
     return U, beta[: ws.q], beta[ws.q :], cost, path, tuple(trace)
 
 
-def _covariance(ds: DemoSet, U, ridge: float) -> np.ndarray:
+def _covariance(ds: DemoSet, U) -> np.ndarray:
     R = ds.stacked() - np.asarray(U, dtype=float).ravel()
-    return (R.T @ R) / ds.n_demos + ridge * np.eye(R.shape[1])
+    return (R.T @ R) / ds.n_demos + RIDGE * np.eye(R.shape[1])
 
 
 def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: TlsConfig | None = None) -> TlsResult:
@@ -317,13 +312,13 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: TlsConfig | None = None
     path = "exact"
     theta, lam = beta[: fp.q], beta[fp.q :]
     for _ in range(cfg.max_outer_iters):
-        Sigma_U = _covariance(ds, U, cfg.ridge)
+        Sigma_U = _covariance(ds, U)
         delta = (
             float(np.linalg.norm(Sigma_U - Sigma_prev, ord="fro"))
             if Sigma_prev is not None
             else float("nan")
         )
-        if Sigma_prev is not None and delta < cfg.sigma_tol:
+        if Sigma_prev is not None and delta < SIGMA_TOL:
             outer_trace.append((float("nan"), delta))
             break
         Sigma_prev = Sigma_U
@@ -334,7 +329,7 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: TlsConfig | None = None
         inner_traces.append(steps)
 
     U_hat = U
-    Sigma_hat = _covariance(ds, U_hat, cfg.ridge)
+    Sigma_hat = _covariance(ds, U_hat)
     residuals = tuple(U_d - U_hat for U_d in ds.U_list)
     return TlsResult(
         theta=theta,

@@ -14,8 +14,12 @@ from ioc_eiv import (
     rmse,
     solve_forward,
 )
-from ioc_eiv.kkt_baseline import demo_activity
-from ioc_eiv.model import build_stationarity, constraint_values
+from ioc_eiv.model import (
+    DEMO_ACTIVE_TOL,
+    ITERATE_ACTIVE_TOL,
+    build_stationarity,
+    constraint_values,
+)
 
 
 def _benchmark():
@@ -99,11 +103,13 @@ def test_error_does_not_vanish_with_more_demos():
 
 
 def test_activity_classification_tolerance():
+    # both tolerances in use: demonstrations (kkt) and iterates (MAP, TLS)
     fp, U_star = _benchmark()
     bs = build_stationarity(fp)
-    act = demo_activity(bs, U_star, h_ref=fp.constraints.h)
     g = constraint_values(fp, U_star)
-    for i, flag in enumerate(act):
-        assert flag == (abs(g[i]) <= 1e-6 * (1.0 + abs(fp.constraints.h[0])))
-    # the cap binds on the first two stages of the benchmark solution
-    assert act[0] and act[1]
+    for tol in (DEMO_ACTIVE_TOL, ITERATE_ACTIVE_TOL):
+        act = bs.active_rows(U_star, tol)
+        for i, flag in enumerate(act):
+            assert flag == (abs(g[i]) <= tol * (1.0 + abs(fp.constraints.h[0])))
+        # the cap binds on the first two stages of the benchmark solution
+        assert act[0] and act[1]

@@ -22,7 +22,6 @@ from ioc_eiv import (
     solve_forward,
 )
 from ioc_eiv.mcmc import (
-    _spd_inverse,
     full_conditional_SigmaU,
     full_conditional_U,
     full_conditional_beta,
@@ -35,6 +34,7 @@ from ioc_eiv.model import (
     QuadraticFeature,
     build_stationarity,
 )
+from ioc_eiv.numerics import cholesky_inverse
 
 
 def _toy_problem():
@@ -124,14 +124,14 @@ def test_inverse_wishart_matches_scalar_bartlett_reference():
     # for bit
     def reference(W, nu, rng):
         p = W.shape[0]
-        Lw = cholesky(_spd_inverse(W))
+        Lw = cholesky(cholesky_inverse(cholesky(W)))
         A = np.zeros((p, p))
         for i in range(p):
             A[i, i] = np.sqrt(rng.chisquare(nu - i))
             for j in range(i):
                 A[i, j] = rng.standard_normal()
         LA = Lw @ A
-        return _spd_inverse(LA @ LA.T)
+        return cholesky_inverse(cholesky(LA @ LA.T))
 
     G = np.random.default_rng(0).standard_normal((6, 6))
     W = G @ G.T + np.eye(6)
@@ -158,7 +158,8 @@ def test_priors_precisions_equal_spd_inverse_bitwise():
     changed = dataclasses.replace(priors, Sigma_Y=G.T @ G + 0.5 * np.eye(3))
     for pr in (priors, changed):
         for name in ("Sigma_U0", "Sigma_beta", "Sigma_Y"):
-            assert np.array_equal(getattr(pr, f"{name}_inv"), _spd_inverse(getattr(pr, name)))
+            inverse = cholesky_inverse(cholesky(getattr(pr, name)))
+            assert np.array_equal(getattr(pr, f"{name}_inv"), inverse)
     assert not np.array_equal(changed.Sigma_Y_inv, priors.Sigma_Y_inv)
     with pytest.raises(TypeError):
         Priors(U0=np.zeros(1), Sigma_U0=np.eye(1), beta0=np.ones(1), Sigma_beta=np.eye(1),

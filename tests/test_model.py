@@ -1,19 +1,30 @@
 """Rollout, stacked dynamics, stationarity assembly, and KKT residuals."""
 
 import numpy as np
+import pytest
 
+import ioc_eiv
 import oracles
 from ioc_eiv import (
     ForwardProblem,
     LinearSystem,
+    PolytopicConstraints,
     QuadraticFeature,
     build_stationarity,
+    forward,
     kkt_residual,
     rollout,
     solve_forward,
     stack_dynamics,
 )
-from ioc_eiv.model import lagrangian, multiplier_index
+from ioc_eiv.model import (
+    DEMO_ACTIVE_TOL,
+    ITERATE_ACTIVE_TOL,
+    constraint_values,
+    lagrangian,
+    multiplier_index,
+    objective,
+)
 
 
 def test_rollout_zero_everything():
@@ -211,3 +222,44 @@ def test_residual_small_at_solver_output():
         res.dual_violation,
     ):
         assert block.size == 0 or np.max(np.abs(block)) <= 1e-6
+
+
+def test_lagrangian_is_objective_plus_constraint_term():
+    fp = oracles.spring_damper()
+    rng = np.random.default_rng(29)
+    theta = rng.uniform(0.5, 4.0, 3)
+    lam = rng.uniform(0.0, 1.0, 11)
+    U = rng.standard_normal(10)
+    value = lagrangian(fp, theta, lam, U)
+    assert value == objective(fp, theta, U) + float(lam @ constraint_values(fp, U))
+    assert lagrangian(fp, theta, np.zeros(11), U) == objective(fp, theta, U)
+    # the rollout cost has one definition, importable from its old homes too
+    assert forward.objective is objective and ioc_eiv.objective is objective
+    with pytest.raises(ValueError):
+        lagrangian(fp, theta, lam[:-1], U)
+    with pytest.raises(ValueError):
+        lagrangian(fp, theta[:-1], lam, U)
+
+
+@pytest.mark.parametrize("tol", [DEMO_ACTIVE_TOL, ITERATE_ACTIVE_TOL])
+def test_active_rows_scale_each_row_by_its_own_bound(tol):
+    # two input rows with different bounds, u <= 0.5 and -u <= 3, so a
+    # per-row scale tiled wrongly over the steps flips some flags
+    h = np.array([0.5, 3.0])
+    fp = ForwardProblem(
+        LinearSystem(np.array([[0.9]]), np.array([[1.0]])),
+        (QuadraticFeature("state", 0, 1.0), QuadraticFeature("input", 0, 0.0)),
+        PolytopicConstraints(np.zeros((2, 1)), np.array([[1.0], [-1.0]]), h),
+        3,
+        np.array([0.0]),
+    )
+    bs = build_stationarity(fp)
+    # step 0: row 1 off by 3 tol (inside its band of 4 tol, outside row 0's
+    # 1.5 tol); step 1: row 0 off by 2 tol (outside its band, inside row
+    # 1's); step 2: row 0 off by tol; step 3 (terminal): no input, inactive
+    U = np.array([-3.0 - 3.0 * tol, 0.5 + 2.0 * tol, 0.5 - tol])
+    got = bs.active_rows(U, tol)
+    g = constraint_values(fp, U)
+    scale = np.array([abs(h[i]) for k in range(4) for i in range(2)])
+    assert np.array_equal(got, np.abs(g) <= tol * (1.0 + scale))
+    assert got.tolist() == [False, True, False, False, True, False, False, False]

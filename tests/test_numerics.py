@@ -22,6 +22,7 @@ from ioc_eiv import (
     cholesky_solve,
     solve_qp,
 )
+from ioc_eiv.numerics import cholesky_inverse
 
 
 def _random_spd(rng, dim):
@@ -169,6 +170,24 @@ def test_cholesky_solve_bitwise_matches_scipy():
     # LAPACK rejects empty operands; the solve returns an empty result
     assert cholesky_solve(cholesky(np.zeros((0, 0))), np.zeros(0)).shape == (0,)
     assert cholesky_solve(np.eye(2), np.zeros((2, 0))).shape == (2, 0)
+
+
+def test_cholesky_inverse_is_the_symmetrized_solve_against_the_identity():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        dim = int(rng.integers(1, 13))
+        M = _random_spd(rng, dim) * 10.0 ** rng.uniform(-6, 6)
+        L = cholesky(M)
+        C = scipy.linalg.cho_solve((L, True), np.eye(dim))
+        got = cholesky_inverse(L)
+        assert np.array_equal(got, 0.5 * (C + C.T))
+        assert np.array_equal(got, got.T)
+        assert got.flags.writeable
+        # an inverse of M to within rounding scaled by its condition number
+        np.testing.assert_allclose(got @ M, np.eye(dim), atol=1e-8 * np.linalg.cond(M))
+    # the shared identity behind the solve stays untouched
+    assert np.array_equal(cholesky_inverse(cholesky(4.0 * np.eye(3))), 0.25 * np.eye(3))
+    assert np.array_equal(cholesky_inverse(cholesky(np.eye(3))), np.eye(3))
 
 
 def test_cholesky_solve_rejects_non_finite_and_mismatched_inputs():

@@ -24,6 +24,7 @@ from ioc_eiv import (
     tls_inner,
 )
 from ioc_eiv.model import build_stationarity, constraint_values
+from ioc_eiv.tls_estimator import RIDGE, SIGMA_TOL
 
 
 def _benchmark_demos(pct, seed, D, kind="gaussian"):
@@ -65,7 +66,7 @@ def test_noiseless_demos_are_a_fixed_point():
     res = tls_estimate(ds, fp, cfg)
     assert rmse(res.U_hat, sol.U) <= 1e-8
     assert rmse(rescale_to_l1(res.theta, 22.0), oracles.SPRING_THETA) <= 1e-6
-    np.testing.assert_allclose(res.Sigma_U_hat, cfg.ridge * np.eye(10), atol=1e-14)
+    np.testing.assert_allclose(res.Sigma_U_hat, RIDGE * np.eye(10), atol=1e-14)
     assert res.path == "exact"
 
 
@@ -175,7 +176,7 @@ def test_outer_deltas_shrink_to_tolerance():
     cfg = TlsConfig(norm=_norm())
     res = tls_estimate(ds, fp, cfg)
     deltas = [d for _, d in res.outer_trace if np.isfinite(d)]
-    assert deltas[-1] <= cfg.sigma_tol or len(res.outer_trace) == cfg.max_outer_iters
+    assert deltas[-1] <= SIGMA_TOL or len(res.outer_trace) == cfg.max_outer_iters
 
 
 def test_estimate_is_deterministic():
