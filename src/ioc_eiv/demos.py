@@ -94,8 +94,8 @@ class DemoSet:
     """A set of noisy demonstrations of one forward problem.
 
     The demos are immutable: ``U_list`` holds read-only views of the given
-    arrays, and :meth:`stacked` builds its (D, mN) array once and returns
-    that same read-only array on every later call.
+    arrays, and :meth:`stacked` and :meth:`demo_sum` each build their
+    array once and return that same read-only array on every later call.
     """
 
     U_list: tuple
@@ -103,6 +103,7 @@ class DemoSet:
     fp_ref: ForwardProblem
     U_star: np.ndarray | None = None
     _stacked: np.ndarray | None = field(default=None, init=False, repr=False)
+    _demo_sum: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "U_list", tuple(_read_only(U) for U in self.U_list))
@@ -118,6 +119,14 @@ class DemoSet:
             out.flags.writeable = False
             object.__setattr__(self, "_stacked", out)
         return self._stacked
+
+    def demo_sum(self) -> np.ndarray:
+        """Sum of the demos as a read-only (mN,) array, built on the first call."""
+        if self._demo_sum is None:
+            out = self.stacked().sum(axis=0)
+            out.flags.writeable = False
+            object.__setattr__(self, "_demo_sum", out)
+        return self._demo_sum
 
 
 def _read_only(a) -> np.ndarray:

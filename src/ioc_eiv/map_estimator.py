@@ -107,7 +107,7 @@ class _Workspace:
         #         c = c_demo + 2D Mb' SY^-1 E(beta) - c_prior
         self.H_demo = 2.0 * D * cholesky_solve(self.L_SU, eye)
         self.H_prior = 2.0 * cholesky_solve(self.L_SU0, eye)
-        self.c_demo = -2.0 * cholesky_solve(self.L_SU, ds.stacked().sum(axis=0))
+        self.c_demo = -2.0 * cholesky_solve(self.L_SU, ds.demo_sum())
         self.c_prior = 2.0 * cholesky_solve(self.L_SU0, priors.U0)
 
 

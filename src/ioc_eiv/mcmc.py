@@ -53,7 +53,8 @@ class Priors:
 
     The precisions ``Sigma_U0_inv``, ``Sigma_beta_inv`` and ``Sigma_Y_inv``
     are derived once at construction, from the factor of the SPD check, so
-    the Gibbs conditionals never invert a constant.
+    the Gibbs conditionals never invert a constant; so is the prior's
+    information vector ``Sigma_U0_inv_U0 = Sigma_U0_inv @ U0``.
     """
 
     U0: np.ndarray
@@ -66,6 +67,7 @@ class Priors:
     Sigma_U0_inv: np.ndarray = field(init=False, repr=False)
     Sigma_beta_inv: np.ndarray = field(init=False, repr=False)
     Sigma_Y_inv: np.ndarray = field(init=False, repr=False)
+    Sigma_U0_inv_U0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         U0 = np.asarray(self.U0, dtype=float).ravel()
@@ -90,6 +92,7 @@ class Priors:
                 f"m_U must exceed dim(U) + 1 = {U0.shape[0] + 1} for the prior mean to exist"
             )
         object.__setattr__(self, "U0", U0)
+        object.__setattr__(self, "Sigma_U0_inv_U0", self.Sigma_U0_inv @ U0)
         object.__setattr__(self, "beta0", beta0)
         object.__setattr__(self, "m_U", float(self.m_U))
 
@@ -177,8 +180,7 @@ def full_conditional_U(ds: DemoSet, beta, Sigma_U, bs: model.BilinearStationarit
 
     prec = prec_prior + D * (Mb.T @ SigY_inv @ Mb) + D * SigU_inv
     cov = cholesky_inverse(cholesky(prec))
-    demo_sum = ds.stacked().sum(axis=0)
-    rhs = prec_prior @ priors.U0 - D * (Mb.T @ (SigY_inv @ Ebeta)) + SigU_inv @ demo_sum
+    rhs = priors.Sigma_U0_inv_U0 - D * (Mb.T @ (SigY_inv @ Ebeta)) + SigU_inv @ ds.demo_sum()
     mean = cov @ rhs
     return mean, cov
 

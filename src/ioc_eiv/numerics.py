@@ -32,6 +32,24 @@ If the Hessian fails to factor, ``1e-10 * trace(H)/dim`` is added to the
 diagonal once and the factorization retried; a second failure raises
 :class:`NotPositiveDefinite`.
 
+Each solve does only the work its callers read, without changing a bit
+of any result:
+
+* :class:`QpSolution` sets ``z``, ``mult_in`` and ``n_iter`` during the
+  solve.  ``mult_eq``, ``active_set`` and ``kkt_residual`` are computed on
+  first access, by the same operations in the same order as an eager
+  report would use, and then kept.
+* Equalities are eliminated through the SVD of ``Aeq``.  The SVD, its rank
+  cut and the null-space basis are cached in a private LRU cache of at most
+  256 entries, keyed on ``Aeq``'s shape and exact bytes, and the cached
+  arrays are read-only.  The particular solution and its consistency check
+  depend on ``beq``, so they run on every call, and an inconsistent ``beq``
+  raises :class:`Infeasible` on a cache hit too.
+* Without equalities the null-space basis is the identity, so the
+  active-set loop runs on ``H``, ``c``, ``Ain`` and ``bin`` as given and
+  on the factor of ``H`` already computed, instead of forming and factoring
+  ``Z' H Z``.
+
 Solves the problem
 
     min  0.5 z' H z + c' z
@@ -43,8 +61,8 @@ with H symmetric positive definite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -199,18 +217,61 @@ def _normalize_block(A, b, n, a_name, b_name):
     return A, b
 
 
-@dataclass
 class QpSolution:
-    """Solution report of :func:`solve_qp`. ``status`` is always 'optimal'
-    on return; failure modes raise instead."""
+    """Solution report of :func:`solve_qp`.
 
-    z: np.ndarray
-    active_set: tuple
-    mult_eq: np.ndarray
-    mult_in: np.ndarray
-    status: str
-    n_iter: int
-    kkt_residual: float = field(default=0.0)
+    ``status`` is always 'optimal' on return; failure modes raise instead.
+    ``z``, ``mult_in`` and ``n_iter`` are set by the solve.  ``mult_eq``,
+    ``active_set`` and ``kkt_residual`` are computed from them on first
+    access and kept, so a caller that reads only the minimizer pays for
+    none of them.
+    """
+
+    status = "optimal"
+
+    def __init__(self, qp: Qp, H: np.ndarray, z: np.ndarray, mult_in: np.ndarray, n_iter: int):
+        self._qp = qp
+        self._H = H  # the Hessian as factored, with the diagonal bump if one was needed
+        self.z = z
+        self.mult_in = mult_in
+        self.n_iter = n_iter
+
+    @cached_property
+    def mult_eq(self) -> np.ndarray:
+        """Equality multipliers from stationarity (least squares)."""
+        qp = self._qp
+        if not qp.Aeq.shape[0]:
+            return np.zeros(0)
+        grad = self._H @ self.z + qp.c + (qp.Ain.T @ self.mult_in if qp.Ain.shape[0] else 0.0)
+        return np.linalg.lstsq(qp.Aeq.T, -grad, rcond=None)[0]
+
+    @cached_property
+    def active_set(self) -> tuple:
+        """Inequality rows with ``|a_i z - b_i| <= ACTIVE_TOL * (1 + |b_i|)``."""
+        z, Ain, bin_ = self.z, self._qp.Ain, self._qp.bin
+        return tuple(
+            i for i in range(Ain.shape[0])
+            if abs(float(Ain[i] @ z - bin_[i])) <= ACTIVE_TOL * (1.0 + abs(bin_[i]))
+        )
+
+    @cached_property
+    def kkt_residual(self) -> float:
+        """Largest violation of stationarity, feasibility and complementarity."""
+        qp, z, mult_in = self._qp, self.z, self.mult_in
+        Aeq, beq, Ain, bin_ = qp.Aeq, qp.beq, qp.Ain, qp.bin
+        n_in = Ain.shape[0]
+        stat = self._H @ z + qp.c
+        if n_in:
+            stat = stat + Ain.T @ mult_in
+        if Aeq.shape[0]:
+            stat = stat + Aeq.T @ self.mult_eq
+        kkt = float(np.max(np.abs(stat), initial=0.0))
+        if n_in:
+            kkt = max(kkt, float(np.max(Ain @ z - bin_, initial=0.0)))
+            kkt = max(kkt, float(np.max(np.abs(mult_in * (Ain @ z - bin_)), initial=0.0)))
+        if Aeq.shape[0]:
+            kkt = max(kkt, float(np.max(np.abs(Aeq @ z - beq), initial=0.0)))
+        return kkt
 
 
 def _chol_with_regularization(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,14 +287,33 @@ def _chol_with_regularization(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return cholesky(Hreg), Hreg  # second failure propagates
 
 
+# distinct equality blocks whose factorization is kept; the estimators pose
+# thousands of QPs per grid over a few dozen to a few hundred such blocks
+_ELIMINATION_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_ELIMINATION_CACHE_SIZE)
+def _equality_svd(shape: tuple, data: bytes):
+    """Read-only ``(U, s, Vt, r)`` of the full SVD of an equality block.
+
+    Keyed on the block's exact bytes, so a hit returns the factorization
+    that block would get afresh; ``r`` is its numerical rank.
+    """
+    Aeq = np.frombuffer(data, dtype=float).reshape(shape)
+    U, s, Vt = np.linalg.svd(Aeq, full_matrices=True)
+    tol = max(shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    for a in (U, s, Vt):
+        a.flags.writeable = False
+    return U, s, Vt, int(np.sum(s > tol))
+
+
 def _eliminate_equalities(Aeq, beq, n):
     """Particular solution plus orthonormal null-space basis.
 
+    The basis ``Z`` is a read-only view into the cached factorization.
     Raises Infeasible when the equalities are inconsistent.
     """
-    U, s, Vt = np.linalg.svd(Aeq, full_matrices=True)
-    tol = max(Aeq.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    r = int(np.sum(s > tol))
+    U, s, Vt, r = _equality_svd(Aeq.shape, Aeq.tobytes())
     if r == 0:
         z_part = np.zeros(n)
     else:
@@ -297,6 +377,7 @@ def _phase1(Ar, br):
 def _active_set_loop(L, Hr, cr, Ar, br, y, W, max_iter):
     """Primal active-set iteration on the reduced (equality-free) problem."""
     n_in = Ar.shape[0]
+    row_max = np.abs(Ar).max(axis=1, initial=0.0)  # max is exact: same as row by row
     W = sorted(W)
     stall = 0
     full_prev = False
@@ -304,18 +385,18 @@ def _active_set_loop(L, Hr, cr, Ar, br, y, W, max_iter):
         g = Hr @ y + cr
         A_W = Ar[W] if W else np.zeros((0, y.shape[0]))
         p, mu = _eqp(L, g, A_W, np.zeros(len(W)))
-        at_minimum = np.max(np.abs(p), initial=0.0) <= 1e-10 * (
-            1.0 + np.max(np.abs(y), initial=0.0)
-        )
+        p_max = float(np.abs(p).max(initial=0.0))
+        at_minimum = p_max <= 1e-10 * (1.0 + np.max(np.abs(y), initial=0.0))
         alpha = 1.0
         blocker = -1
         if not at_minimum:
-            # step length to the nearest blocking constraint
+            # step length to the nearest blocking constraint; one dot per
+            # row, since a stacked Ar @ p may round differently
             for i in range(n_in):
                 if i in W:
                     continue
                 ai_p = float(Ar[i] @ p)
-                denom = 1.0 + float(np.abs(Ar[i]).max(initial=0.0)) * float(np.abs(p).max(initial=0.0))
+                denom = 1.0 + float(row_max[i]) * p_max
                 if ai_p <= 1e-12 * denom:
                     continue
                 slack = max(float(br[i] - Ar[i] @ y), 0.0)
@@ -351,12 +432,15 @@ def _active_set_loop(L, Hr, cr, Ar, br, y, W, max_iter):
     raise IterationLimit(f"active-set loop exceeded {max_iter} iterations")
 
 
-def solve_qp(qp: Qp, warm_start=None) -> QpSolution:
+def solve_qp(qp: Qp) -> QpSolution:
     """Solve a strictly convex QP with a primal active-set method.
 
-    ``warm_start`` is an optional iterable of inequality row indices to try
-    as the initial working set.  Warm and cold starts reach the same
-    minimizer (it is unique); only the path differs.
+    Equalities are eliminated through an orthonormal null-space basis from
+    the SVD of ``Aeq``; that SVD is cached (see the module docstring).
+    Without equalities the basis is the identity, so the problem is solved
+    as posed, on the factor of ``H`` computed for the regularization check.
+    The returned report computes ``mult_eq``, ``active_set`` and
+    ``kkt_residual`` only when first read.
 
     Raises Infeasible, IterationLimit, or NotPositiveDefinite.
     """
@@ -367,10 +451,11 @@ def solve_qp(qp: Qp, warm_start=None) -> QpSolution:
 
     if Aeq.shape[0]:
         z_part, Z = _eliminate_equalities(Aeq, beq, n)
+        nz = Z.shape[1]
     else:
-        z_part, Z = np.zeros(n), np.eye(n)
+        z_part, Z = np.zeros(n), None  # identity basis
+        nz = n
 
-    nz = Z.shape[1]
     n_in = Ain.shape[0]
     feas_scale = _FEAS_TOL * (1.0 + np.max(np.abs(bin_), initial=0.0))
 
@@ -381,27 +466,21 @@ def solve_qp(qp: Qp, warm_start=None) -> QpSolution:
         mult_in = np.zeros(n_in)
         n_iter = 0
     else:
-        Hr = Z.T @ H @ Z
-        cr = Z.T @ (H @ z_part + c)
-        Lr = cholesky(Hr)  # SPD because H is
-        Ar = Ain @ Z
-        br = bin_ - Ain @ z_part
+        if Z is None:
+            Hr, cr, Lr, Ar, br = H, c, L_full, Ain, bin_
+        else:
+            Hr = Z.T @ H @ Z
+            cr = Z.T @ (H @ z_part + c)
+            Lr = cholesky(Hr)  # SPD because H is
+            Ar = Ain @ Z
+            br = bin_ - Ain @ z_part
 
-        y0, W0 = None, []
-        if warm_start is not None and n_in:
-            ws = [int(i) for i in warm_start if 0 <= int(i) < n_in]
-            ws = _independent_rows(Ar, sorted(set(ws)))
-            if ws:
-                y_try, _ = _eqp(Lr, cr, Ar[ws], br[ws])
-                if _feasible(Ar, br, y_try, feas_scale):
-                    y0, W0 = y_try, ws
-        if y0 is None:
-            y_unc = -cholesky_solve(Lr, cr)
-            if _feasible(Ar, br, y_unc, feas_scale):
-                y0, W0 = y_unc, []
-        if y0 is None and _feasible(Ar, br, np.zeros(nz), feas_scale):
+        y_unc = -cholesky_solve(Lr, cr)
+        if _feasible(Ar, br, y_unc, feas_scale):
+            y0, W0 = y_unc, []
+        elif _feasible(Ar, br, np.zeros(nz), feas_scale):
             y0, W0 = np.zeros(nz), []
-        if y0 is None:
+        else:
             y0 = _phase1(Ar, br)
             resid = Ar @ y0 - br
             if np.max(resid, initial=0.0) > 1e-7 * (1.0 + np.max(np.abs(br), initial=0.0)):
@@ -420,39 +499,11 @@ def solve_qp(qp: Qp, warm_start=None) -> QpSolution:
                 y = y_pol
                 mu_map = dict(zip(W, mu_pol))
 
-        z = z_part + Z @ y
+        # with Z = I the zero z_part is still added: it turns a -0.0 in y
+        # into +0.0, as Z @ y did, so the bytes of z do not change
+        z = z_part + (y if Z is None else Z @ y)
         mult_in = np.zeros(n_in)
         for i, mi in mu_map.items():
             mult_in[i] = max(mi, 0.0) if mi >= -DUAL_TOL else mi
 
-    # equality multipliers from stationarity
-    grad = H @ z + c + (Ain.T @ mult_in if n_in else 0.0)
-    if Aeq.shape[0]:
-        mult_eq = np.linalg.lstsq(Aeq.T, -grad, rcond=None)[0]
-    else:
-        mult_eq = np.zeros(0)
-
-    active = tuple(
-        i for i in range(n_in)
-        if abs(float(Ain[i] @ z - bin_[i])) <= ACTIVE_TOL * (1.0 + abs(bin_[i]))
-    )
-    stat = H @ z + c
-    if n_in:
-        stat = stat + Ain.T @ mult_in
-    if Aeq.shape[0]:
-        stat = stat + Aeq.T @ mult_eq
-    kkt = float(np.max(np.abs(stat), initial=0.0))
-    if n_in:
-        kkt = max(kkt, float(np.max(Ain @ z - bin_, initial=0.0)))
-        kkt = max(kkt, float(np.max(np.abs(mult_in * (Ain @ z - bin_)), initial=0.0)))
-    if Aeq.shape[0]:
-        kkt = max(kkt, float(np.max(np.abs(Aeq @ z - beq), initial=0.0)))
-    return QpSolution(
-        z=z,
-        active_set=active,
-        mult_eq=mult_eq,
-        mult_in=mult_in,
-        status="optimal",
-        n_iter=n_iter,
-        kkt_residual=kkt,
-    )
+    return QpSolution(qp, H, z, mult_in, n_iter)

@@ -83,7 +83,7 @@ class _Inner:
         self.L = bs.n_multipliers
         self.SU_inv = cholesky_inverse(cholesky(np.asarray(Sigma_U, dtype=float)))
         self.stackd = ds.stacked()
-        self.demo_sum = self.stackd.sum(axis=0)
+        self.demo_sum = ds.demo_sum()
         self.G = bs.J_lambda.T
         self.g0 = bs.g_offset
         self.nonzero_rows = bs.nonzero_rows

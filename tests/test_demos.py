@@ -157,3 +157,13 @@ def test_stacked_is_built_once_read_only_and_equal_to_vstack():
     # the demos themselves are read-only too, so the cache cannot go stale
     with pytest.raises(ValueError):
         ds.U_list[0][0] = 1.0
+
+
+def test_demo_sum_is_built_once_read_only_and_equal_to_the_stacked_sum():
+    fp, U_star = _benchmark_setup()
+    ds = generate(U_star, NoiseSpec.gaussian(np.array([[0.04]]), seed=13), 4, fp)
+    first = ds.demo_sum()
+    assert ds.demo_sum() is first
+    assert first.tobytes() == ds.stacked().sum(axis=0).tobytes()
+    with pytest.raises(ValueError):
+        first[0] = 1.0

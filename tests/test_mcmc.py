@@ -166,6 +166,24 @@ def test_priors_precisions_equal_spd_inverse_bitwise():
                W_U=np.eye(1), m_U=3.0, Sigma_Y=np.eye(1), Sigma_Y_inv=np.eye(1))
 
 
+def test_priors_information_vector_is_the_product_bitwise():
+    rng = np.random.default_rng(5)
+    G = rng.standard_normal((4, 4))
+    priors = Priors(
+        U0=rng.standard_normal(4),
+        Sigma_U0=G @ G.T + np.eye(4),
+        beta0=np.ones(2),
+        Sigma_beta=np.eye(2),
+        W_U=np.eye(4),
+        m_U=7.0,
+        Sigma_Y=np.eye(3),
+    )
+    changed = dataclasses.replace(priors, U0=rng.standard_normal(4))
+    for pr in (priors, changed):
+        assert pr.Sigma_U0_inv_U0.tobytes() == (pr.Sigma_U0_inv @ pr.U0).tobytes()
+    assert not np.array_equal(changed.Sigma_U0_inv_U0, priors.Sigma_U0_inv_U0)
+
+
 def test_beta_conditional_matches_grid():
     fp = _toy_problem()
     bs = build_stationarity(fp)
