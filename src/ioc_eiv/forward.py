@@ -48,24 +48,21 @@ def solve(fp: model.ForwardProblem, theta) -> ForwardSolution:
     H = bs.M_beta(theta)
     c = bs.E_theta @ theta
 
-    # constraint rows: g(U) = J_lambda' U + g_offset <= 0
-    G = bs.J_lambda.T
-    g0 = bs.g_offset
-    nonzero = bs.nonzero_rows
-    const_viol = g0[~nonzero]
-    if const_viol.size and np.max(const_viol) > 1e-9:
-        k_bad = int(np.argmax(~nonzero & (g0 > 1e-9)))
+    # constraint rows: g(U) = J_lambda' U + g_offset <= 0; a constant row,
+    # which no input moves, must hold as it is
+    const = np.where(bs.nonzero_rows, 0.0, bs.g_offset)
+    bad = np.flatnonzero(const > 1e-9)
+    if bad.size:
+        k_bad = int(bad[0])
         raise Infeasible(
-            f"constraint row {k_bad} is constant and violated (value {g0[k_bad]:.3e})"
+            f"constraint row {k_bad} is constant and violated (value {const[k_bad]:.3e})"
         )
-    idx = np.flatnonzero(nonzero)
-    qp = Qp(H=H, c=c, Ain=G[idx], bin=-g0[idx]) if idx.size else Qp(H=H, c=c)
-    sol = solve_qp(qp)
+    sol = solve_qp(Qp(H=H, c=c, **bs.face_blocks()))
 
+    idx = np.flatnonzero(bs.nonzero_rows)
     lam = np.zeros(fp.n_multipliers)
-    if idx.size:
-        lam[idx] = sol.mult_in
-    active = tuple(int(idx[i]) for i in sol.active_set) if idx.size else ()
+    lam[idx] = sol.mult_in
+    active = tuple(int(idx[i]) for i in sol.active_set)
     return ForwardSolution(
         U=sol.z, lam=lam, active_set=active, objective=objective(fp, theta, sol.z)
     )

@@ -47,15 +47,22 @@ class NormalizationRule:
             raise ValueError(f"normalization value must be positive, got {self.value}")
         object.__setattr__(self, "value", float(self.value))
 
-    def row(self, q: int) -> np.ndarray:
-        r = np.zeros(q)
+    def beta_blocks(self, q: int, nv: int) -> dict:
+        """:class:`~ioc_eiv.numerics.Qp` keyword blocks of the weight cone.
+
+        The variables are ``(theta, free multipliers)``, ``nv`` in all with
+        ``theta`` first: the rule is one equality on ``theta``, and every
+        variable is nonnegative.
+        """
+        row = np.zeros(nv)
         if self.kind == "sum":
-            r[:] = 1.0
+            row[:q] = 1.0
         else:
             if not 0 <= self.index < q:
                 raise ValueError(f"component index {self.index} out of range for q = {q}")
-            r[self.index] = 1.0
-        return r
+            row[self.index] = 1.0
+        return {"Aeq": row[None, :], "beq": np.array([self.value]),
+                "Ain": -np.eye(nv), "bin": np.zeros(nv)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,13 +91,10 @@ def kkt_ls(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> Kk
                for E, M in zip(bs.E_theta.T, bs.Mj)):
         raise ValueError("all features have identically zero gradients")
 
-    # multipliers with a zero stationarity column (rows that no input can
-    # influence) are unidentifiable; leave them out of the fit
-    identifiable = bs.nonzero_rows
     blocks = []   # per demo: (J_theta_d, J_act_d, active_idx)
     offsets = [q]
     for U_d in ds.U_list:
-        act = np.flatnonzero(bs.active_rows(U_d, model.DEMO_ACTIVE_TOL) & identifiable)
+        act = np.flatnonzero(bs.active_rows(U_d, model.DEMO_ACTIVE_TOL))
         Jt = bs.J_theta(U_d)
         Ja = bs.J_lambda[:, act]
         blocks.append((Jt, Ja, act))
@@ -107,13 +111,7 @@ def kkt_ls(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> Kk
             H[s, s] = 2.0 * Ja.T @ Ja
     c = np.zeros(nvar)
 
-    Aeq = np.zeros((1, nvar))
-    Aeq[0, :q] = norm.row(q)
-    beq = np.array([norm.value])
-    Ain = -np.eye(nvar)  # theta >= 0 and active multipliers >= 0
-    bin_ = np.zeros(nvar)
-
-    sol = solve_qp(Qp(H=H, c=c, Aeq=Aeq, beq=beq, Ain=Ain, bin=bin_))
+    sol = solve_qp(Qp(H=H, c=c, **norm.beta_blocks(q, nvar)))
     theta = sol.z[:q].copy()
     lam_list = []
     for d, (_, _, act) in enumerate(blocks):

@@ -78,7 +78,6 @@ class MapResult:
     U_hat: np.ndarray
     Sigma_U_hat: np.ndarray
     cost_trace: tuple
-    gibbs_diag: dict
 
 
 class _Workspace:
@@ -143,32 +142,27 @@ def _beta_step(ws: _Workspace, U, norm: NormalizationRule):
     """Minimize the MAP cost over beta at fixed U. Returns full beta."""
     bs = ws.bs
     q = bs.n_features
-    L = bs.n_multipliers
     act = np.flatnonzero(bs.active_rows(U, model.ITERATE_ACTIVE_TOL))
     B = np.hstack([bs.J_theta(U), bs.J_lambda[:, act]])
-    nv = q + act.size
-
     free = np.concatenate([np.arange(q), q + act])
-    Pf = np.zeros((q + L, nv))
-    Pf[free, np.arange(nv)] = 1.0
 
     D = ws.ds.n_demos
-    H = 2.0 * D * (B.T @ cholesky_solve(ws.L_SY, B)) + 2.0 * (Pf.T @ ws.Pi @ Pf)
+    H = 2.0 * D * (B.T @ cholesky_solve(ws.L_SY, B)) + 2.0 * ws.Pi[np.ix_(free, free)]
     H = 0.5 * (H + H.T)
-    c = -2.0 * (Pf.T @ ws.Pi_beta0)
-    norm_row = np.zeros(nv)
-    norm_row[:q] = norm.row(q)
-    sol = solve_qp(
-        Qp(H=H, c=c, Aeq=norm_row[None, :], beq=np.array([norm.value]),
-           Ain=-np.eye(nv), bin=np.zeros(nv))
-    )
-    beta = np.zeros(q + L)
+    c = -2.0 * ws.Pi_beta0[free]
+    sol = solve_qp(Qp(H=H, c=c, **norm.beta_blocks(q, free.size)))
+    beta = np.zeros(q + bs.n_multipliers)
     beta[free] = sol.z
     return beta
 
 
 def _u_step(ws: _Workspace, beta):
-    """Minimize the MAP cost over U at fixed beta. Returns (U, eq_rows)."""
+    """Minimize the MAP cost over U at fixed beta. Returns ``(U, beta)``.
+
+    The held rows are equalities and the others inequalities.  When the
+    held faces conflict, U comes from the inequalities alone, and the
+    returned beta drops the multipliers of the faces that U left.
+    """
     bs = ws.bs
     q = bs.n_features
     theta, lam = beta[:q], beta[q:]
@@ -179,31 +173,12 @@ def _u_step(ws: _Workspace, beta):
     H = ws.H_demo + 2.0 * D * (Mb.T @ cholesky_solve(ws.L_SY, Mb)) + ws.H_prior
     H = 0.5 * (H + H.T)
     c = ws.c_demo + 2.0 * D * (Mb.T @ cholesky_solve(ws.L_SY, Ebeta)) - ws.c_prior
-
-    G = bs.J_lambda.T
-    g0 = bs.g_offset
-    nonzero = bs.nonzero_rows
-    pinned = (lam > model.ITERATE_ACTIVE_TOL) & nonzero
-    free_rows = nonzero & ~pinned
-
-    def _solve(with_equalities: bool):
-        kw = {}
-        if with_equalities and np.any(pinned):
-            kw["Aeq"] = G[pinned]
-            kw["beq"] = -g0[pinned]
-        if np.any(free_rows if with_equalities else nonzero):
-            rows = free_rows if with_equalities else nonzero
-            kw["Ain"] = G[rows]
-            kw["bin"] = -g0[rows]
-        return solve_qp(Qp(H=H, c=c, **kw))
-
     try:
-        sol = _solve(True)
-        return sol.z, np.flatnonzero(pinned)
+        return solve_qp(Qp(H=H, c=c, **bs.face_blocks(eq=bs.held_rows(lam)))).z, beta
     except Infeasible:
-        # conflicting pinned faces: fall back to pure inequalities
-        sol = _solve(False)
-        return sol.z, np.zeros(0, dtype=int)
+        U = solve_qp(Qp(H=H, c=c, **bs.face_blocks())).z
+        lam = np.where(bs.active_rows(U, model.ITERATE_ACTIVE_TOL), lam, 0.0)
+        return U, np.concatenate([theta, lam])
 
 
 def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig | None = None,
@@ -240,12 +215,7 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig | None = None
         cost_b = map_cost(U, beta_new, Sigma_U, ds, priors, workspace=ws)
         if it > 0 and cost_b > trace[-1]:
             break
-        U_new, pinned = _u_step(ws, beta_new)
-        if pinned.size == 0 and np.any(beta_new[bs.n_features :] > model.ITERATE_ACTIVE_TOL):
-            # fallback ran: drop multipliers that lost their face
-            lam_new = beta_new[bs.n_features :].copy()
-            lam_new[~bs.active_rows(U_new, model.ITERATE_ACTIVE_TOL)] = 0.0
-            beta_new = np.concatenate([beta_new[: bs.n_features], lam_new])
+        U_new, beta_new = _u_step(ws, beta_new)
         cost_u = map_cost(U_new, beta_new, Sigma_U, ds, priors, workspace=ws)
         if it == 0:
             # first iteration projects the Gibbs means onto complementarity;
@@ -270,10 +240,6 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig | None = None
         U_hat=U_best,
         Sigma_U_hat=Sigma_U,
         cost_trace=tuple(trace),
-        gibbs_diag={
-            "acceptance_rate": chain.acceptance_rate,
-            "n_kept": len(chain.samples),
-        },
     )
 
 

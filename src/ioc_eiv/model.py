@@ -278,12 +278,18 @@ class BilinearStationarity:
     the Jacobian of the stacked constraint values, so
     ``g(U) = J_lambda.T U + g_offset``.
 
-    ``h_ref`` is the per-row scale of the activity test, ``|h|`` tiled over
-    steps ``0..N``: :meth:`active_rows` counts row ``i`` active when
-    ``|g_i| <= tol * (1 + h_ref_i)``.  ``nonzero_rows`` marks the rows that
-    some input moves, those whose largest ``|J_lambda|`` entry exceeds
-    ``ZERO_ROW_TOL``; the others are constants that no QP may carry as a
-    constraint row.
+    It is also the one face model of every estimator QP.  Which rows exist:
+    ``nonzero_rows`` marks the rows that some input moves, those whose
+    largest ``|J_lambda|`` entry exceeds ``ZERO_ROW_TOL``; the others are
+    constants, never a constraint, never active and never given a free
+    multiplier.  Which rows are faces: :meth:`active_rows` are the rows
+    active at ``U``, ``|g_i| <= tol * (1 + h_ref_i)`` with ``h_ref`` the
+    per-row scale ``|h|`` tiled over steps ``0..N``; :meth:`held_rows` are
+    the rows a multiplier above ``ITERATE_ACTIVE_TOL`` holds.  How faces
+    enter a QP in ``U``: :meth:`face_blocks` poses chosen rows as
+    equalities ``g_i(U) = 0`` and the others as inequalities
+    ``g_i(U) <= 0``.  A QP in ``beta`` frees the multipliers of the active
+    rows only.
     """
 
     Mj: tuple
@@ -337,8 +343,30 @@ class BilinearStationarity:
         return self.J_lambda.T @ np.asarray(U, dtype=float) + self.g_offset
 
     def active_rows(self, U, tol: float) -> np.ndarray:
-        """Boolean mask of the rows active at ``U``: ``|g| <= tol * (1 + h_ref)``."""
-        return np.abs(self.constraint_values(U)) <= tol * (1.0 + self.h_ref)
+        """Mask of the nonconstant rows active at ``U``: ``|g| <= tol * (1 + h_ref)``."""
+        return (np.abs(self.constraint_values(U)) <= tol * (1.0 + self.h_ref)) & self.nonzero_rows
+
+    def held_rows(self, lam) -> np.ndarray:
+        """Mask of the nonconstant rows whose multiplier exceeds ``ITERATE_ACTIVE_TOL``."""
+        return (np.asarray(lam) > ITERATE_ACTIVE_TOL) & self.nonzero_rows
+
+    def face_blocks(self, eq=None, ineq=None) -> dict:
+        """:class:`~ioc_eiv.numerics.Qp` keyword blocks of the constraint rows in ``U``.
+
+        Rows in the mask ``eq`` become equalities ``g_i(U) = 0``, rows in
+        ``ineq`` (default: every row not in ``eq``) inequalities
+        ``g_i(U) <= 0``; both keep only the nonconstant rows, and a block
+        without rows adds no key.
+        """
+        eq = np.zeros(self.n_multipliers, dtype=bool) if eq is None else eq
+        ineq = ~eq if ineq is None else ineq
+        blocks = {}
+        for a, b, rows in (("Aeq", "beq", eq), ("Ain", "bin", ineq)):
+            rows = rows & self.nonzero_rows
+            if np.any(rows):
+                blocks[a] = self.J_lambda.T[rows]
+                blocks[b] = -self.g_offset[rows]
+        return blocks
 
 
 def _input_selector(k: int, m: int, n_inputs: int) -> np.ndarray:

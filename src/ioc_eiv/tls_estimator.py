@@ -1,31 +1,41 @@
 """Total least squares estimator with hard stationarity.
 
-Solves, for a fixed demo covariance, the projection problem
+:func:`tls_inner` solves, for a fixed demo covariance, the projection
+problem
 
     min_{U, beta}  sum_d (U - U_d)' Sigma_U^{-1} (U - U_d)
     s.t.           J(U) beta = 0,  complementarity, signs, normalization,
 
-and iterates it with a covariance update computed from the current latent
-input (outer loop).  The bilinear constraint is handled blockwise: at fixed
-``beta`` it is linear in ``U`` (slope ``M_beta``), at fixed ``U`` linear in
-``beta``.  The TLS cost does not involve ``beta``, so the beta-step
-minimizes the distance to the previous iterate subject to the hard
-constraints, which keeps the step well-posed and deterministic.
+and :func:`estimate` repeats it with the covariance re-estimated at the
+latest ``U`` until the covariance moves less than ``SIGMA_TOL``.  The
+bilinear constraint is handled blockwise: at fixed ``beta`` it is linear in
+``U`` (slope ``M_beta``), at fixed ``U`` linear in ``beta``.  Every QP takes
+its constraint rows and faces from :class:`~ioc_eiv.model.BilinearStationarity`
+and its weight cone from ``NormalizationRule.beta_blocks``.
 
-With noisy data the hard constraint set at fixed ``U`` is usually empty
-(more stationarity rows than free multipliers), so the inner solver falls
-back to a penalty homotopy on ``||J(U) beta||^2`` with increasing weights
-and finishes with an exact re-projection: a joint ``(U, lambda)`` equality
-step at fixed ``theta`` that restores ``J(U) beta = 0`` and
-complementarity.  When no face pattern admits such a projection the inner
-solve completes with the exact optimizer for the current weights instead,
-which satisfies all optimality blocks by construction.  The result reports
-which path ran.
+What runs on noisy data: :func:`estimate` starts from the sample mean and a
+:func:`~ioc_eiv.kkt_baseline.kkt_single` fit to it.  In the first inner call
+the exact alternation fails in its first iteration: at fixed ``U`` there
+are more stationarity rows than free multipliers, so the hard constraint
+set is empty.  That call runs a penalty homotopy on
+``||J(U) beta||^2`` over ``PENALTY_WEIGHTS`` instead, each phase a
+proximal beta-step alternating with a U-step, and ends with an exact
+re-projection: a joint ``(U, lambda)`` step at fixed ``theta`` that restores
+``J(U) beta = 0`` and complementarity.  When no face pattern admits that
+projection, the forward optimizer for the current weights completes the
+estimate instead, which satisfies every optimality block by construction.
+At fixed ``beta``, hard stationarity is ``mN`` equations in the ``mN``
+inputs, so the projected ``U`` does not depend on the covariance.  The
+second inner call therefore starts on an exactly feasible point, runs the
+exact alternation, moves the iterate only by rounding, and the unchanged
+covariance ends the outer loop.  On the shipped configurations every
+estimate makes exactly these two inner calls.  The result reports the path
+of the last one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,39 +94,25 @@ class _Inner:
         self.SU_inv = cholesky_inverse(cholesky(np.asarray(Sigma_U, dtype=float)))
         self.stackd = ds.stacked()
         self.demo_sum = ds.demo_sum()
-        self.G = bs.J_lambda.T
-        self.g0 = bs.g_offset
-        self.nonzero_rows = bs.nonzero_rows
 
     def demo_cost(self, U):
         R = self.stackd - U
         return float(np.sum((R @ self.SU_inv) * R))
 
-    def stationarity_norm(self, U, beta):
-        s = self.bs.stationarity(U, beta[: self.q], beta[self.q :])
-        return float(np.max(np.abs(s), initial=0.0))
-
-    def activity(self, U):
-        return self.bs.active_rows(U, model.ITERATE_ACTIVE_TOL) & self.nonzero_rows
-
     def beta_step(self, U, beta_prev, weight=None):
         """Update beta at fixed U; exact when weight is None."""
-        act = np.flatnonzero(self.activity(U))
+        act = np.flatnonzero(self.bs.active_rows(U, model.ITERATE_ACTIVE_TOL))
         B = np.hstack([self.bs.J_theta(U), self.bs.J_lambda[:, act]])
         nv = self.q + act.size
         v_prev = np.concatenate([beta_prev[: self.q], beta_prev[self.q + act]])
-        norm_row = np.zeros(nv)
-        norm_row[: self.q] = self.cfg.norm.row(self.q)
+        cone = self.cfg.norm.beta_blocks(self.q, nv)
         if weight is None:
-            Aeq = np.vstack([B, norm_row])
-            beq = np.concatenate([np.zeros(B.shape[0]), [self.cfg.norm.value]])
-            qp = Qp(H=np.eye(nv), c=-v_prev, Aeq=Aeq, beq=beq,
-                    Ain=-np.eye(nv), bin=np.zeros(nv))
+            cone["Aeq"] = np.vstack([B, cone["Aeq"]])
+            cone["beq"] = np.concatenate([np.zeros(B.shape[0]), cone["beq"]])
+            qp = Qp(H=np.eye(nv), c=-v_prev, **cone)
         else:
             H = 2.0 * weight * (B.T @ B) + _PROX_WEIGHT * np.eye(nv)
-            qp = Qp(H=0.5 * (H + H.T), c=-_PROX_WEIGHT * v_prev,
-                    Aeq=norm_row[None, :], beq=np.array([self.cfg.norm.value]),
-                    Ain=-np.eye(nv), bin=np.zeros(nv))
+            qp = Qp(H=0.5 * (H + H.T), c=-_PROX_WEIGHT * v_prev, **cone)
         sol = solve_qp(qp)
         beta = np.zeros(self.q + self.L)
         beta[: self.q] = sol.z[: self.q]
@@ -131,26 +127,13 @@ class _Inner:
         D = self.ds.n_demos
         H = 2.0 * D * self.SU_inv
         c = -2.0 * (self.SU_inv @ self.demo_sum)
-        pinned = (lam > model.ITERATE_ACTIVE_TOL) & self.nonzero_rows
-        free_rows = self.nonzero_rows & ~pinned
-        kw = {}
+        kw = self.bs.face_blocks(eq=self.bs.held_rows(lam))
         if weight is None:
-            Aeq = [Mb]
-            beq = [-Ebeta]
-            if np.any(pinned):
-                Aeq.append(self.G[pinned])
-                beq.append(-self.g0[pinned])
-            kw["Aeq"] = np.vstack(Aeq)
-            kw["beq"] = np.concatenate(beq)
+            kw["Aeq"] = np.vstack([Mb, kw.get("Aeq", np.zeros((0, Mb.shape[1])))])
+            kw["beq"] = np.concatenate([-Ebeta, kw.get("beq", np.zeros(0))])
         else:
             H = H + 2.0 * weight * (Mb.T @ Mb)
             c = c + 2.0 * weight * (Mb.T @ Ebeta)
-            if np.any(pinned):
-                kw["Aeq"] = self.G[pinned]
-                kw["beq"] = -self.g0[pinned]
-        if np.any(free_rows):
-            kw["Ain"] = self.G[free_rows]
-            kw["bin"] = -self.g0[free_rows]
         sol = solve_qp(Qp(H=0.5 * (H + H.T), c=c, **kw))
         return sol.z
 
@@ -167,36 +150,29 @@ class _Inner:
         D = self.ds.n_demos
         mN = self.bs.n_inputs
         candidates = [
-            np.flatnonzero(self.activity(U)),
-            np.flatnonzero((lam > model.ITERATE_ACTIVE_TOL) & self.nonzero_rows),
-            np.zeros(0, dtype=int),
+            self.bs.active_rows(U, model.ITERATE_ACTIVE_TOL),
+            self.bs.held_rows(lam),
+            np.zeros(self.L, dtype=bool),
         ]
-        for S in candidates:
+        for faces in candidates:
+            S = np.flatnonzero(faces)
             nS = S.size
             H = np.zeros((mN + nS, mN + nS))
             H[:mN, :mN] = 2.0 * D * self.SU_inv
             H[mN:, mN:] = _PROX_WEIGHT * np.eye(nS)
             c = np.concatenate([-2.0 * (self.SU_inv @ self.demo_sum), -_PROX_WEIGHT * lam[S]])
-            Aeq = np.zeros((mN + nS, mN + nS))
-            Aeq[:mN, :mN] = Mb
-            Aeq[:mN, mN:] = self.bs.J_lambda[:, S]
-            beq = np.concatenate([-Etheta, -self.g0[S]])
-            Aeq[mN : mN + nS, :mN] = self.G[S]
-            rest = self.nonzero_rows.copy()
-            rest[S] = False
-            blocks = {"Aeq": Aeq, "beq": beq}
-            ain = []
-            bin_ = []
-            if np.any(rest):
-                ain.append(np.hstack([self.G[rest], np.zeros((int(rest.sum()), nS))]))
-                bin_.append(-self.g0[rest])
-            if nS:
-                lam_block = np.hstack([np.zeros((nS, mN)), -np.eye(nS)])
-                ain.append(lam_block)
-                bin_.append(np.zeros(nS))
-            if ain:
-                blocks["Ain"] = np.vstack(ain)
-                blocks["bin"] = np.concatenate(bin_)
+            # variables (U, lam_S): stationarity and the faces S are
+            # equalities; the other rows and lam_S >= 0 are inequalities
+            rows = self.bs.face_blocks(eq=faces)
+            G_S, G_rest = (rows.get(k, np.zeros((0, mN))) for k in ("Aeq", "Ain"))
+            g_S, g_rest = (rows.get(k, np.zeros(0)) for k in ("beq", "bin"))
+            blocks = {
+                "Aeq": np.block([[Mb, self.bs.J_lambda[:, S]], [G_S, np.zeros((nS, nS))]]),
+                "beq": np.concatenate([-Etheta, g_S]),
+                "Ain": np.block([[G_rest, np.zeros((G_rest.shape[0], nS))],
+                                 [np.zeros((nS, mN)), -np.eye(nS)]]),
+                "bin": np.concatenate([g_rest, np.zeros(nS)]),
+            }
             try:
                 sol = solve_qp(Qp(H=0.5 * (H + H.T), c=c, **blocks))
             except Infeasible:

@@ -113,3 +113,22 @@ def test_activity_classification_tolerance():
             assert flag == (abs(g[i]) <= tol * (1.0 + abs(fp.constraints.h[0])))
         # the cap binds on the first two stages of the benchmark solution
         assert act[0] and act[1]
+
+
+@pytest.mark.parametrize("rule,row", [
+    (NormalizationRule("sum", value=22.0), [1.0, 1.0, 1.0, 0.0, 0.0]),
+    (NormalizationRule("component", value=10.0, index=1), [0.0, 1.0, 0.0, 0.0, 0.0]),
+])
+def test_beta_blocks_fix_the_rule_and_keep_every_variable_nonnegative(rule, row):
+    # q = 3 weights followed by 2 free multipliers
+    blocks = rule.beta_blocks(3, 5)
+    assert sorted(blocks) == ["Aeq", "Ain", "beq", "bin"]
+    np.testing.assert_array_equal(blocks["Aeq"], [row])
+    np.testing.assert_array_equal(blocks["beq"], [rule.value])
+    np.testing.assert_array_equal(blocks["Ain"], -np.eye(5))
+    np.testing.assert_array_equal(blocks["bin"], np.zeros(5))
+
+
+def test_beta_blocks_reject_a_component_outside_the_weights():
+    with pytest.raises(ValueError, match="out of range"):
+        NormalizationRule("component", index=3).beta_blocks(3, 5)

@@ -27,7 +27,13 @@ from ioc_eiv import (
     solve_forward,
 )
 from ioc_eiv.demos import DemoSet
-from ioc_eiv.model import build_stationarity, constraint_values
+from ioc_eiv.model import (
+    ITERATE_ACTIVE_TOL,
+    build_stationarity,
+    constraint_values,
+    multiplier_index,
+)
+from ioc_eiv.numerics import Infeasible
 
 
 def _benchmark_demos(pct, seed, D):
@@ -160,6 +166,59 @@ def test_map_cost_with_shared_workspace_equals_standalone_call():
         alone = map_cost(U, beta, Sigma_U, ds, priors)
         shared = map_cost(U, beta, Sigma_U, ds, priors, bs=bs, workspace=ws)
         assert alone == shared
+
+
+def test_u_step_retries_conflicting_faces_as_inequalities(monkeypatch):
+    import ioc_eiv.map_estimator as me
+
+    # the polytope u <= 0.5, -u <= 3; holding both rows at step 1 poses
+    # u_1 = 0.5 and u_1 = -3 at once
+    fp = ForwardProblem(
+        LinearSystem(np.array([[0.9]]), np.array([[1.0]])),
+        (QuadraticFeature("state", 0, 1.0), QuadraticFeature("input", 0, 0.0)),
+        PolytopicConstraints(np.zeros((2, 1)), np.array([[1.0], [-1.0]]), np.array([0.5, 3.0])),
+        3,
+        np.array([0.0]),
+    )
+    theta = np.array([4.0, 1.0])
+    U_star = solve_forward(fp, theta).U
+    offsets = ([0.01, -0.02, 0.03], [-0.02, 0.01, -0.01], [0.02, 0.02, 0.0])
+    ds = DemoSet(U_list=tuple(U_star + np.array(o) for o in offsets), x0=fp.x0,
+                 fp_ref=fp, U_star=None)
+    bs = build_stationarity(fp)
+    ws = me._Workspace(bs, ds, 0.01 * np.eye(3), default_priors(ds, fp))
+    lam = np.zeros(fp.n_multipliers)
+    lam[multiplier_index(0, 0, 2)] = 0.5
+    lam[multiplier_index(0, 1, 2)] = 1.0
+    lam[multiplier_index(1, 1, 2)] = 2.0
+
+    posed = []
+    solve_qp = me.solve_qp
+
+    def spy(qp):
+        try:
+            sol = solve_qp(qp)
+        except Infeasible:
+            posed.append("infeasible")
+            raise
+        posed.append((qp.Aeq.shape[0], qp.Ain.shape[0]))
+        return sol
+
+    monkeypatch.setattr(me, "solve_qp", spy)
+    U, beta = me._u_step(ws, np.concatenate([theta, lam]))
+    # the retry poses the six nonconstant rows as inequalities and nothing else
+    assert posed == ["infeasible", (0, 6)]
+    # recorded before _u_step returned beta, when estimate dropped the
+    # multipliers itself
+    assert [float(v).hex() for v in U] == [
+        "0x1.0000000000000p-1", "0x1.fffffffffffffp-2", "0x1.0bf82c0e0475ap-9"]
+    assert beta.tolist() == [4.0, 1.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    # U stays on u_0 = 0.5 and u_1 = 0.5 and leaves -u_1 <= 3: only the
+    # multiplier of the face it left is dropped
+    assert np.max(constraint_values(fp, U)) <= 1e-12
+    active = bs.active_rows(U, ITERATE_ACTIVE_TOL)
+    assert np.array_equal(beta[2:], np.where(active, lam, 0.0))
+    assert beta[2 + multiplier_index(1, 1, 2)] == 0.0
 
 
 def test_estimate_deterministic_given_rng():

@@ -263,3 +263,65 @@ def test_active_rows_scale_each_row_by_its_own_bound(tol):
     scale = np.array([abs(h[i]) for k in range(4) for i in range(2)])
     assert np.array_equal(got, np.abs(g) <= tol * (1.0 + scale))
     assert got.tolist() == [False, True, False, False, True, False, False, False]
+
+
+def _tls_positivity():
+    import json
+
+    from ioc_eiv.bench_cli import parse_problem
+
+    with open("configs/tls_positivity.json", encoding="utf-8") as fh:
+        return parse_problem(json.load(fh)["problem"])
+
+
+def test_active_rows_leave_out_a_constant_row_at_zero():
+    # tls_positivity's one row is -u <= 0; at the terminal step it has no
+    # input, so g is 0 whatever U is: satisfied with equality, yet no row
+    fp = _tls_positivity()
+    bs = build_stationarity(fp)
+    term = multiplier_index(0, fp.horizon, 1)
+    U = solve_forward(fp, fp.theta_true).U
+    assert not bs.nonzero_rows[term]
+    assert bs.constraint_values(U)[term] == 0.0
+    for tol in (DEMO_ACTIVE_TOL, ITERATE_ACTIVE_TOL):
+        act = bs.active_rows(U, tol)
+        assert not act[term]
+        g = bs.constraint_values(U)[:term]
+        assert np.array_equal(act[:term], np.abs(g) <= tol * (1.0 + bs.h_ref[:term]))
+
+
+def test_held_rows_ignore_constant_rows_and_compare_strictly():
+    fp = _tls_positivity()
+    bs = build_stationarity(fp)
+    term = multiplier_index(0, fp.horizon, 1)
+    lam = np.zeros(fp.n_multipliers)
+    lam[0] = ITERATE_ACTIVE_TOL
+    lam[1] = np.nextafter(ITERATE_ACTIVE_TOL, 1.0)
+    lam[2] = 5.0
+    lam[term] = 5.0
+    assert bs.held_rows(lam).tolist() == [False, True, True] + [False] * (term - 2)
+
+
+def test_face_blocks_pose_chosen_rows_and_skip_empty_blocks():
+    fp = _tls_positivity()
+    bs = build_stationarity(fp)
+    L = fp.n_multipliers
+    none = np.zeros(L, dtype=bool)
+    assert bs.face_blocks(eq=none, ineq=none) == {}
+    G, g0 = bs.J_lambda.T, bs.g_offset
+    # default: every nonconstant row is an inequality, the constant one none
+    rows = bs.face_blocks()
+    assert sorted(rows) == ["Ain", "bin"]
+    np.testing.assert_array_equal(rows["Ain"], G[: L - 1])
+    np.testing.assert_array_equal(rows["bin"], -g0[: L - 1])
+    # faces 1 and 3 (and the constant row, dropped) as equalities, the rest
+    # as inequalities
+    eq = none.copy()
+    eq[[1, 3, L - 1]] = True
+    rows = bs.face_blocks(eq=eq)
+    others = [i for i in range(L - 1) if i not in (1, 3)]
+    np.testing.assert_array_equal(rows["Aeq"], G[[1, 3]])
+    np.testing.assert_array_equal(rows["beq"], -g0[[1, 3]])
+    np.testing.assert_array_equal(rows["Ain"], G[others])
+    np.testing.assert_array_equal(rows["bin"], -g0[others])
+    assert sorted(bs.face_blocks(eq=eq, ineq=none)) == ["Aeq", "beq"]
