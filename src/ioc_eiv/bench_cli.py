@@ -362,6 +362,8 @@ def _fit_tls(ds, fp, norm, cfg, rng):
 
 _METHODS = {"kkt": _fit_kkt, "mean": _fit_mean, "map": _fit_map, "tls": _fit_tls}
 # the bench draws repetition r's MAP chain from SeedSequence([master + r, _MAP_STREAM])
+# and ``estimate --seed S`` from SeedSequence([S, _MAP_STREAM]), so a rows.csv
+# seed reproduces its MAP row
 _MAP_STREAM = 1
 
 
@@ -381,7 +383,7 @@ def cmd_estimate(args) -> int:
     ds, fp = _demoset_from_json(obj)
     cfg = _load_json(args.config) if args.config else {}
     norm = _parse_norm(cfg.get("norm"), _default_norm(fp))
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(np.random.SeedSequence([args.seed, _MAP_STREAM]))
     theta_hat, U_hat, extra = _METHODS[args.method](ds, fp, norm, cfg, rng)
     out: dict = {"method": args.method, **extra}
     if theta_hat is not None:
@@ -618,7 +620,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--demos", required=True, help="demo JSON from the demos command")
     pe.add_argument("--method", required=True, choices=list(_METHODS))
     pe.add_argument("--config", default=None, help="optional estimator parameter JSON")
-    pe.add_argument("--seed", type=int, default=0, help="estimator RNG seed (map)")
+    pe.add_argument("--seed", type=int, default=0, help="estimator RNG seed (map); a rows.csv seed reproduces that row")
     pe.add_argument("--out", default=None, help="output JSON path (default: stdout)")
     pe.set_defaults(func=cmd_estimate)
 

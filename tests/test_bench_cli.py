@@ -359,15 +359,16 @@ def test_demos_match_library_generation(tmp_path):
 # branches; the rows.csv pins do not cover residual, Sigma_U, cost_trace,
 # outer_trace or path.  Like the other golden pins, these depend on the
 # numpy/OpenBLAS build.  tls_positivity-map was re-pinned when MAP's
-# beta-step stopped freeing the multiplier of the constant terminal row.
+# beta-step stopped freeing the multiplier of the constant terminal row, and
+# both map pins when ``estimate --seed`` took the bench's chain stream.
 GOLDEN_ESTIMATE_SHA256 = {
     ("spring_damper", "mean"): "1789ebcecbf03730d23192bc5cf5cddb6fdbe7a2d7f5861e30bcb71b3362f6f2",
     ("spring_damper", "kkt"): "41ef5e1c6220f661b73847f171ec25403817e1288c80a47acc28fbd794c36513",
-    ("spring_damper", "map"): "cf193775190589faa0d9e057cc08f58cc14c2c569690cd13da945b8c8ed86e11",
+    ("spring_damper", "map"): "99ebc4bb9cf99e9bb13fd462b331acf3f37930d5cf20c0665ac5150ba3f91922",
     ("spring_damper", "tls"): "55b8e592f6a6a87b93a989a5662a24fd5d5e895874b50a072c2a41b85595f52f",
     ("tls_positivity", "mean"): "2d62d22d6acdab13e8cd4f225a4f9b9e9e0bd5dd156bb788844ae6df03117697",
     ("tls_positivity", "kkt"): "afd2e2bc29e32e52b51be2e895bbaf0f53661c0de0aa5798da972f2749d003a5",
-    ("tls_positivity", "map"): "f497216ad1b185e3c1584eeadf505a3a6491f52d69611c4164bae933c67ccf32",
+    ("tls_positivity", "map"): "4a6be57aed8463ad41831a21b32ddd7632367189e87f32f10b328e429734b1ff",
     ("tls_positivity", "tls"): "405c66f8a8a8ea885b2edbdafc0bce4b67f407da696032cb7a6c8d63e1f949fb",
 }
 _GOLDEN_DEMOS = {"spring_damper": (10, 20260821), "tls_positivity": (10, 20260824)}
@@ -391,14 +392,13 @@ def test_estimate_json_is_bit_identical_to_golden(tmp_path, config, method):
     assert digest == GOLDEN_ESTIMATE_SHA256[config, method]
 
 
-# map is left out: ``estimate`` seeds its chain from --seed, while the bench
-# derives each repetition's chain stream from SeedSequence([seed, 1]), so the
-# two draw different chains from the same demos by design.
 @pytest.mark.parametrize("config", ["spring_damper", "tls_positivity"])
 def test_estimate_agrees_with_bench_rows(tmp_path, capsys, config):
     with open(f"configs/{config}.json", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    cfg.update(methods=["kkt", "mean", "tls"], n_reps=2)
+    # both bench and estimate read this config, so MAP runs one chain budget
+    cfg.update(methods=["kkt", "mean", "tls", "map"], n_reps=2,
+               gibbs={"n_iter": 200, "n_keep": 50})
     cfg["noise"]["percent_levels"] = [5, 20]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -406,7 +406,7 @@ def test_estimate_agrees_with_bench_rows(tmp_path, capsys, config):
     assert main(["bench", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
     capsys.readouterr()
     rows = _read_rows(out_dir)[1:]
-    assert len(rows) == 3 * 2 * 2
+    assert len(rows) == 4 * 2 * 2
     for method, level, rep, seed, rmse_theta, rmse_U, status in rows:
         assert status == "ok"
         demos = tmp_path / f"demos-{level}-{rep}.json"
@@ -415,7 +415,7 @@ def test_estimate_agrees_with_bench_rows(tmp_path, capsys, config):
                          "--seed", seed, "--out", str(demos)]) == 0
         out = tmp_path / f"{method}-{level}-{rep}.json"
         assert main(["estimate", "--demos", str(demos), "--method", method,
-                     "--out", str(out)]) == 0
+                     "--config", str(cfg_path), "--seed", seed, "--out", str(out)]) == 0
         res = json.loads(out.read_text())
         assert res.get("rmse_theta") == (float(rmse_theta) if rmse_theta else None)
         assert res.get("rmse_U") == (float(rmse_U) if rmse_U else None)
