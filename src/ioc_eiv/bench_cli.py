@@ -620,7 +620,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--demos", required=True, help="demo JSON from the demos command")
     pe.add_argument("--method", required=True, choices=list(_METHODS))
     pe.add_argument("--config", default=None, help="optional estimator parameter JSON")
-    pe.add_argument("--seed", type=int, default=0, help="estimator RNG seed (map); a rows.csv seed reproduces that row")
+    pe.add_argument("--seed", type=int, default=0,
+                    help="estimator RNG seed (map); a rows.csv seed reproduces that row")
     pe.add_argument("--out", default=None, help="output JSON path (default: stdout)")
     pe.set_defaults(func=cmd_estimate)
 

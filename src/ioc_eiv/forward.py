@@ -57,7 +57,7 @@ def solve(fp: model.ForwardProblem, theta) -> ForwardSolution:
         raise Infeasible(
             f"constraint row {k_bad} is constant and violated (value {const[k_bad]:.3e})"
         )
-    sol = solve_qp(Qp(H=H, c=c, **bs.face_blocks()))
+    sol = solve_qp(Qp(H=H, c=c, **bs.face_blocks(ineq=bs.nonzero_rows)))
 
     idx = np.flatnonzero(bs.nonzero_rows)
     lam = np.zeros(fp.n_multipliers)

@@ -173,10 +173,11 @@ def _u_step(ws: _Workspace, beta):
     H = ws.H_demo + 2.0 * D * (Mb.T @ cholesky_solve(ws.L_SY, Mb)) + ws.H_prior
     H = 0.5 * (H + H.T)
     c = ws.c_demo + 2.0 * D * (Mb.T @ cholesky_solve(ws.L_SY, Ebeta)) - ws.c_prior
+    held = bs.held_rows(lam)
     try:
-        return solve_qp(Qp(H=H, c=c, **bs.face_blocks(eq=bs.held_rows(lam)))).z, beta
+        return solve_qp(Qp(H=H, c=c, **bs.face_blocks(eq=held, ineq=~held))).z, beta
     except Infeasible:
-        U = solve_qp(Qp(H=H, c=c, **bs.face_blocks())).z
+        U = solve_qp(Qp(H=H, c=c, **bs.face_blocks(ineq=bs.nonzero_rows))).z
         lam = np.where(bs.active_rows(U, model.ITERATE_ACTIVE_TOL), lam, 0.0)
         return U, np.concatenate([theta, lam])
 

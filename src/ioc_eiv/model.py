@@ -57,7 +57,8 @@ __all__ = [
 ZERO_ROW_TOL = 1e-13
 # activity tolerances of BilinearStationarity.active_rows: the inverse-KKT
 # baseline classifies noisy demonstrations with the looser one, MAP and TLS
-# classify their own iterates with the tighter one
+# classify their own iterates with the tighter one, which is also the
+# multiplier threshold of BilinearStationarity.held_rows
 DEMO_ACTIVE_TOL = 1e-6
 ITERATE_ACTIVE_TOL = 1e-7
 
@@ -286,10 +287,9 @@ class BilinearStationarity:
     active at ``U``, ``|g_i| <= tol * (1 + h_ref_i)`` with ``h_ref`` the
     per-row scale ``|h|`` tiled over steps ``0..N``; :meth:`held_rows` are
     the rows a multiplier above ``ITERATE_ACTIVE_TOL`` holds.  How faces
-    enter a QP in ``U``: :meth:`face_blocks` poses chosen rows as
-    equalities ``g_i(U) = 0`` and the others as inequalities
-    ``g_i(U) <= 0``.  A QP in ``beta`` frees the multipliers of the active
-    rows only.
+    enter a QP in ``U``: :meth:`face_blocks` poses one mask of rows as
+    equalities ``g_i(U) = 0`` and another as inequalities ``g_i(U) <= 0``.
+    A QP in ``beta`` frees the multipliers of the active rows only.
     """
 
     Mj: tuple
@@ -351,19 +351,18 @@ class BilinearStationarity:
         return (np.asarray(lam) > ITERATE_ACTIVE_TOL) & self.nonzero_rows
 
     def face_blocks(self, eq=None, ineq=None) -> dict:
-        """:class:`~ioc_eiv.numerics.Qp` keyword blocks of the constraint rows in ``U``.
+        """:class:`~ioc_eiv.numerics.Qp` keyword blocks of constraint rows in ``U``.
 
         Rows in the mask ``eq`` become equalities ``g_i(U) = 0``, rows in
-        ``ineq`` (default: every row not in ``eq``) inequalities
-        ``g_i(U) <= 0``; both keep only the nonconstant rows, and a block
-        without rows adds no key.
+        the mask ``ineq`` inequalities ``g_i(U) <= 0``.  A constant row is
+        never posed, and a block without rows adds no key.
         """
-        eq = np.zeros(self.n_multipliers, dtype=bool) if eq is None else eq
-        ineq = ~eq if ineq is None else ineq
         blocks = {}
         for a, b, rows in (("Aeq", "beq", eq), ("Ain", "bin", ineq)):
+            if rows is None:
+                continue
             rows = rows & self.nonzero_rows
-            if np.any(rows):
+            if rows.any():
                 blocks[a] = self.J_lambda.T[rows]
                 blocks[b] = -self.g_offset[rows]
         return blocks

@@ -127,7 +127,8 @@ class _Inner:
         D = self.ds.n_demos
         H = 2.0 * D * self.SU_inv
         c = -2.0 * (self.SU_inv @ self.demo_sum)
-        kw = self.bs.face_blocks(eq=self.bs.held_rows(lam))
+        held = self.bs.held_rows(lam)
+        kw = self.bs.face_blocks(eq=held, ineq=~held)
         if weight is None:
             kw["Aeq"] = np.vstack([Mb, kw.get("Aeq", np.zeros((0, Mb.shape[1])))])
             kw["beq"] = np.concatenate([-Ebeta, kw.get("beq", np.zeros(0))])
@@ -163,7 +164,7 @@ class _Inner:
             c = np.concatenate([-2.0 * (self.SU_inv @ self.demo_sum), -_PROX_WEIGHT * lam[S]])
             # variables (U, lam_S): stationarity and the faces S are
             # equalities; the other rows and lam_S >= 0 are inequalities
-            rows = self.bs.face_blocks(eq=faces)
+            rows = self.bs.face_blocks(eq=faces, ineq=~faces)
             G_S, G_rest = (rows.get(k, np.zeros((0, mN))) for k in ("Aeq", "Ain"))
             g_S, g_rest = (rows.get(k, np.zeros(0)) for k in ("beq", "bin"))
             blocks = {

@@ -307,10 +307,11 @@ def test_face_blocks_pose_chosen_rows_and_skip_empty_blocks():
     bs = build_stationarity(fp)
     L = fp.n_multipliers
     none = np.zeros(L, dtype=bool)
+    assert bs.face_blocks() == {}
     assert bs.face_blocks(eq=none, ineq=none) == {}
     G, g0 = bs.J_lambda.T, bs.g_offset
-    # default: every nonconstant row is an inequality, the constant one none
-    rows = bs.face_blocks()
+    # every row as an inequality poses the nonconstant ones only
+    rows = bs.face_blocks(ineq=~none)
     assert sorted(rows) == ["Ain", "bin"]
     np.testing.assert_array_equal(rows["Ain"], G[: L - 1])
     np.testing.assert_array_equal(rows["bin"], -g0[: L - 1])
@@ -318,10 +319,10 @@ def test_face_blocks_pose_chosen_rows_and_skip_empty_blocks():
     # as inequalities
     eq = none.copy()
     eq[[1, 3, L - 1]] = True
-    rows = bs.face_blocks(eq=eq)
+    rows = bs.face_blocks(eq=eq, ineq=~eq)
     others = [i for i in range(L - 1) if i not in (1, 3)]
     np.testing.assert_array_equal(rows["Aeq"], G[[1, 3]])
     np.testing.assert_array_equal(rows["beq"], -g0[[1, 3]])
     np.testing.assert_array_equal(rows["Ain"], G[others])
     np.testing.assert_array_equal(rows["bin"], -g0[others])
-    assert sorted(bs.face_blocks(eq=eq, ineq=none)) == ["Aeq", "beq"]
+    assert sorted(bs.face_blocks(eq=eq)) == ["Aeq", "beq"]
