@@ -1,5 +1,7 @@
 """Rollout, stacked dynamics, stationarity assembly, and KKT residuals."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from ioc_eiv import (
     solve_forward,
     stack_dynamics,
 )
+from ioc_eiv.bench_cli import parse_problem
 from ioc_eiv.model import (
     DEMO_ACTIVE_TOL,
     ITERATE_ACTIVE_TOL,
@@ -266,10 +269,6 @@ def test_active_rows_scale_each_row_by_its_own_bound(tol):
 
 
 def _tls_positivity():
-    import json
-
-    from ioc_eiv.bench_cli import parse_problem
-
     with open("configs/tls_positivity.json", encoding="utf-8") as fh:
         return parse_problem(json.load(fh)["problem"])
 
