@@ -63,7 +63,7 @@ from .numerics import (
     cholesky_solve,
     solve_qp,
 )
-from .tls_estimator import TlsConfig, TlsResult, tls_inner
+from .tls_estimator import TlsResult, tls_inner
 from .tls_estimator import estimate as tls_estimate
 
 __version__ = "0.1.0"
@@ -92,7 +92,6 @@ __all__ = [
     "QpSolution",
     "QuadraticFeature",
     "StackedDynamics",
-    "TlsConfig",
     "TlsResult",
     "build_stationarity",
     "cholesky",

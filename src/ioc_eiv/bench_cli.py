@@ -10,8 +10,9 @@ numerical failure, or a benchmark cell with no successful run; 2 usage
 errors (unknown flags, unknown method).
 
 ``estimate`` and ``bench`` fit and score every method through one table,
-``_METHODS``; settings a config leaves out take the defaults of
-``MapConfig``, ``GibbsConfig`` and ``TlsConfig``.
+``_METHODS``.  ``demos``, ``estimate`` and ``bench`` share one config
+format; a key outside it is an error, and a config without ``gibbs`` or
+``norm`` gets the ``GibbsConfig`` budget and the weight sum of ``theta_true``.
 
 Benchmark outputs are split so that reruns are reproducible bit for bit:
 ``rows.csv`` holds one row per (method, noise level, repetition) with seeds
@@ -47,7 +48,6 @@ from .demos import (
 from .kkt_baseline import NormalizationRule, kkt_ls
 from .map_estimator import GibbsConfig, MapConfig, rescale_to_l1
 from .numerics import Infeasible, IterationLimit, NotPositiveDefinite
-from .tls_estimator import TlsConfig
 
 __all__ = ["main", "parse_problem", "problem_to_json", "matrix_to_json"]
 
@@ -190,17 +190,37 @@ def _noise_spec(noise_obj, U_star, m: int, percent: float, seed: int) -> NoiseSp
     raise ConfigError(f"noise: unknown kind {kind!r}")
 
 
-def _parse_norm(obj, default: NormalizationRule) -> NormalizationRule:
+def _check_keys(cfg) -> None:
+    """Raise ConfigError naming a key outside the config format, at the top or in its objects."""
+    for where, known in (
+        ("config", ("problem", "noise", "n_demos", "n_reps", "seed", "methods", "gibbs", "norm")),
+        ("gibbs", ("n_iter", "n_keep")),
+        ("norm", ("kind", "value", "index")),
+    ):
+        obj = cfg if where == "config" else cfg.get(where, {})
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{where}: expected a JSON object")
+        unknown = ", ".join(repr(k) for k in obj if k not in known)
+        if unknown:
+            raise ConfigError(f"{where}: unknown key(s) {unknown}; known: {', '.join(known)}")
+
+
+def _parse_norm(cfg, fp: model.ForwardProblem) -> NormalizationRule:
+    """The config's ``norm``; without one, the weight sum of ``theta_true`` (or ``q``)."""
+    obj = cfg.get("norm")
     if obj is None:
-        return default
+        total = np.sum(fp.theta_true) if fp.theta_true is not None else fp.q
+        return NormalizationRule(kind="sum", value=float(total))
     try:
-        return NormalizationRule(
+        rule = NormalizationRule(
             kind=obj.get("kind", "sum"),
             value=float(obj.get("value", 1.0)),
             index=int(obj.get("index", 0)),
         )
+        rule.beta_blocks(fp.q, fp.q)  # checks a component index against q
     except (TypeError, ValueError) as e:
         raise ConfigError(f"norm: {e}") from e
+    return rule
 
 
 def _master_seed(cfg) -> int:
@@ -258,6 +278,7 @@ def cmd_forward(args) -> int:
 
 def cmd_demos(args) -> int:
     cfg = _load_json(args.config)
+    _check_keys(cfg)
     fp = _problem_from_config(cfg)
     if fp.theta_true is None:
         raise ConfigError("demo generation requires theta_true in the problem")
@@ -299,17 +320,10 @@ def _demoset_from_json(obj) -> tuple[DemoSet, model.ForwardProblem]:
     U_star = obj.get("U_star")
     ds = DemoSet(
         U_list=U_list,
-        x0=fp.x0,
         fp_ref=fp,
         U_star=np.asarray(U_star, dtype=float) if U_star is not None else None,
     )
     return ds, fp
-
-
-def _default_norm(fp: model.ForwardProblem) -> NormalizationRule:
-    if fp.theta_true is not None:
-        return NormalizationRule(kind="sum", value=float(np.sum(fp.theta_true)))
-    return NormalizationRule(kind="sum", value=float(fp.q))
 
 
 # ------------------------------------------------------------ method table
@@ -328,16 +342,8 @@ def _fit_mean(ds, fp, norm, cfg, rng):
 
 
 def _fit_map(ds, fp, norm, cfg, rng):
-    gibbs = cfg.get("gibbs", {})
-    mcfg = MapConfig(
-        max_outer_iters=int(cfg.get("map", {}).get("max_outer_iters", MapConfig.max_outer_iters)),
-        norm=norm,
-        gibbs=GibbsConfig(
-            n_iter=int(gibbs.get("n_iter", GibbsConfig.n_iter)),
-            n_keep=int(gibbs.get("n_keep", GibbsConfig.n_keep)),
-        ),
-    )
-    res = map_estimator.estimate(ds, fp, mcfg, rng=rng)
+    gibbs = GibbsConfig(**{k: int(v) for k, v in cfg.get("gibbs", {}).items()})
+    res = map_estimator.estimate(ds, fp, MapConfig(norm=norm, gibbs=gibbs), rng=rng)
     return res.theta, res.U_hat, {
         "Sigma_U": matrix_to_json(res.Sigma_U_hat),
         "cost_trace": [float(v) for v in res.cost_trace],
@@ -345,11 +351,7 @@ def _fit_map(ds, fp, norm, cfg, rng):
 
 
 def _fit_tls(ds, fp, norm, cfg, rng):
-    tcfg = TlsConfig(
-        norm=norm,
-        max_outer_iters=int(cfg.get("tls", {}).get("max_outer_iters", TlsConfig.max_outer_iters)),
-    )
-    res = tls_estimator.estimate(ds, fp, tcfg)
+    res = tls_estimator.estimate(ds, fp, norm)
     return res.theta, res.U_hat, {
         "Sigma_U": matrix_to_json(res.Sigma_U_hat),
         "outer_trace": [
@@ -382,7 +384,8 @@ def cmd_estimate(args) -> int:
     obj = _load_json(args.demos)
     ds, fp = _demoset_from_json(obj)
     cfg = _load_json(args.config) if args.config else {}
-    norm = _parse_norm(cfg.get("norm"), _default_norm(fp))
+    _check_keys(cfg)
+    norm = _parse_norm(cfg, fp)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, _MAP_STREAM]))
     theta_hat, U_hat, extra = _METHODS[args.method](ds, fp, norm, cfg, rng)
     out: dict = {"method": args.method, **extra}
@@ -417,7 +420,7 @@ def _run_task(payload: dict) -> dict:
     U_star = forward.solve(fp, theta_star).U
     spec = _noise_spec(payload["noise"], U_star, fp.system.m, level, seed_rep)
     ds = generate(U_star, spec, int(payload["n_demos"]), fp)
-    norm = _default_norm(fp)
+    norm = _parse_norm(payload, fp)
     rng = np.random.default_rng(np.random.SeedSequence([seed_rep, _MAP_STREAM]))
 
     rmse_theta = rmse_U = None
@@ -459,11 +462,13 @@ def _stats(values: list) -> dict | None:
 
 def cmd_bench(args) -> int:
     cfg = _load_json(args.config)
-    if not isinstance(cfg, dict) or "problem" not in cfg:
+    _check_keys(cfg)
+    if "problem" not in cfg:
         raise ConfigError("bench config needs a 'problem' object")
     fp = parse_problem(cfg["problem"])  # validate up front
     if fp.theta_true is None:
         raise ConfigError("bench requires theta_true in the problem")
+    _parse_norm(cfg, fp)  # a bad rule fails here, not in every row
     noise_obj = cfg.get("noise")
     if not isinstance(noise_obj, dict):
         raise ConfigError("bench config needs a 'noise' object")
@@ -496,8 +501,7 @@ def cmd_bench(args) -> int:
             "rep": rep,
             "seed_rep": master + rep,
             "gibbs": cfg.get("gibbs", {}),
-            "map": cfg.get("map", {}),
-            "tls": cfg.get("tls", {}),
+            "norm": cfg.get("norm"),
         }
         for method in methods
         for level in levels

@@ -99,7 +99,6 @@ class DemoSet:
     """
 
     U_list: tuple
-    x0: np.ndarray
     fp_ref: ForwardProblem
     U_star: np.ndarray | None = None
     _stacked: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -153,7 +152,7 @@ def generate(U_star, spec: NoiseSpec, D: int, fp: ForwardProblem) -> DemoSet:
     for d in range(D):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, d]))
         demos.append(_one_demo(U_star, spec, rng, m, N))
-    return DemoSet(U_list=tuple(demos), x0=fp.x0, fp_ref=fp, U_star=U_star)
+    return DemoSet(U_list=tuple(demos), fp_ref=fp, U_star=U_star)
 
 
 def _one_demo(U_star, spec, rng, m, N):

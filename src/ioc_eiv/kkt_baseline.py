@@ -125,5 +125,5 @@ def kkt_ls(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> Kk
 def kkt_single(U, fp: model.ForwardProblem, norm: NormalizationRule) -> KktLsResult:
     """Single-trajectory inverse KKT fit (the D = 1 case of :func:`kkt_ls`)."""
     U = np.asarray(U, dtype=float).ravel()
-    ds = DemoSet(U_list=(U,), x0=fp.x0, fp_ref=fp, U_star=None)
+    ds = DemoSet(U_list=(U,), fp_ref=fp, U_star=None)
     return kkt_ls(ds, fp, norm)

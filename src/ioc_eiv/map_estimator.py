@@ -40,7 +40,7 @@ import numpy as np
 from . import model
 from .demos import DemoSet, generate, noise_cov_stacked
 from .kkt_baseline import NormalizationRule
-from .mcmc import Priors, default_priors, gibbs_run
+from .mcmc import SIGMA_Y, Priors, default_priors, gibbs_run
 from .numerics import Infeasible, Qp, cholesky, cholesky_solve, solve_qp
 
 __all__ = [
@@ -54,18 +54,17 @@ __all__ = [
 ]
 
 COST_TOL = 1e-9  # stop once an iteration lowers the cost by at most this, relatively
+MAX_OUTER_ITERS = 100  # alternation iterations
 
 
 @dataclass(frozen=True, eq=False)
 class GibbsConfig:
     n_iter: int = 2000
     n_keep: int = 300
-    seed: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class MapConfig:
-    max_outer_iters: int = 100
     priors: Priors | None = None
     gibbs: GibbsConfig = field(default_factory=GibbsConfig)
     norm: NormalizationRule | None = None
@@ -184,20 +183,13 @@ def _u_step(ws: _Workspace, beta):
 
 def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig | None = None,
              rng: np.random.Generator | None = None) -> MapResult:
-    """Run the full MAP pipeline: Gibbs warm start, then QP alternation.
-
-    Raises ValueError when ``cfg.max_outer_iters < 1``: without one
-    alternation step there is no iterate to return.
-    """
+    """Run the full MAP pipeline: Gibbs warm start, then QP alternation."""
     cfg = cfg or MapConfig()
-    if cfg.max_outer_iters < 1:
-        raise ValueError(f"max_outer_iters must be >= 1, got {cfg.max_outer_iters}")
     if rng is None:
         rng = np.random.default_rng()
     bs = model.build_stationarity(fp)
     priors = cfg.priors if cfg.priors is not None else default_priors(ds, fp, norm=cfg.norm)
-    gibbs_rng = np.random.default_rng(cfg.gibbs.seed) if cfg.gibbs.seed is not None else rng
-    chain = gibbs_run(ds, fp, priors, n_iter=cfg.gibbs.n_iter, n_keep=cfg.gibbs.n_keep, rng=gibbs_rng)
+    chain = gibbs_run(ds, fp, priors, n_iter=cfg.gibbs.n_iter, n_keep=cfg.gibbs.n_keep, rng=rng)
     Sigma_U = 0.5 * (chain.Sigma_U_mean + chain.Sigma_U_mean.T)
     U = chain.U_mean.copy()
     beta = chain.beta_mean.copy()
@@ -211,7 +203,7 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig | None = None
     trace: list[float] = []
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     prev_full = None
-    for it in range(cfg.max_outer_iters):
+    for it in range(MAX_OUTER_ITERS):
         beta_new = _beta_step(ws, U, norm)
         cost_b = map_cost(U, beta_new, Sigma_U, ds, priors, workspace=ws)
         if it > 0 and cost_b > trace[-1]:
@@ -264,15 +256,14 @@ def consistency_cost_check(
     lam_star=None,
     epsilons=(0.01, 0.1),
     n_per_eps: int = 50,
-    sigma_y: float = 1e-2,
 ) -> dict:
     """Empirical check that the large-D cost separates the true solution.
 
     Generates ``D_large`` demos, evaluates the normalized cost (demo term
-    averaged over demos plus the stationarity term; priors scaled away) at
-    ``(U*, beta*)`` and at random joint perturbations of the stated
-    magnitudes, and reports the fraction of perturbations with strictly
-    higher cost.
+    averaged over demos plus the stationarity term at variance ``SIGMA_Y``;
+    priors scaled away) at ``(U*, beta*)`` and at random joint
+    perturbations of the stated magnitudes, and reports the fraction of
+    perturbations with strictly higher cost.
     """
     bs = model.build_stationarity(fp)
     theta_star = np.asarray(theta_star, dtype=float).ravel()
@@ -287,7 +278,7 @@ def consistency_cost_check(
     Sigma_U = noise_cov_stacked(noise, fp.system.m, fp.horizon)
     Sigma_U = Sigma_U + 1e-12 * np.eye(Sigma_U.shape[0])
     L_SU = cholesky(Sigma_U)
-    SY_inv = np.linalg.inv(sigma_y * np.eye(fp.n_inputs))
+    SY_inv = np.linalg.inv(SIGMA_Y * np.eye(fp.n_inputs))
 
     stackd = ds.stacked()
     q = fp.q

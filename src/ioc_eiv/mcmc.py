@@ -46,6 +46,8 @@ __all__ = [
     "mh_within_gibbs_U",
 ]
 
+SIGMA_Y = 1e-2  # variance of each stationarity row in 0 ~ N(J(U) beta, Sigma_Y)
+
 
 @dataclass(frozen=True, eq=False)
 class Priors:
@@ -200,15 +202,15 @@ def default_priors(
     ds: DemoSet,
     fp: model.ForwardProblem,
     norm: NormalizationRule | None = None,
-    sigma_y: float = 1e-2,
 ) -> Priors:
     """Data-driven default hyperparameters.
 
     The latent-input prior centers on the demo sample mean with a variance
     ten times the average demo variance; ``beta0`` is the single-trajectory
     inverse-KKT fit at that mean; the weight prior is wide (ten standard
-    deviations per component).  Sample-covariance-derived scales are
-    floored so the priors stay positive definite on noiseless demo sets.
+    deviations per component); each stationarity row has variance
+    ``SIGMA_Y``.  Sample-covariance-derived scales are floored so the
+    priors stay positive definite on noiseless demo sets.
     """
     mN = fp.n_inputs
     U0 = sample_mean(ds)
@@ -234,7 +236,7 @@ def default_priors(
         Sigma_beta=Sigma_beta,
         W_U=W_U,
         m_U=mN + 2,
-        Sigma_Y=sigma_y * np.eye(mN),
+        Sigma_Y=SIGMA_Y * np.eye(mN),
     )
 
 

@@ -25,12 +25,16 @@ re-projection: a joint ``(U, lambda)`` step at fixed ``theta`` that restores
 projection, the forward optimizer for the current weights completes the
 estimate instead, which satisfies every optimality block by construction.
 At fixed ``beta``, hard stationarity is ``mN`` equations in the ``mN``
-inputs, so the projected ``U`` does not depend on the covariance.  The
-second inner call therefore starts on an exactly feasible point, runs the
+inputs, so a projected ``U`` does not depend on the covariance.  After a
+projected call the next one starts on an exactly feasible point, runs the
 exact alternation, moves the iterate only by rounding, and the unchanged
-covariance ends the outer loop.  On the shipped configurations every
-estimate makes exactly these two inner calls.  The result reports the path
-of the last one.
+covariance ends the outer loop; on the shipped configurations every
+estimate makes exactly these two inner calls.  A call that ends
+``penalty_unprojected`` leaves ``U`` off the constraint set, so the refit
+covariance moves and the outer loop feeds back: on ``spring_damper`` at
+``N = 25`` most estimates make one to four such calls before a projected
+one, and each of those ends at a corner where one weight is zero.  The
+result reports the path of the last inner call.
 """
 
 from __future__ import annotations
@@ -53,20 +57,15 @@ from .numerics import (
     solve_qp,
 )
 
-__all__ = ["TlsConfig", "TlsResult", "tls_inner", "estimate"]
+__all__ = ["TlsResult", "tls_inner", "estimate"]
 
 _PROX_WEIGHT = 1e-6
 SIGMA_TOL = 1e-6  # outer loop stops once the covariance moves less (Frobenius)
 RIDGE = 1e-8  # added to every covariance estimate
 MAX_INNER_ITERS = 100  # alternations per inner phase
+MAX_OUTER_ITERS = 50  # covariance updates per estimate
 COST_TOL = 1e-9  # an inner phase stops once the merit falls by at most this, relatively
 PENALTY_WEIGHTS = (1e2, 1e4, 1e6)  # homotopy run when the hard constraint set is empty
-
-
-@dataclass(frozen=True, eq=False)
-class TlsConfig:
-    norm: NormalizationRule | None = None
-    max_outer_iters: int = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +83,10 @@ class TlsResult:
 class _Inner:
     """Workspace for one tls_inner call (fixed Sigma_U)."""
 
-    def __init__(self, ds, fp, Sigma_U, cfg, bs):
+    def __init__(self, ds, fp, Sigma_U, norm, bs):
         self.ds = ds
         self.fp = fp
-        self.cfg = cfg
+        self.norm = norm
         self.bs = bs
         self.q = bs.n_features
         self.L = bs.n_multipliers
@@ -105,7 +104,7 @@ class _Inner:
         B = np.hstack([self.bs.J_theta(U), self.bs.J_lambda[:, act]])
         nv = self.q + act.size
         v_prev = np.concatenate([beta_prev[: self.q], beta_prev[self.q + act]])
-        cone = self.cfg.norm.beta_blocks(self.q, nv)
+        cone = self.norm.beta_blocks(self.q, nv)
         if weight is None:
             cone["Aeq"] = np.vstack([B, cone["Aeq"]])
             cone["beq"] = np.concatenate([np.zeros(B.shape[0]), cone["beq"]])
@@ -186,7 +185,7 @@ class _Inner:
         return None
 
 
-def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, cfg: TlsConfig,
+def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: NormalizationRule,
               init_U, init_beta, bs: model.BilinearStationarity | None = None):
     """One inner solve at fixed covariance.
 
@@ -194,14 +193,14 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, cfg: TlsConfig,
     the attained demo term and ``step_trace`` records (label, merit value)
     per half-step; the merit is non-increasing within each labelled phase.
     """
-    if cfg.norm is None:
+    if norm is None:
         raise ValueError(
             "a NormalizationRule is required: without one the zero solution "
             "satisfies the stationarity constraint trivially"
         )
     if bs is None:
         bs = model.build_stationarity(fp)
-    ws = _Inner(ds, fp, Sigma_U, cfg, bs)
+    ws = _Inner(ds, fp, Sigma_U, norm, bs)
     U = np.asarray(init_U, dtype=float).ravel().copy()
     beta = np.asarray(init_beta, dtype=float).ravel().copy()
     trace = []
@@ -273,14 +272,11 @@ def _covariance(ds: DemoSet, U) -> np.ndarray:
     return (R.T @ R) / ds.n_demos + RIDGE * np.eye(R.shape[1])
 
 
-def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: TlsConfig | None = None) -> TlsResult:
+def estimate(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> TlsResult:
     """Full TLS pipeline: alternate covariance updates with inner solves."""
-    cfg = cfg or TlsConfig()
-    if cfg.norm is None:
-        raise ValueError("TlsConfig.norm is required")
     bs = model.build_stationarity(fp)
     U = sample_mean(ds)
-    fit = kkt_single(U, fp, cfg.norm)
+    fit = kkt_single(U, fp, norm)
     beta = np.concatenate([fit.theta, fit.lam_list[0]])
 
     Sigma_prev = None
@@ -288,7 +284,7 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: TlsConfig | None = None
     inner_traces = []
     path = "exact"
     theta, lam = beta[: fp.q], beta[fp.q :]
-    for _ in range(cfg.max_outer_iters):
+    for _ in range(MAX_OUTER_ITERS):
         Sigma_U = _covariance(ds, U)
         delta = (
             float(np.linalg.norm(Sigma_U - Sigma_prev, ord="fro"))
@@ -300,7 +296,7 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: TlsConfig | None = None
             break
         Sigma_prev = Sigma_U
         U, theta, lam, cost, path, steps = tls_inner(
-            ds, fp, Sigma_U, cfg, U, np.concatenate([theta, lam]), bs=bs
+            ds, fp, Sigma_U, norm, U, np.concatenate([theta, lam]), bs=bs
         )
         outer_trace.append((cost, delta))
         inner_traces.append(steps)

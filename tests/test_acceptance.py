@@ -20,7 +20,6 @@ from ioc_eiv import (
     NoiseSpec,
     NormalizationRule,
     Priors,
-    TlsConfig,
     consistency_cost_check,
     generate,
     gibbs_run,
@@ -129,7 +128,6 @@ def _toy_problem():
 def _toy_demos(fp, values):
     return DemoSet(
         U_list=tuple(np.array([float(v)]) for v in values),
-        x0=fp.x0,
         fp_ref=fp,
         U_star=None,
     )
@@ -282,7 +280,6 @@ def test_map_error_shrinks_with_demo_count():
 
 def test_tls_error_shrinks_under_uniform_noise():
     fp = oracles.spring_damper()
-    tcfg = TlsConfig(norm=NORM22)
     scale = noise_scale_from_percent(SPRING_U, 10.0, fp.system.m)
     hw = np.sqrt(3.0) * scale
     Ds = (5, 20, 80, 320)
@@ -292,7 +289,7 @@ def test_tls_error_shrinks_under_uniform_noise():
         errs = []
         for s in range(10):
             ds = generate(SPRING_U, NoiseSpec.uniform(hw, 3000 + s), D, fp)
-            errs.append(_theta_err(tls_estimate(ds, fp, tcfg).theta))
+            errs.append(_theta_err(tls_estimate(ds, fp, NORM22).theta))
         med[D] = float(np.median(errs))
     elapsed = time.perf_counter() - t0
     checks = []
@@ -351,7 +348,7 @@ def test_alternation_monotonicity_and_feasibility():
         for a, b in zip(mres.cost_trace, mres.cost_trace[1:]):
             worst_map = max(worst_map, (b - a) / (1.0 + abs(a)))
 
-        tres = tls_estimate(ds, fp, TlsConfig(norm=norm))
+        tres = tls_estimate(ds, fp, norm)
         for trace in tres.inner_traces:
             for _, grp in groupby(trace, key=lambda t: t[0]):
                 vals = [g[1] for g in grp]
@@ -441,8 +438,6 @@ def test_bench_rerun_is_byte_identical(tmp_path, capsys):
             "seed": 4242,
             "methods": ["mean", "kkt", "map", "tls"],
             "gibbs": {"n_iter": 150, "n_keep": 60},
-            "map": {"max_outer_iters": 6},
-            "tls": {"max_outer_iters": 25},
         }
     )
     cfg["noise"]["percent_levels"] = [5, 10]

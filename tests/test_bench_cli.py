@@ -182,8 +182,7 @@ def test_estimate_map_reports_covariance_and_trace(tmp_path):
     demos = _make_demo_file(tmp_path)
     est_cfg = tmp_path / "map_cfg.json"
     est_cfg.write_text(
-        json.dumps({"gibbs": {"n_iter": 80, "n_keep": 40},
-                    "map": {"max_outer_iters": 3}}),
+        json.dumps({"gibbs": {"n_iter": 80, "n_keep": 40}}),
         encoding="utf-8",
     )
     out = tmp_path / "map.json"
@@ -310,9 +309,9 @@ def test_bench_negative_level_fails(tmp_path, capsys):
 
 
 def test_bench_records_zero_map_iterations_as_failed_row(tmp_path, capsys):
+    # a one-iteration chain is refused with ValueError inside the fit
     cfg = _write_config(
-        tmp_path, methods=["kkt", "map"], map={"max_outer_iters": 0},
-        gibbs={"n_iter": 20, "n_keep": 10},
+        tmp_path, methods=["kkt", "map"], gibbs={"n_iter": 1, "n_keep": 1},
     )
     out_dir = tmp_path / "zero"
     rc = main(["bench", "--config", cfg, "--out-dir", str(out_dir)])
@@ -322,6 +321,44 @@ def test_bench_records_zero_map_iterations_as_failed_row(tmp_path, capsys):
     assert len(rows) == 8
     assert {r[6] for r in rows if r[0] == "kkt"} == {"ok"}
     assert {r[6] for r in rows if r[0] == "map"} == {"failed:ValueError"}
+
+
+@pytest.mark.parametrize("command,where,bad_key,over", [
+    ("bench", "config", "tls", {"tls": {"max_outer_iters": 5}}),
+    ("demos", "config", "map", {"map": {"max_outer_iters": 100}}),
+    ("estimate", "gibbs", "seed", {"gibbs": {"n_iter": 80, "seed": 2024}}),
+    ("estimate", "norm", "total", {"norm": {"kind": "sum", "total": 4.0}}),
+])
+def test_unread_config_key_is_an_error(tmp_path, capsys, command, where, bad_key, over):
+    if command == "estimate":
+        demos = _make_demo_file(tmp_path)
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps(over), encoding="utf-8")
+        argv = ["estimate", "--demos", demos, "--method", "kkt", "--config", str(cfg)]
+    else:
+        cfg = _write_config(tmp_path, **over)
+        argv = [command, "--config", cfg, "--out-dir" if command == "bench" else "--out",
+                str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{where}: unknown key(s) {bad_key!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "estimate"])
+def test_norm_index_out_of_range_is_a_config_error(tmp_path, capsys, command):
+    over = {"norm": {"kind": "component", "index": 2, "value": 1.0}}
+    if command == "estimate":
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps(over), encoding="utf-8")
+        argv = ["estimate", "--demos", _make_demo_file(tmp_path), "--method", "kkt",
+                "--config", str(cfg)]
+    else:
+        argv = ["bench", "--config", _write_config(tmp_path, **over),
+                "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "norm: component index 2 out of range for q = 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bench_unknown_method_fails(tmp_path, capsys):
@@ -392,13 +429,21 @@ def test_estimate_json_is_bit_identical_to_golden(tmp_path, config, method):
     assert digest == GOLDEN_ESTIMATE_SHA256[config, method]
 
 
-@pytest.mark.parametrize("config", ["spring_damper", "tls_positivity"])
-def test_estimate_agrees_with_bench_rows(tmp_path, capsys, config):
+@pytest.mark.parametrize("config,norm", [
+    pytest.param("spring_damper", None, id="spring_damper"),
+    pytest.param("tls_positivity", None, id="tls_positivity"),
+    pytest.param("tls_positivity", {"kind": "component", "index": 0, "value": 4.0},
+                 id="tls_positivity-component_norm"),
+])
+def test_estimate_agrees_with_bench_rows(tmp_path, capsys, config, norm):
     with open(f"configs/{config}.json", encoding="utf-8") as fh:
         cfg = json.load(fh)
     # both bench and estimate read this config, so MAP runs one chain budget
+    # and every method one normalization rule
     cfg.update(methods=["kkt", "mean", "tls", "map"], n_reps=2,
                gibbs={"n_iter": 200, "n_keep": 50})
+    if norm is not None:
+        cfg["norm"] = norm
     cfg["noise"]["percent_levels"] = [5, 20]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")

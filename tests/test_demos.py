@@ -124,7 +124,7 @@ def test_sample_mean_small_cases():
     from ioc_eiv.demos import DemoSet
 
     two = DemoSet(
-        U_list=(np.zeros(10), 2.0 * np.ones(10)), x0=fp.x0, fp_ref=fp, U_star=U_star
+        U_list=(np.zeros(10), 2.0 * np.ones(10)), fp_ref=fp, U_star=U_star
     )
     np.testing.assert_allclose(sample_mean(two), np.ones(10))
     many = generate(U_star, NoiseSpec.gaussian(np.array([[0.01]]), seed=10), 7, fp)

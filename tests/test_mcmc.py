@@ -67,7 +67,6 @@ def _toy_demos(fp, values):
 
     return DemoSet(
         U_list=tuple(np.array([float(v)]) for v in values),
-        x0=fp.x0,
         fp_ref=fp,
         U_star=None,
     )
