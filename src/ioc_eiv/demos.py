@@ -148,21 +148,22 @@ def generate(U_star, spec: NoiseSpec, D: int, fp: ForwardProblem) -> DemoSet:
         raise ValueError(
             f"U_star has length {U_star.shape[0]}, expected m * N = {m * N}"
         )
+    # the covariance factor is the same for every demo
+    F = _cov_factor(spec.sigma_u) if spec.kind in ("gaussian", "truncated_gaussian") else None
     demos = []
     for d in range(D):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, d]))
-        demos.append(_one_demo(U_star, spec, rng, m, N))
+        demos.append(_one_demo(U_star, spec, F, rng, m, N))
     return DemoSet(U_list=tuple(demos), fp_ref=fp, U_star=U_star)
 
 
-def _one_demo(U_star, spec, rng, m, N):
+def _one_demo(U_star, spec, F, rng, m, N):
+    """One demo; ``F`` is the factor of ``spec.sigma_u`` for the Gaussian kinds."""
     U = U_star.copy()
     if spec.kind == "gaussian":
-        F = _cov_factor(spec.sigma_u)
         for k in range(N):
             U[k * m : (k + 1) * m] += F @ rng.standard_normal(m)
     elif spec.kind == "truncated_gaussian":
-        F = _cov_factor(spec.sigma_u)
         for k in range(N):
             base = U_star[k * m : (k + 1) * m]
             for _ in range(_MAX_REJECTION_TRIES):

@@ -142,7 +142,14 @@ def cholesky_solve(L: np.ndarray, rhs) -> np.ndarray:
     ValueError when ``L`` or ``rhs`` holds a NaN or an infinity.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if not (np.isfinite(L).all() and np.isfinite(rhs).all()):
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return _solve_finite_rhs(L, rhs)
+
+
+def _solve_finite_rhs(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """:func:`cholesky_solve` for a float ``rhs`` already known to be finite."""
+    if not np.isfinite(L).all():
         raise ValueError("array must not contain infs or NaNs")
     if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[1] != rhs.shape[0]:
         raise ValueError(f"incompatible dimensions ({L.shape} and {rhs.shape})")
@@ -154,7 +161,12 @@ def cholesky_solve(L: np.ndarray, rhs) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=None)
+# orders whose identity is kept: a 10 s perfbench run of tls-positivity-n8
+# uses 10 orders, one of map-spring-n10 uses 2
+_IDENTITY_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
 def _identity(n: int) -> np.ndarray:
     """Shared read-only identity of order ``n``."""
     eye = np.eye(n)
@@ -167,8 +179,10 @@ def cholesky_inverse(L: np.ndarray) -> np.ndarray:
 
     Solves against the identity and returns ``0.5 * (C + C')``, so the result
     passes :func:`cholesky`'s exact-symmetry test when it is factored again.
+    The factor is checked as :func:`cholesky_solve` checks it; the shared
+    identity is finite by construction and is not.
     """
-    C = cholesky_solve(L, _identity(L.shape[0]))
+    C = _solve_finite_rhs(L, _identity(L.shape[0]))
     return 0.5 * (C + C.T)
 
 
@@ -318,8 +332,8 @@ def _eliminate_equalities(Aeq, beq, n):
         z_part = np.zeros(n)
     else:
         z_part = Vt[:r].T @ ((U[:, :r].T @ beq) / s[:r])
-    resid = np.max(np.abs(Aeq @ z_part - beq), initial=0.0)
-    if resid > _FEAS_TOL * (1.0 + np.max(np.abs(beq), initial=0.0)):
+    resid = np.abs(Aeq @ z_part - beq).max(initial=0.0)
+    if resid > _FEAS_TOL * (1.0 + np.abs(beq).max(initial=0.0)):
         raise Infeasible(f"equality constraints are inconsistent (residual {resid:.3e})")
     Z = Vt[r:].T  # n x (n - r), orthonormal columns
     return z_part, Z
@@ -354,7 +368,7 @@ def _independent_rows(A, rows):
 def _feasible(A, b, y, tol):
     if A.shape[0] == 0:
         return True
-    return bool(np.all(A @ y - b <= tol))
+    return bool((A @ y - b <= tol).all())
 
 
 def _phase1(Ar, br):
@@ -368,7 +382,7 @@ def _phase1(Ar, br):
     A_ub = np.hstack([Ar, -np.eye(ni)])
     bounds = [(None, None)] * nz + [(0, None)] * ni
     res = linprog(cost, A_ub=A_ub, b_ub=br, bounds=bounds, method="highs")
-    scale = 1.0 + np.max(np.abs(br), initial=0.0)
+    scale = 1.0 + np.abs(br).max(initial=0.0)
     if not res.success or res.fun > 1e-7 * scale:
         raise Infeasible("inequality constraints have no feasible point")
     return res.x[:nz]
@@ -386,7 +400,7 @@ def _active_set_loop(L, Hr, cr, Ar, br, y, W, max_iter):
         A_W = Ar[W] if W else np.zeros((0, y.shape[0]))
         p, mu = _eqp(L, g, A_W, np.zeros(len(W)))
         p_max = float(np.abs(p).max(initial=0.0))
-        at_minimum = p_max <= 1e-10 * (1.0 + np.max(np.abs(y), initial=0.0))
+        at_minimum = p_max <= 1e-10 * (1.0 + np.abs(y).max(initial=0.0))
         alpha = 1.0
         blocker = -1
         if not at_minimum:
@@ -410,7 +424,7 @@ def _active_set_loop(L, Hr, cr, Ar, br, y, W, max_iter):
                 # is round-off at the current conditioning, not descent
                 at_minimum = True
         if at_minimum:
-            if not W or (mu.size and np.min(mu) >= -DUAL_TOL) or mu.size == 0:
+            if not W or (mu.size and mu.min() >= -DUAL_TOL) or mu.size == 0:
                 return y, dict(zip(W, mu)), it
             # drop the most negative multiplier; once degenerate pivots pile
             # up, drop the lowest-indexed negative one instead, which cannot
@@ -457,7 +471,7 @@ def solve_qp(qp: Qp) -> QpSolution:
         nz = n
 
     n_in = Ain.shape[0]
-    feas_scale = _FEAS_TOL * (1.0 + np.max(np.abs(bin_), initial=0.0))
+    feas_scale = _FEAS_TOL * (1.0 + np.abs(bin_).max(initial=0.0))
 
     if nz == 0:
         z = z_part
@@ -483,7 +497,7 @@ def solve_qp(qp: Qp) -> QpSolution:
         else:
             y0 = _phase1(Ar, br)
             resid = Ar @ y0 - br
-            if np.max(resid, initial=0.0) > 1e-7 * (1.0 + np.max(np.abs(br), initial=0.0)):
+            if resid.max(initial=0.0) > 1e-7 * (1.0 + np.abs(br).max(initial=0.0)):
                 raise Infeasible("inequality constraints have no feasible point")
             cand = [i for i in range(n_in) if resid[i] >= -ACTIVE_TOL * (1.0 + abs(br[i]))]
             W0 = _independent_rows(Ar, cand)
@@ -495,7 +509,7 @@ def solve_qp(qp: Qp) -> QpSolution:
         W = sorted(mu_map)
         if W:
             y_pol, mu_pol = _eqp(Lr, cr, Ar[W], br[W])
-            if _feasible(Ar, br, y_pol, feas_scale) and (mu_pol.size == 0 or np.min(mu_pol) >= -DUAL_TOL):
+            if _feasible(Ar, br, y_pol, feas_scale) and (mu_pol.size == 0 or mu_pol.min() >= -DUAL_TOL):
                 y = y_pol
                 mu_map = dict(zip(W, mu_pol))
 

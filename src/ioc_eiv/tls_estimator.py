@@ -52,6 +52,7 @@ from .numerics import (
     IterationLimit,
     NotPositiveDefinite,
     Qp,
+    _identity,
     cholesky,
     cholesky_inverse,
     solve_qp,
@@ -81,22 +82,26 @@ class TlsResult:
 
 
 class _Inner:
-    """Workspace for one tls_inner call (fixed Sigma_U)."""
+    """Workspace for one tls_inner call (fixed Sigma_U).
 
-    def __init__(self, ds, fp, Sigma_U, norm, bs):
-        self.ds = ds
-        self.fp = fp
+    Holds the terms of every U-step that do not change with the iterate:
+    the demo term's Hessian ``2 D Sigma_U^{-1}`` and linear term
+    ``-2 Sigma_U^{-1} sum_d U_d``.
+    """
+
+    def __init__(self, ds, Sigma_U, norm, bs):
         self.norm = norm
         self.bs = bs
         self.q = bs.n_features
         self.L = bs.n_multipliers
         self.SU_inv = cholesky_inverse(cholesky(np.asarray(Sigma_U, dtype=float)))
         self.stackd = ds.stacked()
-        self.demo_sum = ds.demo_sum()
+        self.H_demo = 2.0 * ds.n_demos * self.SU_inv
+        self.c_demo = -2.0 * (self.SU_inv @ ds.demo_sum())
 
     def demo_cost(self, U):
         R = self.stackd - U
-        return float(np.sum((R @ self.SU_inv) * R))
+        return float(((R @ self.SU_inv) * R).sum())
 
     def beta_step(self, U, beta_prev, weight=None):
         """Update beta at fixed U; exact when weight is None."""
@@ -108,9 +113,9 @@ class _Inner:
         if weight is None:
             cone["Aeq"] = np.vstack([B, cone["Aeq"]])
             cone["beq"] = np.concatenate([np.zeros(B.shape[0]), cone["beq"]])
-            qp = Qp(H=np.eye(nv), c=-v_prev, **cone)
+            qp = Qp(H=_identity(nv), c=-v_prev, **cone)
         else:
-            H = 2.0 * weight * (B.T @ B) + _PROX_WEIGHT * np.eye(nv)
+            H = 2.0 * weight * (B.T @ B) + _PROX_WEIGHT * _identity(nv)
             qp = Qp(H=0.5 * (H + H.T), c=-_PROX_WEIGHT * v_prev, **cone)
         sol = solve_qp(qp)
         beta = np.zeros(self.q + self.L)
@@ -118,14 +123,16 @@ class _Inner:
         beta[self.q + act] = sol.z[self.q :]
         return beta
 
-    def u_step(self, beta, weight=None):
-        """Update U at fixed beta; hard stationarity when weight is None."""
+    def u_step(self, beta, weight=None, Mb=None):
+        """Update U at fixed beta; hard stationarity when weight is None.
+
+        ``Mb``, when given, is ``M_beta`` of beta's theta.
+        """
         theta, lam = beta[: self.q], beta[self.q :]
-        Mb = self.bs.M_beta(theta)
+        if Mb is None:
+            Mb = self.bs.M_beta(theta)
         Ebeta = self.bs.E_theta @ theta + self.bs.J_lambda @ lam
-        D = self.ds.n_demos
-        H = 2.0 * D * self.SU_inv
-        c = -2.0 * (self.SU_inv @ self.demo_sum)
+        H, c = self.H_demo, self.c_demo
         held = self.bs.held_rows(lam)
         kw = self.bs.face_blocks(eq=held, ineq=~held)
         if weight is None:
@@ -147,7 +154,6 @@ class _Inner:
         theta, lam = beta[: self.q], beta[self.q :]
         Mb = self.bs.M_beta(theta)
         Etheta = self.bs.E_theta @ theta
-        D = self.ds.n_demos
         mN = self.bs.n_inputs
         candidates = [
             self.bs.active_rows(U, model.ITERATE_ACTIVE_TOL),
@@ -158,9 +164,9 @@ class _Inner:
             S = np.flatnonzero(faces)
             nS = S.size
             H = np.zeros((mN + nS, mN + nS))
-            H[:mN, :mN] = 2.0 * D * self.SU_inv
-            H[mN:, mN:] = _PROX_WEIGHT * np.eye(nS)
-            c = np.concatenate([-2.0 * (self.SU_inv @ self.demo_sum), -_PROX_WEIGHT * lam[S]])
+            H[:mN, :mN] = self.H_demo
+            H[mN:, mN:] = _PROX_WEIGHT * _identity(nS)
+            c = np.concatenate([self.c_demo, -_PROX_WEIGHT * lam[S]])
             # variables (U, lam_S): stationarity and the faces S are
             # equalities; the other rows and lam_S >= 0 are inequalities
             rows = self.bs.face_blocks(eq=faces, ineq=~faces)
@@ -200,7 +206,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: Normalizatio
         )
     if bs is None:
         bs = model.build_stationarity(fp)
-    ws = _Inner(ds, fp, Sigma_U, norm, bs)
+    ws = _Inner(ds, Sigma_U, norm, bs)
     U = np.asarray(init_U, dtype=float).ravel().copy()
     beta = np.asarray(init_beta, dtype=float).ravel().copy()
     trace = []
@@ -209,36 +215,41 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: Normalizatio
     def alternate(weight):
         nonlocal U, beta
         label = "exact" if weight is None else f"penalty_{weight:g}"
+        bs, q = ws.bs, ws.q
 
-        def merit(U_, beta_):
-            val = ws.demo_cost(U_)
-            if weight is not None:
-                s = ws.bs.stationarity(U_, beta_[: ws.q], beta_[ws.q :])
-                val += weight * float(s @ s)
-            return val
+        def merit(cost, U_, beta_, Mb=None):
+            # cost is demo_cost(U_); Mb, when given, is M_beta of beta_'s theta
+            if weight is None:
+                return cost
+            s = bs.stationarity(U_, beta_[:q], beta_[q:], Mb)
+            return cost + weight * float(s @ s)
 
-        last = merit(U, beta)
+        cost_u = ws.demo_cost(U)
+        last = merit(cost_u, U, beta)
         trace.append((label, last))
         for _ in range(MAX_INNER_ITERS):
             beta_new = ws.beta_step(U, beta, weight)
-            m_b = merit(U, beta_new)
+            # the exact merit does not read M_beta: u_step builds it there
+            Mb = None if weight is None else bs.M_beta(beta_new[:q])
+            m_b = merit(cost_u, U, beta_new, Mb)
             if m_b > last + 1e-12 * max(1.0, abs(last)):
                 break
-            U_new = ws.u_step(beta_new, weight)
-            m_u = merit(U_new, beta_new)
+            U_new = ws.u_step(beta_new, weight, Mb)
+            cost_new = ws.demo_cost(U_new)
+            m_u = merit(cost_new, U_new, beta_new, Mb)
             if m_u > m_b + 1e-12 * max(1.0, abs(m_b)):
                 beta = beta_new
                 trace.append((label, m_b))
                 break
             moved = max(
-                float(np.max(np.abs(U_new - U), initial=0.0)),
-                float(np.max(np.abs(beta_new - beta), initial=0.0)),
+                float(np.abs(U_new - U).max(initial=0.0)),
+                float(np.abs(beta_new - beta).max(initial=0.0)),
             )
-            U, beta = U_new, beta_new
+            U, beta, cost_u = U_new, beta_new, cost_new
             trace.append((label, m_b))
             trace.append((label, m_u))
             if last - m_u <= COST_TOL * max(1.0, abs(last)) and moved <= 1e-9 * (
-                1.0 + float(np.max(np.abs(U), initial=0.0))
+                1.0 + float(np.abs(U).max(initial=0.0))
             ):
                 break
             last = m_u

@@ -464,3 +464,30 @@ def test_estimate_agrees_with_bench_rows(tmp_path, capsys, config, norm):
         res = json.loads(out.read_text())
         assert res.get("rmse_theta") == (float(rmse_theta) if rmse_theta else None)
         assert res.get("rmse_U") == (float(rmse_U) if rmse_U else None)
+
+
+def test_bench_parses_and_solves_the_truth_once_per_call(tmp_path, capsys, monkeypatch):
+    from ioc_eiv import bench_cli, model
+
+    calls = {"parse": 0, "truth": 0}
+    parse, solve = bench_cli.parse_problem, forward.solve
+
+    def parse_spy(obj):
+        calls["parse"] += 1
+        return parse(obj)
+
+    def solve_spy(fp, theta):
+        calls["truth"] += np.array_equal(theta, fp.theta_true)
+        return solve(fp, theta)
+
+    monkeypatch.setattr(bench_cli, "parse_problem", parse_spy)
+    monkeypatch.setattr(forward, "solve", solve_spy)
+    cfg = _write_config(tmp_path)  # kkt and mean at 2 levels x 2 reps: 8 tasks
+    for k in (1, 2):
+        misses = model.build_stationarity.cache_info().misses
+        assert main(["bench", "--config", cfg, "--out-dir", str(tmp_path / f"o{k}")]) == 0
+        # a second call in the same process parses and solves again
+        assert calls == {"parse": k, "truth": k}
+        # every task shares the call's problem, so only its first lookup misses
+        assert model.build_stationarity.cache_info().misses == misses + 1
+    assert (tmp_path / "o1" / "rows.csv").read_bytes() == (tmp_path / "o2" / "rows.csv").read_bytes()

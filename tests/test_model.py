@@ -325,3 +325,21 @@ def test_face_blocks_pose_chosen_rows_and_skip_empty_blocks():
     np.testing.assert_array_equal(rows["Ain"], G[others])
     np.testing.assert_array_equal(rows["bin"], -g0[others])
     assert sorted(bs.face_blocks(eq=eq)) == ["Aeq", "beq"]
+
+
+def test_face_blocks_are_new_on_every_call():
+    fp = _tls_positivity()
+    bs = build_stationarity(fp)
+    L = fp.n_multipliers
+    eq = np.zeros(L, dtype=bool)
+    eq[[1, 3]] = True
+    rows = bs.face_blocks(eq=eq, ineq=~eq)
+    # replacing an entry of the returned dict leaves the next call intact
+    rows["Aeq"] = np.vstack([np.ones((1, fp.n_inputs)), rows["Aeq"]])
+    del rows["Ain"]
+    again = bs.face_blocks(eq=eq, ineq=~eq)
+    assert sorted(again) == ["Aeq", "Ain", "beq", "bin"]
+    np.testing.assert_array_equal(again["Aeq"], bs.J_lambda.T[[1, 3]])
+    # a later change to the caller's mask poses the new faces
+    eq[5] = True
+    np.testing.assert_array_equal(bs.face_blocks(eq=eq)["Aeq"], bs.J_lambda.T[[1, 3, 5]])

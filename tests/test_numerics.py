@@ -519,3 +519,21 @@ def test_qp_row_near_underflow_solves_like_its_rescaled_copy():
     sol = solve_qp(Qp(H=np.eye(2), c=np.zeros(2),
                       Ain=np.array([[a, a], [-1.0, 0.0]]), bin=np.array([2.0 * a, -1.0])))
     np.testing.assert_allclose(sol.z, [1.0, 0.0], atol=1e-10)
+
+
+def test_shared_identity_is_read_only_and_bounded():
+    eye = numerics._identity(4)
+    assert not eye.flags.writeable
+    assert numerics._identity(4) is eye
+    for n in range(2 * numerics._IDENTITY_CACHE_SIZE):
+        numerics._identity(n)
+    assert numerics._identity.cache_info().currsize <= numerics._IDENTITY_CACHE_SIZE
+
+
+def test_cholesky_inverse_checks_its_factor():
+    bad = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match="NaNs"):
+        cholesky_inverse(bad)
+    with pytest.raises(ValueError, match="incompatible"):
+        cholesky_inverse(np.ones((2, 3)))
