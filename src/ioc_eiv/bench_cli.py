@@ -13,6 +13,8 @@ errors (unknown flags, unknown method).
 ``_METHODS``.  ``demos``, ``estimate`` and ``bench`` share one config
 format; a key outside it is an error, and a config without ``gibbs`` or
 ``norm`` gets the ``GibbsConfig`` budget and the weight sum of ``theta_true``.
+Each command parses every setting it reads once, before any fit, so a bad
+value exits 1 with one ``error:`` line.
 
 Benchmark outputs are split so that reruns are reproducible bit for bit:
 ``rows.csv`` holds one row per (method, noise level, repetition) with seeds
@@ -73,9 +75,17 @@ def _load_json(path: str):
         ) from e
 
 
-def _matrix(obj, name: str) -> np.ndarray:
+def _reject_unknown(obj, where: str, known) -> None:
+    """Raise ConfigError unless ``obj`` is a JSON object with keys only from ``known``."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{name}: expected an object with rows, cols, data")
+        raise ConfigError(f"{where}: expected a JSON object")
+    unknown = ", ".join(repr(k) for k in obj if k not in known)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {unknown}; known: {', '.join(known)}")
+
+
+def _matrix(obj, name: str) -> np.ndarray:
+    _reject_unknown(obj, name, ("rows", "cols", "data"))
     try:
         r, c, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
     except (KeyError, TypeError, ValueError) as e:
@@ -98,22 +108,25 @@ def matrix_to_json(a) -> dict:
 
 
 def parse_problem(obj) -> model.ForwardProblem:
-    """Build a ForwardProblem from its JSON object form."""
-    if not isinstance(obj, dict):
-        raise ConfigError("problem: expected a JSON object")
+    """Build a ForwardProblem from its JSON object form; a key outside it is an error."""
+    _reject_unknown(
+        obj, "problem", ("system", "features", "constraints", "horizon", "x0", "theta_true")
+    )
     try:
+        _reject_unknown(obj["system"], "problem.system", ("A", "B"))
         system = model.LinearSystem(
             A=_matrix(obj["system"]["A"], "problem.system.A"),
             B=_matrix(obj["system"]["B"], "problem.system.B"),
         )
-        features = tuple(
-            model.QuadraticFeature(
+        features = []
+        for i, f in enumerate(obj["features"]):
+            _reject_unknown(f, f"problem.features[{i}]", ("kind", "index", "target"))
+            features.append(model.QuadraticFeature(
                 kind=f["kind"], index=int(f["index"]), target=float(f.get("target", 0.0))
-            )
-            for f in obj["features"]
-        )
+            ))
         con = obj.get("constraints")
         if con:
+            _reject_unknown(con, "problem.constraints", ("Hx", "Hu", "h"))
             constraints = model.PolytopicConstraints(
                 Hx=_matrix(con["Hx"], "problem.constraints.Hx"),
                 Hu=_matrix(con["Hu"], "problem.constraints.Hu"),
@@ -124,7 +137,7 @@ def parse_problem(obj) -> model.ForwardProblem:
         theta_true = obj.get("theta_true")
         return model.ForwardProblem(
             system=system,
-            features=features,
+            features=tuple(features),
             constraints=constraints,
             horizon=int(obj["horizon"]),
             x0=np.asarray(obj["x0"], dtype=float),
@@ -167,42 +180,66 @@ def _noise_spec(noise_obj, U_star, m: int, percent: float, seed: int) -> NoiseSp
     if not isinstance(noise_obj, dict):
         raise ConfigError("noise: expected a JSON object")
     kind = noise_obj.get("kind", "gaussian")
-    if percent == 0.0:
-        scale = np.zeros(m)
-    else:
-        try:
-            scale = noise_scale_from_percent(U_star, percent, m)
-        except ValueError as e:
-            raise ConfigError(f"noise: {e}") from e
-    if kind == "gaussian":
-        return NoiseSpec.gaussian(np.diag(scale**2), seed)
-    if kind == "uniform":
-        # same per-channel variance as the gaussian kind at this level
-        return NoiseSpec.uniform(np.sqrt(3.0) * scale, seed)
-    if kind == "truncated_gaussian":
-        try:
-            lower, upper = noise_obj["lower"], noise_obj["upper"]
-        except KeyError as e:
-            raise ConfigError(
-                "noise: truncated_gaussian requires 'lower' and 'upper'"
-            ) from e
-        return NoiseSpec.truncated_gaussian(np.diag(scale**2), lower, upper, seed)
+    try:
+        scale = np.zeros(m) if percent == 0.0 else noise_scale_from_percent(U_star, percent, m)
+        if kind == "gaussian":
+            return NoiseSpec.gaussian(np.diag(scale**2), seed)
+        if kind == "uniform":
+            # same per-channel variance as the gaussian kind at this level
+            return NoiseSpec.uniform(np.sqrt(3.0) * scale, seed)
+        if kind == "truncated_gaussian":
+            if "lower" not in noise_obj or "upper" not in noise_obj:
+                raise ConfigError("noise: truncated_gaussian requires 'lower' and 'upper'")
+            return NoiseSpec.truncated_gaussian(
+                np.diag(scale**2), noise_obj["lower"], noise_obj["upper"], seed
+            )
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"noise: {e}") from e
     raise ConfigError(f"noise: unknown kind {kind!r}")
 
 
 def _check_keys(cfg) -> None:
-    """Raise ConfigError naming a key outside the config format, at the top or in its objects."""
+    """Raise ConfigError naming a key outside the config format, at the top or in its objects.
+
+    :func:`parse_problem` checks the keys of ``problem``.
+    """
+    _reject_unknown(
+        cfg, "config",
+        ("problem", "noise", "n_demos", "n_reps", "seed", "methods", "gibbs", "norm"),
+    )
     for where, known in (
-        ("config", ("problem", "noise", "n_demos", "n_reps", "seed", "methods", "gibbs", "norm")),
+        ("noise", ("kind", "percent", "percent_levels", "lower", "upper")),
         ("gibbs", ("n_iter", "n_keep")),
         ("norm", ("kind", "value", "index")),
     ):
-        obj = cfg if where == "config" else cfg.get(where, {})
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{where}: expected a JSON object")
-        unknown = ", ".join(repr(k) for k in obj if k not in known)
-        if unknown:
-            raise ConfigError(f"{where}: unknown key(s) {unknown}; known: {', '.join(known)}")
+        _reject_unknown(cfg.get(where, {}), where, known)
+
+
+def _parse(kind, value, name: str):
+    """``kind(value)`` for the setting ``name``; ConfigError when it is no ``kind``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}") from e
+
+
+def _count(cfg, key: str) -> int:
+    """``n_demos`` or ``n_reps``: a positive integer, 10 when the config has none."""
+    n = _parse(int, cfg.get(key, 10), key)
+    if n < 1:
+        raise ConfigError(f"{key} must be >= 1, got {n}")
+    return n
+
+
+def _parse_gibbs(cfg) -> GibbsConfig:
+    """The config's MAP chain budget; a key it leaves out keeps the ``GibbsConfig`` default.
+
+    Only types are checked here: :func:`ioc_eiv.mcmc.gibbs_run` rejects a
+    budget out of range, in the fit, as it does for a library caller.
+    """
+    return GibbsConfig(
+        **{k: _parse(int, v, f"gibbs.{k}") for k, v in cfg.get("gibbs", {}).items()}
+    )
 
 
 def _parse_norm(cfg, fp: model.ForwardProblem) -> NormalizationRule:
@@ -226,14 +263,8 @@ def _parse_norm(cfg, fp: model.ForwardProblem) -> NormalizationRule:
 def _master_seed(cfg) -> int:
     env = os.environ.get("IOC_EIV_SEED")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError as e:
-            raise ConfigError(f"IOC_EIV_SEED must be an integer, got {env!r}") from e
-    try:
-        return int(cfg.get("seed", 0))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"seed must be an integer, got {cfg.get('seed')!r}") from e
+        return _parse(int, env, "IOC_EIV_SEED")
+    return _parse(int, cfg.get("seed", 0), "seed")
 
 
 def _write_output(obj, path: str | None):
@@ -292,16 +323,17 @@ def cmd_demos(args) -> int:
             percent = levels[0]
     if percent is None:
         raise ConfigError("give --level or put noise.percent in the config")
-    D = int(cfg.get("n_demos", 10))
+    percent = _parse(float, percent, "noise.percent")
+    D = _count(cfg, "n_demos")
     seed = args.seed if args.seed is not None else _master_seed(cfg)
     U_star = forward.solve(fp, fp.theta_true).U
-    spec = _noise_spec(noise_obj, U_star, fp.system.m, float(percent), seed)
+    spec = _noise_spec(noise_obj, U_star, fp.system.m, percent, seed)
     ds = generate(U_star, spec, D, fp)
     _write_output(
         {
             "problem": problem_to_json(fp),
             "U_star": [float(v) for v in U_star],
-            "noise": {"kind": spec.kind, "percent": float(percent), "seed": seed},
+            "noise": {"kind": spec.kind, "percent": percent, "seed": seed},
             "demos": [[float(v) for v in U_d] for U_d in ds.U_list],
         },
         args.out,
@@ -327,22 +359,21 @@ def _demoset_from_json(obj) -> tuple[DemoSet, model.ForwardProblem]:
 
 
 # ------------------------------------------------------------ method table
-# (ds, fp, norm, cfg, rng) -> (theta_hat, U_hat, extra estimate-JSON fields),
+# (ds, fp, norm, gibbs, rng) -> (theta_hat, U_hat, extra estimate-JSON fields),
 # None for what a method does not estimate.  Estimators are looked up at call
 # time, so a rebinding of ``kkt_ls`` or a module's ``estimate`` reaches both.
 
 
-def _fit_kkt(ds, fp, norm, cfg, rng):
+def _fit_kkt(ds, fp, norm, gibbs, rng):
     fit = kkt_ls(ds, fp, norm)
     return fit.theta, None, {"residual": fit.residual}
 
 
-def _fit_mean(ds, fp, norm, cfg, rng):
+def _fit_mean(ds, fp, norm, gibbs, rng):
     return None, sample_mean(ds), {}
 
 
-def _fit_map(ds, fp, norm, cfg, rng):
-    gibbs = GibbsConfig(**{k: int(v) for k, v in cfg.get("gibbs", {}).items()})
+def _fit_map(ds, fp, norm, gibbs, rng):
     res = map_estimator.estimate(ds, fp, MapConfig(norm=norm, gibbs=gibbs), rng=rng)
     return res.theta, res.U_hat, {
         "Sigma_U": matrix_to_json(res.Sigma_U_hat),
@@ -350,7 +381,7 @@ def _fit_map(ds, fp, norm, cfg, rng):
     }
 
 
-def _fit_tls(ds, fp, norm, cfg, rng):
+def _fit_tls(ds, fp, norm, gibbs, rng):
     res = tls_estimator.estimate(ds, fp, norm)
     return res.theta, res.U_hat, {
         "Sigma_U": matrix_to_json(res.Sigma_U_hat),
@@ -385,9 +416,9 @@ def cmd_estimate(args) -> int:
     ds, fp = _demoset_from_json(obj)
     cfg = _load_json(args.config) if args.config else {}
     _check_keys(cfg)
-    norm = _parse_norm(cfg, fp)
+    norm, gibbs = _parse_norm(cfg, fp), _parse_gibbs(cfg)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, _MAP_STREAM]))
-    theta_hat, U_hat, extra = _METHODS[args.method](ds, fp, norm, cfg, rng)
+    theta_hat, U_hat, extra = _METHODS[args.method](ds, fp, norm, gibbs, rng)
     out: dict = {"method": args.method, **extra}
     if theta_hat is not None:
         out["theta"] = [float(v) for v in theta_hat]
@@ -410,34 +441,28 @@ def _run_task(payload: dict) -> dict:
     """One benchmark cell entry: generate demos, run one method, score it.
 
     Module-level and dict-in/dict-out so it can cross a process boundary.
-    The payload carries the grid's parsed problem ``fp`` and its read-only
-    true inputs ``U_star``, which :func:`cmd_bench` builds once per call.
+    It parses nothing: :func:`cmd_bench` builds the grid's problem ``fp``,
+    its read-only true inputs ``U_star``, the rule ``norm`` and the MAP
+    budget ``gibbs`` once per call, and the task's noise ``spec``.
     """
-    fp = payload["fp"]
-    theta_star = fp.theta_true
-    method = payload["method"]
-    level = float(payload["level"])
-    seed_rep = int(payload["seed_rep"])
-
-    U_star = payload["U_star"]
-    spec = _noise_spec(payload["noise"], U_star, fp.system.m, level, seed_rep)
-    ds = generate(U_star, spec, int(payload["n_demos"]), fp)
-    norm = _parse_norm(payload, fp)
+    fp, U_star = payload["fp"], payload["U_star"]
+    method, seed_rep = payload["method"], payload["seed_rep"]
+    ds = generate(U_star, payload["spec"], payload["n_demos"], fp)
     rng = np.random.default_rng(np.random.SeedSequence([seed_rep, _MAP_STREAM]))
 
     rmse_theta = rmse_U = None
     status = "ok"
     t0 = perf_counter()
     try:
-        theta_hat, U_hat, _ = _METHODS[method](ds, fp, norm, payload, rng)
-        rmse_theta, rmse_U = _errors(theta_hat, U_hat, theta_star, U_star)
+        theta_hat, U_hat, _ = _METHODS[method](ds, fp, payload["norm"], payload["gibbs"], rng)
+        rmse_theta, rmse_U = _errors(theta_hat, U_hat, fp.theta_true, U_star)
     except (Infeasible, IterationLimit, NotPositiveDefinite, ValueError) as e:
         status = f"failed:{type(e).__name__}"
     wall = perf_counter() - t0
     return {
         "method": method,
-        "noise_percent": level,
-        "rep": int(payload["rep"]),
+        "noise_percent": payload["level"],
+        "rep": payload["rep"],
         "seed": seed_rep,
         "rmse_theta": rmse_theta,
         "rmse_U": rmse_U,
@@ -470,14 +495,14 @@ def cmd_bench(args) -> int:
     fp = parse_problem(cfg["problem"])  # validate up front
     if fp.theta_true is None:
         raise ConfigError("bench requires theta_true in the problem")
-    _parse_norm(cfg, fp)  # a bad rule fails here, not in every row
+    norm, gibbs = _parse_norm(cfg, fp), _parse_gibbs(cfg)
     noise_obj = cfg.get("noise")
-    if not isinstance(noise_obj, dict):
+    if noise_obj is None:
         raise ConfigError("bench config needs a 'noise' object")
     levels = noise_obj.get("percent_levels")
-    if not levels:
+    if not isinstance(levels, list) or not levels:
         raise ConfigError("noise needs a nonempty 'percent_levels' list")
-    levels = [float(v) for v in levels]
+    levels = [_parse(float, v, "noise.percent_levels") for v in levels]
     if any(v < 0 for v in levels):
         raise ConfigError("noise percent levels must be nonnegative")
     methods = cfg.get("methods", list(_METHODS))
@@ -486,10 +511,7 @@ def cmd_bench(args) -> int:
         raise ConfigError(
             f"methods must be a nonempty subset of {list(_METHODS)}, got {methods}"
         )
-    n_demos = int(cfg.get("n_demos", 10))
-    n_reps = int(cfg.get("n_reps", 10))
-    if n_demos < 1 or n_reps < 1:
-        raise ConfigError("n_demos and n_reps must be >= 1")
+    n_demos, n_reps = _count(cfg, "n_demos"), _count(cfg, "n_reps")
     master = _master_seed(cfg)
 
     # one problem and one truth per call: every task in this process shares
@@ -500,14 +522,14 @@ def cmd_bench(args) -> int:
         {
             "fp": fp,
             "U_star": U_star,
-            "noise": noise_obj,
+            "spec": _noise_spec(noise_obj, U_star, fp.system.m, level, master + rep),
             "n_demos": n_demos,
             "method": method,
             "level": level,
             "rep": rep,
             "seed_rep": master + rep,
-            "gibbs": cfg.get("gibbs", {}),
-            "norm": cfg.get("norm"),
+            "norm": norm,
+            "gibbs": gibbs,
         }
         for method in methods
         for level in levels

@@ -68,6 +68,16 @@ class NormalizationRule:
 _CONE_CACHE_SIZE = 32
 
 
+def _require_rule(norm) -> None:
+    """Refuse a missing rule, as every estimator does: the stationarity
+    residual is homogeneous in the weights, so zero weights would fit it."""
+    if norm is None:
+        raise ValueError(
+            "a NormalizationRule is required: without one the zero solution "
+            "minimizes the homogeneous residual"
+        )
+
+
 @lru_cache(maxsize=_CONE_CACHE_SIZE)
 def _cone_blocks(kind: str, value: float, index: int, q: int, nv: int) -> tuple:
     """Read-only ``(Aeq, beq, Ain, bin)`` of :meth:`NormalizationRule.beta_blocks`."""
@@ -97,11 +107,7 @@ def kkt_ls(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> Kk
     the normalization rule.  Returns full-length multiplier vectors with
     zeros on inactive rows; ``residual`` is the attained sum of squares.
     """
-    if norm is None:
-        raise ValueError(
-            "a NormalizationRule is required: without one the zero solution "
-            "minimizes the homogeneous residual"
-        )
+    _require_rule(norm)
     bs = model.build_stationarity(fp)
     q, L = fp.q, fp.n_multipliers
     if not any(np.any(np.abs(E) > 0) or np.any(np.abs(M) > 0)

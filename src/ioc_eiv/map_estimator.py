@@ -39,7 +39,7 @@ import numpy as np
 
 from . import model
 from .demos import DemoSet, generate, noise_cov_stacked
-from .kkt_baseline import NormalizationRule
+from .kkt_baseline import NormalizationRule, _require_rule
 from .mcmc import SIGMA_Y, Priors, default_priors, gibbs_run
 from .numerics import Infeasible, Qp, cholesky, cholesky_solve, solve_qp
 
@@ -65,9 +65,9 @@ class GibbsConfig:
 
 @dataclass(frozen=True, eq=False)
 class MapConfig:
+    norm: NormalizationRule
     priors: Priors | None = None
     gibbs: GibbsConfig = field(default_factory=GibbsConfig)
-    norm: NormalizationRule | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,24 +181,17 @@ def _u_step(ws: _Workspace, beta):
         return U, np.concatenate([theta, lam])
 
 
-def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig | None = None,
-             rng: np.random.Generator | None = None) -> MapResult:
+def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig,
+             rng: np.random.Generator) -> MapResult:
     """Run the full MAP pipeline: Gibbs warm start, then QP alternation."""
-    cfg = cfg or MapConfig()
-    if rng is None:
-        rng = np.random.default_rng()
+    norm = cfg.norm
+    _require_rule(norm)
     bs = model.build_stationarity(fp)
-    priors = cfg.priors if cfg.priors is not None else default_priors(ds, fp, norm=cfg.norm)
+    priors = cfg.priors if cfg.priors is not None else default_priors(ds, fp, norm)
     chain = gibbs_run(ds, fp, priors, n_iter=cfg.gibbs.n_iter, n_keep=cfg.gibbs.n_keep, rng=rng)
     Sigma_U = 0.5 * (chain.Sigma_U_mean + chain.Sigma_U_mean.T)
     U = chain.U_mean.copy()
-    beta = chain.beta_mean.copy()
     ws = _Workspace(bs, ds, Sigma_U, priors)
-    norm = cfg.norm
-    if norm is None:
-        # anchor the scale where the prior sits so the two do not fight
-        anchor = float(np.sum(priors.beta0[: fp.q]))
-        norm = NormalizationRule(kind="sum", value=anchor if anchor > 0 else float(fp.q))
 
     trace: list[float] = []
     best: tuple[float, np.ndarray, np.ndarray] | None = None
@@ -253,7 +246,7 @@ def consistency_cost_check(
     D_large: int,
     noise,
     rng: np.random.Generator,
-    lam_star=None,
+    lam_star,
     epsilons=(0.01, 0.1),
     n_per_eps: int = 50,
 ) -> dict:
@@ -261,17 +254,14 @@ def consistency_cost_check(
 
     Generates ``D_large`` demos, evaluates the normalized cost (demo term
     averaged over demos plus the stationarity term at variance ``SIGMA_Y``;
-    priors scaled away) at ``(U*, beta*)`` and at random joint
+    priors scaled away) at ``(U*, beta*)``, with ``beta*`` the weights
+    ``theta_star`` and the multipliers ``lam_star``, and at random joint
     perturbations of the stated magnitudes, and reports the fraction of
     perturbations with strictly higher cost.
     """
     bs = model.build_stationarity(fp)
     theta_star = np.asarray(theta_star, dtype=float).ravel()
     U_star = np.asarray(U_star, dtype=float).ravel()
-    if lam_star is None:
-        from .forward import solve as forward_solve
-
-        lam_star = forward_solve(fp, theta_star).lam
     beta_star = np.concatenate([theta_star, np.asarray(lam_star, dtype=float).ravel()])
 
     ds = generate(U_star, noise, D_large, fp)

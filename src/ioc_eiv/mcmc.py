@@ -12,8 +12,7 @@ III. Sigma_U | U, data       (inverse-Wishart with D added degrees of freedom)
 
 ``gibbs_run`` cycles them in that order starting from the demonstration
 sample mean.  ``mh_within_gibbs_U`` replaces the exact U draw with a
-random-walk Metropolis step, the escape hatch for problem classes whose
-stationarity is not affine in U; it only needs a callable residual.
+random-walk Metropolis step on the same conditional density.
 """
 
 from __future__ import annotations
@@ -198,18 +197,14 @@ def full_conditional_SigmaU(ds: DemoSet, U, priors: Priors):
     return priors.W_U + scatter, ds.n_demos + priors.m_U
 
 
-def default_priors(
-    ds: DemoSet,
-    fp: model.ForwardProblem,
-    norm: NormalizationRule | None = None,
-) -> Priors:
+def default_priors(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> Priors:
     """Data-driven default hyperparameters.
 
     The latent-input prior centers on the demo sample mean with a variance
     ten times the average demo variance; ``beta0`` is the single-trajectory
-    inverse-KKT fit at that mean; the weight prior is wide (ten standard
-    deviations per component); each stationarity row has variance
-    ``SIGMA_Y``.  Sample-covariance-derived scales are floored so the
+    inverse-KKT fit at that mean under ``norm``; the weight prior is wide
+    (ten standard deviations per component); each stationarity row has
+    variance ``SIGMA_Y``.  Sample-covariance-derived scales are floored so the
     priors stay positive definite on noiseless demo sets.
     """
     mN = fp.n_inputs
@@ -224,8 +219,6 @@ def default_priors(
     s2 = max(10.0 * np.trace(cov) / mN, 100.0 * floor)
     Sigma_U0 = s2 * np.eye(mN)
     W_U = np.diag(np.maximum(np.diag(cov), floor))
-    if norm is None:
-        norm = NormalizationRule(kind="sum", value=float(fp.q))
     fit = kkt_single(U0, fp, norm)
     beta0 = np.concatenate([fit.theta, fit.lam_list[0]])
     Sigma_beta = np.diag(100.0 * np.maximum(beta0**2, 1.0))
@@ -260,14 +253,11 @@ def mh_step(state, log_target, proposal_sampler, proposal_logpdf, rng: np.random
     return state, False
 
 
-def _u_log_conditional(ds, beta, Sigma_U, bs, priors, stationarity_fn=None):
+def _u_log_conditional(ds, beta, Sigma_U, bs, priors):
     """Unnormalized log density of the U full conditional."""
     beta = np.asarray(beta, dtype=float).ravel()
     q = bs.n_features
     theta, lam = beta[:q], beta[q:]
-    if stationarity_fn is None:
-        def stationarity_fn(U):
-            return bs.stationarity(U, theta, lam)
     SigY_inv = priors.Sigma_Y_inv
     SigU_inv = cholesky_inverse(cholesky(np.asarray(Sigma_U, dtype=float)))
     prec_prior = priors.Sigma_U0_inv
@@ -275,7 +265,7 @@ def _u_log_conditional(ds, beta, Sigma_U, bs, priors, stationarity_fn=None):
 
     def logp(U):
         U = np.asarray(U, dtype=float).ravel()
-        s = stationarity_fn(U)
+        s = bs.stationarity(U, theta, lam)
         val = ds.n_demos * float(s @ SigY_inv @ s)
         R = stackd - U
         val += float(np.sum((R @ SigU_inv) * R))
@@ -295,13 +285,10 @@ def mh_within_gibbs_U(
     rng: np.random.Generator,
     a: float = 1e-5,
     bs: model.BilinearStationarity | None = None,
-    stationarity_fn=None,
 ):
     """One random-walk MH step on the U block, proposal ``N(U_prev, a Sigma_U)``.
 
-    Accepts a custom ``stationarity_fn(U)`` for problem classes without the
-    affine structure.  Returns (U_new, accepted).  ``a = 0`` is flagged:
-    the chain cannot move.
+    Returns (U_new, accepted).  ``a = 0`` is flagged: the chain cannot move.
     """
     if a <= 0:
         warnings.warn(
@@ -311,7 +298,7 @@ def mh_within_gibbs_U(
         return np.asarray(U_prev, dtype=float).ravel(), False
     if bs is None:
         bs = model.build_stationarity(ds.fp_ref)
-    logp = _u_log_conditional(ds, beta, Sigma_U, bs, priors, stationarity_fn)
+    logp = _u_log_conditional(ds, beta, Sigma_U, bs, priors)
     Lp = cholesky(a * np.asarray(Sigma_U, dtype=float))
 
     def sampler(rng_, frm):
@@ -329,9 +316,9 @@ def gibbs_run(
     ds: DemoSet,
     fp: model.ForwardProblem,
     priors: Priors,
-    n_iter: int = 2000,
-    n_keep: int = 300,
-    rng: np.random.Generator | None = None,
+    n_iter: int,
+    n_keep: int,
+    rng: np.random.Generator,
     u_step: str = "exact",
     mh_scale: float = 1e-5,
     trace_csv=None,
@@ -350,8 +337,6 @@ def gibbs_run(
         raise ValueError(f"n_keep must be in [1, n_iter], got {n_keep}")
     if u_step not in ("exact", "mh"):
         raise ValueError(f"u_step must be 'exact' or 'mh', got {u_step!r}")
-    if rng is None:
-        rng = np.random.default_rng()
     bs = model.build_stationarity(fp)
     mN = fp.n_inputs
 

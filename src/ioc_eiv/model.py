@@ -510,15 +510,14 @@ class KktResidual(NamedTuple):
         )
 
 
-def kkt_residual(fp: ForwardProblem, theta, lam, U, bs: BilinearStationarity | None = None) -> KktResidual:
+def kkt_residual(fp: ForwardProblem, theta, lam, U) -> KktResidual:
     """Evaluate all four KKT blocks at ``(U, theta, lam)``.
 
     Returns stationarity (length mN), elementwise complementarity
     ``lam * g``, primal violations ``max(g, 0)`` and dual violations
     ``max(-lam, 0)`` (both length I*(N+1)).
     """
-    if bs is None:
-        bs = build_stationarity(fp)
+    bs = build_stationarity(fp)
     theta = np.asarray(theta, dtype=float)
     lam = np.asarray(lam, dtype=float).ravel()
     if theta.shape[0] != fp.q:

@@ -46,7 +46,7 @@ import numpy as np
 from . import model
 from .demos import DemoSet, sample_mean
 from .forward import solve as forward_solve
-from .kkt_baseline import NormalizationRule, kkt_single
+from .kkt_baseline import NormalizationRule, _require_rule, kkt_single
 from .numerics import (
     Infeasible,
     IterationLimit,
@@ -199,11 +199,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: Normalizatio
     the attained demo term and ``step_trace`` records (label, merit value)
     per half-step; the merit is non-increasing within each labelled phase.
     """
-    if norm is None:
-        raise ValueError(
-            "a NormalizationRule is required: without one the zero solution "
-            "satisfies the stationarity constraint trivially"
-        )
+    _require_rule(norm)
     if bs is None:
         bs = model.build_stationarity(fp)
     ws = _Inner(ds, Sigma_U, norm, bs)

@@ -361,6 +361,55 @@ def test_norm_index_out_of_range_is_a_config_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def _rename(obj, old, new):
+    obj[new] = obj.pop(old)
+
+
+@pytest.mark.parametrize("where,bad_key,edit", [
+    ("problem", "constraint", lambda cfg: _rename(cfg["problem"], "constraints", "constraint")),
+    ("problem.features[0]", "targt",
+     lambda cfg: _rename(cfg["problem"]["features"][0], "target", "targt")),
+    ("problem.system", "C", lambda cfg: cfg["problem"]["system"].update(C=[[1.0]])),
+    ("problem.system.A", "dtype", lambda cfg: cfg["problem"]["system"]["A"].update(dtype="f4")),
+    ("problem.constraints", "g", lambda cfg: cfg["problem"]["constraints"].update(g=[0.0])),
+    ("noise", "knd", lambda cfg: _rename(cfg["noise"], "kind", "knd")),
+], ids=["constraint", "targt", "system", "matrix", "constraints", "noise"])
+def test_misspelled_problem_or_noise_key_is_an_error(tmp_path, capsys, where, bad_key, edit):
+    # each of these used to be ignored: the grid ran without the constraint,
+    # at target 0 or with gaussian noise, and exited 0
+    cfg = _tiny_config()
+    edit(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["bench", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"{where}: unknown key(s) {bad_key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,name,over", [
+    ("bench", "gibbs.n_iter", {"gibbs": {"n_iter": "many"}, "methods": ["kkt", "map"]}),
+    ("estimate", "gibbs.n_iter", {"gibbs": {"n_iter": "many"}}),
+    ("bench", "n_demos", {"n_demos": "ten"}),
+    ("demos", "n_demos", {"n_demos": "ten"}),
+    ("bench", "n_demos", {"n_demos": 0}),
+    ("demos", "n_demos", {"n_demos": 0}),
+], ids=["bench-n_iter-many", "estimate-n_iter-many", "bench-n_demos-ten", "demos-n_demos-ten",
+        "bench-n_demos-0", "demos-n_demos-0"])
+def test_bad_setting_is_one_error_line_before_any_fit(tmp_path, capsys, command, name, over):
+    cfg, out = _write_config(tmp_path, "bad.json", **over), str(tmp_path / "out")
+    if command == "estimate":
+        argv = ["estimate", "--demos", _make_demo_file(tmp_path), "--method", "map",
+                "--config", cfg, "--out", out]
+    elif command == "demos":
+        argv = ["demos", "--config", cfg, "--level", "5", "--out", out]
+    else:
+        argv = ["bench", "--config", cfg, "--out-dir", out]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {name}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_unknown_method_fails(tmp_path, capsys):
     cfg = _write_config(tmp_path, methods=["kkt", "lasso"])
     rc = main(["bench", "--config", cfg, "--out-dir", str(tmp_path / "bad")])

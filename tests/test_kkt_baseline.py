@@ -5,14 +5,19 @@ import pytest
 
 import oracles
 from ioc_eiv import (
+    GibbsConfig,
+    MapConfig,
     NoiseSpec,
     NormalizationRule,
+    default_priors,
     generate,
     kkt_ls,
     kkt_single,
+    map_estimate,
     noise_scale_from_percent,
     rmse,
     solve_forward,
+    tls_estimate,
 )
 from ioc_eiv.model import (
     DEMO_ACTIVE_TOL,
@@ -37,6 +42,24 @@ def test_normalization_rule_is_required():
     fp, U_star = _benchmark()
     with pytest.raises(ValueError):
         kkt_single(U_star, fp, None)
+
+
+@pytest.mark.parametrize("estimator", ["kkt_ls", "tls_estimate", "map_estimate"])
+def test_every_estimator_refuses_a_missing_rule(estimator):
+    # the fit is homogeneous in the weights, so no estimator picks a scale itself
+    fp, U_star = _benchmark()
+    ds = _noisy_set(fp, U_star, 10.0, 5, 4)
+    if estimator == "kkt_ls":
+        call = lambda: kkt_ls(ds, fp, None)
+    elif estimator == "tls_estimate":
+        call = lambda: tls_estimate(ds, fp, None)
+    else:
+        # explicit priors: no prior fit refuses the missing rule for the estimator
+        priors = default_priors(ds, fp, NormalizationRule("sum", 22.0))
+        cfg = MapConfig(norm=None, priors=priors, gibbs=GibbsConfig(n_iter=20, n_keep=10))
+        call = lambda: map_estimate(ds, fp, cfg, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="NormalizationRule is required"):
+        call()
 
 
 def test_noiseless_demo_recovers_weights():

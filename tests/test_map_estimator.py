@@ -62,7 +62,7 @@ def test_cost_zero_at_consistent_point():
 
 def test_cost_gradient_matches_finite_differences():
     fp, sol, ds = _benchmark_demos(10.0, 2, 4)
-    priors = default_priors(ds, fp)
+    priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
     rng = np.random.default_rng(3)
     U = sol.U + 0.05 * rng.standard_normal(10)
     beta = np.abs(rng.standard_normal(14))
@@ -94,7 +94,7 @@ def test_cost_gradient_matches_finite_differences():
 
 def test_cost_is_quadratic_in_beta():
     fp, sol, ds = _benchmark_demos(10.0, 4, 3)
-    priors = default_priors(ds, fp)
+    priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
     rng = np.random.default_rng(5)
     U = sol.U + 0.02 * rng.standard_normal(10)
     beta = np.abs(rng.standard_normal(14))
@@ -121,7 +121,7 @@ def test_noiseless_demos_recover_truth():
 
 def test_noisy_output_satisfies_optimality_blocks():
     fp, sol, ds = _benchmark_demos(10.0, 7, 10)
-    cfg = MapConfig(gibbs=GibbsConfig(n_iter=800, n_keep=200))
+    cfg = MapConfig(gibbs=GibbsConfig(n_iter=800, n_keep=200), norm=NormalizationRule("sum", 3.0))
     res = map_estimate(ds, fp, cfg, rng=np.random.default_rng(7))
     g = constraint_values(fp, res.U_hat)
     assert np.max(g) <= 1e-8
@@ -141,7 +141,7 @@ GOLDEN_MAP_SHA256 = "919d2e4c8ff28b82a20462fdbeb68cab0eec853d64faa1061006aa4c235
 
 def test_estimate_outputs_are_bit_identical_to_golden():
     fp, _, ds = _benchmark_demos(10.0, 11, 10)
-    cfg = MapConfig(gibbs=GibbsConfig(n_iter=200, n_keep=50))
+    cfg = MapConfig(gibbs=GibbsConfig(n_iter=200, n_keep=50), norm=NormalizationRule("sum", 3.0))
     res = map_estimate(ds, fp, cfg, rng=np.random.default_rng(2024))
     h = hashlib.sha256()
     for a in (res.theta, res.lam, res.U_hat, res.Sigma_U_hat, np.array(res.cost_trace)):
@@ -153,7 +153,7 @@ def test_map_cost_with_shared_workspace_equals_standalone_call():
     from ioc_eiv.map_estimator import _Workspace
 
     fp, sol, ds = _benchmark_demos(10.0, 12, 5)
-    priors = default_priors(ds, fp)
+    priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
     bs = build_stationarity(fp)
     rng = np.random.default_rng(4)
     G = rng.standard_normal((10, 10))
@@ -185,7 +185,8 @@ def test_u_step_retries_conflicting_faces_as_inequalities(monkeypatch):
     ds = DemoSet(U_list=tuple(U_star + np.array(o) for o in offsets),
                  fp_ref=fp, U_star=None)
     bs = build_stationarity(fp)
-    ws = me._Workspace(bs, ds, 0.01 * np.eye(3), default_priors(ds, fp))
+    ws = me._Workspace(bs, ds, 0.01 * np.eye(3),
+                       default_priors(ds, fp, NormalizationRule("sum", float(fp.q))))
     lam = np.zeros(fp.n_multipliers)
     lam[multiplier_index(0, 0, 2)] = 0.5
     lam[multiplier_index(0, 1, 2)] = 1.0
@@ -222,7 +223,7 @@ def test_u_step_retries_conflicting_faces_as_inequalities(monkeypatch):
 
 def test_estimate_deterministic_given_rng():
     fp, sol, ds = _benchmark_demos(10.0, 8, 6)
-    cfg = MapConfig(gibbs=GibbsConfig(n_iter=200, n_keep=100))
+    cfg = MapConfig(gibbs=GibbsConfig(n_iter=200, n_keep=100), norm=NormalizationRule("sum", 3.0))
     a = map_estimate(ds, fp, cfg, rng=np.random.default_rng(11))
     b = map_estimate(ds, fp, cfg, rng=np.random.default_rng(11))
     np.testing.assert_array_equal(a.theta, b.theta)

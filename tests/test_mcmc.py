@@ -9,6 +9,7 @@ import pytest
 import oracles
 from ioc_eiv import (
     NoiseSpec,
+    NormalizationRule,
     Priors,
     cholesky,
     default_priors,
@@ -228,7 +229,7 @@ def test_beta_conditional_equals_naive_stacked_model():
     sol = solve_forward(fp, oracles.SPRING_THETA)
     sig = noise_scale_from_percent(sol.U, 10.0)
     ds = generate(sol.U, NoiseSpec.gaussian(np.diag(sig**2), seed=13), 4, fp)
-    priors = default_priors(ds, fp)
+    priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
     U = sample_mean(ds)
     mean, cov = full_conditional_beta(ds, U, bs, priors)
 
@@ -308,7 +309,7 @@ def test_u_conditional_equals_naive_stacked_model():
     sol = solve_forward(fp, oracles.SPRING_THETA)
     sig = noise_scale_from_percent(sol.U, 10.0)
     ds = generate(sol.U, NoiseSpec.gaussian(np.diag(sig**2), seed=17), 3, fp)
-    priors = default_priors(ds, fp)
+    priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
     rng = np.random.default_rng(5)
     beta = np.abs(rng.standard_normal(3 + 11))
     Sigma_U = np.diag(rng.uniform(0.01, 0.05, 10))
@@ -361,7 +362,7 @@ def test_gibbs_degenerate_demos_concentrate_on_optimum():
     fp = oracles.spring_damper()
     sol = solve_forward(fp, oracles.SPRING_THETA)
     ds = generate(sol.U, NoiseSpec.gaussian(np.zeros((1, 1)), seed=19), 5, fp)
-    priors = default_priors(ds, fp)
+    priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
     out = gibbs_run(ds, fp, priors, n_iter=500, n_keep=300, rng=np.random.default_rng(19))
     assert rmse(out.U_mean, sol.U) <= 1e-3
 
@@ -375,7 +376,7 @@ def test_gibbs_recovers_noise_scale():
         ds = generate(
             sol.U, NoiseSpec.gaussian(np.array([[sig**2]]), seed=700 + seed), 10, fp
         )
-        priors = default_priors(ds, fp)
+        priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
         out = gibbs_run(
             ds, fp, priors, n_iter=800, n_keep=200, rng=np.random.default_rng(seed)
         )
@@ -391,7 +392,7 @@ def test_gibbs_seeded_determinism():
     sol = solve_forward(fp, oracles.SPRING_THETA)
     sig = noise_scale_from_percent(sol.U, 10.0)
     ds = generate(sol.U, NoiseSpec.gaussian(np.diag(sig**2), seed=23), 6, fp)
-    priors = default_priors(ds, fp)
+    priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
     a = gibbs_run(ds, fp, priors, n_iter=100, n_keep=50, rng=np.random.default_rng(42))
     b = gibbs_run(ds, fp, priors, n_iter=100, n_keep=50, rng=np.random.default_rng(42))
     np.testing.assert_array_equal(a.U_mean, b.U_mean)
@@ -409,7 +410,7 @@ def test_gibbs_trace_is_bit_identical_to_golden(tmp_path):
     sol = solve_forward(fp, oracles.SPRING_THETA)
     sig = noise_scale_from_percent(sol.U, 10.0)
     ds = generate(sol.U, NoiseSpec.gaussian(np.diag(sig**2), seed=11), 10, fp)
-    priors = default_priors(ds, fp)
+    priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
     path = tmp_path / "trace.csv"
     gibbs_run(
         ds, fp, priors, n_iter=200, n_keep=50, rng=np.random.default_rng(2024),
@@ -425,7 +426,7 @@ def test_gibbs_output_does_not_depend_on_trace_csv(tmp_path):
     sol = solve_forward(fp, oracles.SPRING_THETA)
     sig = noise_scale_from_percent(sol.U, 10.0)
     ds = generate(sol.U, NoiseSpec.gaussian(np.diag(sig**2), seed=19), 6, fp)
-    priors = default_priors(ds, fp)
+    priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
     a = gibbs_run(ds, fp, priors, n_iter=120, n_keep=30, rng=np.random.default_rng(3))
     b = gibbs_run(ds, fp, priors, n_iter=120, n_keep=30, rng=np.random.default_rng(3),
                   trace_csv=str(tmp_path / "trace.csv"))
@@ -446,7 +447,7 @@ def test_gibbs_dispersed_initializations_agree():
     sol = solve_forward(fp, oracles.SPRING_THETA)
     sig = noise_scale_from_percent(sol.U, 10.0)
     ds = generate(sol.U, NoiseSpec.gaussian(np.diag(sig**2), seed=29), 10, fp)
-    priors = default_priors(ds, fp)
+    priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
     a = gibbs_run(ds, fp, priors, n_iter=1500, n_keep=1000, rng=np.random.default_rng(1))
     b = gibbs_run(ds, fp, priors, n_iter=1500, n_keep=1000, rng=np.random.default_rng(2))
     for i in range(0, 10, 3):
@@ -528,7 +529,7 @@ def test_mh_u_block_acceptance_strictly_inside_unit_interval():
     sol = solve_forward(fp, oracles.SPRING_THETA)
     sig = noise_scale_from_percent(sol.U, 10.0)
     ds = generate(sol.U, NoiseSpec.gaussian(np.diag(sig**2), seed=31), 8, fp)
-    priors = default_priors(ds, fp)
+    priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
     out = gibbs_run(
         ds,
         fp,
