@@ -87,8 +87,9 @@ def _reject_unknown(obj, where: str, known) -> None:
 def _matrix(obj, name: str) -> np.ndarray:
     _reject_unknown(obj, name, ("rows", "cols", "data"))
     try:
-        r, c, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as e:
+        r, c = _parse(int, obj["rows"], f"{name}.rows"), _parse(int, obj["cols"], f"{name}.cols")
+        data = obj["data"]
+    except KeyError as e:
         raise ConfigError(f"{name}: expected integer rows/cols and a data list") from e
     arr = np.asarray(data, dtype=float).ravel()
     if arr.shape[0] != r * c:
@@ -122,7 +123,8 @@ def parse_problem(obj) -> model.ForwardProblem:
         for i, f in enumerate(obj["features"]):
             _reject_unknown(f, f"problem.features[{i}]", ("kind", "index", "target"))
             features.append(model.QuadraticFeature(
-                kind=f["kind"], index=int(f["index"]), target=float(f.get("target", 0.0))
+                kind=f["kind"], index=_parse(int, f["index"], f"problem.features[{i}].index"),
+                target=float(f.get("target", 0.0)),
             ))
         con = obj.get("constraints")
         if con:
@@ -139,7 +141,7 @@ def parse_problem(obj) -> model.ForwardProblem:
             system=system,
             features=tuple(features),
             constraints=constraints,
-            horizon=int(obj["horizon"]),
+            horizon=_parse(int, obj["horizon"], "problem.horizon"),
             x0=np.asarray(obj["x0"], dtype=float),
             theta_true=np.asarray(theta_true, dtype=float) if theta_true is not None else None,
         )
@@ -216,7 +218,14 @@ def _check_keys(cfg) -> None:
 
 
 def _parse(kind, value, name: str):
-    """``kind(value)`` for the setting ``name``; ConfigError when it is no ``kind``."""
+    """``kind(value)`` for the setting ``name``; ConfigError when it is no ``kind``.
+
+    An ``int`` setting refuses a bool and a number with a fractional part
+    instead of truncating it.
+    """
+    if kind is int and (isinstance(value, bool)
+                        or isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name}: expected int, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as e:
@@ -252,7 +261,7 @@ def _parse_norm(cfg, fp: model.ForwardProblem) -> NormalizationRule:
         rule = NormalizationRule(
             kind=obj.get("kind", "sum"),
             value=float(obj.get("value", 1.0)),
-            index=int(obj.get("index", 0)),
+            index=_parse(int, obj.get("index", 0), "norm.index"),
         )
         rule.beta_blocks(fp.q, fp.q)  # checks a component index against q
     except (TypeError, ValueError) as e:

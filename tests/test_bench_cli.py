@@ -206,7 +206,7 @@ def test_estimate_tls_reports_trace_and_path(tmp_path):
     assert rc == 0
     res = json.loads(out.read_text())
     assert res["Sigma_U"]["rows"] == res["Sigma_U"]["cols"] == 5
-    assert res["path"] in ("exact", "penalty", "penalty_unprojected")
+    assert res["path"] in ("exact", "floor")
     assert len(res["outer_trace"]) >= 1
     assert all(len(pair) == 2 for pair in res["outer_trace"])
     assert len(res["theta"]) == 2 and len(res["U_hat"]) == 5
@@ -410,6 +410,28 @@ def test_bad_setting_is_one_error_line_before_any_fit(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name,edit", [
+    ("n_demos", lambda cfg: cfg.update(n_demos=2.5)),
+    ("n_reps", lambda cfg: cfg.update(n_reps=1.5)),
+    ("seed", lambda cfg: cfg.update(seed=True)),
+    ("gibbs.n_iter", lambda cfg: cfg.update(gibbs={"n_iter": 200.5}, methods=["map"])),
+    ("problem.horizon", lambda cfg: cfg["problem"].update(horizon=8.9)),
+    ("problem.features[0].index", lambda cfg: cfg["problem"]["features"][0].update(index=0.5)),
+    ("problem.system.A.rows", lambda cfg: cfg["problem"]["system"]["A"].update(rows=True)),
+    ("norm.index", lambda cfg: cfg.update(norm={"kind": "component", "index": 1.5})),
+], ids=["n_demos", "n_reps", "seed", "gibbs", "horizon", "feature", "matrix", "norm"])
+def test_fractional_or_boolean_count_is_an_error(tmp_path, capsys, name, edit):
+    # int() used to truncate these: n_demos 2.5 ran 2 demos and exited 0
+    cfg = _tiny_config()
+    edit(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["bench", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {name}: expected int")
+    assert not (tmp_path / "out" / "rows.csv").exists()
+
+
 def test_bench_unknown_method_fails(tmp_path, capsys):
     cfg = _write_config(tmp_path, methods=["kkt", "lasso"])
     rc = main(["bench", "--config", cfg, "--out-dir", str(tmp_path / "bad")])
@@ -451,11 +473,11 @@ GOLDEN_ESTIMATE_SHA256 = {
     ("spring_damper", "mean"): "1789ebcecbf03730d23192bc5cf5cddb6fdbe7a2d7f5861e30bcb71b3362f6f2",
     ("spring_damper", "kkt"): "41ef5e1c6220f661b73847f171ec25403817e1288c80a47acc28fbd794c36513",
     ("spring_damper", "map"): "99ebc4bb9cf99e9bb13fd462b331acf3f37930d5cf20c0665ac5150ba3f91922",
-    ("spring_damper", "tls"): "55b8e592f6a6a87b93a989a5662a24fd5d5e895874b50a072c2a41b85595f52f",
+    ("spring_damper", "tls"): "451bc76f01e480df6ee02b4609011c261b3cb521f926ab42acabad7177bdaf0b",
     ("tls_positivity", "mean"): "2d62d22d6acdab13e8cd4f225a4f9b9e9e0bd5dd156bb788844ae6df03117697",
     ("tls_positivity", "kkt"): "afd2e2bc29e32e52b51be2e895bbaf0f53661c0de0aa5798da972f2749d003a5",
     ("tls_positivity", "map"): "4a6be57aed8463ad41831a21b32ddd7632367189e87f32f10b328e429734b1ff",
-    ("tls_positivity", "tls"): "405c66f8a8a8ea885b2edbdafc0bce4b67f407da696032cb7a6c8d63e1f949fb",
+    ("tls_positivity", "tls"): "a5e7c77a80a55a47b2b110c4bc80cb45d69555c697f8545f6f3d7ecf05e1edf6",
 }
 _GOLDEN_DEMOS = {"spring_damper": (10, 20260821), "tls_positivity": (10, 20260824)}
 

@@ -25,7 +25,7 @@ from ioc_eiv import (
     tls_inner,
 )
 from ioc_eiv import bench_cli, tls_estimator
-from ioc_eiv.model import build_stationarity, constraint_values
+from ioc_eiv.model import build_stationarity, constraint_values, kkt_residual
 from ioc_eiv.tls_estimator import MAX_OUTER_ITERS, RIDGE, SIGMA_TOL
 
 
@@ -89,12 +89,10 @@ def test_inner_result_is_weighted_projection_of_demos():
     from ioc_eiv import kkt_single
 
     init = kkt_single(U0, fp, _norm())
-    beta0 = np.concatenate([init.theta, init.lam_list[0]])
-    # a sample-mean start sits off the stationarity manifold, so the first
-    # inner call legitimately detours through the penalty ramp; its closing
-    # projection is the equality-constrained solve checked here
-    U, theta, lam, cost, path, trace = tls_inner(ds, fp, Sigma_U, _norm(), U0, beta0)
-    assert path in ("exact", "penalty")
+    # the inner fit ends at the forward optimum of its weights, which with
+    # every multiplier at zero is the equality-constrained solve checked here
+    U, theta, lam, cost, path, trace = tls_inner(ds, fp, Sigma_U, _norm(), init.theta)
+    assert path == "exact"
     assert np.max(np.abs(lam), initial=0.0) <= 1e-12
     M_beta = sum(t * M for t, M in zip(theta, bs.Mj))
     rhs_con = -(bs.E_theta @ theta + bs.J_lambda @ lam)
@@ -112,16 +110,32 @@ def test_single_demo_euclidean_projection():
     from ioc_eiv import kkt_single
 
     init = kkt_single(ds.U_list[0], fp, _norm())
-    beta0 = np.concatenate([init.theta, init.lam_list[0]])
-    U, theta, lam, cost, path, trace = tls_inner(
-        ds, fp, np.eye(10), _norm(), ds.U_list[0], beta0
-    )
+    U, theta, lam, cost, path, trace = tls_inner(ds, fp, np.eye(10), _norm(), init.theta)
     M_beta = sum(t * M for t, M in zip(theta, bs.Mj))
     rhs = -(bs.E_theta @ theta + bs.J_lambda @ lam)
     # Euclidean projection of the lone demo onto {U : M_beta U = rhs}
     kkt = np.block([[2.0 * np.eye(10), M_beta.T], [M_beta, np.zeros((10, 10))]])
     U_oracle = np.linalg.solve(kkt, np.concatenate([2.0 * ds.U_list[0], rhs]))[:10]
     np.testing.assert_allclose(U, U_oracle, atol=1e-8)
+
+
+def _assert_forward_optimum(fp, res):
+    """The TLS invariant: U_hat is the forward optimum of theta, bit for bit."""
+    assert res.U_hat.tobytes() == solve_forward(fp, res.theta).U.tobytes()
+    assert kkt_residual(fp, res.theta, res.lam, res.U_hat).max_abs() <= 1e-6
+
+
+def test_sensitivity_matches_central_differences_of_forward_solve():
+    fp, theta = _positivity_problem()
+    bs = build_stationarity(fp)
+    sol = solve_forward(fp, theta)
+    assert bs.held_rows(sol.lam).any()  # u >= 0 holds at least one row
+    G = tls_estimator._sensitivity(bs, theta, sol)
+    h = 1e-6
+    for j in range(fp.q):
+        e = h * np.eye(fp.q)[j]
+        fd = (solve_forward(fp, theta + e).U - solve_forward(fp, theta - e).U) / (2 * h)
+        np.testing.assert_allclose(G[:, j], fd, rtol=0, atol=1e-7)
 
 
 def test_hard_stationarity_and_feasibility_at_output():
@@ -206,36 +220,21 @@ def test_positivity_surrogate_beats_sample_mean():
 
 @pytest.fixture(scope="module")
 def retry_fit():
-    """TLS on spring_damper at N = 25, where the outer loop feeds back.
+    """TLS on spring_damper at N = 25, where an alternating projection
+    used to end at a corner with theta_3 = 0.
 
-    Returns the result and the path of each inner call.  At the shipped
-    N = 10 every estimate makes two inner calls; here the first ones end
-    ``penalty_unprojected``, the refit covariance moves, and the loop
-    retries until a call projects.
+    Returns the problem and the result.
     """
     fp = oracles.spring_damper(horizon=25)
     U_star = solve_forward(fp, oracles.SPRING_THETA).U
     scale = noise_scale_from_percent(U_star, 10.0, fp.system.m)
     ds = generate(U_star, NoiseSpec.gaussian(np.diag(scale**2), seed=20260819), 10, fp)
-    paths = []
-
-    def spy(*args, **kwargs):
-        out = tls_inner(*args, **kwargs)
-        paths.append(out[4])
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tls_estimator, "tls_inner", spy)
-        res = tls_estimate(ds, fp, _norm())
-    return fp, res, paths
+    return fp, tls_estimate(ds, fp, _norm())
 
 
 def test_outer_retry_after_unprojected_calls_ends_hard_stationary(retry_fit):
-    fp, res, paths = retry_fit
-    assert len(paths) >= 3
-    assert paths[0] == "penalty_unprojected"
-    assert paths[-2:] == ["penalty", "exact"]
-    assert res.path == "exact"
+    fp, res = retry_fit
+    _assert_forward_optimum(fp, res)
     s = build_stationarity(fp).stationarity(res.U_hat, res.theta, res.lam)
     assert np.max(np.abs(s)) <= 1e-8
     g = constraint_values(fp, res.U_hat)
@@ -244,9 +243,8 @@ def test_outer_retry_after_unprojected_calls_ends_hard_stationary(retry_fit):
     assert np.max(np.abs(res.lam * g)) <= 1e-8
 
 
-@pytest.mark.xfail(strict=True, reason="the retry path ends at a corner where theta_3 = 0")
 def test_outer_retry_keeps_every_weight_positive(retry_fit):
-    _, res, _ = retry_fit
+    _, res = retry_fit
     assert float(res.theta.min()) > 1e-9 * float(np.sum(np.abs(res.theta)))
 
 
@@ -269,13 +267,13 @@ def _result_digest(res):
 # outer_trace, path and every merit value of every inner trace) on bench
 # demos of both shipped configs at each shipped level, and on the N = 25
 # retry fit above.  The estimate JSON pins leave out the inner traces, so
-# these catch a change that reorders a merit sum.  Recorded before the
-# inner workspace hoisted its constant terms; like the other golden pins
-# they depend on the numpy/OpenBLAS build.
+# these catch a change that reorders a merit sum.  Recorded with the
+# Gauss-Newton fit in theta; like the other golden pins they depend on the
+# numpy/OpenBLAS build.
 GOLDEN_TLS_SHA256 = {
-    "spring_damper": "86c3e725bc846f76ee45a2ce91dc1047def7c3ffb01e5b90a2e6eb92e7243a43",
-    "tls_positivity": "a4817f0daa96930faaca8a481e5883028041e876aadf1fe412a28c5ba1a1fe06",
-    "retry": "627117ed614b5826687b28dfddbcc5d226501dcba405bfbc396971257408846c",
+    "spring_damper": "b57eae051e9dc803210f7e563c142b87dd7b95d17452b60b870a68bd7d941831",
+    "tls_positivity": "69038ff78457c9e69aad82b6ffae5441b590e7a56e65ede2cbe87f7589443055",
+    "retry": "d83d9114b715f9b3739ea819c21a7b6b845b515adf9dfcd36ffd0f010b089282",
 }
 
 
@@ -291,11 +289,13 @@ def test_estimate_outputs_are_bit_identical_to_golden(config):
         spec = bench_cli._noise_spec(cfg["noise"], U_star, fp.system.m, float(level),
                                      cfg["seed"] + i)
         ds = generate(U_star, spec, cfg["n_demos"], fp)
-        digests.append(_result_digest(tls_estimate(ds, fp, norm)))
+        res = tls_estimate(ds, fp, norm)
+        _assert_forward_optimum(fp, res)
+        digests.append(_result_digest(res))
     digest = hashlib.sha256("".join(digests).encode()).hexdigest()
     assert digest == GOLDEN_TLS_SHA256[config]
 
 
 def test_retry_fit_is_bit_identical_to_golden(retry_fit):
-    _, res, _ = retry_fit
+    _, res = retry_fit
     assert _result_digest(res) == GOLDEN_TLS_SHA256["retry"]
