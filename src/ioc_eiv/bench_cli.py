@@ -394,10 +394,6 @@ def _fit_tls(ds, fp, norm, gibbs, rng):
     res = tls_estimator.estimate(ds, fp, norm)
     return res.theta, res.U_hat, {
         "Sigma_U": matrix_to_json(res.Sigma_U_hat),
-        "outer_trace": [
-            [float(c) if np.isfinite(c) else None, float(d) if np.isfinite(d) else None]
-            for c, d in res.outer_trace
-        ],
         "path": res.path,
     }
 

@@ -483,9 +483,10 @@ def solve_qp(qp: Qp) -> QpSolution:
         if Z is None:
             Hr, cr, Lr, Ar, br = H, c, L_full, Ain, bin_
         else:
-            Hr = Z.T @ H @ Z
             cr = Z.T @ (H @ z_part + c)
-            Lr = cholesky(Hr)  # SPD because H is
+            # SPD in exact arithmetic, but rounding can break that when H
+            # is nearly singular, so Hr gets H's diagonal bump retry
+            Lr, Hr = _chol_with_regularization(Z.T @ H @ Z)
             Ar = Ain @ Z
             br = bin_ - Ain @ z_part
 

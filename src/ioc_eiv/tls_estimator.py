@@ -34,11 +34,13 @@ either way the returned ``U`` is ``forward.solve(theta).U`` bit for bit,
 so stationarity, complementarity, signs and feasibility hold to the
 forward solver's tolerance.
 
-:func:`estimate` starts from the sample mean and a
-:func:`~ioc_eiv.kkt_baseline.kkt_single` fit to it, and repeats
-:func:`tls_inner` with the covariance re-estimated at the latest ``U``
-until the covariance moves less than ``SIGMA_TOL``.  The result reports
-the path of the last inner call.
+:func:`estimate` runs :func:`tls_inner` once, from a
+:func:`~ioc_eiv.kkt_baseline.kkt_single` fit to the sample mean, at
+``Sigma_U = I_N (x) Sigma_u``.  The demos are drawn independently per step,
+so ``Sigma_u`` is identified without ``theta``: their scatter about the
+sample mean pooled over the ``N`` steps, over ``N (D - 1)``, plus ``RIDGE``
+times its mean variance; the identity when the scatter is zero (one demo,
+or noiseless demos).  It scales with the inputs, so ``theta`` is unit-free.
 """
 
 from __future__ import annotations
@@ -55,10 +57,8 @@ from .numerics import ACTIVE_TOL, Qp, _identity, cholesky, cholesky_inverse, sol
 
 __all__ = ["TlsResult", "tls_inner", "estimate"]
 
-SIGMA_TOL = 1e-6  # outer loop stops once the covariance moves less (Frobenius)
-RIDGE = 1e-8  # added to every covariance estimate
+RIDGE = 1e-8  # added to the per-step covariance, relative to its mean variance
 MAX_INNER_ITERS = 100  # Gauss-Newton steps per inner call
-MAX_OUTER_ITERS = 50  # covariance updates per estimate
 COST_TOL = 1e-9  # an inner call stops once a step lowers the cost by at most this, relatively
 _FLOOR = 1e-6  # every weight stays >= _FLOOR * norm.value
 # Levenberg-Marquardt term of each step, relative to the mean curvature: U*
@@ -77,7 +77,6 @@ class TlsResult:
     U_hat: np.ndarray
     Sigma_U_hat: np.ndarray
     residuals: tuple
-    outer_trace: tuple
     path: str
     inner_traces: tuple
 
@@ -162,45 +161,26 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: Normalizatio
     return sol.U, theta, sol.lam, cost, "floor" if on_floor else "exact", tuple(trace)
 
 
-def _covariance(ds: DemoSet, U) -> np.ndarray:
-    R = ds.stacked() - np.asarray(U, dtype=float).ravel()
-    return (R.T @ R) / ds.n_demos + RIDGE * np.eye(R.shape[1])
-
-
 def estimate(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> TlsResult:
-    """Full TLS pipeline: covariance updates interleaved with inner solves."""
-    bs = model.build_stationarity(fp)
-    U = sample_mean(ds)
-    theta = kkt_single(U, fp, norm).theta
-
-    Sigma_prev = None
-    outer_trace = []
-    inner_traces = []
-    for _ in range(MAX_OUTER_ITERS):
-        Sigma_U = _covariance(ds, U)
-        delta = (
-            float(np.linalg.norm(Sigma_U - Sigma_prev, ord="fro"))
-            if Sigma_prev is not None
-            else float("nan")
-        )
-        if Sigma_prev is not None and delta < SIGMA_TOL:
-            outer_trace.append((float("nan"), delta))
-            break
-        Sigma_prev = Sigma_U
-        U, theta, lam, cost, path, steps = tls_inner(ds, fp, Sigma_U, norm, theta, bs=bs)
-        outer_trace.append((cost, delta))
-        inner_traces.append(steps)
-
-    U_hat = U
-    Sigma_hat = _covariance(ds, U_hat)
-    residuals = tuple(U_d - U_hat for U_d in ds.U_list)
+    """Full TLS pipeline: one inner solve at the per-step noise covariance."""
+    m, N, D = fp.system.m, fp.horizon, ds.n_demos
+    mean = sample_mean(ds)
+    R = (ds.stacked() - mean).reshape(D * N, m)
+    Sigma_u = R.T @ R
+    if np.trace(Sigma_u) == 0.0:  # one demo, or noiseless demos
+        Sigma_u = np.eye(m)
+    else:
+        Sigma_u /= N * (D - 1)
+        Sigma_u += RIDGE * np.trace(Sigma_u) / m * np.eye(m)
+    Sigma_U = np.kron(np.eye(N), Sigma_u)
+    theta = kkt_single(mean, fp, norm).theta
+    U, theta, lam, cost, path, steps = tls_inner(ds, fp, Sigma_U, norm, theta)
     return TlsResult(
         theta=theta,
         lam=lam,
-        U_hat=U_hat,
-        Sigma_U_hat=Sigma_hat,
-        residuals=residuals,
-        outer_trace=tuple(outer_trace),
+        U_hat=U,
+        Sigma_U_hat=Sigma_U,
+        residuals=tuple(U_d - U for U_d in ds.U_list),
         path=path,
-        inner_traces=tuple(inner_traces),
+        inner_traces=(steps,),
     )

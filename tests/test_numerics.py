@@ -521,6 +521,42 @@ def test_qp_row_near_underflow_solves_like_its_rescaled_copy():
     np.testing.assert_allclose(sol.z, [1.0, 0.0], atol=1e-10)
 
 
+def test_qp_reduced_hessian_gets_the_regularization_retry():
+    # the inverse-KKT QP of tls_positivity demos multiplied by 1e-6: H is
+    # 2 I except for two nearly null rows, and its exact reduced Hessian on
+    # {z1 + z2 = 5} is SPD, but the rounded one fails the factorization at
+    # its ninth leading minor
+    h0 = [8.055685470659005e-12, -8.43425045893284e-14, -3.4211904597447734e-06,
+          -1.8928152635663066e-06, -8.525246210052944e-07, -2.137493637062846e-07,
+          7.710021257300201e-08, 1.5898381102686737e-07, 1.4272295760416788e-07, 0.0]
+    h1 = [-8.43425045893284e-14, 4.554960619554002e-13, -6.316048280173343e-09,
+          -8.950155039212064e-09, -8.584999465317642e-09, -9.66029786740193e-09,
+          -3.5382701338048503e-07, -6.658206916135887e-07, -5.84932948054553e-07,
+          -6.9137616858351425e-09]
+    H = 2.0 * np.eye(10)
+    H[0], H[1] = h0, h1
+    H[:, 0], H[:, 1] = h0, h1
+    Aeq = np.zeros((1, 10))
+    Aeq[0, :2] = 1.0
+    sol = solve_qp(Qp(H=H, c=np.zeros(10), Aeq=Aeq, beq=np.array([5.0]),
+                      Ain=-np.eye(10), bin=np.zeros(10)))
+    assert sol.status == "optimal"
+    assert sol.z.min() >= -1e-12
+    assert sol.kkt_residual <= 1e-9
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="known defect: a nearly singular H lets z leave its bounds")
+def test_qp_with_nearly_singular_hessian_keeps_its_bounds():
+    # a TLS Gauss-Newton step QP before scaling and damping; solve_qp
+    # returns z = (-0.0180, 16.343, 0.0247) without an error
+    H = np.array([[7.56e-29, 6.28e-30, 0.0], [6.28e-30, 1.47e-29, 0.0], [0.0, 0.0, 3.0e-39]])
+    c = np.array([8.27e-15, -3.00e-15, -2.47e-38])
+    sol = solve_qp(Qp(H=H, c=c, Aeq=np.ones((1, 3)), beq=np.array([16.35]),
+                      Ain=-np.eye(3), bin=np.full(3, -1.63e-5)))
+    assert sol.z.min() >= 1.63e-5 - 1e-9
+
+
 def test_shared_identity_is_read_only_and_bounded():
     eye = numerics._identity(4)
     assert not eye.flags.writeable
