@@ -41,7 +41,7 @@ from . import model
 from .demos import DemoSet, generate, noise_cov_stacked
 from .kkt_baseline import NormalizationRule, _require_rule
 from .mcmc import SIGMA_Y, Priors, default_priors, gibbs_run
-from .numerics import Infeasible, Qp, cholesky, cholesky_solve, solve_qp
+from .numerics import Infeasible, Qp, cholesky, cholesky_inverse, cholesky_solve, solve_qp
 
 __all__ = [
     "GibbsConfig",
@@ -83,10 +83,12 @@ class _Workspace:
     """What the MAP cost and both half-steps hold fixed for one ``Sigma_U``.
 
     The four covariances are factored once, beta's prior precision ``Pi``
-    is inverted once, and the U-step keeps its constant Hessian and linear
-    terms.  The terms are stored apart, not summed: each step adds them to
-    its varying term in the order of the one-line formula, so the sums
-    round exactly as they would if everything were recomputed.
+    is the priors' ``Sigma_beta_inv``, and the U-step keeps its constant
+    Hessian and linear terms.  Every precision comes from
+    :func:`~ioc_eiv.numerics.cholesky_inverse` of a held factor, so it is
+    exactly symmetric.  The terms are stored apart, not summed: each step
+    adds them to its varying term in the order of the one-line formula, so
+    the sums round exactly as they would if everything were recomputed.
     """
 
     def __init__(self, bs, ds: DemoSet, Sigma_U, priors: Priors):
@@ -96,15 +98,13 @@ class _Workspace:
         self.L_SY = cholesky(np.asarray(priors.Sigma_Y, dtype=float))
         self.L_SU0 = cholesky(np.asarray(priors.Sigma_U0, dtype=float))
         self.L_Sb = cholesky(np.asarray(priors.Sigma_beta, dtype=float))
-        Pi = np.linalg.inv(priors.Sigma_beta)
-        self.Pi = 0.5 * (Pi + Pi.T)
+        self.Pi = priors.Sigma_beta_inv
         self.Pi_beta0 = self.Pi @ priors.beta0
         D = ds.n_demos
-        eye = np.eye(bs.n_inputs)
         # U-step: H = H_demo + 2D Mb' SY^-1 Mb + H_prior,
         #         c = c_demo + 2D Mb' SY^-1 E(beta) - c_prior
-        self.H_demo = 2.0 * D * cholesky_solve(self.L_SU, eye)
-        self.H_prior = 2.0 * cholesky_solve(self.L_SU0, eye)
+        self.H_demo = 2.0 * D * cholesky_inverse(self.L_SU)
+        self.H_prior = 2.0 * cholesky_inverse(self.L_SU0)
         self.c_demo = -2.0 * cholesky_solve(self.L_SU, ds.demo_sum())
         self.c_prior = 2.0 * cholesky_solve(self.L_SU0, priors.U0)
 

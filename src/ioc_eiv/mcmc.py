@@ -13,17 +13,24 @@ III. Sigma_U | U, data       (inverse-Wishart with D added degrees of freedom)
 ``gibbs_run`` cycles them in that order starting from the demonstration
 sample mean.  ``mh_within_gibbs_U`` replaces the exact U draw with a
 random-walk Metropolis step on the same conditional density.
+
+Every matrix the chain factors is exactly symmetric, so ``cholesky`` never
+runs its tolerance test.  One exact iteration makes six factorizations
+(two for the beta draw, three for the U draw, one for the inverse-Wishart
+scale) and three ``cholesky_inverse`` calls; the inverse-Wishart draw
+inverts nothing.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import model
 from .demos import DemoSet, sample_mean
@@ -127,22 +134,36 @@ def sample_mvn(mean, cov, rng: np.random.Generator) -> np.ndarray:
 def sample_inverse_wishart(W, nu: float, rng: np.random.Generator) -> np.ndarray:
     """One inverse-Wishart draw with scale ``W`` and ``nu`` degrees of freedom.
 
-    Implemented as a Bartlett-decomposition Wishart draw with scale
-    ``W^{-1}`` followed by inversion, so ``E[draw] = W / (nu - p - 1)``
-    whenever ``nu > p + 1``.
+    Bartlett's construction for the inverse (Smith & Hocking, *Appl.
+    Statist.* 21, 1972): with ``L L' = W`` and ``A`` the lower Bartlett
+    factor of a Wishart(I, nu) draw, ``(L^{-T} A)(L^{-T} A)'`` is
+    Wishart(W^{-1}, nu), so its inverse is ``C C'`` with ``C = L A^{-T}``.
+    One factor of ``W`` and one triangular solve ``A C' = L'``; nothing is
+    inverted.  ``A`` takes one ``standard_normal`` vector for its strict
+    lower triangle, row by row, then one ``chisquare`` vector with degrees
+    of freedom ``nu - i`` for its diagonal.  The draw is exactly symmetric
+    and SPD, and ``E[draw] = W / (nu - p - 1)`` whenever ``nu > p + 1``.
     """
     W = np.asarray(W, dtype=float)
     p = W.shape[0]
     if nu <= p - 1:
         raise ValueError(f"need nu > p - 1 = {p - 1}, got {nu}")
-    Lw = cholesky(cholesky_inverse(cholesky(W)))
-    A = np.zeros((p, p))
-    for i in range(p):
-        A[i, i] = math.sqrt(rng.chisquare(nu - i))
-        A[i, :i] = rng.standard_normal(i)  # same stream as i scalar draws
-    LA = Lw @ A
-    X = LA @ LA.T  # Wishart(W^{-1}, nu)
-    return cholesky_inverse(cholesky(X))
+    L = cholesky(W)
+    A = np.zeros((p, p), order="F")
+    A[_strict_lower(p)] = rng.standard_normal(p * (p - 1) // 2)
+    np.fill_diagonal(A, np.sqrt(rng.chisquare(nu - np.arange(p))))
+    Ct, info = lapack.dtrtrs(A, L.T, lower=1, overwrite_b=1)
+    if info > 0:
+        raise ValueError(f"Bartlett factor is singular (diagonal entry {info} is zero)")
+    if info < 0:
+        raise ValueError(f"invalid input to triangular solve (argument {-info})")
+    return Ct.T @ Ct
+
+
+@lru_cache(maxsize=16)
+def _strict_lower(p: int) -> tuple:
+    """Row-major indices of the strict lower triangle of an order-``p`` matrix."""
+    return np.tril_indices(p, -1)
 
 
 def full_conditional_beta(ds: DemoSet, U, bs: model.BilinearStationarity, priors: Priors):
@@ -156,6 +177,7 @@ def full_conditional_beta(ds: DemoSet, U, bs: model.BilinearStationarity, priors
     J = bs.J(np.asarray(U, dtype=float))
     prec_prior = priors.Sigma_beta_inv
     prec = prec_prior + D * (J.T @ priors.Sigma_Y_inv @ J)
+    prec = 0.5 * (prec + prec.T)
     cov = cholesky_inverse(cholesky(prec))
     mean = cov @ (prec_prior @ priors.beta0)
     return mean, cov
@@ -180,6 +202,7 @@ def full_conditional_U(ds: DemoSet, beta, Sigma_U, bs: model.BilinearStationarit
     prec_prior = priors.Sigma_U0_inv
 
     prec = prec_prior + D * (Mb.T @ SigY_inv @ Mb) + D * SigU_inv
+    prec = 0.5 * (prec + prec.T)
     cov = cholesky_inverse(cholesky(prec))
     rhs = priors.Sigma_U0_inv_U0 - D * (Mb.T @ (SigY_inv @ Ebeta)) + SigU_inv @ ds.demo_sum()
     mean = cov @ rhs

@@ -275,7 +275,8 @@ class BilinearStationarity:
     """Constant matrices of the affine stationarity map.
 
     ``stationarity(U, beta) = (sum_j theta_j Mj[j]) U + E_theta theta
-    + J_lambda lam`` with ``beta = (theta, lam)``.  ``J_lambda.T`` is also
+    + J_lambda lam`` with ``beta = (theta, lam)``; ``Ms`` is ``Mj`` stacked
+    into one ``(q, mN, mN)`` array.  ``J_lambda.T`` is also
     the Jacobian of the stacked constraint values, so
     ``g(U) = J_lambda.T U + g_offset``.
 
@@ -298,10 +299,14 @@ class BilinearStationarity:
     g_offset: np.ndarray
     h_ref: np.ndarray
     n_features: int = field(init=False)
+    Ms: np.ndarray = field(init=False, repr=False)
     nonzero_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n_features", len(self.Mj))
+        Ms = np.stack(self.Mj)
+        Ms.flags.writeable = False
+        object.__setattr__(self, "Ms", Ms)
         nonzero = np.max(np.abs(self.J_lambda), axis=0, initial=0.0) > ZERO_ROW_TOL
         nonzero.flags.writeable = False
         object.__setattr__(self, "nonzero_rows", nonzero)
@@ -323,10 +328,12 @@ class BilinearStationarity:
         return out
 
     def J_theta(self, U) -> np.ndarray:
-        """Feature block of the stationarity Jacobian at ``U`` (affine in U)."""
-        U = np.asarray(U, dtype=float)
-        cols = [Mj @ U + self.E_theta[:, j] for j, Mj in enumerate(self.Mj)]
-        return np.column_stack(cols)
+        """Feature block of the stationarity Jacobian at ``U`` (affine in U).
+
+        Column ``j`` is ``Mj[j] @ U + E_theta[:, j]``, bit for bit; all
+        columns come from one stacked product with ``Ms``.
+        """
+        return (self.Ms @ np.asarray(U, dtype=float)).T + self.E_theta
 
     def J(self, U) -> np.ndarray:
         """Full Jacobian ``[J_theta(U), J_lambda]``."""

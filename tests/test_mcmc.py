@@ -5,6 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import oracles
 from ioc_eiv import (
@@ -119,19 +120,20 @@ def test_inverse_wishart_matrix_mean_and_spd():
 
 
 def test_inverse_wishart_matches_scalar_bartlett_reference():
-    # the Bartlett rows are filled by one vector draw each; a Generator
-    # fills arrays in order, so the draw equals i scalar draws per row, bit
-    # for bit
+    # plain-numpy Bartlett construction with one scalar draw per entry: the
+    # strict lower triangle row by row, then the diagonal.  A Generator fills
+    # arrays in order, so the sampler's two vector draws consume the same
+    # variates; only the triangular solve rounds differently.
     def reference(W, nu, rng):
         p = W.shape[0]
-        Lw = cholesky(cholesky_inverse(cholesky(W)))
         A = np.zeros((p, p))
         for i in range(p):
-            A[i, i] = np.sqrt(rng.chisquare(nu - i))
             for j in range(i):
                 A[i, j] = rng.standard_normal()
-        LA = Lw @ A
-        return cholesky_inverse(cholesky(LA @ LA.T))
+        for i in range(p):
+            A[i, i] = np.sqrt(rng.chisquare(nu - i))
+        C = np.linalg.cholesky(W) @ np.linalg.inv(A).T
+        return C @ C.T
 
     G = np.random.default_rng(0).standard_normal((6, 6))
     W = G @ G.T + np.eye(6)
@@ -139,9 +141,30 @@ def test_inverse_wishart_matches_scalar_bartlett_reference():
     for _ in range(20):
         got = sample_inverse_wishart(W, 9.5, rng_a)
         ref = reference(W, 9.5, rng_b)
-        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
     # both streams consumed the same number of variates
     assert rng_a.standard_normal() == rng_b.standard_normal()
+
+
+@pytest.mark.parametrize("p", [1, 2, 10])
+def test_inverse_wishart_draws_are_exactly_symmetric_with_wishart_precision(p):
+    # every draw passes cholesky's exact-symmetry test, so the U conditional
+    # factors it without a tolerance test; its inverse is Wishart(W^-1, nu)
+    rng = np.random.default_rng(30 + p)
+    G = rng.standard_normal((p, p))
+    W = G @ G.T + p * np.eye(p)
+    nu = p + 4.5
+    n = 20_000
+    acc = np.zeros((p, p))
+    for i in range(n):
+        S = sample_inverse_wishart(W, nu, rng)
+        assert (S == S.T).all() and np.abs(S).max() < 1e307
+        L = cholesky(S)
+        if i < 100:
+            assert L.tobytes() == np.ascontiguousarray(lapack.dpotrf(S, lower=1)[0]).tobytes()
+        acc += cholesky_inverse(L)
+    expect = nu * cholesky_inverse(cholesky(W))
+    assert np.linalg.norm(acc / n - expect) <= 0.03 * np.linalg.norm(expect)
 
 
 def test_priors_precisions_equal_spd_inverse_bitwise():
@@ -399,10 +422,12 @@ def test_gibbs_seeded_determinism():
     np.testing.assert_array_equal(a.Sigma_U_mean, b.Sigma_U_mean)
 
 
-# sha256 of the trace below, recorded before the hot path was rewritten;
-# a "bit-exact" speed-up that moves any draw of the chain changes it.  The
-# bytes depend on the floating-point kernels of the numpy/OpenBLAS build.
-GOLDEN_TRACE_SHA256 = "a155ff68b1f085f4c0997d990768aa9ea52615ca7b1929f4b2f8358ba6046db0"
+# sha256 of the trace below; a "bit-exact" speed-up that moves any draw of
+# the chain changes it.  Re-pinned when the inverse-Wishart draw became one
+# factor and one triangular solve with its normals drawn before its
+# chi-squares.  The bytes depend on the floating-point kernels of the
+# numpy/OpenBLAS build.
+GOLDEN_TRACE_SHA256 = "a39747f22923fd75d5e50c41f085d1ede4efc02b3f7b81c2751c6213bc38f7a2"
 
 
 def test_gibbs_trace_is_bit_identical_to_golden(tmp_path):
@@ -439,6 +464,27 @@ def test_gibbs_output_does_not_depend_on_trace_csv(tmp_path):
     for name in ("U_mean", "beta_mean", "Sigma_U_mean"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert a.acceptance_rate == b.acceptance_rate
+
+
+def test_gibbs_factors_six_exactly_symmetric_matrices_per_iteration(monkeypatch):
+    # no factorization of the chain takes cholesky's tolerance path
+    import ioc_eiv.mcmc as mcmc
+
+    factored = []
+
+    def spy(M):
+        factored.append(bool((np.asarray(M) == np.asarray(M).T).all()))
+        return cholesky(M)
+
+    fp = oracles.spring_damper()
+    sol = solve_forward(fp, oracles.SPRING_THETA)
+    sig = noise_scale_from_percent(sol.U, 10.0)
+    ds = generate(sol.U, NoiseSpec.gaussian(np.diag(sig**2), seed=23), 6, fp)
+    priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
+    monkeypatch.setattr(mcmc, "cholesky", spy)
+    gibbs_run(ds, fp, priors, n_iter=60, n_keep=10, rng=np.random.default_rng(5))
+    assert len(factored) == 6 * 59
+    assert all(factored)
 
 
 def test_gibbs_dispersed_initializations_agree():

@@ -153,6 +153,29 @@ def test_stationarity_matches_finite_differences():
         assert abs(fd - s[i]) <= 1e-6 * (1.0 + abs(fd))
 
 
+def _shipped_problem(config):
+    with open(f"configs/{config}.json", encoding="utf-8") as fh:
+        return parse_problem(json.load(fh)["problem"])
+
+
+def test_J_theta_equals_the_per_column_formula_bytewise():
+    # the stacked product must round every column exactly as Mj @ U + E_theta[:, j]
+    rng = np.random.default_rng(29)
+    problems = [_shipped_problem("spring_damper"), _shipped_problem("tls_positivity")]
+    problems += [oracles.random_instance(rng)[0] for _ in range(10)]
+    for fp in problems:
+        bs = build_stationarity(fp)
+        for _ in range(50):
+            U = rng.standard_normal(bs.n_inputs) * 10.0 ** rng.uniform(-3.0, 3.0)
+            U[rng.random(U.size) < 0.3] = 0.0
+            want = np.column_stack(
+                [Mj @ U + bs.E_theta[:, j] for j, Mj in enumerate(bs.Mj)]
+            )
+            got = bs.J_theta(U)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_residual_doubles_with_parameters():
     # the stationarity and complementarity blocks are linear in (theta, lam),
     # and doubling is exact in binary floating point
@@ -268,15 +291,10 @@ def test_active_rows_scale_each_row_by_its_own_bound(tol):
     assert got.tolist() == [False, True, False, False, True, False, False, False]
 
 
-def _tls_positivity():
-    with open("configs/tls_positivity.json", encoding="utf-8") as fh:
-        return parse_problem(json.load(fh)["problem"])
-
-
 def test_active_rows_leave_out_a_constant_row_at_zero():
     # tls_positivity's one row is -u <= 0; at the terminal step it has no
     # input, so g is 0 whatever U is: satisfied with equality, yet no row
-    fp = _tls_positivity()
+    fp = _shipped_problem("tls_positivity")
     bs = build_stationarity(fp)
     term = multiplier_index(0, fp.horizon, 1)
     U = solve_forward(fp, fp.theta_true).U
@@ -290,7 +308,7 @@ def test_active_rows_leave_out_a_constant_row_at_zero():
 
 
 def test_held_rows_ignore_constant_rows_and_compare_strictly():
-    fp = _tls_positivity()
+    fp = _shipped_problem("tls_positivity")
     bs = build_stationarity(fp)
     term = multiplier_index(0, fp.horizon, 1)
     lam = np.zeros(fp.n_multipliers)
@@ -302,7 +320,7 @@ def test_held_rows_ignore_constant_rows_and_compare_strictly():
 
 
 def test_face_blocks_pose_chosen_rows_and_skip_empty_blocks():
-    fp = _tls_positivity()
+    fp = _shipped_problem("tls_positivity")
     bs = build_stationarity(fp)
     L = fp.n_multipliers
     none = np.zeros(L, dtype=bool)
@@ -328,7 +346,7 @@ def test_face_blocks_pose_chosen_rows_and_skip_empty_blocks():
 
 
 def test_face_blocks_are_new_on_every_call():
-    fp = _tls_positivity()
+    fp = _shipped_problem("tls_positivity")
     bs = build_stationarity(fp)
     L = fp.n_multipliers
     eq = np.zeros(L, dtype=bool)
