@@ -153,10 +153,8 @@ def sample_inverse_wishart(W, nu: float, rng: np.random.Generator) -> np.ndarray
     A[_strict_lower(p)] = rng.standard_normal(p * (p - 1) // 2)
     np.fill_diagonal(A, np.sqrt(rng.chisquare(nu - np.arange(p))))
     Ct, info = lapack.dtrtrs(A, L.T, lower=1, overwrite_b=1)
-    if info > 0:
-        raise ValueError(f"Bartlett factor is singular (diagonal entry {info} is zero)")
-    if info < 0:
-        raise ValueError(f"invalid input to triangular solve (argument {-info})")
+    if info != 0:
+        raise ValueError(f"triangular solve with the Bartlett factor failed (info {info})")
     return Ct.T @ Ct
 
 
