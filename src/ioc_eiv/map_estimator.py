@@ -14,6 +14,13 @@ estimate and a good starting point, then maximizes the posterior over
 
 Both steps classify rows at ``model.ITERATE_ACTIVE_TOL``.
 
+Each step's objective is half the MAP cost, written in the Gaussian form
+the Gibbs sampler draws from.  The beta-step's Hessian is the beta full
+conditional's precision on the free coordinates.  The U-step's Hessian and
+linear term are the precision and the negated information vector that
+``mcmc._u_information`` returns for the demo precision fixed by the chain.
+:func:`map_cost` reads the same precisions from the priors.
+
 The normalization equality in the beta-step anchors the scale that the
 stationarity term cannot see.  The residual ``J(U) beta`` is homogeneous
 in ``beta``, so its squared norm always prefers a smaller ``beta``; with
@@ -40,7 +47,7 @@ import numpy as np
 from . import model
 from .demos import DemoSet, generate, noise_cov_stacked
 from .kkt_baseline import NormalizationRule, _require_rule
-from .mcmc import SIGMA_Y, Priors, default_priors, gibbs_run
+from .mcmc import SIGMA_Y, Priors, _u_information, default_priors, gibbs_run
 from .numerics import Infeasible, Qp, cholesky, cholesky_inverse, cholesky_solve, solve_qp
 
 __all__ = [
@@ -79,104 +86,63 @@ class MapResult:
     cost_trace: tuple
 
 
-class _Workspace:
-    """What the MAP cost and both half-steps hold fixed for one ``Sigma_U``.
+def map_cost(U, beta, Sigma_U, ds: DemoSet, priors: Priors, bs=None) -> float:
+    """Twice the negative log posterior of ``(beta, U)``, up to an additive constant.
 
-    The four covariances are factored once, beta's prior precision ``Pi``
-    is the priors' ``Sigma_beta_inv``, and the U-step keeps its constant
-    Hessian and linear terms.  Every precision comes from
-    :func:`~ioc_eiv.numerics.cholesky_inverse` of a held factor, so it is
-    exactly symmetric.  The terms are stored apart, not summed: each step
-    adds them to its varying term in the order of the one-line formula, so
-    the sums round exactly as they would if everything were recomputed.
+    The demo term is weighted by ``Sigma_U``, the stationarity, U-prior and
+    beta-prior terms by the priors' precisions.
     """
-
-    def __init__(self, bs, ds: DemoSet, Sigma_U, priors: Priors):
-        self.bs = bs
-        self.ds = ds
-        self.L_SU = cholesky(np.asarray(Sigma_U, dtype=float))
-        self.L_SY = cholesky(np.asarray(priors.Sigma_Y, dtype=float))
-        self.L_SU0 = cholesky(np.asarray(priors.Sigma_U0, dtype=float))
-        self.L_Sb = cholesky(np.asarray(priors.Sigma_beta, dtype=float))
-        self.Pi = priors.Sigma_beta_inv
-        self.Pi_beta0 = self.Pi @ priors.beta0
-        D = ds.n_demos
-        # U-step: H = H_demo + 2D Mb' SY^-1 Mb + H_prior,
-        #         c = c_demo + 2D Mb' SY^-1 E(beta) - c_prior
-        self.H_demo = 2.0 * D * cholesky_inverse(self.L_SU)
-        self.H_prior = 2.0 * cholesky_inverse(self.L_SU0)
-        self.c_demo = -2.0 * cholesky_solve(self.L_SU, ds.demo_sum())
-        self.c_prior = 2.0 * cholesky_solve(self.L_SU0, priors.U0)
-
-
-def map_cost(U, beta, Sigma_U, ds: DemoSet, priors: Priors, bs=None, *,
-             workspace: _Workspace | None = None) -> float:
-    """Negative log posterior of ``(beta, U)`` up to an additive constant.
-
-    ``workspace`` is an estimate's own, built from these ``Sigma_U``,
-    ``ds`` and ``priors``; without one the call builds its own.
-    """
-    if workspace is None:
-        if bs is None:
-            bs = model.build_stationarity(ds.fp_ref)
-        workspace = _Workspace(bs, ds, Sigma_U, priors)
-    ws = workspace
+    if bs is None:
+        bs = model.build_stationarity(ds.fp_ref)
     U = np.asarray(U, dtype=float).ravel()
     beta = np.asarray(beta, dtype=float).ravel()
-    q = ws.bs.n_features
+    q = bs.n_features
     theta, lam = beta[:q], beta[q:]
 
     R = ds.stacked() - U
-    total = float(np.sum(R * cholesky_solve(ws.L_SU, R.T).T))
-    s = ws.bs.stationarity(U, theta, lam)
-    total += ds.n_demos * float(s @ cholesky_solve(ws.L_SY, s))
+    L_SU = cholesky(np.asarray(Sigma_U, dtype=float))
+    total = float(np.sum(R * cholesky_solve(L_SU, R.T).T))
+    s = bs.stationarity(U, theta, lam)
+    total += ds.n_demos * float(s @ priors.Sigma_Y_inv @ s)
     dU = U - priors.U0
-    total += float(dU @ cholesky_solve(ws.L_SU0, dU))
+    total += float(dU @ priors.Sigma_U0_inv @ dU)
     db = beta - priors.beta0
-    total += float(db @ cholesky_solve(ws.L_Sb, db))
+    total += float(db @ priors.Sigma_beta_inv @ db)
     return total
 
 
-def _beta_step(ws: _Workspace, U, norm: NormalizationRule):
+def _beta_step(bs, ds: DemoSet, priors: Priors, U, norm: NormalizationRule):
     """Minimize the MAP cost over beta at fixed U. Returns full beta."""
-    bs = ws.bs
     q = bs.n_features
     act = np.flatnonzero(bs.active_rows(U, model.ITERATE_ACTIVE_TOL))
     B = np.hstack([bs.J_theta(U), bs.J_lambda[:, act]])
     free = np.concatenate([np.arange(q), q + act])
 
-    D = ws.ds.n_demos
-    H = 2.0 * D * (B.T @ cholesky_solve(ws.L_SY, B)) + 2.0 * ws.Pi[np.ix_(free, free)]
+    H = priors.Sigma_beta_inv[np.ix_(free, free)] + ds.n_demos * (B.T @ priors.Sigma_Y_inv @ B)
     H = 0.5 * (H + H.T)
-    c = -2.0 * ws.Pi_beta0[free]
+    c = -priors.Sigma_beta_inv_beta0[free]
     sol = solve_qp(Qp(H=H, c=c, **norm.beta_blocks(q, free.size)))
     beta = np.zeros(q + bs.n_multipliers)
     beta[free] = sol.z
     return beta
 
 
-def _u_step(ws: _Workspace, beta):
+def _u_step(bs, ds: DemoSet, priors: Priors, SU_inv, beta):
     """Minimize the MAP cost over U at fixed beta. Returns ``(U, beta)``.
 
-    The held rows are equalities and the others inequalities.  When the
-    held faces conflict, U comes from the inequalities alone, and the
-    returned beta drops the multipliers of the faces that U left.
+    ``SU_inv`` is the demo precision.  The held rows are equalities and the
+    others inequalities.  When the held faces conflict, U comes from the
+    inequalities alone, and the returned beta drops the multipliers of the
+    faces that U left.
     """
-    bs = ws.bs
     q = bs.n_features
     theta, lam = beta[:q], beta[q:]
-    Mb = bs.M_beta(theta)
-    Ebeta = bs.E_theta @ theta + bs.J_lambda @ lam
-    D = ws.ds.n_demos
-
-    H = ws.H_demo + 2.0 * D * (Mb.T @ cholesky_solve(ws.L_SY, Mb)) + ws.H_prior
-    H = 0.5 * (H + H.T)
-    c = ws.c_demo + 2.0 * D * (Mb.T @ cholesky_solve(ws.L_SY, Ebeta)) - ws.c_prior
+    H, info = _u_information(ds, theta, lam, SU_inv, bs, priors)
     held = bs.held_rows(lam)
     try:
-        return solve_qp(Qp(H=H, c=c, **bs.face_blocks(eq=held, ineq=~held))).z, beta
+        return solve_qp(Qp(H=H, c=-info, **bs.face_blocks(eq=held, ineq=~held))).z, beta
     except Infeasible:
-        U = solve_qp(Qp(H=H, c=c, **bs.face_blocks(ineq=bs.nonzero_rows))).z
+        U = solve_qp(Qp(H=H, c=-info, **bs.face_blocks(ineq=bs.nonzero_rows))).z
         lam = np.where(bs.active_rows(U, model.ITERATE_ACTIVE_TOL), lam, 0.0)
         return U, np.concatenate([theta, lam])
 
@@ -189,20 +155,20 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig,
     bs = model.build_stationarity(fp)
     priors = cfg.priors if cfg.priors is not None else default_priors(ds, fp, norm)
     chain = gibbs_run(ds, fp, priors, n_iter=cfg.gibbs.n_iter, n_keep=cfg.gibbs.n_keep, rng=rng)
-    Sigma_U = 0.5 * (chain.Sigma_U_mean + chain.Sigma_U_mean.T)
+    Sigma_U = chain.Sigma_U_mean
     U = chain.U_mean.copy()
-    ws = _Workspace(bs, ds, Sigma_U, priors)
+    SU_inv = cholesky_inverse(cholesky(Sigma_U))
 
     trace: list[float] = []
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     prev_full = None
     for it in range(MAX_OUTER_ITERS):
-        beta_new = _beta_step(ws, U, norm)
-        cost_b = map_cost(U, beta_new, Sigma_U, ds, priors, workspace=ws)
+        beta_new = _beta_step(bs, ds, priors, U, norm)
+        cost_b = map_cost(U, beta_new, Sigma_U, ds, priors, bs)
         if it > 0 and cost_b > trace[-1]:
             break
-        U_new, beta_new = _u_step(ws, beta_new)
-        cost_u = map_cost(U_new, beta_new, Sigma_U, ds, priors, workspace=ws)
+        U_new, beta_new = _u_step(bs, ds, priors, SU_inv, beta_new)
+        cost_u = map_cost(U_new, beta_new, Sigma_U, ds, priors, bs)
         if it == 0:
             # first iteration projects the Gibbs means onto complementarity;
             # the trace starts at the first feasible iterate
@@ -268,7 +234,6 @@ def consistency_cost_check(
     Sigma_U = noise_cov_stacked(noise, fp.system.m, fp.horizon)
     Sigma_U = Sigma_U + 1e-12 * np.eye(Sigma_U.shape[0])
     L_SU = cholesky(Sigma_U)
-    SY_inv = np.linalg.inv(SIGMA_Y * np.eye(fp.n_inputs))
 
     stackd = ds.stacked()
     q = fp.q
@@ -277,7 +242,7 @@ def consistency_cost_check(
         R = stackd - U
         val = float(np.sum(R * cholesky_solve(L_SU, R.T).T)) / ds.n_demos
         s = bs.stationarity(U, beta[:q], beta[q:])
-        return val + float(s @ SY_inv @ s)
+        return val + float(s @ s) / SIGMA_Y
 
     c_star = cost(U_star, beta_star)
     dim = U_star.shape[0] + beta_star.shape[0]

@@ -14,6 +14,11 @@ III. Sigma_U | U, data       (inverse-Wishart with D added degrees of freedom)
 sample mean.  ``mh_within_gibbs_U`` replaces the exact U draw with a
 random-walk Metropolis step on the same conditional density.
 
+Conditional II is written once, as the precision and information vector
+that ``_u_information`` returns: the exact draw takes its mean and
+covariance from them, the Metropolis target is ``info' U - 0.5 U' prec U``,
+and the MAP estimator's U-step minimizes the negative of that target.
+
 Every matrix the chain factors is exactly symmetric, so ``cholesky`` never
 runs its tolerance test.  One exact iteration makes six factorizations
 (two for the beta draw, three for the U draw, one for the inverse-Wishart
@@ -61,8 +66,9 @@ class Priors:
 
     The precisions ``Sigma_U0_inv``, ``Sigma_beta_inv`` and ``Sigma_Y_inv``
     are derived once at construction, from the factor of the SPD check, so
-    the Gibbs conditionals never invert a constant; so is the prior's
-    information vector ``Sigma_U0_inv_U0 = Sigma_U0_inv @ U0``.
+    the Gibbs conditionals never invert a constant; so are the priors'
+    information vectors ``Sigma_U0_inv_U0 = Sigma_U0_inv @ U0`` and
+    ``Sigma_beta_inv_beta0 = Sigma_beta_inv @ beta0``.
     """
 
     U0: np.ndarray
@@ -76,6 +82,7 @@ class Priors:
     Sigma_beta_inv: np.ndarray = field(init=False, repr=False)
     Sigma_Y_inv: np.ndarray = field(init=False, repr=False)
     Sigma_U0_inv_U0: np.ndarray = field(init=False, repr=False)
+    Sigma_beta_inv_beta0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         U0 = np.asarray(self.U0, dtype=float).ravel()
@@ -102,6 +109,7 @@ class Priors:
         object.__setattr__(self, "U0", U0)
         object.__setattr__(self, "Sigma_U0_inv_U0", self.Sigma_U0_inv @ U0)
         object.__setattr__(self, "beta0", beta0)
+        object.__setattr__(self, "Sigma_beta_inv_beta0", self.Sigma_beta_inv @ beta0)
         object.__setattr__(self, "m_U", float(self.m_U))
 
 
@@ -173,38 +181,47 @@ def full_conditional_beta(ds: DemoSet, U, bs: model.BilinearStationarity, priors
     """
     D = ds.n_demos
     J = bs.J(np.asarray(U, dtype=float))
-    prec_prior = priors.Sigma_beta_inv
-    prec = prec_prior + D * (J.T @ priors.Sigma_Y_inv @ J)
+    prec = priors.Sigma_beta_inv + D * (J.T @ priors.Sigma_Y_inv @ J)
     prec = 0.5 * (prec + prec.T)
     cov = cholesky_inverse(cholesky(prec))
-    mean = cov @ (prec_prior @ priors.beta0)
+    mean = cov @ priors.Sigma_beta_inv_beta0
     return mean, cov
 
 
 def full_conditional_U(ds: DemoSet, beta, Sigma_U, bs: model.BilinearStationarity, priors: Priors):
     """Gaussian full conditional of the latent input ``U``.
 
-    Combines three Gaussian sources: the prior, the stationarity
-    pseudo-observations (affine in U with slope M_beta), and the
-    demonstrations around U.  Returns (mean, covariance).
+    Returns (mean, covariance) of the Gaussian form that
+    :func:`_u_information` writes down.
     """
     beta = np.asarray(beta, dtype=float).ravel()
     q = bs.n_features
-    theta, lam = beta[:q], beta[q:]
+    SigU_inv = cholesky_inverse(cholesky(np.asarray(Sigma_U, dtype=float)))
+    prec, info = _u_information(ds, beta[:q], beta[q:], SigU_inv, bs, priors)
+    cov = cholesky_inverse(cholesky(prec))
+    mean = cov @ info
+    return mean, cov
+
+
+def _u_information(ds: DemoSet, theta, lam, SigU_inv, bs: model.BilinearStationarity,
+                   priors: Priors):
+    """Precision and information vector ``(prec, info)`` of U given the rest.
+
+    Combines three Gaussian sources: the prior, the stationarity
+    pseudo-observations (affine in U with slope M_beta), and the
+    demonstrations around U, whose precision is ``SigU_inv``.  The log
+    density is ``info' U - 0.5 U' prec U`` up to a constant; the Gibbs U
+    draw, its Metropolis-Hastings target and MAP's U-step all read it.
+    ``prec`` is exactly symmetric.
+    """
     D = ds.n_demos
     Mb = bs.M_beta(theta)
     Ebeta = bs.E_theta @ theta + bs.J_lambda @ lam
-
     SigY_inv = priors.Sigma_Y_inv
-    SigU_inv = cholesky_inverse(cholesky(np.asarray(Sigma_U, dtype=float)))
-    prec_prior = priors.Sigma_U0_inv
-
-    prec = prec_prior + D * (Mb.T @ SigY_inv @ Mb) + D * SigU_inv
+    prec = priors.Sigma_U0_inv + D * (Mb.T @ SigY_inv @ Mb) + D * SigU_inv
     prec = 0.5 * (prec + prec.T)
-    cov = cholesky_inverse(cholesky(prec))
-    rhs = priors.Sigma_U0_inv_U0 - D * (Mb.T @ (SigY_inv @ Ebeta)) + SigU_inv @ ds.demo_sum()
-    mean = cov @ rhs
-    return mean, cov
+    info = priors.Sigma_U0_inv_U0 - D * (Mb.T @ (SigY_inv @ Ebeta)) + SigU_inv @ ds.demo_sum()
+    return prec, info
 
 
 def full_conditional_SigmaU(ds: DemoSet, U, priors: Priors):
@@ -275,24 +292,15 @@ def mh_step(state, log_target, proposal_sampler, proposal_logpdf, rng: np.random
 
 
 def _u_log_conditional(ds, beta, Sigma_U, bs, priors):
-    """Unnormalized log density of the U full conditional."""
+    """Unnormalized log density ``info' U - 0.5 U' prec U`` of the U full conditional."""
     beta = np.asarray(beta, dtype=float).ravel()
     q = bs.n_features
-    theta, lam = beta[:q], beta[q:]
-    SigY_inv = priors.Sigma_Y_inv
     SigU_inv = cholesky_inverse(cholesky(np.asarray(Sigma_U, dtype=float)))
-    prec_prior = priors.Sigma_U0_inv
-    stackd = ds.stacked()
+    prec, info = _u_information(ds, beta[:q], beta[q:], SigU_inv, bs, priors)
 
     def logp(U):
         U = np.asarray(U, dtype=float).ravel()
-        s = bs.stationarity(U, theta, lam)
-        val = ds.n_demos * float(s @ SigY_inv @ s)
-        R = stackd - U
-        val += float(np.sum((R @ SigU_inv) * R))
-        dU = U - priors.U0
-        val += float(dU @ prec_prior @ dU)
-        return -0.5 * val
+        return float(info @ U - 0.5 * (U @ prec @ U))
 
     return logp
 

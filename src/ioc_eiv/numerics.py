@@ -28,9 +28,12 @@ give.  Determinism is pinned down by two rules:
   the minimal step length;
 * a constraint is deemed active when ``|a z - b| <= 1e-7 * (1 + |b|)``.
 
-If the Hessian fails to factor, ``1e-10 * trace(H)/dim`` is added to the
+Each solve factors one Hessian: ``H`` itself without equalities, the
+reduced ``Z' H Z`` on the null space of the equalities with them.  If that
+matrix fails to factor, ``1e-10 * trace/dim`` of it is added to its
 diagonal once and the factorization retried; a second failure raises
-:class:`NotPositiveDefinite`.
+:class:`NotPositiveDefinite`.  ``H`` need only be positive definite on the
+null space of the equalities.
 
 Each solve does only the work its callers read, without changing a bit
 of any result:
@@ -46,9 +49,8 @@ of any result:
   depend on ``beq``, so they run on every call, and an inconsistent ``beq``
   raises :class:`Infeasible` on a cache hit too.
 * Without equalities the null-space basis is the identity, so the
-  active-set loop runs on ``H``, ``c``, ``Ain`` and ``bin`` as given and
-  on the factor of ``H`` already computed, instead of forming and factoring
-  ``Z' H Z``.
+  active-set loop runs on ``H``, ``c``, ``Ain`` and ``bin`` as given,
+  instead of forming ``Z' H Z``.
 
 Solves the problem
 
@@ -56,7 +58,7 @@ Solves the problem
     s.t. Aeq z  = beq
          Ain z <= bin
 
-with H symmetric positive definite.
+with H symmetric and positive definite on the null space of Aeq.
 """
 
 from __future__ import annotations
@@ -245,7 +247,7 @@ class QpSolution:
 
     def __init__(self, qp: Qp, H: np.ndarray, z: np.ndarray, mult_in: np.ndarray, n_iter: int):
         self._qp = qp
-        self._H = H  # the Hessian as factored, with the diagonal bump if one was needed
+        self._H = H  # qp.H, with the diagonal bump if it was factored unreduced and needed one
         self.z = z
         self.mult_in = mult_in
         self.n_iter = n_iter
@@ -286,19 +288,6 @@ class QpSolution:
         if Aeq.shape[0]:
             kkt = max(kkt, float(np.max(np.abs(Aeq @ z - beq), initial=0.0)))
         return kkt
-
-
-def _chol_with_regularization(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor H, retrying once with the documented diagonal bump."""
-    try:
-        return cholesky(H), H
-    except NotPositiveDefinite:
-        n = H.shape[0]
-        bump = 1e-10 * np.trace(H) / max(n, 1)
-        if bump <= 0:
-            bump = 1e-10
-        Hreg = H + bump * np.eye(n)
-        return cholesky(Hreg), Hreg  # second failure propagates
 
 
 # distinct equality blocks whose factorization is kept; the estimators pose
@@ -452,15 +441,15 @@ def solve_qp(qp: Qp) -> QpSolution:
     Equalities are eliminated through an orthonormal null-space basis from
     the SVD of ``Aeq``; that SVD is cached (see the module docstring).
     Without equalities the basis is the identity, so the problem is solved
-    as posed, on the factor of ``H`` computed for the regularization check.
+    as posed.  Only the Hessian the loop runs on is factored (see the module
+    docstring for its regularization).
     The returned report computes ``mult_eq``, ``active_set`` and
     ``kkt_residual`` only when first read.
 
     Raises Infeasible, IterationLimit, or NotPositiveDefinite.
     """
     n = qp.dim
-    L_full, H = _chol_with_regularization(qp.H)
-    c = qp.c
+    H, c = qp.H, qp.c
     Aeq, beq, Ain, bin_ = qp.Aeq, qp.beq, qp.Ain, qp.bin
 
     if Aeq.shape[0]:
@@ -481,14 +470,23 @@ def solve_qp(qp: Qp) -> QpSolution:
         n_iter = 0
     else:
         if Z is None:
-            Hr, cr, Lr, Ar, br = H, c, L_full, Ain, bin_
+            Hr, cr, Ar, br = H, c, Ain, bin_
         else:
+            Hr = Z.T @ H @ Z
             cr = Z.T @ (H @ z_part + c)
-            # SPD in exact arithmetic, but rounding can break that when H
-            # is nearly singular, so Hr gets H's diagonal bump retry
-            Lr, Hr = _chol_with_regularization(Z.T @ H @ Z)
             Ar = Ain @ Z
             br = bin_ - Ain @ z_part
+        try:
+            Lr = cholesky(Hr)
+        except NotPositiveDefinite:
+            # the documented diagonal bump; a second failure propagates
+            bump = 1e-10 * np.trace(Hr) / nz
+            if bump <= 0:
+                bump = 1e-10
+            Hr = Hr + bump * np.eye(nz)
+            Lr = cholesky(Hr)
+            if Z is None:
+                H = Hr
 
         y_unc = -cholesky_solve(Lr, cr)
         if _feasible(Ar, br, y_unc, feas_scale):

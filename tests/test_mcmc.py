@@ -420,6 +420,9 @@ def test_gibbs_seeded_determinism():
     b = gibbs_run(ds, fp, priors, n_iter=100, n_keep=50, rng=np.random.default_rng(42))
     np.testing.assert_array_equal(a.U_mean, b.U_mean)
     np.testing.assert_array_equal(a.Sigma_U_mean, b.Sigma_U_mean)
+    # the mean of exactly symmetric draws is exactly symmetric, so MAP takes
+    # it as its Sigma_U without symmetrising it again
+    assert np.array_equal(a.Sigma_U_mean, a.Sigma_U_mean.T)
 
 
 # sha256 of the trace below; a "bit-exact" speed-up that moves any draw of
@@ -587,6 +590,41 @@ def test_mh_u_block_acceptance_strictly_inside_unit_interval():
         mh_scale=1e-5,
     )
     assert 0.0 < out.acceptance_rate["U"] < 1.0
+
+
+def test_mh_u_target_differences_match_the_three_term_density():
+    # the MH target is info' U - 0.5 U' prec U; the oracle is the density
+    # written term by term: demo residuals, stationarity, U prior
+    from ioc_eiv.mcmc import _u_log_conditional
+
+    fp = oracles.spring_damper()
+    sol = solve_forward(fp, oracles.SPRING_THETA)
+    sig = noise_scale_from_percent(sol.U, 10.0)
+    ds = generate(sol.U, NoiseSpec.gaussian(np.diag(sig**2), seed=37), 6, fp)
+    priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
+    bs = build_stationarity(fp)
+    rng = np.random.default_rng(37)
+    beta = np.abs(priors.beta0 + 0.1 * rng.standard_normal(priors.beta0.shape[0]))
+    G = rng.standard_normal((10, 10))
+    Sigma_U = 0.01 * (G @ G.T / 10.0 + np.eye(10))
+    q = bs.n_features
+    SigU_inv = cholesky_inverse(cholesky(Sigma_U))
+
+    def three_terms(U):
+        s = bs.stationarity(U, beta[:q], beta[q:])
+        val = ds.n_demos * float(s @ priors.Sigma_Y_inv @ s)
+        R = ds.stacked() - U
+        val += float(np.sum((R @ SigU_inv) * R))
+        dU = U - priors.U0
+        val += float(dU @ priors.Sigma_U0_inv @ dU)
+        return -0.5 * val
+
+    logp = _u_log_conditional(ds, beta, Sigma_U, bs, priors)
+    U_ref = sol.U + 0.05 * rng.standard_normal(10)
+    for _ in range(20):
+        U = sol.U + 0.05 * rng.standard_normal(10)
+        want = three_terms(U) - three_terms(U_ref)
+        assert abs(logp(U) - logp(U_ref) - want) <= 1e-8 * abs(want)
 
 
 def test_mh_zero_scale_flagged_and_stuck():

@@ -506,7 +506,15 @@ def test_qp_without_equalities_factors_the_hessian_once(monkeypatch):
     assert calls == [(5, 5)]
     calls.clear()
     solve_qp(Qp(H=qp.H, c=qp.c, Aeq=np.ones((1, 5)), beq=np.zeros(1), Ain=qp.Ain, bin=qp.bin))
-    assert calls == [(5, 5), (4, 4)]  # H, then the reduced Hessian on the null space
+    assert calls == [(4, 4)]  # only the reduced Hessian on the null space
+
+
+def test_qp_hessian_singular_off_the_equality_null_space_solves_exactly():
+    # H = diag(1, 0) is singular, but on the null space {z2 = 0} of the
+    # equality it is 1, so nothing is bumped and z1 = -1 exactly
+    sol = solve_qp(Qp(H=np.diag([1.0, 0.0]), c=np.array([1.0, 0.0]),
+                      Aeq=np.array([[0.0, 1.0]]), beq=np.array([1.0])))
+    assert sol.z.tolist() == [-1.0, 1.0]
 
 
 @pytest.mark.xfail(raises=np.linalg.LinAlgError, strict=True,
