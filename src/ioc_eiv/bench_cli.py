@@ -296,7 +296,9 @@ def cmd_forward(args) -> int:
     cfg = _load_json(args.config)
     fp = _problem_from_config(cfg)
     if args.theta is not None:
-        theta = np.asarray([float(v) for v in args.theta.split(",")], dtype=float)
+        theta = np.array([_parse(float, v, "--theta") for v in args.theta.split(",")])
+        if theta.size != fp.q or not np.all((theta > 0) & np.isfinite(theta)):
+            raise ConfigError(f"--theta: expected {fp.q} positive weights, got {args.theta!r}")
     elif fp.theta_true is not None:
         theta = fp.theta_true
     else:
@@ -308,7 +310,7 @@ def cmd_forward(args) -> int:
             "U": [float(v) for v in sol.U],
             "lam": [float(v) for v in sol.lam],
             "active_set": [int(i) for i in sol.active_set],
-            "objective": sol.objective,
+            "objective": model.objective(fp, theta, sol.U),
             "max_kkt_residual": res.max_abs(),
         },
         args.out,
@@ -325,11 +327,12 @@ def cmd_demos(args) -> int:
     noise_obj = cfg.get("noise")
     if noise_obj is None:
         raise ConfigError("config needs a 'noise' object")
+    levels = noise_obj.get("percent_levels")
+    if levels is not None and not isinstance(levels, list):
+        raise ConfigError("noise.percent_levels: expected a list")
     percent = args.level if args.level is not None else noise_obj.get("percent")
-    if percent is None:
-        levels = noise_obj.get("percent_levels")
-        if levels:
-            percent = levels[0]
+    if percent is None and levels:
+        percent = levels[0]
     if percent is None:
         raise ConfigError("give --level or put noise.percent in the config")
     percent = _parse(float, percent, "noise.percent")
@@ -350,19 +353,31 @@ def cmd_demos(args) -> int:
     return EXIT_OK
 
 
+def _inputs(value, name: str, n: int) -> np.ndarray:
+    """The demo file's ``name`` as a flat input of ``n`` entries; ConfigError otherwise."""
+    try:
+        U = np.asarray(value, dtype=float).ravel()
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"demo file: {name}: expected a list of numbers") from e
+    if U.size != n:
+        raise ConfigError(f"demo file: {name} has {U.size} entries, expected m*N = {n}")
+    return U
+
+
 def _demoset_from_json(obj) -> tuple[DemoSet, model.ForwardProblem]:
     try:
         fp = parse_problem(obj["problem"])
-        U_list = tuple(np.asarray(d, dtype=float).ravel() for d in obj["demos"])
+        demos = obj["demos"]
     except KeyError as e:
         raise ConfigError(f"demo file: missing field {e.args[0]!r}") from e
-    if not U_list:
-        raise ConfigError("demo file contains no demonstrations")
+    if not isinstance(demos, list) or not demos:
+        raise ConfigError("demo file: 'demos' must be a nonempty list")
+    n = fp.n_inputs
     U_star = obj.get("U_star")
     ds = DemoSet(
-        U_list=U_list,
+        U_list=tuple(_inputs(d, f"demos[{i}]", n) for i, d in enumerate(demos)),
         fp_ref=fp,
-        U_star=np.asarray(U_star, dtype=float) if U_star is not None else None,
+        U_star=_inputs(U_star, "U_star", n) if U_star is not None else None,
     )
     return ds, fp
 

@@ -27,7 +27,6 @@ class ForwardSolution:
     U: np.ndarray
     lam: np.ndarray
     active_set: tuple
-    objective: float
 
 
 def solve(fp: model.ForwardProblem, theta) -> ForwardSolution:
@@ -63,6 +62,4 @@ def solve(fp: model.ForwardProblem, theta) -> ForwardSolution:
     lam = np.zeros(fp.n_multipliers)
     lam[idx] = sol.mult_in
     active = tuple(int(idx[i]) for i in sol.active_set)
-    return ForwardSolution(
-        U=sol.z, lam=lam, active_set=active, objective=objective(fp, theta, sol.z)
-    )
+    return ForwardSolution(U=sol.z, lam=lam, active_set=active)

@@ -18,7 +18,6 @@ noise-variance bias that does not average away with more demonstrations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,19 +52,17 @@ class NormalizationRule:
 
         The variables are ``(theta, free multipliers)``, ``nv`` in all with
         ``theta`` first: the rule is one equality on ``theta``, and every
-        variable is nonnegative.  The blocks are read-only arrays shared
-        between calls with the same rule and sizes; the dict is new on
-        every call, so a caller may replace its entries.
+        variable is nonnegative.
         """
         if self.kind == "component" and not 0 <= self.index < q:
             raise ValueError(f"component index {self.index} out of range for q = {q}")
-        Aeq, beq, Ain, bin_ = _cone_blocks(self.kind, self.value, self.index, q, nv)
-        return {"Aeq": Aeq, "beq": beq, "Ain": Ain, "bin": bin_}
-
-
-# weight cones kept, over all rules and sizes: a 10 s perfbench run of
-# tls-positivity-n8 asks for 15,051 cones of 8 distinct sizes
-_CONE_CACHE_SIZE = 32
+        row = np.zeros(nv)
+        if self.kind == "sum":
+            row[:q] = 1.0
+        else:
+            row[self.index] = 1.0
+        return {"Aeq": row[None, :], "beq": np.array([self.value]),
+                "Ain": -np.eye(nv), "bin": np.zeros(nv)}
 
 
 def _require_rule(norm) -> None:
@@ -76,20 +73,6 @@ def _require_rule(norm) -> None:
             "a NormalizationRule is required: without one the zero solution "
             "minimizes the homogeneous residual"
         )
-
-
-@lru_cache(maxsize=_CONE_CACHE_SIZE)
-def _cone_blocks(kind: str, value: float, index: int, q: int, nv: int) -> tuple:
-    """Read-only ``(Aeq, beq, Ain, bin)`` of :meth:`NormalizationRule.beta_blocks`."""
-    row = np.zeros(nv)
-    if kind == "sum":
-        row[:q] = 1.0
-    else:
-        row[index] = 1.0
-    blocks = (row[None, :], np.array([value]), -np.eye(nv), np.zeros(nv))
-    for a in blocks:
-        a.flags.writeable = False
-    return blocks
 
 
 @dataclass(frozen=True, eq=False)

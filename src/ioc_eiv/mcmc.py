@@ -28,7 +28,6 @@ inverts nothing.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -350,7 +349,6 @@ def gibbs_run(
     rng: np.random.Generator,
     u_step: str = "exact",
     mh_scale: float = 1e-5,
-    trace_csv=None,
 ) -> ChainOutput:
     """Run the three-block Gibbs sampler and return the retained tail.
 
@@ -373,8 +371,8 @@ def gibbs_run(
     beta = priors.beta0.copy()
     Sigma_U = np.eye(mN)
     # states share the chain's arrays, which nothing writes to; only the
-    # retained tail is kept unless the whole trace is written
-    states = [] if trace_csv is not None else deque(maxlen=n_keep)
+    # retained tail is kept
+    states = deque(maxlen=n_keep)
     states.append(ChainState(iteration=1, U=U, beta=beta, Sigma_U=Sigma_U))
     n_acc = 0
     for it in range(2, n_iter + 1):
@@ -391,8 +389,8 @@ def gibbs_run(
         Sigma_U = sample_inverse_wishart(W_post, nu_post, rng)
         states.append(ChainState(iteration=it, U=U, beta=beta, Sigma_U=Sigma_U))
 
-    kept = list(states)[-n_keep:]
-    out = ChainOutput(
+    kept = list(states)
+    return ChainOutput(
         samples=kept,
         acceptance_rate={
             "beta": 1.0,
@@ -403,27 +401,3 @@ def gibbs_run(
         beta_mean=np.mean([s.beta for s in kept], axis=0),
         Sigma_U_mean=np.mean([s.Sigma_U for s in kept], axis=0),
     )
-    if trace_csv is not None:
-        _write_trace(trace_csv, states, fp.q)
-    return out
-
-
-def _write_trace(path, states, q):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        mN = states[0].U.shape[0]
-        nb = states[0].beta.shape[0]
-        header = (
-            ["iteration"]
-            + [f"beta_{i}" for i in range(nb)]
-            + [f"U_{i}" for i in range(mN)]
-            + [f"sigma_U_diag_{i}" for i in range(mN)]
-        )
-        w.writerow(header)
-        for s in states:
-            w.writerow(
-                [s.iteration]
-                + [repr(float(v)) for v in s.beta]
-                + [repr(float(v)) for v in s.U]
-                + [repr(float(v)) for v in np.diag(s.Sigma_U)]
-            )

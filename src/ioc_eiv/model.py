@@ -339,14 +339,12 @@ class BilinearStationarity:
         """Full Jacobian ``[J_theta(U), J_lambda]``."""
         return np.hstack([self.J_theta(U), self.J_lambda])
 
-    def stationarity(self, U, theta, lam, Mb=None) -> np.ndarray:
-        """Stationarity residual; ``Mb``, when given, is ``M_beta(theta)``."""
+    def stationarity(self, U, theta, lam) -> np.ndarray:
+        """Stationarity residual ``M_beta(theta) U + E_theta theta + J_lambda lam``."""
         U = np.asarray(U, dtype=float)
         theta = np.asarray(theta, dtype=float)
         lam = np.asarray(lam, dtype=float)
-        if Mb is None:
-            Mb = self.M_beta(theta)
-        return Mb @ U + self.E_theta @ theta + self.J_lambda @ lam
+        return self.M_beta(theta) @ U + self.E_theta @ theta + self.J_lambda @ lam
 
     def constraint_values(self, U) -> np.ndarray:
         """All stagewise constraint values ``g`` at ``U``, flat step-major."""

@@ -163,8 +163,8 @@ def _solve_finite_rhs(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-# orders whose identity is kept: a 10 s perfbench run of tls-positivity-n8
-# uses 10 orders, one of map-spring-n10 uses 2
+# orders whose identity is kept: the shipped spring_damper and
+# tls_positivity bench grids each take about 180,000 identities of 3 orders
 _IDENTITY_CACHE_SIZE = 64
 
 
@@ -290,8 +290,9 @@ class QpSolution:
         return kkt
 
 
-# distinct equality blocks whose factorization is kept; the estimators pose
-# thousands of QPs per grid over a few dozen to a few hundred such blocks
+# distinct equality blocks whose factorization is kept: the shipped
+# spring_damper bench grid poses about 5,000 QPs with equalities over 5 such
+# blocks, tls_positivity about 670 over 15
 _ELIMINATION_CACHE_SIZE = 256
 
 

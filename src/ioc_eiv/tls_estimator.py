@@ -76,7 +76,6 @@ class TlsResult:
     lam: np.ndarray
     U_hat: np.ndarray
     Sigma_U_hat: np.ndarray
-    residuals: tuple
     path: str
     inner_traces: tuple
 
@@ -101,7 +100,7 @@ def _sensitivity(bs: model.BilinearStationarity, theta, sol) -> np.ndarray:
 
 
 def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: NormalizationRule,
-              init_theta, bs: model.BilinearStationarity | None = None):
+              init_theta):
     """One inner solve at fixed covariance: projected Gauss-Newton in theta.
 
     Starts from ``init_theta`` projected onto the floored weight cone.
@@ -112,8 +111,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: Normalizatio
     so it is strictly decreasing.
     """
     _require_rule(norm)
-    if bs is None:
-        bs = model.build_stationarity(fp)
+    bs = model.build_stationarity(fp)
     q, D = bs.n_features, ds.n_demos
     SU_inv = cholesky_inverse(cholesky(np.asarray(Sigma_U, dtype=float)))
     stackd, demo_sum = ds.stacked(), ds.demo_sum()
@@ -180,7 +178,6 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> 
         lam=lam,
         U_hat=U,
         Sigma_U_hat=Sigma_U,
-        residuals=tuple(U_d - U for U_d in ds.U_list),
         path=path,
         inner_traces=(steps,),
     )

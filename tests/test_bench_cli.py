@@ -110,6 +110,19 @@ def test_forward_theta_flag_scales_like_weights(tmp_path):
                                rtol=1e-9)
 
 
+@pytest.mark.parametrize("theta", ["1,2", "a,b,c", "0,1,1"])
+def test_forward_bad_theta_is_one_error_line(tmp_path, capsys, theta):
+    # a wrong count, a non-number or a non-positive weight used to end in a
+    # ValueError traceback
+    out = tmp_path / "fwd.json"
+    rc = main(["forward", "--config", "configs/spring_damper.json", "--theta", theta,
+               "--out", str(out)])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --theta")
+    assert not out.exists()
+
+
 def test_missing_config_file_fails(tmp_path, capsys):
     rc = main(["forward", "--config", str(tmp_path / "nope.json")])
     assert rc == 1
@@ -221,6 +234,23 @@ def test_estimate_missing_demo_file_fails(tmp_path, capsys):
     rc = main(["estimate", "--demos", str(tmp_path / "none.json"), "--method", "mean"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["demos[1]", "U_star"])
+@pytest.mark.parametrize("method", ["mean", "kkt", "tls"])
+def test_estimate_wrong_length_demo_is_one_error_line(tmp_path, capsys, method, field):
+    # m*N = 5 here; a demo one entry short used to end in a numpy traceback
+    path = _make_demo_file(tmp_path)
+    obj = json.loads(open(path, encoding="utf-8").read())
+    if field == "U_star":
+        obj["U_star"] = obj["U_star"][:-1]
+    else:
+        obj["demos"][1] = obj["demos"][1][:-1]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    assert main(["estimate", "--demos", path, "--method", method]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: demo file: {field} has 4 entries, expected m*N = 5"]
 
 
 def test_bench_outputs_and_rerun_determinism(tmp_path, capsys):
@@ -391,8 +421,9 @@ def test_misspelled_problem_or_noise_key_is_an_error(tmp_path, capsys, where, ba
     ("demos", "n_demos", {"n_demos": "ten"}),
     ("bench", "n_demos", {"n_demos": 0}),
     ("demos", "n_demos", {"n_demos": 0}),
+    ("demos", "noise.percent_levels", {"noise": {"kind": "gaussian", "percent_levels": 5}}),
 ], ids=["bench-n_iter-many", "estimate-n_iter-many", "bench-n_demos-ten", "demos-n_demos-ten",
-        "bench-n_demos-0", "demos-n_demos-0"])
+        "bench-n_demos-0", "demos-n_demos-0", "demos-percent_levels-5"])
 def test_bad_setting_is_one_error_line_before_any_fit(tmp_path, capsys, command, name, over):
     cfg, out = _write_config(tmp_path, "bad.json", **over), str(tmp_path / "out")
     if command == "estimate":

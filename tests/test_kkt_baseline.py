@@ -155,28 +155,3 @@ def test_beta_blocks_fix_the_rule_and_keep_every_variable_nonnegative(rule, row)
 def test_beta_blocks_reject_a_component_outside_the_weights():
     with pytest.raises(ValueError, match="out of range"):
         NormalizationRule("component", index=3).beta_blocks(3, 5)
-
-
-def test_beta_blocks_are_shared_read_only_and_bounded():
-    from ioc_eiv import kkt_baseline
-
-    rule = NormalizationRule("sum", value=22.0)
-    blocks = rule.beta_blocks(3, 5)
-    assert all(not a.flags.writeable for a in blocks.values())
-    # replacing an entry of the returned dict leaves the next call intact
-    blocks["Ain"] = np.zeros((1, 5))
-    blocks["Aeq"] = np.vstack([np.ones((2, 5)), blocks["Aeq"]])
-    again = rule.beta_blocks(3, 5)
-    assert again is not blocks
-    np.testing.assert_array_equal(again["Ain"], -np.eye(5))
-    np.testing.assert_array_equal(again["Aeq"], [[1.0, 1.0, 1.0, 0.0, 0.0]])
-    # an equal rule shares the arrays; a different value does not
-    assert NormalizationRule("sum", value=22.0).beta_blocks(3, 5)["Ain"] is again["Ain"]
-    assert NormalizationRule("sum", value=21.0).beta_blocks(3, 5)["beq"][0] == 21.0
-    cache = kkt_baseline._cone_blocks
-    for nv in range(3, 3 + 2 * kkt_baseline._CONE_CACHE_SIZE):
-        rule.beta_blocks(3, nv)
-    assert cache.cache_info().currsize <= kkt_baseline._CONE_CACHE_SIZE
-    # the index check runs on every call, cached sizes or not
-    with pytest.raises(ValueError, match="out of range"):
-        NormalizationRule("component", index=3).beta_blocks(3, 5)

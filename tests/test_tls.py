@@ -25,7 +25,7 @@ from ioc_eiv import (
     tls_estimate,
     tls_inner,
 )
-from ioc_eiv import bench_cli, tls_estimator
+from ioc_eiv import bench_cli, model, tls_estimator
 from ioc_eiv.model import build_stationarity, constraint_values, kkt_residual
 
 
@@ -206,22 +206,35 @@ def test_hard_stationarity_and_feasibility_at_output():
     assert np.max(np.abs(res.lam * g)) <= 1e-8
 
 
-def test_residuals_reconstruct_demos_exactly():
+def test_attained_cost_is_the_demo_correction_cost():
+    # the last merit of the fit is its TLS cost: the demo corrections
+    # U_d - U_hat in the metric Sigma_U_hat^{-1}
     fp, sol, ds = _benchmark_demos(10.0, 6, 5)
     res = tls_estimate(ds, fp, _norm())
-    for U_d, r_d in zip(ds.U_list, res.residuals):
-        # the residual is the demo correction by construction; undoing it
-        # reproduces the estimate up to one rounding of the subtraction
-        np.testing.assert_array_equal(r_d, U_d - res.U_hat)
-        np.testing.assert_allclose(U_d - r_d, res.U_hat, rtol=0, atol=1e-15)
-    # the correction objective evaluated from residuals equals the demo
-    # term evaluated from the estimate
     Si = np.linalg.inv(res.Sigma_U_hat)
-    from_residuals = sum(float(r @ Si @ r) for r in res.residuals)
-    from_estimate = sum(
-        float((res.U_hat - U_d) @ Si @ (res.U_hat - U_d)) for U_d in ds.U_list
-    )
-    assert np.isclose(from_residuals, from_estimate, rtol=1e-12)
+    corrections = [U_d - res.U_hat for U_d in ds.U_list]
+    from_corrections = sum(float(r @ Si @ r) for r in corrections)
+    assert np.isclose(res.inner_traces[-1][-1][1], from_corrections, rtol=1e-10)
+
+
+def test_fit_makes_no_rollout(monkeypatch):
+    # every evaluation is one forward.solve, which reads U from the QP and
+    # rolls nothing out
+    with open("configs/tls_positivity.json", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    fp = bench_cli.parse_problem(cfg["problem"])
+    U_star = solve_forward(fp, fp.theta_true).U
+    spec = bench_cli._noise_spec(cfg["noise"], U_star, fp.system.m, 10.0, cfg["seed"])
+    ds = generate(U_star, spec, cfg["n_demos"], fp)
+    rollout, calls = model.rollout, []
+
+    def spy(*args):
+        calls.append(args)
+        return rollout(*args)
+
+    monkeypatch.setattr(model, "rollout", spy)
+    tls_estimate(ds, fp, bench_cli._parse_norm(cfg, fp))
+    assert calls == []
 
 
 def test_inner_merit_monotone_within_phases():
@@ -267,17 +280,17 @@ def retry_fit():
     """TLS on spring_damper at N = 25, where an alternating projection
     used to end at a corner with theta_3 = 0.
 
-    Returns the problem and the result.
+    Returns the problem, the demos and the result.
     """
     fp = oracles.spring_damper(horizon=25)
     U_star = solve_forward(fp, oracles.SPRING_THETA).U
     scale = noise_scale_from_percent(U_star, 10.0, fp.system.m)
     ds = generate(U_star, NoiseSpec.gaussian(np.diag(scale**2), seed=20260819), 10, fp)
-    return fp, tls_estimate(ds, fp, _norm())
+    return fp, ds, tls_estimate(ds, fp, _norm())
 
 
 def test_outer_retry_after_unprojected_calls_ends_hard_stationary(retry_fit):
-    fp, res = retry_fit
+    fp, _, res = retry_fit
     _assert_forward_optimum(fp, res)
     s = build_stationarity(fp).stationarity(res.U_hat, res.theta, res.lam)
     assert np.max(np.abs(s)) <= 1e-8
@@ -288,14 +301,16 @@ def test_outer_retry_after_unprojected_calls_ends_hard_stationary(retry_fit):
 
 
 def test_outer_retry_keeps_every_weight_positive(retry_fit):
-    _, res = retry_fit
+    _, _, res = retry_fit
     assert float(res.theta.min()) > 1e-9 * float(np.sum(np.abs(res.theta)))
 
 
-def _result_digest(res):
-    """sha256 over every field of a TlsResult, inner merit traces included."""
+def _result_digest(res, ds):
+    """sha256 over every field of a TlsResult, inner merit traces included,
+    and the demo corrections ``U_d - U_hat``."""
     h = hashlib.sha256()
-    for a in (res.theta, res.lam, res.U_hat, res.Sigma_U_hat, *res.residuals):
+    corrections = [U_d - res.U_hat for U_d in ds.U_list]
+    for a in (res.theta, res.lam, res.U_hat, res.Sigma_U_hat, *corrections):
         h.update(np.ascontiguousarray(a, dtype=float).tobytes())
     h.update(res.path.encode())
     for steps in res.inner_traces:
@@ -306,9 +321,10 @@ def _result_digest(res):
     return h.hexdigest()
 
 
-# sha256 of full TLS results (theta, lam, U_hat, Sigma_U_hat, residuals,
-# path and every merit value of the inner trace) on bench demos of both
-# shipped configs at each shipped level, and on the N = 25 retry fit above.
+# sha256 of full TLS results (theta, lam, U_hat, Sigma_U_hat, the demo
+# corrections, path and every merit value of the inner trace) on bench
+# demos of both shipped configs at each shipped level, and on the N = 25
+# retry fit above.
 # The estimate JSON pins leave out the inner trace, so these catch a change
 # that reorders a merit sum.  Recorded with the Gauss-Newton fit in theta
 # at the per-step covariance; like the other golden pins they depend on the
@@ -334,11 +350,11 @@ def test_estimate_outputs_are_bit_identical_to_golden(config):
         ds = generate(U_star, spec, cfg["n_demos"], fp)
         res = tls_estimate(ds, fp, norm)
         _assert_forward_optimum(fp, res)
-        digests.append(_result_digest(res))
+        digests.append(_result_digest(res, ds))
     digest = hashlib.sha256("".join(digests).encode()).hexdigest()
     assert digest == GOLDEN_TLS_SHA256[config]
 
 
 def test_retry_fit_is_bit_identical_to_golden(retry_fit):
-    _, res = retry_fit
-    assert _result_digest(res) == GOLDEN_TLS_SHA256["retry"]
+    _, ds, res = retry_fit
+    assert _result_digest(res, ds) == GOLDEN_TLS_SHA256["retry"]
