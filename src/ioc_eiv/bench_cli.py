@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -61,6 +62,17 @@ class ConfigError(Exception):
     """Invalid configuration or input file; maps to exit code 1."""
 
 
+def _finite(number: str, kind=float):
+    """``kind(number)`` for a JSON number or constant that is a finite double.
+
+    Python's decoder takes ``NaN``, ``Infinity`` and ``-Infinity``, and reads
+    a number beyond the double range, such as ``1e400``, as an infinity.
+    """
+    if not math.isfinite(float(number)):
+        raise ConfigError(f"{number} is not a finite number")
+    return kind(number)
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -68,7 +80,10 @@ def _load_json(path: str):
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=_finite, parse_constant=_finite,
+                          parse_int=lambda number: _finite(number, int))
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
@@ -269,11 +284,19 @@ def _parse_norm(cfg, fp: model.ForwardProblem) -> NormalizationRule:
     return rule
 
 
+def _seed(value, name: str) -> int:
+    """A seed setting: numpy's seed sequences take only nonnegative integers."""
+    seed = _parse(int, value, name)
+    if seed < 0:
+        raise ConfigError(f"{name}: expected a nonnegative integer, got {seed}")
+    return seed
+
+
 def _master_seed(cfg) -> int:
     env = os.environ.get("IOC_EIV_SEED")
     if env is not None:
-        return _parse(int, env, "IOC_EIV_SEED")
-    return _parse(int, cfg.get("seed", 0), "seed")
+        return _seed(env, "IOC_EIV_SEED")
+    return _seed(cfg.get("seed", 0), "seed")
 
 
 def _write_output(obj, path: str | None):
@@ -305,11 +328,13 @@ def cmd_forward(args) -> int:
         raise ConfigError("no weights: give --theta or put theta_true in the problem")
     sol = forward.solve(fp, theta)
     res = model.kkt_residual(fp, theta, sol.lam, sol.U)
+    bs = model.build_stationarity(fp)
+    active = np.flatnonzero(bs.active_rows(sol.U, model.ITERATE_ACTIVE_TOL))
     _write_output(
         {
             "U": [float(v) for v in sol.U],
             "lam": [float(v) for v in sol.lam],
-            "active_set": [int(i) for i in sol.active_set],
+            "active_set": [int(i) for i in active],
             "objective": model.objective(fp, theta, sol.U),
             "max_kkt_residual": res.max_abs(),
         },
@@ -337,7 +362,7 @@ def cmd_demos(args) -> int:
         raise ConfigError("give --level or put noise.percent in the config")
     percent = _parse(float, percent, "noise.percent")
     D = _count(cfg, "n_demos")
-    seed = args.seed if args.seed is not None else _master_seed(cfg)
+    seed = _seed(args.seed, "--seed") if args.seed is not None else _master_seed(cfg)
     U_star = forward.solve(fp, fp.theta_true).U
     spec = _noise_spec(noise_obj, U_star, fp.system.m, percent, seed)
     ds = generate(U_star, spec, D, fp)
@@ -437,7 +462,8 @@ def cmd_estimate(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
     _check_keys(cfg)
     norm, gibbs = _parse_norm(cfg, fp), _parse_gibbs(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, _MAP_STREAM]))
+    seed = _seed(args.seed, "--seed")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _MAP_STREAM]))
     theta_hat, U_hat, extra = _METHODS[args.method](ds, fp, norm, gibbs, rng)
     out: dict = {"method": args.method, **extra}
     if theta_hat is not None:
@@ -526,10 +552,12 @@ def cmd_bench(args) -> int:
     if any(v < 0 for v in levels):
         raise ConfigError("noise percent levels must be nonnegative")
     methods = cfg.get("methods", list(_METHODS))
-    bad = [m for m in methods if m not in _METHODS]
-    if bad or not methods:
+    if (not isinstance(methods, list) or not methods
+            or not all(isinstance(m, str) and m in _METHODS for m in methods)
+            or len(set(methods)) < len(methods)):
         raise ConfigError(
-            f"methods must be a nonempty subset of {list(_METHODS)}, got {methods}"
+            f"methods must be a nonempty list of distinct names from {list(_METHODS)}, "
+            f"got {methods!r}"
         )
     n_demos, n_reps = _count(cfg, "n_demos"), _count(cfg, "n_reps")
     master = _master_seed(cfg)

@@ -187,10 +187,10 @@ def noise_scale_from_percent(U_star, pct: float, m: int = 1) -> np.ndarray:
 
     The mean is the signed arithmetic mean of the channel's entries over
     the horizon; the returned scale is its absolute value times pct/100.
-    Rejects pct <= 0.
+    Rejects a pct that is not positive and finite.
     """
-    if pct <= 0:
-        raise ValueError(f"pct must be positive, got {pct}")
+    if not 0 < pct < np.inf:
+        raise ValueError(f"pct must be positive and finite, got {pct}")
     U_star = np.asarray(U_star, dtype=float).ravel()
     if U_star.shape[0] % m:
         raise ValueError(

@@ -22,26 +22,26 @@ __all__ = ["ForwardSolution", "solve", "objective"]
 
 @dataclass(frozen=True, eq=False)
 class ForwardSolution:
-    """Optimal stacked input, full multiplier vector, and binding rows."""
+    """Optimal stacked input and full multiplier vector."""
 
     U: np.ndarray
     lam: np.ndarray
-    active_set: tuple
 
 
 def solve(fp: model.ForwardProblem, theta) -> ForwardSolution:
-    """Solve the forward problem for weights ``theta`` (elementwise > 0).
+    """Solve the forward problem for weights ``theta`` (elementwise positive and finite).
 
     Returns the optimal ``U``, the multiplier vector (flat, step-major,
-    zero on rows excluded at the terminal step), and the binding rows.
+    zero on the constant rows).  Which rows are active at ``U`` is the
+    face model's question: :meth:`ioc_eiv.model.BilinearStationarity.active_rows`.
     The result satisfies the stationarity, complementarity, and
     feasibility blocks of :func:`ioc_eiv.model.kkt_residual` to 1e-6.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.shape[0] != fp.q:
         raise ValueError(f"theta has length {theta.shape[0]}, expected q = {fp.q}")
-    if np.any(theta <= 0):
-        raise ValueError("theta must be elementwise positive")
+    if not (np.isfinite(theta).all() and (theta > 0).all()):
+        raise ValueError("theta must be elementwise positive and finite")
     bs = model.build_stationarity(fp)
 
     H = bs.M_beta(theta)
@@ -61,5 +61,4 @@ def solve(fp: model.ForwardProblem, theta) -> ForwardSolution:
     idx = np.flatnonzero(bs.nonzero_rows)
     lam = np.zeros(fp.n_multipliers)
     lam[idx] = sol.mult_in
-    active = tuple(int(idx[i]) for i in sol.active_set)
-    return ForwardSolution(U=sol.z, lam=lam, active_set=active)
+    return ForwardSolution(U=sol.z, lam=lam)

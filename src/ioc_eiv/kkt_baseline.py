@@ -43,8 +43,8 @@ class NormalizationRule:
     def __post_init__(self):
         if self.kind not in ("sum", "component"):
             raise ValueError(f"kind must be 'sum' or 'component', got {self.kind!r}")
-        if self.value <= 0:
-            raise ValueError(f"normalization value must be positive, got {self.value}")
+        if not (np.isfinite(self.value) and self.value > 0):
+            raise ValueError(f"normalization value must be positive and finite, got {self.value}")
         object.__setattr__(self, "value", float(self.value))
 
     def beta_blocks(self, q: int, nv: int) -> dict:

@@ -176,6 +176,8 @@ class ForwardProblem:
         x0 = np.atleast_1d(_frozen_array(self.x0))
         if x0.shape != (n,):
             raise ValueError(f"x0 has length {x0.shape[0]}, expected n = {n}")
+        if not np.isfinite(x0).all():
+            raise ValueError("x0 must be finite")
         if self.constraints.Hx.shape[1] != n or self.constraints.Hu.shape[1] != m:
             raise ValueError(
                 "constraint column counts disagree with system dimensions: "
@@ -189,8 +191,8 @@ class ForwardProblem:
                 raise ValueError(
                     f"theta_true has length {theta.shape[0]}, expected q = {len(feats)}"
                 )
-            if np.any(theta <= 0):
-                raise ValueError("theta_true must be elementwise positive")
+            if not (np.isfinite(theta).all() and (theta > 0).all()):
+                raise ValueError("theta_true must be elementwise positive and finite")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "theta_true", theta)

@@ -26,7 +26,11 @@ give.  Determinism is pinned down by two rules:
 
 * the entering constraint is the lowest-index row among those blocking at
   the minimal step length;
-* a constraint is deemed active when ``|a z - b| <= 1e-7 * (1 + |b|)``.
+* a start found by phase 1 takes as its working set the rows with
+  ``a z - b >= -1e-7 * (1 + |b|)``, pruned in index order to full row rank.
+
+A solve names no active rows: the estimators take them from the one face
+model, :class:`ioc_eiv.model.BilinearStationarity`.
 
 Each solve factors one Hessian: ``H`` itself without equalities, the
 reduced ``Z' H Z`` on the null space of the equalities with them.  If that
@@ -38,10 +42,6 @@ null space of the equalities.
 Each solve does only the work its callers read, without changing a bit
 of any result:
 
-* :class:`QpSolution` sets ``z``, ``mult_in`` and ``n_iter`` during the
-  solve.  ``mult_eq``, ``active_set`` and ``kkt_residual`` are computed on
-  first access, by the same operations in the same order as an eager
-  report would use, and then kept.
 * Equalities are eliminated through the SVD of ``Aeq``.  The SVD, its rank
   cut and the null-space basis are cached in a private LRU cache of at most
   256 entries, keyed on ``Aeq``'s shape and exact bytes, and the cached
@@ -64,7 +64,7 @@ with H symmetric and positive definite on the null space of Aeq.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -79,14 +79,12 @@ __all__ = [
     "cholesky_solve",
     "cholesky_inverse",
     "solve_qp",
-    "ACTIVE_TOL",
-    "DUAL_TOL",
 ]
 
-# constraint row i counts as active when |a_i z - b_i| <= ACTIVE_TOL * (1 + |b_i|)
-ACTIVE_TOL = 1e-7
+# phase 1's working set: the rows with a_i z - b_i >= -_ACTIVE_TOL * (1 + |b_i|)
+_ACTIVE_TOL = 1e-7
 # inequality multipliers may dip this far below zero before we call it an error
-DUAL_TOL = 1e-10
+_DUAL_TOL = 1e-10
 _FEAS_TOL = 1e-9
 
 
@@ -233,61 +231,13 @@ def _normalize_block(A, b, n, a_name, b_name):
     return A, b
 
 
+@dataclass(frozen=True, eq=False)
 class QpSolution:
-    """Solution report of :func:`solve_qp`.
+    """Minimizer, inequality multipliers and iteration count of :func:`solve_qp`."""
 
-    ``status`` is always 'optimal' on return; failure modes raise instead.
-    ``z``, ``mult_in`` and ``n_iter`` are set by the solve.  ``mult_eq``,
-    ``active_set`` and ``kkt_residual`` are computed from them on first
-    access and kept, so a caller that reads only the minimizer pays for
-    none of them.
-    """
-
-    status = "optimal"
-
-    def __init__(self, qp: Qp, H: np.ndarray, z: np.ndarray, mult_in: np.ndarray, n_iter: int):
-        self._qp = qp
-        self._H = H  # qp.H, with the diagonal bump if it was factored unreduced and needed one
-        self.z = z
-        self.mult_in = mult_in
-        self.n_iter = n_iter
-
-    @cached_property
-    def mult_eq(self) -> np.ndarray:
-        """Equality multipliers from stationarity (least squares)."""
-        qp = self._qp
-        if not qp.Aeq.shape[0]:
-            return np.zeros(0)
-        grad = self._H @ self.z + qp.c + (qp.Ain.T @ self.mult_in if qp.Ain.shape[0] else 0.0)
-        return np.linalg.lstsq(qp.Aeq.T, -grad, rcond=None)[0]
-
-    @cached_property
-    def active_set(self) -> tuple:
-        """Inequality rows with ``|a_i z - b_i| <= ACTIVE_TOL * (1 + |b_i|)``."""
-        z, Ain, bin_ = self.z, self._qp.Ain, self._qp.bin
-        return tuple(
-            i for i in range(Ain.shape[0])
-            if abs(float(Ain[i] @ z - bin_[i])) <= ACTIVE_TOL * (1.0 + abs(bin_[i]))
-        )
-
-    @cached_property
-    def kkt_residual(self) -> float:
-        """Largest violation of stationarity, feasibility and complementarity."""
-        qp, z, mult_in = self._qp, self.z, self.mult_in
-        Aeq, beq, Ain, bin_ = qp.Aeq, qp.beq, qp.Ain, qp.bin
-        n_in = Ain.shape[0]
-        stat = self._H @ z + qp.c
-        if n_in:
-            stat = stat + Ain.T @ mult_in
-        if Aeq.shape[0]:
-            stat = stat + Aeq.T @ self.mult_eq
-        kkt = float(np.max(np.abs(stat), initial=0.0))
-        if n_in:
-            kkt = max(kkt, float(np.max(Ain @ z - bin_, initial=0.0)))
-            kkt = max(kkt, float(np.max(np.abs(mult_in * (Ain @ z - bin_)), initial=0.0)))
-        if Aeq.shape[0]:
-            kkt = max(kkt, float(np.max(np.abs(Aeq @ z - beq), initial=0.0)))
-        return kkt
+    z: np.ndarray
+    mult_in: np.ndarray
+    n_iter: int
 
 
 # distinct equality blocks whose factorization is kept: the shipped
@@ -356,8 +306,6 @@ def _independent_rows(A, rows):
 
 
 def _feasible(A, b, y, tol):
-    if A.shape[0] == 0:
-        return True
     return bool((A @ y - b <= tol).all())
 
 
@@ -414,13 +362,13 @@ def _active_set_loop(L, Hr, cr, Ar, br, y, W, max_iter):
                 # is round-off at the current conditioning, not descent
                 at_minimum = True
         if at_minimum:
-            if not W or (mu.size and mu.min() >= -DUAL_TOL) or mu.size == 0:
+            if not W or mu.min() >= -_DUAL_TOL:
                 return y, dict(zip(W, mu)), it
             # drop the most negative multiplier; once degenerate pivots pile
             # up, drop the lowest-indexed negative one instead, which cannot
             # revisit a working set
             if stall > n_in + 20:
-                j = int(np.flatnonzero(mu < -DUAL_TOL)[0])
+                j = int(np.flatnonzero(mu < -_DUAL_TOL)[0])
             else:
                 j = int(np.argmin(mu))
             W.pop(j)
@@ -444,8 +392,6 @@ def solve_qp(qp: Qp) -> QpSolution:
     Without equalities the basis is the identity, so the problem is solved
     as posed.  Only the Hessian the loop runs on is factored (see the module
     docstring for its regularization).
-    The returned report computes ``mult_eq``, ``active_set`` and
-    ``kkt_residual`` only when first read.
 
     Raises Infeasible, IterationLimit, or NotPositiveDefinite.
     """
@@ -486,8 +432,6 @@ def solve_qp(qp: Qp) -> QpSolution:
                 bump = 1e-10
             Hr = Hr + bump * np.eye(nz)
             Lr = cholesky(Hr)
-            if Z is None:
-                H = Hr
 
         y_unc = -cholesky_solve(Lr, cr)
         if _feasible(Ar, br, y_unc, feas_scale):
@@ -499,7 +443,7 @@ def solve_qp(qp: Qp) -> QpSolution:
             resid = Ar @ y0 - br
             if resid.max(initial=0.0) > 1e-7 * (1.0 + np.abs(br).max(initial=0.0)):
                 raise Infeasible("inequality constraints have no feasible point")
-            cand = [i for i in range(n_in) if resid[i] >= -ACTIVE_TOL * (1.0 + abs(br[i]))]
+            cand = [i for i in range(n_in) if resid[i] >= -_ACTIVE_TOL * (1.0 + abs(br[i]))]
             W0 = _independent_rows(Ar, cand)
 
         max_iter = 100 * max(nz, 1)
@@ -509,7 +453,7 @@ def solve_qp(qp: Qp) -> QpSolution:
         W = sorted(mu_map)
         if W:
             y_pol, mu_pol = _eqp(Lr, cr, Ar[W], br[W])
-            if _feasible(Ar, br, y_pol, feas_scale) and (mu_pol.size == 0 or mu_pol.min() >= -DUAL_TOL):
+            if _feasible(Ar, br, y_pol, feas_scale) and mu_pol.min() >= -_DUAL_TOL:
                 y = y_pol
                 mu_map = dict(zip(W, mu_pol))
 
@@ -518,6 +462,6 @@ def solve_qp(qp: Qp) -> QpSolution:
         z = z_part + (y if Z is None else Z @ y)
         mult_in = np.zeros(n_in)
         for i, mi in mu_map.items():
-            mult_in[i] = max(mi, 0.0) if mi >= -DUAL_TOL else mi
+            mult_in[i] = max(mi, 0.0) if mi >= -_DUAL_TOL else mi
 
-    return QpSolution(qp, H, z, mult_in, n_iter)
+    return QpSolution(z, mult_in, n_iter)

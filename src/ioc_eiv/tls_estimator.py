@@ -53,7 +53,7 @@ from . import model
 from .demos import DemoSet, sample_mean
 from .forward import solve as forward_solve
 from .kkt_baseline import NormalizationRule, _require_rule, kkt_single
-from .numerics import ACTIVE_TOL, Qp, _identity, cholesky, cholesky_inverse, solve_qp
+from .numerics import Qp, _identity, cholesky, cholesky_inverse, solve_qp
 
 __all__ = ["TlsResult", "tls_inner", "estimate"]
 
@@ -155,7 +155,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: Normalizatio
         trace.append(("gauss_newton", cost))
         if last - cost <= COST_TOL * max(1.0, last):
             break
-    on_floor = theta.min() - floor <= ACTIVE_TOL * (1.0 + floor)
+    on_floor = theta.min() - floor <= model.ITERATE_ACTIVE_TOL * (1.0 + floor)
     return sol.U, theta, sol.lam, cost, "floor" if on_floor else "exact", tuple(trace)
 
 

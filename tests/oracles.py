@@ -130,6 +130,40 @@ def pg_solve(H, c, A, b, n_iter=20000, tol=1e-12):
     return x
 
 
+def qp_report(qp, sol, active_tol=1e-7):
+    """``(mult_eq, active_set, kkt_residual)`` of a ``solve_qp`` solution.
+
+    Equality multipliers by least squares on stationarity, the inequality
+    rows with ``|a_i z - b_i| <= active_tol * (1 + |b_i|)``, and the largest
+    violation of stationarity, feasibility and complementarity, all from
+    ``qp.H`` and by the same operations in the same order as the report
+    ``solve_qp`` once returned, so their bits match it.
+    """
+    z, mult_in = sol.z, sol.mult_in
+    Aeq, beq, Ain, bin_ = qp.Aeq, qp.beq, qp.Ain, qp.bin
+    n_in = Ain.shape[0]
+    mult_eq = np.zeros(0)
+    if Aeq.shape[0]:
+        grad = qp.H @ z + qp.c + (Ain.T @ mult_in if n_in else 0.0)
+        mult_eq = np.linalg.lstsq(Aeq.T, -grad, rcond=None)[0]
+    active_set = tuple(
+        i for i in range(n_in)
+        if abs(float(Ain[i] @ z - bin_[i])) <= active_tol * (1.0 + abs(bin_[i]))
+    )
+    stat = qp.H @ z + qp.c
+    if n_in:
+        stat = stat + Ain.T @ mult_in
+    if Aeq.shape[0]:
+        stat = stat + Aeq.T @ mult_eq
+    kkt = float(np.max(np.abs(stat), initial=0.0))
+    if n_in:
+        kkt = max(kkt, float(np.max(Ain @ z - bin_, initial=0.0)))
+        kkt = max(kkt, float(np.max(np.abs(mult_in * (Ain @ z - bin_)), initial=0.0)))
+    if Aeq.shape[0]:
+        kkt = max(kkt, float(np.max(np.abs(Aeq @ z - beq), initial=0.0)))
+    return mult_eq, active_set, kkt
+
+
 def random_feasible_qp(rng, dim=None, n_con=None):
     """Strictly convex QP with a guaranteed interior feasible point."""
     if dim is None:

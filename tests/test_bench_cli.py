@@ -468,6 +468,90 @@ def test_bench_unknown_method_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("methods", [5, ["kkt", "kkt"], [["kkt"]], "kkt", []],
+                         ids=["int", "repeated", "nested", "string", "empty"])
+def test_bench_methods_must_be_a_list_of_distinct_names(tmp_path, capsys, methods):
+    # 5 used to end in a TypeError traceback, and a repeated name ran every
+    # task twice and wrote each summary cell twice
+    cfg = _write_config(tmp_path, methods=methods)
+    assert main(["bench", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: methods must be a nonempty list of distinct names")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,name,flag,over,env", [
+    ("demos", "--seed", "-1", {}, None),
+    ("estimate", "--seed", "-1", {}, None),
+    ("demos", "seed", None, {"seed": -5}, None),
+    ("bench", "seed", None, {"seed": -5}, None),
+    ("demos", "IOC_EIV_SEED", None, {}, "-3"),
+    ("bench", "IOC_EIV_SEED", None, {}, "-3"),
+], ids=["demos-flag", "estimate-flag", "demos-config", "bench-config", "demos-env", "bench-env"])
+def test_negative_seed_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                         command, name, flag, over, env):
+    # numpy's seed sequences refuse a negative seed with a ValueError traceback
+    out = str(tmp_path / "out")
+    if command == "estimate":
+        argv = ["estimate", "--demos", _make_demo_file(tmp_path), "--method", "kkt", "--out", out]
+    else:
+        cfg = _write_config(tmp_path, "seed.json", **over)
+        argv = (["demos", "--config", cfg, "--level", "5", "--out", out] if command == "demos"
+                else ["bench", "--config", cfg, "--out-dir", out])
+    if flag is not None:
+        argv += ["--seed", flag]
+    if env is not None:
+        monkeypatch.setenv("IOC_EIV_SEED", env)
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    value = flag or env or over["seed"]
+    assert lines == [f"error: {name}: expected a nonnegative integer, got {value}"]
+    assert not (tmp_path / "out").exists()
+
+
+_NON_FINITE = "@non-finite@"
+
+
+@pytest.mark.parametrize("command,edit,literal", [
+    ("bench", lambda cfg: cfg.update(norm={"kind": "sum", "value": _NON_FINITE}), "NaN"),
+    ("forward", lambda cfg: cfg["problem"]["theta_true"].__setitem__(0, _NON_FINITE), "NaN"),
+    ("forward", lambda cfg: cfg["problem"]["x0"].__setitem__(0, _NON_FINITE), "NaN"),
+    ("bench", lambda cfg: cfg["noise"].update(percent_levels=[_NON_FINITE]), "Infinity"),
+    ("demos", lambda cfg: cfg["problem"]["system"]["A"]["data"].__setitem__(0, _NON_FINITE),
+     "-Infinity"),
+    ("forward", lambda cfg: cfg["problem"]["x0"].__setitem__(0, _NON_FINITE), "1e400"),
+    ("forward", lambda cfg: cfg["problem"]["x0"].__setitem__(0, _NON_FINITE), "1" + "0" * 400),
+], ids=["norm-nan", "theta_true-nan", "x0-nan", "percent_levels-inf", "A-minus-inf",
+        "x0-1e400", "x0-huge-int"])
+def test_non_finite_number_is_one_error_line(tmp_path, capsys, command, edit, literal):
+    # Python's decoder takes these; NaN passed every positivity test, and
+    # bench wrote ok rows at an infinite noise level
+    cfg = _tiny_config()
+    edit(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace(json.dumps(_NON_FINITE), literal), encoding="utf-8")
+    out = str(tmp_path / "out")
+    argv = [command, "--config", str(path)]
+    argv += {"forward": ["--out", out], "demos": ["--level", "5", "--out", out],
+             "bench": ["--out-dir", out]}[command]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("level", ["nan", "inf"])
+def test_demos_non_finite_level_is_one_error_line(tmp_path, capsys, level):
+    # --level nan used to write demonstrations full of NaN and exit 0
+    out = tmp_path / "out"
+    assert main(["demos", "--config", _write_config(tmp_path), "--level", level,
+                 "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: noise: pct must be positive and finite, got {float(level)}"]
+    assert not out.exists()
+
+
 def test_demos_uses_config_seed_when_flag_absent(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "d.json"
@@ -489,6 +573,23 @@ def test_demos_match_library_generation(tmp_path):
     ds = generate(U_star, spec, 4, fp)
     for got, want in zip(obj["demos"], ds.U_list):
         np.testing.assert_array_equal(np.asarray(got), want)
+
+
+# sha256 of the ``forward`` JSON of each shipped config at its theta_true,
+# recorded before its ``active_set`` came from the face model's active_rows
+# instead of the QP solver's own activity test.  Like the other golden pins,
+# these depend on the numpy/OpenBLAS build.
+GOLDEN_FORWARD_SHA256 = {
+    "spring_damper": "f25ba011f9ec13f7725d04277e0fd25da36e099f1437275b01f5364dbd2ed118",
+    "tls_positivity": "d289fba30b711eac6679c64bd93863c105a5f600c0d74b07a9b72f057432ba61",
+}
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN_FORWARD_SHA256))
+def test_forward_json_is_bit_identical_to_golden(tmp_path, config):
+    out = tmp_path / "forward.json"
+    assert main(["forward", "--config", f"configs/{config}.json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FORWARD_SHA256[config]
 
 
 # sha256 of the ``estimate`` JSON for each method on one demo file per

@@ -104,6 +104,13 @@ def test_noise_scale_rejects_nonpositive_percent():
         noise_scale_from_percent(np.ones(4), -5.0)
 
 
+@pytest.mark.parametrize("pct", [np.nan, np.inf])
+def test_noise_scale_rejects_a_non_finite_percent(pct):
+    # NaN used to pass the pct <= 0 test and give NaN demonstrations
+    with pytest.raises(ValueError, match="positive and finite"):
+        noise_scale_from_percent(np.ones(4), pct)
+
+
 def test_noise_scale_uses_signed_channel_means():
     # channel 1 alternates around zero: signed mean is 0, so scale is 0
     U = np.array([1.0, 1.0, 1.0, -1.0])

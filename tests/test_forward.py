@@ -3,6 +3,7 @@
 import time
 
 import numpy as np
+import pytest
 
 import oracles
 from ioc_eiv import (
@@ -130,3 +131,9 @@ def test_complementary_slackness_at_solution():
     g = constraint_values(fp, sol.U)
     assert np.max(np.abs(sol.lam * g)) <= 1e-9
     assert np.min(sol.lam) >= -1e-10
+
+
+@pytest.mark.parametrize("theta", [[np.nan, 5.0, 7.0], [10.0, np.inf, 7.0], [10.0, 5.0, 0.0]])
+def test_solve_refuses_a_weight_that_is_not_positive_and_finite(theta):
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve_forward(oracles.spring_damper(), theta)

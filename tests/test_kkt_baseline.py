@@ -44,6 +44,13 @@ def test_normalization_rule_is_required():
         kkt_single(U_star, fp, None)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_normalization_value_must_be_positive_and_finite(value):
+    # NaN used to pass the value <= 0 test, and every fit then failed
+    with pytest.raises(ValueError, match="positive and finite"):
+        NormalizationRule("sum", value)
+
+
 @pytest.mark.parametrize("estimator", ["kkt_ls", "tls_estimate", "map_estimate"])
 def test_every_estimator_refuses_a_missing_rule(estimator):
     # the fit is homogeneous in the weights, so no estimator picks a scale itself

@@ -267,6 +267,23 @@ def test_lagrangian_is_objective_plus_constraint_term():
         lagrangian(fp, theta[:-1], lam, U)
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("theta_true", [np.nan, 5.0, 7.0]),
+    ("theta_true", [10.0, np.inf, 7.0]),
+    ("x0", [np.nan, 0.1]),
+    ("x0", [1.0, -np.inf]),
+])
+def test_forward_problem_refuses_a_non_finite_weight_or_start(field, bad):
+    # a NaN weight used to pass the theta <= 0 test, and a NaN start was
+    # accepted; both ended in a traceback inside the first solve
+    fp = oracles.spring_damper()
+    kw = dict(system=fp.system, features=fp.features, constraints=fp.constraints,
+              horizon=fp.horizon, x0=fp.x0, theta_true=fp.theta_true)
+    kw[field] = np.array(bad)
+    with pytest.raises(ValueError, match="finite"):
+        ForwardProblem(**kw)
+
+
 @pytest.mark.parametrize("tol", [DEMO_ACTIVE_TOL, ITERATE_ACTIVE_TOL])
 def test_active_rows_scale_each_row_by_its_own_bound(tol):
     # two input rows with different bounds, u <= 0.5 and -u <= 3, so a

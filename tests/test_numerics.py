@@ -1,5 +1,6 @@
 """Cholesky factorization and the dense active-set QP solver."""
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -208,7 +209,6 @@ def test_cholesky_solve_rejects_non_finite_and_mismatched_inputs():
 def test_qp_scalar_bound():
     # min 0.5 z^2 subject to z >= 1
     sol = solve_qp(Qp(H=np.eye(1), c=np.zeros(1), Ain=np.array([[-1.0]]), bin=np.array([-1.0])))
-    assert sol.status == "optimal"
     np.testing.assert_allclose(sol.z, [1.0], atol=1e-10)
     np.testing.assert_allclose(sol.mult_in, [1.0], atol=1e-10)
 
@@ -218,9 +218,10 @@ def test_qp_unconstrained_normal_equations():
     G = rng.standard_normal((5, 5))
     H = G @ G.T + np.eye(5)
     c = rng.standard_normal(5)
-    sol = solve_qp(Qp(H=H, c=c))
+    qp = Qp(H=H, c=c)
+    sol = solve_qp(qp)
     np.testing.assert_allclose(sol.z, -np.linalg.solve(H, c), atol=1e-9)
-    assert sol.active_set == ()
+    assert oracles.qp_report(qp, sol)[1] == ()
 
 
 def test_qp_equality_constrained_matches_kkt_system():
@@ -258,7 +259,6 @@ def test_qp_random_instances_optimality_and_duals():
     for _ in range(10):
         qp, z0 = oracles.random_feasible_qp(rng)
         sol = solve_qp(qp)
-        assert sol.status == "optimal"
         g = qp.Ain @ sol.z - qp.bin
         assert np.max(g) <= 1e-8
         assert np.min(sol.mult_in) >= -1e-10
@@ -294,11 +294,11 @@ def test_qp_phase1_finds_a_start_when_both_guesses_are_infeasible(monkeypatch):
         return phase1(Ar, br)
 
     monkeypatch.setattr(numerics, "_phase1", spy)
-    sol = solve_qp(Qp(H=np.eye(1), c=np.zeros(1),
-                      Ain=np.array([[-1.0], [1.0]]), bin=np.array([-1.0, 2.0])))
+    qp = Qp(H=np.eye(1), c=np.zeros(1), Ain=np.array([[-1.0], [1.0]]), bin=np.array([-1.0, 2.0]))
+    sol = solve_qp(qp)
     assert calls == [1]
     np.testing.assert_allclose(sol.z, [1.0], atol=1e-10)
-    assert sol.active_set == (0,)
+    assert oracles.qp_report(qp, sol)[1] == (0,)
     np.testing.assert_allclose(sol.mult_in, [1.0, 0.0], atol=1e-10)
 
 
@@ -324,7 +324,6 @@ def test_qp_semidefinite_hessian_recovered_by_ridge():
     z_target = rng.standard_normal(8)
     c = -H @ z_target
     sol = solve_qp(Qp(H=H, c=c, Ain=-np.eye(8), bin=np.zeros(8)))
-    assert sol.status == "optimal"
     grad = H @ sol.z + c
     act = np.abs(sol.z) <= 1e-9
     assert np.max(np.abs(grad[~act])) <= 1e-5
@@ -392,9 +391,10 @@ def _golden_qp_batch():
 
 # sha256 of (z, mult_in, n_iter, mult_eq, active_set, kkt_residual) over the
 # batch above, or the exception type where a solve raises, recorded before
-# the solution report became lazy and the equality elimination cached; a
-# "bit-exact" change to solve_qp that moves any field changes it.  The bytes
-# depend on the floating-point kernels of the numpy/OpenBLAS build.
+# the equality elimination was cached, when solve_qp itself returned the last
+# three; they now come from oracles.qp_report by the same operations.  A
+# "bit-exact" change to solve_qp that moves z, mult_in or n_iter changes it.
+# The bytes depend on the floating-point kernels of the numpy/OpenBLAS build.
 GOLDEN_QP_BATCH_SHA256 = "86c49205e8f63db981a487012787601f2387f25838c5018a3775515af564a378"
 
 
@@ -406,9 +406,10 @@ def _qp_batch_digest(qps):
         except (Infeasible, IterationLimit, NotPositiveDefinite) as exc:
             h.update(type(exc).__name__.encode())
             continue
-        for a in (sol.z, sol.mult_in, sol.mult_eq):
+        mult_eq, active_set, kkt_residual = oracles.qp_report(qp, sol)
+        for a in (sol.z, sol.mult_in, mult_eq):
             h.update(np.ascontiguousarray(a, dtype=float).tobytes())
-        h.update(repr((sol.n_iter, sol.active_set, sol.kkt_residual.hex())).encode())
+        h.update(repr((sol.n_iter, active_set, kkt_residual.hex())).encode())
     return h.hexdigest()
 
 
@@ -477,18 +478,14 @@ def test_cached_equality_factorization_is_read_only_and_bounded():
     assert 0 < numerics._ELIMINATION_CACHE_SIZE <= 1024
 
 
-def test_qp_report_fields_are_computed_on_first_read():
-    rng = np.random.default_rng(10)
-    qp, _ = oracles.random_feasible_qp(rng, dim=6, n_con=4)
-    qp = Qp(H=qp.H, c=qp.c, Aeq=rng.standard_normal((1, 6)), beq=np.ones(1),
-            Ain=qp.Ain, bin=qp.bin + 5.0)
-    sol = solve_qp(qp)
-    lazy = ("mult_eq", "active_set", "kkt_residual")
-    assert not any(name in vars(sol) for name in lazy)
-    assert sol.kkt_residual <= 1e-9  # reads mult_eq on the way
-    assert "mult_eq" in vars(sol) and "active_set" not in vars(sol)
-    assert sol.active_set is sol.active_set and sol.mult_eq is sol.mult_eq
-    assert sol.status == "optimal"
+def test_qp_solution_is_a_frozen_record_of_what_the_solve_computes():
+    # min 0.5|z|^2 - z1 - z2 s.t. z1 <= 0.5: the row holds with multiplier 0.5
+    sol = solve_qp(Qp(H=np.eye(2), c=-np.ones(2), Ain=np.array([[1.0, 0.0]]), bin=np.array([0.5])))
+    assert [f.name for f in dataclasses.fields(sol)] == ["z", "mult_in", "n_iter"]
+    np.testing.assert_allclose(sol.z, [0.5, 1.0], atol=1e-12)
+    np.testing.assert_allclose(sol.mult_in, [0.5], atol=1e-12)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.z = np.zeros(2)
 
 
 def test_qp_without_equalities_factors_the_hessian_once(monkeypatch):
@@ -546,11 +543,10 @@ def test_qp_reduced_hessian_gets_the_regularization_retry():
     H[:, 0], H[:, 1] = h0, h1
     Aeq = np.zeros((1, 10))
     Aeq[0, :2] = 1.0
-    sol = solve_qp(Qp(H=H, c=np.zeros(10), Aeq=Aeq, beq=np.array([5.0]),
-                      Ain=-np.eye(10), bin=np.zeros(10)))
-    assert sol.status == "optimal"
+    qp = Qp(H=H, c=np.zeros(10), Aeq=Aeq, beq=np.array([5.0]), Ain=-np.eye(10), bin=np.zeros(10))
+    sol = solve_qp(qp)
     assert sol.z.min() >= -1e-12
-    assert sol.kkt_residual <= 1e-9
+    assert oracles.qp_report(qp, sol)[2] <= 1e-9
 
 
 @pytest.mark.xfail(raises=AssertionError, strict=True,
