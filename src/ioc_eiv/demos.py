@@ -6,11 +6,22 @@ per stage.  Three noise kinds are supported:
 * ``gaussian``: zero-mean with per-stage covariance ``Sigma_u``;
 * ``truncated_gaussian``: the same draw, but resampled until the *noisy
   input* lands inside ``[lower, upper]`` channelwise.  This kind is biased
-  by construction whenever the bound clips.
+  by construction whenever the bound clips.  A step still outside the box
+  after ``_MAX_REJECTION_TRIES`` tries is set to ``U*`` clipped to the box.
 * ``uniform``: zero-mean, channelwise uniform on ``[-halfwidth, halfwidth]``.
 
 Demo ``d`` uses its own substream seeded by ``(seed, d)``, so generating
 demos in parallel or serially yields identical bits.
+
+Each demo draws its noise in blocks rather than one step or one try at a
+time.  A ``Generator`` block of ``T`` draws of shape ``(m,)`` is the same
+stream as ``T`` single draws, so a block gives the bits of the per-try
+draw.  The rejection sampler tests a block of candidate noises against the
+box of every remaining step at once, then walks the table in stream order:
+each step takes the first accepted candidate at or after the current stream
+position, exactly the candidate one draw per try would accept.  The unused
+tail of a demo's last block is discarded; the substream belongs to that
+demo alone, so no other demo or estimator could have read it.
 """
 
 from __future__ import annotations
@@ -138,7 +149,13 @@ def generate(U_star, spec: NoiseSpec, D: int, fp: ForwardProblem) -> DemoSet:
     """Draw ``D`` noisy demonstrations around ``U_star``.
 
     Deterministic given ``spec.seed``; demo ``d`` consumes only its own
-    substream.
+    substream.  Each demo draws its noise in blocks (see the module
+    docstring), which consumes its substream exactly as one draw per try
+    would.  The demos are those bits when ``m = 1`` or ``spec.sigma_u`` is
+    diagonal, since each noise entry is then a single product; for a full
+    ``sigma_u`` with ``m > 1`` the block product may round differently in
+    the last bit.  Rejects a spec whose channel count is not
+    ``fp.system.m``.
     """
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
@@ -148,37 +165,80 @@ def generate(U_star, spec: NoiseSpec, D: int, fp: ForwardProblem) -> DemoSet:
         raise ValueError(
             f"U_star has length {U_star.shape[0]}, expected m * N = {m * N}"
         )
+    _check_channels(spec, m)
     # the covariance factor is the same for every demo
     F = _cov_factor(spec.sigma_u) if spec.kind in ("gaussian", "truncated_gaussian") else None
+    base = U_star.reshape(N, m)
     demos = []
     for d in range(D):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, d]))
-        demos.append(_one_demo(U_star, spec, F, rng, m, N))
+        demos.append(_one_demo(base, spec, F, rng))
     return DemoSet(U_list=tuple(demos), fp_ref=fp, U_star=U_star)
 
 
-def _one_demo(U_star, spec, F, rng, m, N):
-    """One demo; ``F`` is the factor of ``spec.sigma_u`` for the Gaussian kinds."""
-    U = U_star.copy()
-    if spec.kind == "gaussian":
-        for k in range(N):
-            U[k * m : (k + 1) * m] += F @ rng.standard_normal(m)
-    elif spec.kind == "truncated_gaussian":
-        for k in range(N):
-            base = U_star[k * m : (k + 1) * m]
-            for _ in range(_MAX_REJECTION_TRIES):
-                u = base + F @ rng.standard_normal(m)
-                if np.all(u >= spec.lower) and np.all(u <= spec.upper):
-                    break
-            else:
-                u = np.clip(base, spec.lower, spec.upper)
-            U[k * m : (k + 1) * m] = u
-    elif spec.kind == "uniform":
-        hw = np.broadcast_to(spec.halfwidth, (m,))
-        for k in range(N):
-            U[k * m : (k + 1) * m] += rng.uniform(-hw, hw)
+def _check_channels(spec: NoiseSpec, m: int) -> None:
+    """Raise ValueError unless ``spec`` is of a known kind and fits ``m`` channels."""
+    if spec.kind == "uniform":
+        count, allowed = spec.halfwidth.shape[0], (1, m)
+        what = "halfwidth has length"
+    elif spec.kind in ("gaussian", "truncated_gaussian"):
+        count, allowed = spec.sigma_u.shape[0], (m,)
+        what = "sigma_u has order"
     else:
         raise ValueError(f"unknown noise kind {spec.kind!r}")
+    if count not in allowed:
+        raise ValueError(
+            f"noise spec {what} {count}, but the system has m = {m} input channels"
+        )
+
+
+def _one_demo(base, spec, F, rng):
+    """One demo around ``base`` = U* as an (N, m) array, flattened step-major.
+
+    ``F`` is the factor of ``spec.sigma_u`` for the Gaussian kinds.
+    """
+    N, m = base.shape
+    if spec.kind == "gaussian":
+        U = base + rng.standard_normal((N, m)) @ F.T
+    elif spec.kind == "truncated_gaussian":
+        U = _truncated_demo(base, spec, F, rng)
+    else:  # uniform; _check_channels has refused any other kind
+        hw = np.broadcast_to(spec.halfwidth, (m,))
+        U = base + rng.uniform(-hw, hw, size=(N, m))
+    return U.ravel()
+
+
+def _truncated_demo(base, spec, F, rng):
+    """Rejection-sample each step of ``base`` into ``[lower, upper]``, in blocks.
+
+    A block holds at most four candidates per remaining step and never more
+    than the current step's tries left, so only the step a block starts on
+    can run out of tries, and only at the block's end.
+    """
+    N, m = base.shape
+    U = np.empty((N, m))
+    k = 0  # the step being sampled
+    tried = 0  # tries step k has spent in earlier blocks
+    while k < N:
+        size = min(4 * (N - k), _MAX_REJECTION_TRIES - tried)
+        cand = base[k:, None, :] + rng.standard_normal((size, m)) @ F.T
+        ok = np.all((cand >= spec.lower) & (cand <= spec.upper), axis=2)
+        first, pos = k, 0
+        while k < N and pos < size:
+            row = ok[k - first, pos:]
+            j = int(row.argmax())
+            if not row[j]:
+                break
+            U[k] = cand[k - first, pos + j]
+            pos += j + 1
+            k += 1
+            tried = 0
+        if k < N:
+            tried += size - pos
+            if tried == _MAX_REJECTION_TRIES:
+                U[k] = np.clip(base[k], spec.lower, spec.upper)
+                k += 1
+                tried = 0
     return U
 
 

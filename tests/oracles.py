@@ -7,6 +7,7 @@ be checked against code that shares none of its internals.
 
 import numpy as np
 
+from ioc_eiv import demos
 from ioc_eiv import (
     ForwardProblem,
     LinearSystem,
@@ -242,3 +243,45 @@ def grid_tv(grid, log_density, mean, var):
     p /= np.trapezoid(p, grid)
     q = np.exp(-0.5 * (grid - mean) ** 2 / var) / np.sqrt(2.0 * np.pi * var)
     return 0.5 * np.trapezoid(np.abs(p - q), grid)
+
+
+def per_try_demos(U_star, spec, D, fp):
+    """The ``D`` demos of ``demos.generate``, drawn one step and one try at a time.
+
+    Demo ``d`` uses the substream ``(spec.seed, d)`` and the covariance
+    factor ``generate`` uses, so a block draw that consumes the stream the
+    same way gives the same bits.  ``demos._MAX_REJECTION_TRIES`` is read at
+    call time, so a test may lower it.
+    """
+    U_star = np.asarray(U_star, dtype=float).ravel()
+    m, N = fp.system.m, fp.horizon
+    F = demos._cov_factor(spec.sigma_u) if spec.kind in ("gaussian", "truncated_gaussian") else None
+    out = []
+    for d in range(D):
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, d]))
+        out.append(_per_try_demo(U_star, spec, F, rng, m, N))
+    return out
+
+
+def _per_try_demo(U_star, spec, F, rng, m, N):
+    U = U_star.copy()
+    if spec.kind == "gaussian":
+        for k in range(N):
+            U[k * m : (k + 1) * m] += F @ rng.standard_normal(m)
+    elif spec.kind == "truncated_gaussian":
+        for k in range(N):
+            base = U_star[k * m : (k + 1) * m]
+            for _ in range(demos._MAX_REJECTION_TRIES):
+                u = base + F @ rng.standard_normal(m)
+                if np.all(u >= spec.lower) and np.all(u <= spec.upper):
+                    break
+            else:
+                u = np.clip(base, spec.lower, spec.upper)
+            U[k * m : (k + 1) * m] = u
+    elif spec.kind == "uniform":
+        hw = np.broadcast_to(spec.halfwidth, (m,))
+        for k in range(N):
+            U[k * m : (k + 1) * m] += rng.uniform(-hw, hw)
+    else:
+        raise ValueError(f"unknown noise kind {spec.kind!r}")
+    return U

@@ -1,10 +1,22 @@
 """Demonstration generation, noise scaling, and the small statistics helpers."""
 
+import json
+from math import erf, sqrt
+
 import numpy as np
 import pytest
 
 import oracles
-from ioc_eiv import NoiseSpec, generate, noise_scale_from_percent, rmse, sample_mean, solve_forward
+from ioc_eiv import (
+    NoiseSpec,
+    bench_cli,
+    demos,
+    generate,
+    noise_scale_from_percent,
+    rmse,
+    sample_mean,
+    solve_forward,
+)
 from ioc_eiv.demos import noise_cov_stacked
 
 
@@ -174,3 +186,123 @@ def test_demo_sum_is_built_once_read_only_and_equal_to_the_stacked_sum():
     assert first.tobytes() == ds.stacked().sum(axis=0).tobytes()
     with pytest.raises(ValueError):
         first[0] = 1.0
+
+
+def _assert_demos_equal(ds, expected):
+    assert len(ds.U_list) == len(expected)
+    for got, want in zip(ds.U_list, expected):
+        assert got.tobytes() == want.tobytes()
+
+
+def _shipped(config):
+    with open(f"configs/{config}.json", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    fp = bench_cli.parse_problem(cfg["problem"])
+    return cfg, fp, solve_forward(fp, fp.theta_true).U
+
+
+# the spring_damper optimum reaches 0.7, so its box is wider than the
+# tls_positivity one, or the first two steps would clip after every try
+_BOX = {"spring_damper": (0.0, 1.0), "tls_positivity": (0.0, 0.6)}
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "truncated_gaussian", "uniform"])
+@pytest.mark.parametrize("config", ["spring_damper", "tls_positivity"])
+def test_block_draw_is_byte_equal_to_the_per_try_oracle_on_shipped_configs(config, kind):
+    cfg, fp, U_star = _shipped(config)
+    lower, upper = _BOX[config]
+    noise = {"kind": kind, "lower": lower, "upper": upper}
+    for level in (5.0, 10.0, 20.0):
+        for seed in range(30):
+            spec = bench_cli._noise_spec(noise, U_star, fp.system.m, level, cfg["seed"] + seed)
+            ds = generate(U_star, spec, cfg["n_demos"], fp)
+            _assert_demos_equal(ds, oracles.per_try_demos(U_star, spec, cfg["n_demos"], fp))
+
+
+def _two_input_setup():
+    fp, theta = oracles.random_instance(np.random.default_rng(0))
+    assert fp.system.m == 2
+    return fp, solve_forward(fp, theta).U
+
+
+def _two_input_specs(U_star, sigma, seed):
+    lo, hi = U_star.min(), U_star.max()
+    pad = 0.1 * (hi - lo)
+    return (
+        NoiseSpec.gaussian(sigma, seed),
+        NoiseSpec.truncated_gaussian(sigma, lo - pad, hi + pad, seed),
+        NoiseSpec.uniform(np.sqrt(3.0 * np.diag(sigma)), seed),
+    )
+
+
+def test_block_draw_is_byte_equal_to_the_oracle_for_two_inputs_and_diagonal_covariance():
+    fp, U_star = _two_input_setup()
+    for seed in range(30):
+        for spec in _two_input_specs(U_star, np.diag([0.04, 0.09]), seed):
+            _assert_demos_equal(generate(U_star, spec, 6, fp),
+                                oracles.per_try_demos(U_star, spec, 6, fp))
+
+
+def test_block_draw_matches_the_oracle_to_rounding_for_a_full_covariance():
+    # each noise entry of a full covariance is a sum of m products, which
+    # the block product (gemm) and the per-try product (gemv) may round
+    # differently in the last bit
+    fp, U_star = _two_input_setup()
+    sigma = np.array([[0.04, 0.015], [0.015, 0.09]])
+    for seed in range(30):
+        for spec in _two_input_specs(U_star, sigma, seed)[:2]:
+            ds = generate(U_star, spec, 6, fp)
+            for got, want in zip(ds.U_list, oracles.per_try_demos(U_star, spec, 6, fp)):
+                np.testing.assert_allclose(got - U_star, want - U_star, rtol=1e-14,
+                                           atol=1e-14 * np.max(np.abs(want - U_star)))
+
+
+def test_narrow_band_refills_blocks_within_a_step():
+    # a band of +-0.05 sigma accepts about 4% of draws, so a step needs
+    # about 25 tries and the first block of 4 N candidates runs out mid-step
+    fp, _ = _benchmark_setup()
+    U_star = np.full(10, 0.5)
+    assert erf(0.05 / sqrt(2.0)) < 0.1
+    for seed in range(30):
+        spec = NoiseSpec.truncated_gaussian(np.array([[1.0]]), 0.45, 0.55, seed)
+        ds = generate(U_star, spec, 5, fp)
+        _assert_demos_equal(ds, oracles.per_try_demos(U_star, spec, 5, fp))
+        assert np.all((ds.stacked() >= 0.45) & (ds.stacked() <= 0.55))
+
+
+@pytest.mark.parametrize("max_tries", [1, 5, 37])
+def test_steps_out_of_tries_clip_and_later_steps_still_accept(monkeypatch, max_tries):
+    # even steps sit 50 sigma above the box and can never enter it; odd
+    # steps sit in its middle and accept about 90% of draws
+    monkeypatch.setattr(demos, "_MAX_REJECTION_TRIES", max_tries)
+    fp, _ = _benchmark_setup()
+    U_star = np.tile([16.0, 0.5], 5)
+    lower, upper = 0.0, 1.0
+    accepted = 0
+    for seed in range(10):
+        spec = NoiseSpec.truncated_gaussian(np.array([[0.09]]), lower, upper, seed)
+        ds = generate(U_star, spec, 5, fp)
+        _assert_demos_equal(ds, oracles.per_try_demos(U_star, spec, 5, fp))
+        stacked = ds.stacked()
+        assert np.all(stacked[:, 0::2] == np.clip(U_star[0::2], lower, upper))
+        odd = stacked[:, 1::2]
+        assert np.all((odd >= lower) & (odd <= upper))
+        accepted += int(np.sum(odd != 0.5))
+    assert accepted > 0
+
+
+def test_generate_refuses_a_spec_with_another_channel_count():
+    fp, U_star = _benchmark_setup()
+    two = np.eye(2) * 0.01
+    for spec in (NoiseSpec.gaussian(two, seed=1),
+                 NoiseSpec.truncated_gaussian(two, 0.0, 1.0, seed=1),
+                 NoiseSpec.uniform([0.1, 0.1], seed=1)):
+        with pytest.raises(ValueError, match=r"2, but the system has m = 1"):
+            generate(U_star, spec, 2, fp)
+    fp2, U2 = _two_input_setup()
+    with pytest.raises(ValueError, match=r"length 3, but the system has m = 2"):
+        generate(U2, NoiseSpec.uniform([0.1, 0.1, 0.1], seed=1), 2, fp2)
+    # one halfwidth serves every channel
+    assert generate(U2, NoiseSpec.uniform([0.1], seed=1), 2, fp2).n_demos == 2
+    with pytest.raises(ValueError, match="unknown noise kind"):
+        generate(U_star, NoiseSpec(kind="laplace", seed=1), 2, fp)
