@@ -286,10 +286,13 @@ class BilinearStationarity:
     ``nonzero_rows`` marks the rows that some input moves, those whose
     largest ``|J_lambda|`` entry exceeds ``ZERO_ROW_TOL``; the others are
     constants, never a constraint, never active and never given a free
-    multiplier.  Which rows are faces: :meth:`active_rows` are the rows
-    active at ``U``, ``|g_i| <= tol * (1 + h_ref_i)`` with ``h_ref`` the
-    per-row scale ``|h|`` tiled over steps ``0..N``; :meth:`held_rows` are
-    the rows a multiplier above ``ITERATE_ACTIVE_TOL`` holds.  How faces
+    multiplier; ``g_scale`` is the size of the terms that form each
+    ``g_offset`` entry, ``|Hx_i| |A^k x0| + |h_i|``, the scale against which
+    a constant row's value is read.  Which rows are faces:
+    :meth:`active_rows` are the rows active at ``U``,
+    ``|g_i| <= tol * (1 + h_ref_i)`` with ``h_ref`` the per-row scale
+    ``|h|`` tiled over steps ``0..N``; :meth:`held_rows` are the rows a
+    multiplier above ``ITERATE_ACTIVE_TOL`` holds.  How faces
     enter a QP in ``U``: :meth:`face_blocks` poses one mask of rows as
     equalities ``g_i(U) = 0`` and another as inequalities ``g_i(U) <= 0``.
     A QP in ``beta`` frees the multipliers of the active rows only.
@@ -300,6 +303,7 @@ class BilinearStationarity:
     J_lambda: np.ndarray
     g_offset: np.ndarray
     h_ref: np.ndarray
+    g_scale: np.ndarray
     n_features: int = field(init=False)
     Ms: np.ndarray = field(init=False, repr=False)
     nonzero_rows: np.ndarray = field(init=False, repr=False)
@@ -339,7 +343,7 @@ class BilinearStationarity:
 
     def J(self, U) -> np.ndarray:
         """Full Jacobian ``[J_theta(U), J_lambda]``."""
-        return np.hstack([self.J_theta(U), self.J_lambda])
+        return np.concatenate([self.J_theta(U), self.J_lambda], axis=1)
 
     def stationarity(self, U, theta, lam) -> np.ndarray:
         """Stationarity residual ``M_beta(theta) U + E_theta theta + J_lambda lam``."""
@@ -423,6 +427,7 @@ def build_stationarity(fp: ForwardProblem) -> BilinearStationarity:
     L = I * (N + 1)
     J_lambda = np.zeros((mN, L))
     g_offset = np.zeros(L)
+    g_scale = np.zeros(L)
     for k in range(N + 1):
         Bk = stacked.Bbar[k * n : (k + 1) * n, :]
         Sk = _input_selector(k, m, mN) if k < N else None
@@ -433,16 +438,19 @@ def build_stationarity(fp: ForwardProblem) -> BilinearStationarity:
             idx = multiplier_index(i, k, I)
             J_lambda[:, idx] = col
             g_offset[idx] = con.Hx[i] @ ax0[k * n : (k + 1) * n] - con.h[i]
+            g_scale[idx] = np.abs(con.Hx[i]) @ np.abs(ax0[k * n : (k + 1) * n]) + abs(con.h[i])
 
     for M in Mj:
         M.flags.writeable = False
     E_theta.flags.writeable = False
     J_lambda.flags.writeable = False
     g_offset.flags.writeable = False
+    g_scale.flags.writeable = False
     h_ref = np.abs(np.tile(con.h, N + 1))
     h_ref.flags.writeable = False
     return BilinearStationarity(
-        Mj=tuple(Mj), E_theta=E_theta, J_lambda=J_lambda, g_offset=g_offset, h_ref=h_ref
+        Mj=tuple(Mj), E_theta=E_theta, J_lambda=J_lambda, g_offset=g_offset, h_ref=h_ref,
+        g_scale=g_scale,
     )
 
 

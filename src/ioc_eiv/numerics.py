@@ -11,13 +11,14 @@ LAPACK output would draw different bits from the same random stream.
 :func:`cholesky` factors the symmetrized ``0.5 * (M + M')``.  Most inputs
 are already exactly symmetric (an inverse symmetrized by its builder,
 ``X @ X.T``, ``W + R.T @ R``), and for those it factors ``M`` itself after
-one ``M == M.T`` comparison.  That fast path is exact, not approximate:
-equality passes the 1e-10 symmetry test trivially, and ``0.5 * (M + M)``
-equals ``M`` bitwise because doubling and halving a double are exact, unless
-``M + M`` overflows.  The path is therefore taken only when every entry is
-finite and below 1e307 in magnitude; a NaN fails the comparison and an
-infinity fails the bound, so both still take the general path and behave
-as before.
+comparing the bytes of ``M`` and ``M'``, with the elementwise ``M == M.T``
+only when the bytes differ (a ``-0.0`` facing a ``+0.0``).  That fast path
+is exact, not approximate: equality passes the 1e-10 symmetry test
+trivially, and ``0.5 * (M + M)`` equals ``M`` bitwise because doubling and
+halving a double are exact, unless ``M + M`` overflows.  The path is
+therefore taken only when every entry is finite and below 1e307 in
+magnitude; a NaN or an infinity fails that bound, so both still take the
+general path and behave as before.
 
 The QP solver is a textbook primal active-set method.  The choice is
 deliberate: every estimator in this package needs *exact* active sets and
@@ -28,6 +29,28 @@ give.  Determinism is pinned down by two rules:
   the minimal step length;
 * a start found by phase 1 takes as its working set the rows with
   ``a z - b >= -1e-7 * (1 + |b|)``, pruned in index order to full row rank.
+
+A QP without equalities may be given ``start = (z, rows)``: the answer
+``z`` of an earlier QP with the same ``Ain`` and ``bin`` and the rows that
+held it.  Parametric QPs, whose optimal face moves little from one solve
+to the next, are solved this way by online active-set methods (Ferreau,
+Bock & Diehl, *Int. J. Robust Nonlinear Control* 18, 2008).  The start is
+tried after the unconstrained minimizer, which still comes first, so an
+interior answer keeps its bits; then, in this order:
+
+1. **Face check.**  The equality-constrained minimizer on ``rows``.  A
+   solve ends with a polish, which recomputes the loop's last iterate as
+   that minimizer on its final working set, and the face check is the very
+   same call.  It is returned, as one iteration, when it lies on those
+   faces and inside every other row and no multiplier is below
+   ``-_DUAL_TOL``: that is the whole KKT system, so it is the optimum.
+   When the cold solve ends on the working set ``rows`` and its polish
+   holds, the two answers are one computation, so they agree bit for bit.
+2. **Warm loop.**  If ``z`` is feasible, the active-set loop starts from
+   it, with the rows of ``rows`` active at ``z`` (phase 1's rule) as its
+   working set; one rank test checks them, and they are pruned as phase 1
+   prunes only when it finds them rank-deficient.
+3. **Cold path.**  Otherwise the solve starts as it would without a start.
 
 A solve names no active rows: the estimators take them from the one face
 model, :class:`ioc_eiv.model.BilinearStationarity`.
@@ -63,6 +86,8 @@ with H symmetric and positive definite on the null space of Aeq.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -120,7 +145,10 @@ def cholesky(M) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if M.shape[0] == 0:
         return np.zeros((0, 0))
-    if not ((M == M.T).all() and abs(M).max() < 1e307):
+    # equal bytes are exact symmetry; the elementwise test, which also
+    # equates -0.0 and +0.0, runs only when they differ
+    symmetric = M.tobytes() == M.T.tobytes() or (M == M.T).all()
+    if not (symmetric and abs(M).max() < 1e307):
         # not exactly symmetric, or too large for M + M to stay finite:
         # test the tolerance and factor the symmetrized matrix
         if abs(M - M.T).max() > 1e-10 * (1.0 + abs(M).max()):
@@ -149,7 +177,9 @@ def cholesky_solve(L: np.ndarray, rhs) -> np.ndarray:
 
 def _solve_finite_rhs(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """:func:`cholesky_solve` for a float ``rhs`` already known to be finite."""
-    if not np.isfinite(L).all():
+    # a finite sum proves every entry finite; an overflowing one does not
+    # prove the opposite, so it takes the elementwise test
+    if not (math.isfinite(L.sum()) or np.isfinite(L).all()):
         raise ValueError("array must not contain infs or NaNs")
     if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[1] != rhs.shape[0]:
         raise ValueError(f"incompatible dimensions ({L.shape} and {rhs.shape})")
@@ -384,7 +414,52 @@ def _active_set_loop(L, Hr, cr, Ar, br, y, W, max_iter):
     raise IterationLimit(f"active-set loop exceeded {max_iter} iterations")
 
 
-def solve_qp(qp: Qp) -> QpSolution:
+def _face_check(L, c, A, b, rows, feas_scale):
+    """``(y, {row: multiplier})`` on the faces ``rows`` if that point solves the QP, else None.
+
+    The point is the polish's ``_eqp`` call on ``rows``.  Stationarity
+    holds by construction; the point is accepted when it also lies on its
+    faces and inside every other row (both to ``feas_scale``) and no
+    multiplier is below ``-_DUAL_TOL``.  A singular face system is no
+    answer.  Dependent rows that rounding leaves nonsingular may pass: the
+    point is then still the optimum to those tolerances, with its
+    multiplier split among the dependent rows.
+    """
+    if not rows:
+        return None
+    A_F, b_F = A[rows], b[rows]
+    try:
+        y, mu = _eqp(L, c, A_F, b_F)
+    except np.linalg.LinAlgError:
+        return None
+    on_faces = np.abs(A_F @ y - b_F).max() <= feas_scale
+    if on_faces and _feasible(A, b, y, feas_scale) and mu.min() >= -_DUAL_TOL:
+        return y, dict(zip(rows, mu))
+    return None
+
+
+def _warm_working_set(A, b, z, rows):
+    """The rows of ``rows`` active at ``z`` (phase 1's rule), pruned to full
+    row rank only when one rank test finds them rank-deficient."""
+    W = [i for i in rows if A[i] @ z - b[i] >= -_ACTIVE_TOL * (1.0 + abs(b[i]))]
+    if W and np.linalg.matrix_rank(A[W]) < len(W):
+        W = _independent_rows(A, W)
+    return W
+
+
+def _check_start(start, n, n_in):
+    """``(z, sorted distinct rows)`` of a start ``(z, rows)``; ValueError if malformed."""
+    z, rows = start
+    z = np.asarray(z, dtype=float)
+    if z.shape != (n,):
+        raise ValueError(f"start point has shape {z.shape}, expected ({n},)")
+    rows = sorted({operator.index(i) for i in rows})
+    if rows and not (0 <= rows[0] and rows[-1] < n_in):
+        raise ValueError(f"start rows must lie in [0, {n_in}), got {rows}")
+    return z, rows
+
+
+def solve_qp(qp: Qp, start=None) -> QpSolution:
     """Solve a strictly convex QP with a primal active-set method.
 
     Equalities are eliminated through an orthonormal null-space basis from
@@ -393,11 +468,20 @@ def solve_qp(qp: Qp) -> QpSolution:
     as posed.  Only the Hessian the loop runs on is factored (see the module
     docstring for its regularization).
 
+    ``start = (z, rows)`` is an earlier solution ``z`` of a QP with the same
+    ``Ain`` and ``bin`` and the rows ``rows`` (indices into ``Ain``) that
+    held it; the module docstring gives the order in which it is tried.  A
+    start on a QP with equalities raises ValueError.
+
     Raises Infeasible, IterationLimit, or NotPositiveDefinite.
     """
     n = qp.dim
     H, c = qp.H, qp.c
     Aeq, beq, Ain, bin_ = qp.Aeq, qp.beq, qp.Ain, qp.bin
+    if start is not None:
+        if Aeq.shape[0]:
+            raise ValueError("a start is only taken by a QP without equalities")
+        z_start, rows = _check_start(start, n, Ain.shape[0])
 
     if Aeq.shape[0]:
         z_part, Z = _eliminate_equalities(Aeq, beq, n)
@@ -434,8 +518,13 @@ def solve_qp(qp: Qp) -> QpSolution:
             Lr = cholesky(Hr)
 
         y_unc = -cholesky_solve(Lr, cr)
+        on_face = None
         if _feasible(Ar, br, y_unc, feas_scale):
             y0, W0 = y_unc, []
+        elif start is not None and (on_face := _face_check(Lr, cr, Ar, br, rows, feas_scale)):
+            pass  # solved on the start's faces: the loop does not run
+        elif start is not None and _feasible(Ar, br, z_start, feas_scale):
+            y0, W0 = z_start, _warm_working_set(Ar, br, z_start, rows)
         elif _feasible(Ar, br, np.zeros(nz), feas_scale):
             y0, W0 = np.zeros(nz), []
         else:
@@ -446,16 +535,20 @@ def solve_qp(qp: Qp) -> QpSolution:
             cand = [i for i in range(n_in) if resid[i] >= -_ACTIVE_TOL * (1.0 + abs(br[i]))]
             W0 = _independent_rows(Ar, cand)
 
-        max_iter = 100 * max(nz, 1)
-        y, mu_map, n_iter = _active_set_loop(Lr, Hr, cr, Ar, br, y0, list(W0), max_iter)
+        if on_face:
+            y, mu_map = on_face
+            n_iter = 1
+        else:
+            max_iter = 100 * max(nz, 1)
+            y, mu_map, n_iter = _active_set_loop(Lr, Hr, cr, Ar, br, y0, list(W0), max_iter)
 
-        # polish: place the iterate exactly on its working faces
-        W = sorted(mu_map)
-        if W:
-            y_pol, mu_pol = _eqp(Lr, cr, Ar[W], br[W])
-            if _feasible(Ar, br, y_pol, feas_scale) and mu_pol.min() >= -_DUAL_TOL:
-                y = y_pol
-                mu_map = dict(zip(W, mu_pol))
+            # polish: place the iterate exactly on its working faces
+            W = sorted(mu_map)
+            if W:
+                y_pol, mu_pol = _eqp(Lr, cr, Ar[W], br[W])
+                if _feasible(Ar, br, y_pol, feas_scale) and mu_pol.min() >= -_DUAL_TOL:
+                    y = y_pol
+                    mu_map = dict(zip(W, mu_pol))
 
         # with Z = I the zero z_part is still added: it turns a -0.0 in y
         # into +0.0, as Z @ y did, so the bytes of z do not change

@@ -13,7 +13,11 @@ over the normalization cone.  :func:`tls_inner` solves it by projected
 Gauss-Newton:
 
 * each evaluation of ``f`` is one :func:`~ioc_eiv.forward.solve`, which
-  gives ``U``, the multipliers and the demo cost at once;
+  gives ``U``, the multipliers and the demo cost at once; a backtracking
+  trial's solve is warm-started from the current solution, since the
+  forward QP's constraints do not depend on ``theta`` and a trial moves
+  its optimal face little, so most trials end after one face check with
+  the bits a cold solve would give;
 * the derivative ``G = dU*/dtheta`` is the sensitivity of the forward QP
   on the rows its multipliers hold (:func:`_sensitivity`);
 * each step solves the ``q``-variable QP ``min f`` with ``U*`` replaced by
@@ -119,8 +123,8 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: Normalizatio
     cone = norm.beta_blocks(q, q)
     cone["bin"] = np.full(q, -floor)
 
-    def evaluate(theta):
-        sol = forward_solve(fp, theta)
+    def evaluate(theta, start=None):
+        sol = forward_solve(fp, theta, start)
         R = stackd - sol.U
         return sol, float(((R @ SU_inv) * R).sum())
 
@@ -145,7 +149,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: Normalizatio
             break
         for k in range(_HALVINGS):
             trial = theta + 0.5**k * step
-            sol_t, cost_t = evaluate(trial)
+            sol_t, cost_t = evaluate(trial, sol)
             if cost_t <= cost + _ARMIJO * 0.5**k * slope:
                 break
         else:

@@ -1,5 +1,6 @@
 """Forward optimal control solutions and objective evaluation."""
 
+import json
 import time
 
 import numpy as np
@@ -8,12 +9,16 @@ import pytest
 import oracles
 from ioc_eiv import (
     ForwardProblem,
+    Infeasible,
     LinearSystem,
+    PolytopicConstraints,
     QuadraticFeature,
+    bench_cli,
     kkt_residual,
     solve_forward,
 )
 from ioc_eiv.forward import objective
+from ioc_eiv.model import build_stationarity
 
 
 def test_benchmark_solution_properties():
@@ -137,3 +142,57 @@ def test_complementary_slackness_at_solution():
 def test_solve_refuses_a_weight_that_is_not_positive_and_finite(theta):
     with pytest.raises(ValueError, match="positive and finite"):
         solve_forward(oracles.spring_damper(), theta)
+
+
+def _state_cap_problem(s, x0_share):
+    """1-D system with the state row x_k <= s and x0 = x0_share * s; the row at
+    k = 0 is constant, since no input moves x0."""
+    sys1 = LinearSystem(np.array([[0.8]]), np.array([[0.5]]))
+    feats = (QuadraticFeature("state", 0, 0.0), QuadraticFeature("input", 0, 0.0))
+    con = PolytopicConstraints(np.array([[1.0]]), np.zeros((1, 1)), np.array([s]))
+    return ForwardProblem(sys1, feats, con, 4, np.array([x0_share * s]))
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-9, 1e-12])
+def test_violated_constant_row_is_infeasible_at_every_scale(s):
+    # x0 = 1.5 s breaks x_0 <= s by 0.5 s, which is a third of the terms
+    # forming the row's value at every scale
+    with pytest.raises(Infeasible, match="row 0 is constant and violated"):
+        solve_forward(_state_cap_problem(s, 1.5), np.ones(2))
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-9, 1e-12])
+def test_satisfied_constant_row_is_no_constraint_at_every_scale(s):
+    fp = _state_cap_problem(s, 0.5)
+    sol = solve_forward(fp, np.ones(2))
+    assert sol.lam[0] == 0.0
+    assert kkt_residual(fp, np.ones(2), sol.lam, sol.U).max_abs() <= 1e-6 * s
+
+
+@pytest.mark.parametrize("config, value", [("spring_damper", -0.7), ("tls_positivity", 0.0)])
+def test_shipped_constant_rows_keep_their_outcome(config, value):
+    with open(f"configs/{config}.json", encoding="utf-8") as fh:
+        fp = bench_cli.parse_problem(json.load(fh)["problem"])
+    bs = build_stationarity(fp)
+    # the one constant row is the terminal step's, where only Hx applies
+    assert np.flatnonzero(~bs.nonzero_rows).tolist() == [fp.n_multipliers - 1]
+    assert bs.g_offset[-1] == value
+    sol = solve_forward(fp, fp.theta_true)
+    assert sol.lam[-1] == 0.0
+
+
+@pytest.mark.parametrize("config", ["spring_damper", "tls_positivity"])
+def test_warm_started_solve_is_the_cold_solve(config):
+    # a start from the solution at other weights ends on the same face here,
+    # so it returns the cold solve's bits
+    with open(f"configs/{config}.json", encoding="utf-8") as fh:
+        fp = bench_cli.parse_problem(json.load(fh)["problem"])
+    rng = np.random.default_rng(41)
+    prev = solve_forward(fp, fp.theta_true)
+    for _ in range(20):
+        theta = fp.theta_true * rng.uniform(0.7, 1.4, fp.q)
+        warm = solve_forward(fp, theta, start=prev)
+        cold = solve_forward(fp, theta)
+        assert warm.U.tobytes() == cold.U.tobytes()
+        assert warm.lam.tobytes() == cold.lam.tobytes()
+        prev = warm

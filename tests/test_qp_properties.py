@@ -101,3 +101,46 @@ def test_solve_qp_kkt_residual_is_small(case):
     _, active_set, kkt_residual = oracles.qp_report(qp, sol)
     assert kkt_residual <= 1e-6
     assert set(active_set) >= {i for i, m in enumerate(sol.mult_in) if m > 1e-8}
+
+
+@st.composite
+def warm_started_qps(draw):
+    """Two QPs ``H, c1`` and ``H, c2 = c1 + t d`` without equalities on one
+    polytope with an interior point; ``t = 0`` poses the same QP twice."""
+    dim = draw(st.integers(1, 6))
+    G = draw(_matrix(dim, dim))
+    H = G @ G.T + 0.5 * np.eye(dim)
+    c1 = 3.0 * draw(_matrix(1, dim))[0]
+    d = draw(_matrix(1, dim))[0]
+    t = draw(st.sampled_from([0.0, 1e-3, 0.3]))
+    z0 = draw(_matrix(1, dim))[0]
+    n_in = draw(st.integers(1, 6))
+    Ain = draw(_matrix(n_in, dim))
+    slack = draw(hnp.arrays(float, n_in, elements=st.sampled_from([0.25, 1.0])))
+    bin_ = Ain @ z0 + slack
+    return Qp(H=H, c=c1, Ain=Ain, bin=bin_), Qp(H=H, c=c1 + t * d, Ain=Ain, bin=bin_)
+
+
+@given(warm_started_qps())
+def test_warm_start_reaches_the_cold_optimum(case):
+    qp1, qp2 = case
+    first = solve_qp(qp1)
+    rows = np.flatnonzero(first.mult_in > 0.0)
+    warm = solve_qp(qp2, start=(first.z, rows))
+    cold = solve_qp(qp2)
+    scale = 1.0 + np.max(np.abs(cold.z), initial=0.0)
+    np.testing.assert_allclose(warm.z, cold.z, rtol=0, atol=1e-9 * scale)
+    _, active_set, kkt_residual = oracles.qp_report(qp2, warm)
+    assert kkt_residual <= 1e-6
+    assert set(active_set) >= {i for i, m in enumerate(warm.mult_in) if m > 1e-8}
+    # the start names the cold optimum's face, and that face is strictly
+    # complementary: held rows carry clear multipliers and every other row
+    # clear slack, so the cold working set is that face, the cold polish
+    # holds, and the warm solve ends with the very same computation
+    held = cold.mult_in > 0.0
+    free_slack = (qp2.bin - qp2.Ain @ cold.z)[~held]
+    strict = (cold.mult_in[held] > 1e-6).all() and (
+        free_slack > 1e-6 * (1.0 + np.abs(qp2.bin[~held]))).all()
+    if strict and rows.tolist() == np.flatnonzero(held).tolist():
+        assert warm.z.tobytes() == cold.z.tobytes()
+        assert warm.mult_in.tobytes() == cold.mult_in.tobytes()

@@ -25,7 +25,7 @@ from ioc_eiv import (
     tls_estimate,
     tls_inner,
 )
-from ioc_eiv import bench_cli, model, tls_estimator
+from ioc_eiv import bench_cli, forward, model, tls_estimator
 from ioc_eiv.model import build_stationarity, constraint_values, kkt_residual
 
 
@@ -358,3 +358,38 @@ def test_estimate_outputs_are_bit_identical_to_golden(config):
 def test_retry_fit_is_bit_identical_to_golden(retry_fit):
     _, ds, res = retry_fit
     assert _result_digest(res, ds) == GOLDEN_TLS_SHA256["retry"]
+
+
+@pytest.mark.parametrize("config", ["spring_damper", "tls_positivity"])
+def test_warm_started_fits_match_a_cold_start_oracle_in_fewer_iterations(monkeypatch, config):
+    # the 30 shipped bench tasks (3 levels x 10 repetitions): each
+    # backtracking trial's forward solve starts from the current solution;
+    # the oracle drops that start
+    with open(f"configs/{config}.json", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    fp = bench_cli.parse_problem(cfg["problem"])
+    norm = bench_cli._parse_norm(cfg, fp)
+    U_star = solve_forward(fp, fp.theta_true).U
+    tasks = [
+        generate(U_star, bench_cli._noise_spec(cfg["noise"], U_star, fp.system.m, float(level),
+                                               cfg["seed"] + rep), cfg["n_demos"], fp)
+        for level in cfg["noise"]["percent_levels"] for rep in range(cfg["n_reps"])
+    ]
+    assert len(tasks) == 30
+    iters = []
+    solve_qp = forward.solve_qp
+
+    def counting(qp, start=None):
+        sol = solve_qp(qp, start=start)
+        iters.append(sol.n_iter)
+        return sol
+
+    monkeypatch.setattr(forward, "solve_qp", counting)
+    warm = [_result_digest(tls_estimate(ds, fp, norm), ds) for ds in tasks]
+    warm_iters, iters[:] = sum(iters), []
+    cold_solve = forward.solve
+    monkeypatch.setattr(tls_estimator, "forward_solve",
+                        lambda fp, theta, start=None: cold_solve(fp, theta))
+    cold = [_result_digest(tls_estimate(ds, fp, norm), ds) for ds in tasks]
+    assert warm == cold
+    assert warm_iters < sum(iters)
