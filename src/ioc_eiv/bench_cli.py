@@ -35,6 +35,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from time import perf_counter
 
 import numpy as np
@@ -408,21 +409,22 @@ def _demoset_from_json(obj) -> tuple[DemoSet, model.ForwardProblem]:
 
 
 # ------------------------------------------------------------ method table
-# (ds, fp, norm, gibbs, rng) -> (theta_hat, U_hat, extra estimate-JSON fields),
+# (ds, fp, norm, gibbs, seed) -> (theta_hat, U_hat, extra estimate-JSON fields),
 # None for what a method does not estimate.  Estimators are looked up at call
 # time, so a rebinding of ``kkt_ls`` or a module's ``estimate`` reaches both.
 
 
-def _fit_kkt(ds, fp, norm, gibbs, rng):
+def _fit_kkt(ds, fp, norm, gibbs, seed):
     fit = kkt_ls(ds, fp, norm)
     return fit.theta, None, {"residual": fit.residual}
 
 
-def _fit_mean(ds, fp, norm, gibbs, rng):
+def _fit_mean(ds, fp, norm, gibbs, seed):
     return None, sample_mean(ds), {}
 
 
-def _fit_map(ds, fp, norm, gibbs, rng):
+def _fit_map(ds, fp, norm, gibbs, seed):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _MAP_STREAM]))
     res = map_estimator.estimate(ds, fp, MapConfig(norm=norm, gibbs=gibbs), rng=rng)
     return res.theta, res.U_hat, {
         "Sigma_U": matrix_to_json(res.Sigma_U_hat),
@@ -430,7 +432,7 @@ def _fit_map(ds, fp, norm, gibbs, rng):
     }
 
 
-def _fit_tls(ds, fp, norm, gibbs, rng):
+def _fit_tls(ds, fp, norm, gibbs, seed):
     res = tls_estimator.estimate(ds, fp, norm)
     return res.theta, res.U_hat, {
         "Sigma_U": matrix_to_json(res.Sigma_U_hat),
@@ -439,8 +441,8 @@ def _fit_tls(ds, fp, norm, gibbs, rng):
 
 
 _METHODS = {"kkt": _fit_kkt, "mean": _fit_mean, "map": _fit_map, "tls": _fit_tls}
-# the bench draws repetition r's MAP chain from SeedSequence([master + r, _MAP_STREAM])
-# and ``estimate --seed S`` from SeedSequence([S, _MAP_STREAM]), so a rows.csv
+# the bench passes repetition r's seed master + r and ``estimate --seed S`` passes
+# S, and the MAP chain draws from SeedSequence([seed, _MAP_STREAM]), so a rows.csv
 # seed reproduces its MAP row
 _MAP_STREAM = 1
 
@@ -463,8 +465,7 @@ def cmd_estimate(args) -> int:
     _check_keys(cfg)
     norm, gibbs = _parse_norm(cfg, fp), _parse_gibbs(cfg)
     seed = _seed(args.seed, "--seed")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _MAP_STREAM]))
-    theta_hat, U_hat, extra = _METHODS[args.method](ds, fp, norm, gibbs, rng)
+    theta_hat, U_hat, extra = _METHODS[args.method](ds, fp, norm, gibbs, seed)
     out: dict = {"method": args.method, **extra}
     if theta_hat is not None:
         out["theta"] = [float(v) for v in theta_hat]
@@ -489,18 +490,18 @@ def _run_task(payload: dict) -> dict:
     Module-level and dict-in/dict-out so it can cross a process boundary.
     It parses nothing: :func:`cmd_bench` builds the grid's problem ``fp``,
     its read-only true inputs ``U_star``, the rule ``norm`` and the MAP
-    budget ``gibbs`` once per call, and the task's noise ``spec``.
+    budget ``gibbs`` once per call, and the level's noise ``spec`` once per
+    level; the task draws its demos from that spec at its own seed.
     """
     fp, U_star = payload["fp"], payload["U_star"]
     method, seed_rep = payload["method"], payload["seed_rep"]
-    ds = generate(U_star, payload["spec"], payload["n_demos"], fp)
-    rng = np.random.default_rng(np.random.SeedSequence([seed_rep, _MAP_STREAM]))
+    ds = generate(U_star, payload["spec"].with_seed(seed_rep), payload["n_demos"], fp)
 
     rmse_theta = rmse_U = None
     status = "ok"
     t0 = perf_counter()
     try:
-        theta_hat, U_hat, _ = _METHODS[method](ds, fp, payload["norm"], payload["gibbs"], rng)
+        theta_hat, U_hat, _ = _METHODS[method](ds, fp, payload["norm"], payload["gibbs"], seed_rep)
         rmse_theta, rmse_U = _errors(theta_hat, U_hat, fp.theta_true, U_star)
     except (Infeasible, IterationLimit, NotPositiveDefinite, ValueError) as e:
         status = f"failed:{type(e).__name__}"
@@ -562,15 +563,24 @@ def cmd_bench(args) -> int:
     n_demos, n_reps = _count(cfg, "n_demos"), _count(cfg, "n_reps")
     master = _master_seed(cfg)
 
-    # one problem and one truth per call: every task in this process shares
-    # them, and with them the stationarity cache entry of ``fp``
+    # Lifetimes.  The parser and the problem's decomposition last the
+    # process: ``fp`` equals every earlier parse of the same problem, so
+    # ``build_stationarity`` and the forward rows built on it miss once per
+    # distinct problem.  The truth ``U_star`` lasts one call, and each noise
+    # spec one level of it (checked and factored once, reseeded per
+    # repetition).  The demos last one task.  ``U_star`` is not memoized
+    # across calls: it is one forward solve, and on perfbench's
+    # map-spring-n10 workload it is the only ``forward.solve`` call, so a
+    # process-level memo would leave that required traced layer without calls.
     U_star = forward.solve(fp, fp.theta_true).U
     U_star.flags.writeable = False
+    specs = {level: _noise_spec(noise_obj, U_star, fp.system.m, level, master)
+             for level in levels}
     payloads = [
         {
             "fp": fp,
             "U_star": U_star,
-            "spec": _noise_spec(noise_obj, U_star, fp.system.m, level, master + rep),
+            "spec": specs[level],
             "n_demos": n_demos,
             "method": method,
             "level": level,
@@ -674,7 +684,9 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------- entry point
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared by every later one."""
     p = argparse.ArgumentParser(
         prog="ioc-eiv",
         description="Inverse optimal control benchmark driver (JSON in, JSON/CSV out).",
@@ -685,7 +697,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--config", required=True, help="problem JSON (bare or under 'problem')")
     pf.add_argument("--theta", default=None, help="comma-separated weights (default: theta_true)")
     pf.add_argument("--out", default=None, help="output JSON path (default: stdout)")
-    pf.set_defaults(func=cmd_forward)
 
     pd = sub.add_parser("demos", help="generate noisy demonstrations")
     pd.add_argument("--config", required=True, help="config with problem, noise, n_demos")
@@ -694,7 +705,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--seed", type=int, default=None,
                     help="noise seed (default: master seed from config or IOC_EIV_SEED)")
     pd.add_argument("--out", default=None, help="output JSON path (default: stdout)")
-    pd.set_defaults(func=cmd_demos)
 
     pe = sub.add_parser("estimate", help="run one estimator on a demo file")
     pe.add_argument("--demos", required=True, help="demo JSON from the demos command")
@@ -703,13 +713,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--seed", type=int, default=0,
                     help="estimator RNG seed (map); a rows.csv seed reproduces that row")
     pe.add_argument("--out", default=None, help="output JSON path (default: stdout)")
-    pe.set_defaults(func=cmd_estimate)
 
     pb = sub.add_parser("bench", help="full benchmark grid")
     pb.add_argument("--config", required=True, help="bench config JSON")
     pb.add_argument("--out-dir", required=True, help="directory for rows/timings/summary files")
     pb.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    pb.set_defaults(func=cmd_bench)
     return p
 
 
@@ -720,7 +728,8 @@ def main(argv=None) -> int:
         # argparse exits 0 for --help and 2 for usage errors; keep both
         return int(e.code) if e.code else EXIT_OK
     try:
-        return args.func(args)
+        # looked up at call time, so a rebinding of ``cmd_*`` reaches the shared parser
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL

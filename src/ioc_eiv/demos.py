@@ -21,12 +21,15 @@ box of every remaining step at once, then walks the table in stream order:
 each step takes the first accepted candidate at or after the current stream
 position, exactly the candidate one draw per try would accept.  The unused
 tail of a demo's last block is discarded; the substream belongs to that
-demo alone, so no other demo or estimator could have read it.
+demo alone, so no other demo or estimator could have read it.  Every
+demo's first block meets the box in one array operation with every other
+demo's; a demo goes on alone, from the step and tries where its first
+block stopped, only when that block left a step unfilled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,7 +50,13 @@ _MAX_REJECTION_TRIES = 100_000
 
 @dataclass(frozen=True, eq=False)
 class NoiseSpec:
-    """Noise model for demonstration generation. Use the classmethods."""
+    """Noise model for demonstration generation. Use the classmethods.
+
+    The classmethods check their arguments and keep read-only copies.
+    :meth:`factor` factors the Gaussian kinds' covariance once, and
+    :meth:`with_seed` gives the same noise under another seed, sharing the
+    arrays and the factor, so a grid checks and factors each level once.
+    """
 
     kind: str
     seed: int
@@ -55,6 +64,7 @@ class NoiseSpec:
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
     halfwidth: np.ndarray | None = None
+    _factor: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def gaussian(cls, sigma_u, seed: int) -> "NoiseSpec":
@@ -64,8 +74,8 @@ class NoiseSpec:
     def truncated_gaussian(cls, sigma_u, lower, upper, seed: int) -> "NoiseSpec":
         sigma_u = _check_cov(sigma_u)
         m = sigma_u.shape[0]
-        lower = np.broadcast_to(np.asarray(lower, dtype=float), (m,)).copy()
-        upper = np.broadcast_to(np.asarray(upper, dtype=float), (m,)).copy()
+        lower = _read_only(np.broadcast_to(np.asarray(lower, dtype=float), (m,)).copy())
+        upper = _read_only(np.broadcast_to(np.asarray(upper, dtype=float), (m,)).copy())
         if np.any(lower >= upper):
             raise ValueError("truncation requires lower < upper channelwise")
         return cls(
@@ -75,14 +85,29 @@ class NoiseSpec:
 
     @classmethod
     def uniform(cls, halfwidth, seed: int) -> "NoiseSpec":
-        hw = np.atleast_1d(np.asarray(halfwidth, dtype=float))
+        hw = _read_only(np.array(halfwidth, dtype=float, ndmin=1))
         if np.any(hw < 0):
             raise ValueError("halfwidth must be nonnegative")
         return cls(kind="uniform", seed=int(seed), halfwidth=hw)
 
+    def factor(self) -> np.ndarray | None:
+        """F with F F' = sigma_u for the Gaussian kinds, None for uniform; built on the first call."""
+        if self._factor is None and self.kind in _GAUSSIAN_KINDS:
+            object.__setattr__(self, "_factor", _read_only(_cov_factor(self.sigma_u)))
+        return self._factor
+
+    def with_seed(self, seed: int) -> "NoiseSpec":
+        """This noise drawn from ``seed``; shares the arrays and :meth:`factor`."""
+        out = replace(self, seed=int(seed))
+        object.__setattr__(out, "_factor", self.factor())
+        return out
+
+
+_GAUSSIAN_KINDS = ("gaussian", "truncated_gaussian")
+
 
 def _check_cov(sigma) -> np.ndarray:
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    sigma = np.array(sigma, dtype=float, ndmin=2)
     if sigma.shape[0] != sigma.shape[1]:
         raise ValueError(f"covariance must be square, got shape {sigma.shape}")
     if np.max(np.abs(sigma - sigma.T), initial=0.0) > 1e-10 * (1.0 + np.max(np.abs(sigma), initial=0.0)):
@@ -90,7 +115,7 @@ def _check_cov(sigma) -> np.ndarray:
     vals = np.linalg.eigvalsh(sigma)
     if vals.size and vals[0] < -1e-10 * max(1.0, vals[-1]):
         raise ValueError("covariance must be positive semidefinite")
-    return sigma
+    return _read_only(sigma)
 
 
 def _cov_factor(sigma: np.ndarray) -> np.ndarray:
@@ -166,14 +191,14 @@ def generate(U_star, spec: NoiseSpec, D: int, fp: ForwardProblem) -> DemoSet:
             f"U_star has length {U_star.shape[0]}, expected m * N = {m * N}"
         )
     _check_channels(spec, m)
-    # the covariance factor is the same for every demo
-    F = _cov_factor(spec.sigma_u) if spec.kind in ("gaussian", "truncated_gaussian") else None
+    F = spec.factor()
     base = U_star.reshape(N, m)
-    demos = []
-    for d in range(D):
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, d]))
-        demos.append(_one_demo(base, spec, F, rng))
-    return DemoSet(U_list=tuple(demos), fp_ref=fp, U_star=U_star)
+    rngs = [np.random.default_rng(np.random.SeedSequence([spec.seed, d])) for d in range(D)]
+    if spec.kind == "truncated_gaussian":
+        demos = _truncated_demos(base, spec, F, rngs)
+    else:
+        demos = [_one_demo(base, spec, F, rng) for rng in rngs]
+    return DemoSet(U_list=tuple(U.ravel() for U in demos), fp_ref=fp, U_star=U_star)
 
 
 def _check_channels(spec: NoiseSpec, m: int) -> None:
@@ -181,7 +206,7 @@ def _check_channels(spec: NoiseSpec, m: int) -> None:
     if spec.kind == "uniform":
         count, allowed = spec.halfwidth.shape[0], (1, m)
         what = "halfwidth has length"
-    elif spec.kind in ("gaussian", "truncated_gaussian"):
+    elif spec.kind in _GAUSSIAN_KINDS:
         count, allowed = spec.sigma_u.shape[0], (m,)
         what = "sigma_u has order"
     else:
@@ -193,37 +218,59 @@ def _check_channels(spec: NoiseSpec, m: int) -> None:
 
 
 def _one_demo(base, spec, F, rng):
-    """One demo around ``base`` = U* as an (N, m) array, flattened step-major.
+    """One gaussian or uniform demo around ``base`` = U* as an (N, m) array.
 
-    ``F`` is the factor of ``spec.sigma_u`` for the Gaussian kinds.
+    ``F`` is the factor of ``spec.sigma_u`` for the gaussian kind.
     """
     N, m = base.shape
     if spec.kind == "gaussian":
-        U = base + rng.standard_normal((N, m)) @ F.T
-    elif spec.kind == "truncated_gaussian":
-        U = _truncated_demo(base, spec, F, rng)
-    else:  # uniform; _check_channels has refused any other kind
-        hw = np.broadcast_to(spec.halfwidth, (m,))
-        U = base + rng.uniform(-hw, hw, size=(N, m))
-    return U.ravel()
+        return base + rng.standard_normal((N, m)) @ F.T
+    # uniform; _check_channels has refused any other kind
+    hw = np.broadcast_to(spec.halfwidth, (m,))
+    return base + rng.uniform(-hw, hw, size=(N, m))
 
 
-def _truncated_demo(base, spec, F, rng):
+def _truncated_demos(base, spec, F, rngs):
+    """One truncated demo around ``base`` per substream in ``rngs``.
+
+    Every demo draws its first block, four candidates per step, from its
+    own substream, and all of these blocks meet the box in one array
+    operation.  A demo whose block leaves a step unfilled goes on alone.
+    """
+    N, m = base.shape
+    size = min(4 * N, _MAX_REJECTION_TRIES)
+    noise = np.stack([rng.standard_normal((size, m)) for rng in rngs])
+    noise = (noise.reshape(-1, m) @ F.T).reshape(noise.shape)
+    cand, ok = _in_box(base, noise, spec)
+    return [_truncated_demo(base, spec, F, rng, *first)
+            for rng, first in zip(rngs, zip(cand, ok))]
+
+
+def _in_box(base, noise, spec):
+    """Candidates ``base + noise`` for every step of ``base``, and which lie in the box.
+
+    ``noise`` is one block, (T, m), or one block per demo, (D, T, m); the
+    candidates are (N, T, m) or (D, N, T, m), and the test drops the last axis.
+    """
+    cand = base[:, None, :] + noise[..., None, :, :]
+    return cand, np.all((cand >= spec.lower) & (cand <= spec.upper), axis=-1)
+
+
+def _truncated_demo(base, spec, F, rng, cand, ok):
     """Rejection-sample each step of ``base`` into ``[lower, upper]``, in blocks.
 
-    A block holds at most four candidates per remaining step and never more
-    than the current step's tries left, so only the step a block starts on
-    can run out of tries, and only at the block's end.
+    ``cand`` and ``ok`` are the first block, drawn from ``rng`` for every
+    step; later blocks start at the first unfilled step.  A block holds at
+    most four candidates per remaining step and never more than the current
+    step's tries left, so only the step a block starts on can run out of
+    tries, and only at the block's end.
     """
     N, m = base.shape
     U = np.empty((N, m))
     k = 0  # the step being sampled
     tried = 0  # tries step k has spent in earlier blocks
-    while k < N:
-        size = min(4 * (N - k), _MAX_REJECTION_TRIES - tried)
-        cand = base[k:, None, :] + rng.standard_normal((size, m)) @ F.T
-        ok = np.all((cand >= spec.lower) & (cand <= spec.upper), axis=2)
-        first, pos = k, 0
+    while True:
+        first, pos, size = k, 0, ok.shape[1]
         while k < N and pos < size:
             row = ok[k - first, pos:]
             j = int(row.argmax())
@@ -239,7 +286,10 @@ def _truncated_demo(base, spec, F, rng):
                 U[k] = np.clip(base[k], spec.lower, spec.upper)
                 k += 1
                 tried = 0
-    return U
+        if k == N:
+            return U
+        size = min(4 * (N - k), _MAX_REJECTION_TRIES - tried)
+        cand, ok = _in_box(base[k:], rng.standard_normal((size, m)) @ F.T, spec)
 
 
 def noise_scale_from_percent(U_star, pct: float, m: int = 1) -> np.ndarray:
@@ -266,7 +316,7 @@ def noise_cov_stacked(spec: NoiseSpec, m: int, N: int) -> np.ndarray:
     For the truncated kind this is the covariance of the *untruncated*
     draw, which is what the estimators use as a working value.
     """
-    if spec.kind in ("gaussian", "truncated_gaussian"):
+    if spec.kind in _GAUSSIAN_KINDS:
         per = spec.sigma_u
     elif spec.kind == "uniform":
         hw = np.broadcast_to(spec.halfwidth, (m,))

@@ -69,6 +69,11 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _exact(a: np.ndarray) -> tuple:
+    """``(shape, bytes)`` of an array: equal exactly when the arrays are bit for bit."""
+    return a.shape, a.tobytes()
+
+
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
     """Discrete-time linear dynamics ``x_{k+1} = A x_k + B u_k``."""
@@ -151,7 +156,12 @@ class PolytopicConstraints:
 
 @dataclass(frozen=True, eq=False)
 class ForwardProblem:
-    """Complete description of one forward optimal control problem."""
+    """Complete description of one forward optimal control problem.
+
+    Two problems are equal when every field holds the same shapes and the
+    same bytes, however each was built, so equal problems share one
+    :func:`build_stationarity` entry.
+    """
 
     system: LinearSystem
     features: tuple
@@ -159,6 +169,8 @@ class ForwardProblem:
     horizon: int
     x0: np.ndarray
     theta_true: np.ndarray | None = None
+    _key: tuple | None = field(default=None, init=False, repr=False)
+    _hash: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -196,6 +208,30 @@ class ForwardProblem:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "theta_true", theta)
+        con = self.constraints
+        key = (
+            _exact(self.system.A), _exact(self.system.B),
+            tuple((f.kind, f.index) for f in feats),
+            _exact(np.array([f.target for f in feats])),
+            _exact(con.Hx), _exact(con.Hu), _exact(con.h),
+            self.horizon, _exact(x0), None if theta is None else _exact(theta),
+        )
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if not isinstance(other, ForwardProblem):
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__, so a copy in another process hashes with that
+        # process's string hash seed
+        return type(self), (self.system, self.features, self.constraints,
+                            self.horizon, self.x0, self.theta_true)
 
     @property
     def q(self) -> int:
@@ -397,7 +433,9 @@ def build_stationarity(fp: ForwardProblem) -> BilinearStationarity:
         stationarity(U, theta, lam) == grad_U L(theta, lam, U)
 
     where L is the Lagrangian of the forward problem (verified against
-    central finite differences in the tests).
+    central finite differences in the tests).  The last 64 distinct
+    problems are cached; equal problems share one entry (see
+    :class:`ForwardProblem`), so a process builds each problem once.
     """
     sys_, N = fp.system, fp.horizon
     n, m = sys_.n, sys_.m

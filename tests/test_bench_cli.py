@@ -687,12 +687,45 @@ def test_bench_parses_and_solves_the_truth_once_per_call(tmp_path, capsys, monke
 
     monkeypatch.setattr(bench_cli, "parse_problem", parse_spy)
     monkeypatch.setattr(forward, "solve", solve_spy)
+    model.build_stationarity.cache_clear()
     cfg = _write_config(tmp_path)  # kkt and mean at 2 levels x 2 reps: 8 tasks
     for k in (1, 2):
-        misses = model.build_stationarity.cache_info().misses
         assert main(["bench", "--config", cfg, "--out-dir", str(tmp_path / f"o{k}")]) == 0
         # a second call in the same process parses and solves again
         assert calls == {"parse": k, "truth": k}
-        # every task shares the call's problem, so only its first lookup misses
-        assert model.build_stationarity.cache_info().misses == misses + 1
+        # every call parses a problem equal to the first call's, so only the
+        # first lookup in the process misses
+        assert model.build_stationarity.cache_info().misses == 1
     assert (tmp_path / "o1" / "rows.csv").read_bytes() == (tmp_path / "o2" / "rows.csv").read_bytes()
+    # another problem misses once more
+    problem = dict(_tiny_config()["problem"], horizon=6)
+    assert main(["bench", "--config", _write_config(tmp_path, "h6.json", problem=problem),
+                 "--out-dir", str(tmp_path / "o3")]) == 0
+    assert calls == {"parse": 3, "truth": 3}
+    assert model.build_stationarity.cache_info().misses == 2
+
+
+def test_parser_is_built_once_and_reaches_a_rebound_command(monkeypatch):
+    from ioc_eiv import bench_cli
+
+    assert bench_cli._build_parser() is bench_cli._build_parser()
+    seen = []
+    monkeypatch.setattr(bench_cli, "cmd_forward", lambda args: seen.append(args.config) or 0)
+    assert main(["forward", "--config", "p.json"]) == 0
+    assert seen == ["p.json"]
+
+
+@pytest.mark.parametrize("methods, chains", [(["kkt", "mean"], 0), (["mean", "map"], 4)])
+def test_bench_seeds_a_chain_for_map_tasks_only(tmp_path, capsys, monkeypatch, methods, chains):
+    seeded = []
+    default_rng = np.random.default_rng
+
+    def spy(seed=None):
+        seeded.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    cfg = _write_config(tmp_path, methods=methods, gibbs={"n_iter": 20, "n_keep": 10})
+    assert main(["bench", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+    # 2 levels x 2 reps per method, each drawing 4 demos from their own substreams
+    assert len(seeded) == len(methods) * 4 * 4 + chains

@@ -306,3 +306,22 @@ def test_generate_refuses_a_spec_with_another_channel_count():
     assert generate(U2, NoiseSpec.uniform([0.1], seed=1), 2, fp2).n_demos == 2
     with pytest.raises(ValueError, match="unknown noise kind"):
         generate(U_star, NoiseSpec(kind="laplace", seed=1), 2, fp)
+
+
+def test_with_seed_shares_the_checked_arrays_and_the_factor():
+    fp, U_star = _benchmark_setup()
+    sigma = np.diag([0.3, 0.2, 0.1][: fp.system.m]) ** 2
+    spec = NoiseSpec.truncated_gaussian(sigma, -0.5, 0.5, seed=4)
+    assert spec.sigma_u is not sigma and not spec.sigma_u.flags.writeable
+    assert not spec.lower.flags.writeable and not spec.upper.flags.writeable
+    F = spec.factor()
+    assert spec.factor() is F and not F.flags.writeable
+    np.testing.assert_array_equal(F, demos._cov_factor(sigma))
+    other = spec.with_seed(9)
+    assert (other.kind, other.seed) == ("truncated_gaussian", 9) and spec.seed == 4
+    assert other.factor() is F and other.sigma_u is spec.sigma_u and other.lower is spec.lower
+    fresh = NoiseSpec.truncated_gaussian(sigma, -0.5, 0.5, seed=9)
+    for a, b in zip(generate(U_star, other, 6, fp).U_list, generate(U_star, fresh, 6, fp).U_list):
+        assert a.tobytes() == b.tobytes()
+    uniform = NoiseSpec.uniform([0.1], seed=1)
+    assert uniform.factor() is None and uniform.with_seed(2).factor() is None

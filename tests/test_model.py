@@ -1,6 +1,7 @@
 """Rollout, stacked dynamics, stationarity assembly, and KKT residuals."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -378,3 +379,25 @@ def test_face_blocks_are_new_on_every_call():
     # a later change to the caller's mask poses the new faces
     eq[5] = True
     np.testing.assert_array_equal(bs.face_blocks(eq=eq)["Aeq"], bs.J_lambda.T[[1, 3, 5]])
+
+
+def test_problems_with_equal_bytes_are_equal_and_share_one_decomposition():
+    with open("configs/tls_positivity.json", encoding="utf-8") as fh:
+        obj = json.load(fh)["problem"]
+    fp1, fp2 = parse_problem(obj), parse_problem(json.loads(json.dumps(obj)))
+    assert fp1 is not fp2 and fp1 == fp2 and hash(fp1) == hash(fp2)
+    assert build_stationarity(fp1) is build_stationarity(fp2)
+    # every field takes part, to the bit: -0.0 is not 0.0, and theta_true counts
+    for edit in (
+        {"horizon": obj["horizon"] + 1},
+        {"x0": [np.nextafter(obj["x0"][0], np.inf)]},
+        {"theta_true": [4.0, 2.0]},
+        {"features": [dict(obj["features"][0]), dict(obj["features"][1], target=-0.0)]},
+        {"constraints": dict(obj["constraints"], h=[1e-300])},
+    ):
+        other = parse_problem(dict(obj, **edit))
+        assert other != fp1
+        assert build_stationarity(other) is not build_stationarity(fp1)
+    assert fp1 != object() and fp1 != "problem"
+    copy = pickle.loads(pickle.dumps(fp1))
+    assert copy is not fp1 and copy == fp1 and hash(copy) == hash(fp1)
