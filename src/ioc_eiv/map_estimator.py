@@ -48,7 +48,7 @@ from . import model
 from .demos import DemoSet, generate, noise_cov_stacked
 from .kkt_baseline import NormalizationRule, _require_rule
 from .mcmc import SIGMA_Y, Priors, _u_information, default_priors, gibbs_run
-from .numerics import Infeasible, Qp, cholesky, cholesky_inverse, cholesky_solve, solve_qp
+from .numerics import Infeasible, Qp, cholesky, cholesky_solve, solve_qp, spd_inverse
 
 __all__ = [
     "GibbsConfig",
@@ -157,7 +157,7 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig,
     chain = gibbs_run(ds, fp, priors, n_iter=cfg.gibbs.n_iter, n_keep=cfg.gibbs.n_keep, rng=rng)
     Sigma_U = chain.Sigma_U_mean
     U = chain.U_mean.copy()
-    SU_inv = cholesky_inverse(cholesky(Sigma_U))
+    SU_inv = spd_inverse(Sigma_U)
 
     trace: list[float] = []
     best: tuple[float, np.ndarray, np.ndarray] | None = None

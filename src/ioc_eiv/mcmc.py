@@ -19,11 +19,12 @@ that ``_u_information`` returns: the exact draw takes its mean and
 covariance from them, the Metropolis target is ``info' U - 0.5 U' prec U``,
 and the MAP estimator's U-step minimizes the negative of that target.
 
-Every matrix the chain factors is exactly symmetric, so ``cholesky`` never
-runs its tolerance test.  One exact iteration makes six factorizations
-(two for the beta draw, three for the U draw, one for the inverse-Wishart
-scale) and three ``cholesky_inverse`` calls; the inverse-Wishart draw
-inverts nothing.
+Every matrix the chain factors is exactly symmetric, so the factorization
+never runs its tolerance test.  One exact iteration makes six
+factorizations: three ``spd_inverse`` calls (the beta precision, the
+inverse of ``Sigma_U`` and the U precision), two ``cholesky`` calls for the
+two Gaussian draws and one for the inverse-Wishart scale; the
+inverse-Wishart draw inverts nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from scipy.linalg import lapack
 from . import model
 from .demos import DemoSet, sample_mean
 from .kkt_baseline import NormalizationRule, kkt_single
-from .numerics import cholesky, cholesky_inverse
+from .numerics import cholesky, spd_inverse
 
 __all__ = [
     "Priors",
@@ -64,7 +65,7 @@ class Priors:
     """Prior hyperparameters; all covariances symmetric positive definite.
 
     The precisions ``Sigma_U0_inv``, ``Sigma_beta_inv`` and ``Sigma_Y_inv``
-    are derived once at construction, from the factor of the SPD check, so
+    are derived once at construction, by the inverse that checks them SPD, so
     the Gibbs conditionals never invert a constant; so are the priors'
     information vectors ``Sigma_U0_inv_U0 = Sigma_U0_inv @ U0`` and
     ``Sigma_beta_inv_beta0 = Sigma_beta_inv @ beta0``.
@@ -97,10 +98,12 @@ class Priors:
                 raise ValueError(f"{name} must be square, got shape {mat.shape}")
             if dim is not None and mat.shape[0] != dim:
                 raise ValueError(f"{name} has shape {mat.shape}, expected ({dim}, {dim})")
-            L = cholesky(mat)  # SPD check; raises otherwise
+            # the factorization checks each one SPD and raises otherwise
+            if name == "W_U":
+                cholesky(mat)
+            else:
+                object.__setattr__(self, f"{name}_inv", spd_inverse(mat))
             object.__setattr__(self, name, mat)
-            if name != "W_U":
-                object.__setattr__(self, f"{name}_inv", cholesky_inverse(L))
         if self.m_U <= U0.shape[0] + 1:
             raise ValueError(
                 f"m_U must exceed dim(U) + 1 = {U0.shape[0] + 1} for the prior mean to exist"
@@ -127,7 +130,6 @@ class ChainOutput:
     samples: list
     acceptance_rate: dict
     U_mean: np.ndarray
-    beta_mean: np.ndarray
     Sigma_U_mean: np.ndarray
 
 
@@ -156,9 +158,10 @@ def sample_inverse_wishart(W, nu: float, rng: np.random.Generator) -> np.ndarray
     if nu <= p - 1:
         raise ValueError(f"need nu > p - 1 = {p - 1}, got {nu}")
     L = cholesky(W)
+    lower, steps = _bartlett_indices(p)
     A = np.zeros((p, p), order="F")
-    A[_strict_lower(p)] = rng.standard_normal(p * (p - 1) // 2)
-    np.fill_diagonal(A, np.sqrt(rng.chisquare(nu - np.arange(p))))
+    A[lower] = rng.standard_normal(p * (p - 1) // 2)
+    A[steps, steps] = np.sqrt(rng.chisquare(nu - steps))
     Ct, info = lapack.dtrtrs(A, L.T, lower=1, overwrite_b=1)
     if info != 0:
         raise ValueError(f"triangular solve with the Bartlett factor failed (info {info})")
@@ -166,9 +169,18 @@ def sample_inverse_wishart(W, nu: float, rng: np.random.Generator) -> np.ndarray
 
 
 @lru_cache(maxsize=16)
-def _strict_lower(p: int) -> tuple:
-    """Row-major indices of the strict lower triangle of an order-``p`` matrix."""
-    return np.tril_indices(p, -1)
+def _bartlett_indices(p: int) -> tuple:
+    """``(lower, steps)`` for an order-``p`` Bartlett factor.
+
+    ``lower`` holds the row-major indices of the strict lower triangle and
+    ``steps`` is ``arange(p)``: the diagonal's indices and the offsets of
+    its degrees of freedom.  Both are read-only.
+    """
+    lower = np.tril_indices(p, -1)
+    steps = np.arange(p)
+    for a in (*lower, steps):
+        a.flags.writeable = False
+    return lower, steps
 
 
 def full_conditional_beta(ds: DemoSet, U, bs: model.BilinearStationarity, priors: Priors):
@@ -182,7 +194,7 @@ def full_conditional_beta(ds: DemoSet, U, bs: model.BilinearStationarity, priors
     J = bs.J(np.asarray(U, dtype=float))
     prec = priors.Sigma_beta_inv + D * (J.T @ priors.Sigma_Y_inv @ J)
     prec = 0.5 * (prec + prec.T)
-    cov = cholesky_inverse(cholesky(prec))
+    cov = spd_inverse(prec)
     mean = cov @ priors.Sigma_beta_inv_beta0
     return mean, cov
 
@@ -195,9 +207,9 @@ def full_conditional_U(ds: DemoSet, beta, Sigma_U, bs: model.BilinearStationarit
     """
     beta = np.asarray(beta, dtype=float).ravel()
     q = bs.n_features
-    SigU_inv = cholesky_inverse(cholesky(np.asarray(Sigma_U, dtype=float)))
+    SigU_inv = spd_inverse(Sigma_U)
     prec, info = _u_information(ds, beta[:q], beta[q:], SigU_inv, bs, priors)
-    cov = cholesky_inverse(cholesky(prec))
+    cov = spd_inverse(prec)
     mean = cov @ info
     return mean, cov
 
@@ -294,7 +306,7 @@ def _u_log_conditional(ds, beta, Sigma_U, bs, priors):
     """Unnormalized log density ``info' U - 0.5 U' prec U`` of the U full conditional."""
     beta = np.asarray(beta, dtype=float).ravel()
     q = bs.n_features
-    SigU_inv = cholesky_inverse(cholesky(np.asarray(Sigma_U, dtype=float)))
+    SigU_inv = spd_inverse(Sigma_U)
     prec, info = _u_information(ds, beta[:q], beta[q:], SigU_inv, bs, priors)
 
     def logp(U):
@@ -398,6 +410,5 @@ def gibbs_run(
             "Sigma_U": 1.0,
         },
         U_mean=np.mean([s.U for s in kept], axis=0),
-        beta_mean=np.mean([s.beta for s in kept], axis=0),
         Sigma_U_mean=np.mean([s.Sigma_U for s in kept], axis=0),
     )

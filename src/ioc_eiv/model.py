@@ -46,7 +46,6 @@ __all__ = [
     "feature_values",
     "constraint_values",
     "objective",
-    "lagrangian",
     "kkt_residual",
     "multiplier_index",
 ]
@@ -362,12 +361,20 @@ class BilinearStationarity:
         return self.J_lambda.shape[1]
 
     def M_beta(self, theta) -> np.ndarray:
-        """Weighted curvature matrix ``sum_j theta_j Mj[j]``."""
+        """Weighted curvature matrix ``sum_j theta_j Mj[j]``.
+
+        One reduction over the stacked ``Ms``: it forms the products
+        ``theta_j Mj[j]`` and adds them to zero in order of ``j``, as a
+        loop over the features would.  Raises ValueError unless ``theta``
+        holds one weight per feature.
+        """
         theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(self.Mj[0])
-        for tj, Mj in zip(theta, self.Mj):
-            out += tj * Mj
-        return out
+        if theta.shape != (self.n_features,):
+            raise ValueError(
+                f"theta has shape {theta.shape}, expected ({self.n_features},): "
+                "one weight per feature"
+            )
+        return np.add.reduce(self.Ms * theta[:, None, None], axis=0, initial=0.0)
 
     def J_theta(self, U) -> np.ndarray:
         """Feature block of the stationarity Jacobian at ``U`` (affine in U).
@@ -534,16 +541,6 @@ def objective(fp: ForwardProblem, theta, U) -> float:
     for k in range(N):
         total += float(theta @ feature_values(fp, X[k], U[k * m : (k + 1) * m]))
     return total
-
-
-def lagrangian(fp: ForwardProblem, theta, lam, U) -> float:
-    """Lagrangian value via rollout (cost stages plus all constraint terms)."""
-    lam = np.asarray(lam, dtype=float).ravel()
-    if lam.shape[0] != fp.n_multipliers:
-        raise ValueError(
-            f"lam has length {lam.shape[0]}, expected I*(N+1) = {fp.n_multipliers}"
-        )
-    return objective(fp, theta, U) + float(lam @ constraint_values(fp, U))
 
 
 class KktResidual(NamedTuple):

@@ -1,24 +1,32 @@
-"""Dense numerical kernels: Cholesky factorization and a strictly convex QP solver.
+"""Dense numerical kernels: SPD factorization and inverse, and a strictly convex QP solver.
 
 :func:`cholesky` is the package's one SPD factorization,
 :func:`cholesky_solve` its one solve with that factor and
-:func:`cholesky_inverse` its one inverse built from that factor.  The
-factor is a C-ordered lower-triangular array.  The ordering is part of the
-contract: numpy's matrix-vector kernels round differently on a
-Fortran-ordered operand, so a sampler computing ``L @ z`` with the raw
-LAPACK output would draw different bits from the same random stream.
+:func:`spd_inverse` its one SPD inverse.  The factor is a C-ordered
+lower-triangular array.  The ordering is part of the contract: numpy's
+matrix-vector kernels round differently on a Fortran-ordered operand, so a
+sampler computing ``L @ z`` with the raw LAPACK output would draw different
+bits from the same random stream.  :func:`spd_inverse` never hands its
+factor out, so it passes LAPACK's Fortran-ordered factor straight back to
+the solve, which reads the same numbers as from the C-ordered copy.
 
-:func:`cholesky` factors the symmetrized ``0.5 * (M + M')``.  Most inputs
-are already exactly symmetric (an inverse symmetrized by its builder,
-``X @ X.T``, ``W + R.T @ R``), and for those it factors ``M`` itself after
-comparing the bytes of ``M`` and ``M'``, with the elementwise ``M == M.T``
-only when the bytes differ (a ``-0.0`` facing a ``+0.0``).  That fast path
-is exact, not approximate: equality passes the 1e-10 symmetry test
-trivially, and ``0.5 * (M + M)`` equals ``M`` bitwise because doubling and
-halving a double are exact, unless ``M + M`` overflows.  The path is
-therefore taken only when every entry is finite and below 1e307 in
-magnitude; a NaN or an infinity fails that bound, so both still take the
-general path and behave as before.
+Both factor through one kernel, which factors the symmetrized
+``0.5 * (M + M')``.  Most inputs are already exactly symmetric (an inverse
+symmetrized by its builder, ``X @ X.T``, ``W + R.T @ R``), and for those it
+factors ``M`` itself after comparing the bytes of ``M`` and ``M'``, with
+the elementwise ``M == M.T`` only when the bytes differ (a ``-0.0`` facing
+a ``+0.0``).  That fast path is exact, not approximate: equality passes the
+1e-10 symmetry test trivially, and ``0.5 * (M + M)`` equals ``M`` bitwise
+because doubling and halving a double are exact, unless ``M + M``
+overflows.  The path therefore needs every entry finite and below 1e307 in
+magnitude.  It is tested after factoring, on the factor: LAPACK accepting
+it, with a finite diagonal, proves every entry finite, since a NaN or an
+infinity in row ``i`` of ``M`` reaches ``L_ii`` through ``M_ii`` or
+``L_ij**2``; and an accepted factor bounds each ``|M_ij|`` by
+``sqrt(M_ii M_jj)`` up to rounding, so a largest diagonal entry below 1e306
+bounds them all below 1e307.  Any other outcome takes the general path,
+which behaves as before: a NaN or an infinity still reaches it.  A factor
+from the fast path is finite, so :func:`spd_inverse` tests only the others.
 
 The QP solver is a textbook primal active-set method.  The choice is
 deliberate: every estimator in this package needs *exact* active sets and
@@ -102,7 +110,7 @@ __all__ = [
     "QpSolution",
     "cholesky",
     "cholesky_solve",
-    "cholesky_inverse",
+    "spd_inverse",
     "solve_qp",
 ]
 
@@ -140,27 +148,41 @@ def cholesky(M) -> np.ndarray:
     Raises :class:`NotPositiveDefinite` carrying the index of the first
     non-positive leading minor, and ValueError for an asymmetric input.
     """
+    return np.ascontiguousarray(_factor(M)[0])
+
+
+def _factor(M) -> tuple:
+    """The one SPD factorization: ``(L, bounded)`` for square ``M``.
+
+    ``L`` is LAPACK's Fortran-ordered lower factor; ``bounded`` says that
+    the fast path of the module docstring took it, which proves it finite.
+    Raises as :func:`cholesky` does.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if M.shape[0] == 0:
-        return np.zeros((0, 0))
+        return np.zeros((0, 0)), False
     # equal bytes are exact symmetry; the elementwise test, which also
     # equates -0.0 and +0.0, runs only when they differ
     symmetric = M.tobytes() == M.T.tobytes() or (M == M.T).all()
+    if symmetric:
+        # dpotrf already zeroes the strict upper triangle (scipy's clean=1)
+        L, info = lapack.dpotrf(M, lower=1)
+        if (info == 0 and math.isfinite(sum(L.diagonal().tolist()))
+                and max(M.diagonal().tolist()) < 1e306):
+            return L, True
     if not (symmetric and abs(M).max() < 1e307):
         # not exactly symmetric, or too large for M + M to stay finite:
         # test the tolerance and factor the symmetrized matrix
         if abs(M - M.T).max() > 1e-10 * (1.0 + abs(M).max()):
             raise ValueError("matrix is not symmetric to tolerance 1e-10")
-        M = 0.5 * (M + M.T)
-    L, info = lapack.dpotrf(M, lower=1)
+        L, info = lapack.dpotrf(0.5 * (M + M.T), lower=1)
     if info > 0:
         raise NotPositiveDefinite(info)
     if info < 0:
         raise ValueError(f"invalid input to factorization (argument {-info})")
-    # dpotrf already zeroed the strict upper triangle (scipy's clean=1)
-    return np.ascontiguousarray(L)
+    return L, False
 
 
 def cholesky_solve(L: np.ndarray, rhs) -> np.ndarray:
@@ -204,15 +226,23 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def cholesky_inverse(L: np.ndarray) -> np.ndarray:
-    """Exactly symmetric inverse of ``L L'`` given the lower factor from :func:`cholesky`.
+def spd_inverse(M) -> np.ndarray:
+    """Exactly symmetric inverse of symmetric PD ``M``.
 
-    Solves against the identity and returns ``0.5 * (C + C')``, so the result
-    passes :func:`cholesky`'s exact-symmetry test when it is factored again.
-    The factor is checked as :func:`cholesky_solve` checks it; the shared
+    Factors ``M`` as :func:`cholesky` does, raising as it does, solves
+    against the identity and returns ``0.5 * (C + C')``, so the result
+    passes the exact-symmetry test when it is factored again.  A factor off
+    the fast path is checked as :func:`cholesky_solve` checks it; the shared
     identity is finite by construction and is not.
     """
-    C = _solve_finite_rhs(L, _identity(L.shape[0]))
+    L, bounded = _factor(M)
+    eye = _identity(L.shape[0])
+    if bounded:
+        C, info = lapack.dpotrs(L, eye, lower=1)
+        if info != 0:
+            raise ValueError(f"invalid input to triangular solve (argument {-info})")
+    else:
+        C = _solve_finite_rhs(L, eye)
     return 0.5 * (C + C.T)
 
 

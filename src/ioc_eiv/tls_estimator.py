@@ -57,7 +57,7 @@ from . import model
 from .demos import DemoSet, sample_mean
 from .forward import solve as forward_solve
 from .kkt_baseline import NormalizationRule, _require_rule, kkt_single
-from .numerics import Qp, _identity, cholesky, cholesky_inverse, solve_qp
+from .numerics import Qp, _identity, solve_qp, spd_inverse
 
 __all__ = ["TlsResult", "tls_inner", "estimate"]
 
@@ -117,7 +117,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: Normalizatio
     _require_rule(norm)
     bs = model.build_stationarity(fp)
     q, D = bs.n_features, ds.n_demos
-    SU_inv = cholesky_inverse(cholesky(np.asarray(Sigma_U, dtype=float)))
+    SU_inv = spd_inverse(Sigma_U)
     stackd, demo_sum = ds.stacked(), ds.demo_sum()
     floor = _FLOOR * norm.value
     cone = norm.beta_blocks(q, q)

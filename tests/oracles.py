@@ -5,17 +5,22 @@ and textbook algorithms that are slow but easy to audit, so the library can
 be checked against code that shares none of its internals.
 """
 
+import math
+
 import numpy as np
+from scipy.linalg import lapack
 
 from ioc_eiv import demos
 from ioc_eiv import (
     ForwardProblem,
     LinearSystem,
+    NotPositiveDefinite,
     PolytopicConstraints,
     Qp,
     QuadraticFeature,
     solve_forward,
 )
+from ioc_eiv.model import constraint_values, objective
 
 # Backward-Euler discretization of a unit-mass spring-damper (stiffness 0.2,
 # damping 0.1, step 0.1), the standard small benchmark used throughout.
@@ -285,3 +290,50 @@ def _per_try_demo(U_star, spec, F, rng, m, N):
     else:
         raise ValueError(f"unknown noise kind {spec.kind!r}")
     return U
+
+
+def lagrangian(fp, theta, lam, U):
+    """Lagrangian value via rollout (cost stages plus all constraint terms)."""
+    lam = np.asarray(lam, dtype=float).ravel()
+    if lam.shape[0] != fp.n_multipliers:
+        raise ValueError(
+            f"lam has length {lam.shape[0]}, expected I*(N+1) = {fp.n_multipliers}"
+        )
+    return objective(fp, theta, U) + float(lam @ constraint_values(fp, U))
+
+
+def cholesky(M):
+    """``numerics.cholesky`` as it was before its bound test moved after the
+    factorization: the bound ``|M| < 1e307`` is tested on ``M`` itself."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if M.shape[0] == 0:
+        return np.zeros((0, 0))
+    symmetric = M.tobytes() == M.T.tobytes() or (M == M.T).all()
+    if not (symmetric and abs(M).max() < 1e307):
+        if abs(M - M.T).max() > 1e-10 * (1.0 + abs(M).max()):
+            raise ValueError("matrix is not symmetric to tolerance 1e-10")
+        M = 0.5 * (M + M.T)
+    L, info = lapack.dpotrf(M, lower=1)
+    if info > 0:
+        raise NotPositiveDefinite(info)
+    if info < 0:
+        raise ValueError(f"invalid input to factorization (argument {-info})")
+    return np.ascontiguousarray(L)
+
+
+def spd_inverse(M):
+    """The SPD inverse as it was before ``numerics.spd_inverse``: the
+    C-ordered factor of :func:`cholesky`, checked finite, solved against the
+    identity and symmetrized."""
+    L = cholesky(M)
+    if not (math.isfinite(L.sum()) or np.isfinite(L).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    n = L.shape[0]
+    if n == 0:
+        return np.zeros((0, 0))
+    C, info = lapack.dpotrs(L, np.eye(n), lower=1)
+    if info != 0:
+        raise ValueError(f"invalid input to triangular solve (argument {-info})")
+    return 0.5 * (C + C.T)

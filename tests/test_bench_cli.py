@@ -634,6 +634,35 @@ def test_estimate_json_is_bit_identical_to_golden(tmp_path, config, method):
     assert digest == GOLDEN_ESTIMATE_SHA256[config, method]
 
 
+# sha256 of rows.csv from perfbench's reference grid of each gated workload:
+# the shipped config at its master seed, with these methods, repetitions
+# and noise levels, run serially.  perfbench/run.py compares the same grids
+# against perfbench/pins.json; these pins let the test suite tell a
+# behaviour change from a speed change on its own.  Like the other golden
+# pins, they depend on the numpy/OpenBLAS build.
+GOLDEN_REFERENCE_ROWS_SHA256 = {
+    "spring_damper": (("map",), 1, [5, 10, 20],
+                      "3d219f1ec7d789eaa1a989220d14d907120b560037526b6f7a7e2f92865afd3b"),
+    "tls_positivity": (("tls", "kkt", "mean"), 10, [5, 10, 20],
+                       "5054910f18abecf377b3c64e9a9c7bf95859b80e958540eed0750b891dd5c7c6"),
+}
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN_REFERENCE_ROWS_SHA256))
+def test_reference_grid_rows_are_bit_identical_to_golden(tmp_path, capsys, monkeypatch, config):
+    methods, n_reps, levels, digest = GOLDEN_REFERENCE_ROWS_SHA256[config]
+    monkeypatch.delenv("IOC_EIV_SEED", raising=False)
+    with open(f"configs/{config}.json", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    assert cfg["seed"] == 20260819 and cfg["noise"]["percent_levels"] == levels
+    cfg.update(methods=list(methods), n_reps=n_reps)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out_dir = tmp_path / "grid"
+    assert main(["bench", "--config", str(path), "--out-dir", str(out_dir), "--jobs", "1"]) == 0
+    assert hashlib.sha256((out_dir / "rows.csv").read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("config,norm", [
     pytest.param("spring_damper", None, id="spring_damper"),
     pytest.param("tls_positivity", None, id="tls_positivity"),

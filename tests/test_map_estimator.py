@@ -208,7 +208,7 @@ def test_u_step_retries_conflicting_faces_as_inequalities(monkeypatch):
 def test_u_step_without_constraints_is_the_gibbs_u_conditional_mean():
     import ioc_eiv.map_estimator as me
     from ioc_eiv.mcmc import full_conditional_U
-    from ioc_eiv.numerics import cholesky, cholesky_inverse
+    from ioc_eiv.numerics import spd_inverse
 
     fp = oracles.scalar_problem()
     U_star = solve_forward(fp, np.array([2.0, 1.0])).U
@@ -217,7 +217,7 @@ def test_u_step_without_constraints_is_the_gibbs_u_conditional_mean():
     bs = build_stationarity(fp)
     Sigma_U = np.diag([0.02, 0.01, 0.03, 0.015])
     beta = np.array([2.0, 1.0])
-    U, _ = me._u_step(bs, ds, priors, cholesky_inverse(cholesky(Sigma_U)), beta)
+    U, _ = me._u_step(bs, ds, priors, spd_inverse(Sigma_U), beta)
     mean, _ = full_conditional_U(ds, beta, Sigma_U, bs, priors)
     np.testing.assert_allclose(U, mean, rtol=1e-12, atol=0.0)
 

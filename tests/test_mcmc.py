@@ -36,7 +36,7 @@ from ioc_eiv.model import (
     QuadraticFeature,
     build_stationarity,
 )
-from ioc_eiv.numerics import cholesky_inverse
+from ioc_eiv.numerics import spd_inverse
 
 
 def _toy_problem():
@@ -159,11 +159,11 @@ def test_inverse_wishart_draws_are_exactly_symmetric_with_wishart_precision(p):
     for i in range(n):
         S = sample_inverse_wishart(W, nu, rng)
         assert (S == S.T).all() and np.abs(S).max() < 1e307
-        L = cholesky(S)
         if i < 100:
+            L = cholesky(S)
             assert L.tobytes() == np.ascontiguousarray(lapack.dpotrf(S, lower=1)[0]).tobytes()
-        acc += cholesky_inverse(L)
-    expect = nu * cholesky_inverse(cholesky(W))
+        acc += spd_inverse(S)
+    expect = nu * spd_inverse(W)
     assert np.linalg.norm(acc / n - expect) <= 0.03 * np.linalg.norm(expect)
 
 
@@ -181,7 +181,7 @@ def test_priors_precisions_equal_spd_inverse_bitwise():
     changed = dataclasses.replace(priors, Sigma_Y=G.T @ G + 0.5 * np.eye(3))
     for pr in (priors, changed):
         for name in ("Sigma_U0", "Sigma_beta", "Sigma_Y"):
-            inverse = cholesky_inverse(cholesky(getattr(pr, name)))
+            inverse = oracles.spd_inverse(getattr(pr, name))
             assert np.array_equal(getattr(pr, f"{name}_inv"), inverse)
     assert not np.array_equal(changed.Sigma_Y_inv, priors.Sigma_Y_inv)
     with pytest.raises(TypeError):
@@ -456,21 +456,24 @@ def test_gibbs_trace_is_bit_identical_to_golden():
 
 
 def test_gibbs_factors_six_exactly_symmetric_matrices_per_iteration(monkeypatch):
-    # no factorization of the chain takes cholesky's tolerance path
-    import ioc_eiv.mcmc as mcmc
+    # cholesky and spd_inverse share one factor kernel; no factorization of
+    # the chain takes its tolerance path, and each takes its bounded fast path
+    from ioc_eiv import numerics
 
     factored = []
+    kernel = numerics._factor
 
     def spy(M):
-        factored.append(bool((np.asarray(M) == np.asarray(M).T).all()))
-        return cholesky(M)
+        L, bounded = kernel(M)
+        factored.append(bool((np.asarray(M) == np.asarray(M).T).all()) and bounded)
+        return L, bounded
 
     fp = oracles.spring_damper()
     sol = solve_forward(fp, oracles.SPRING_THETA)
     sig = noise_scale_from_percent(sol.U, 10.0)
     ds = generate(sol.U, NoiseSpec.gaussian(np.diag(sig**2), seed=23), 6, fp)
     priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
-    monkeypatch.setattr(mcmc, "cholesky", spy)
+    monkeypatch.setattr(numerics, "_factor", spy)
     gibbs_run(ds, fp, priors, n_iter=60, n_keep=10, rng=np.random.default_rng(5))
     assert len(factored) == 6 * 59
     assert all(factored)
@@ -581,7 +584,7 @@ def test_mh_u_target_differences_match_the_three_term_density():
     G = rng.standard_normal((10, 10))
     Sigma_U = 0.01 * (G @ G.T / 10.0 + np.eye(10))
     q = bs.n_features
-    SigU_inv = cholesky_inverse(cholesky(Sigma_U))
+    SigU_inv = spd_inverse(Sigma_U)
 
     def three_terms(U):
         s = bs.stationarity(U, beta[:q], beta[q:])

@@ -25,7 +25,6 @@ from ioc_eiv.model import (
     DEMO_ACTIVE_TOL,
     ITERATE_ACTIVE_TOL,
     constraint_values,
-    lagrangian,
     multiplier_index,
     objective,
 )
@@ -148,9 +147,8 @@ def test_stationarity_matches_finite_differences():
     for i in range(10):
         e = np.zeros(10)
         e[i] = h
-        fd = (lagrangian(fp, theta, lam, U + e) - lagrangian(fp, theta, lam, U - e)) / (
-            2.0 * h
-        )
+        fd = (oracles.lagrangian(fp, theta, lam, U + e)
+              - oracles.lagrangian(fp, theta, lam, U - e)) / (2.0 * h)
         assert abs(fd - s[i]) <= 1e-6 * (1.0 + abs(fd))
 
 
@@ -175,6 +173,44 @@ def test_J_theta_equals_the_per_column_formula_bytewise():
             got = bs.J_theta(U)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def _loop_m_beta(bs, theta):
+    """``M_beta`` as a loop over the features, adding each product to zero in order."""
+    out = np.zeros_like(bs.Mj[0])
+    for tj, Mj in zip(theta, bs.Mj):
+        out += tj * Mj
+    return out
+
+
+def test_m_beta_equals_the_loop_over_features_bytewise():
+    rng = np.random.default_rng(31)
+    problems = [_shipped_problem("spring_damper"), _shipped_problem("tls_positivity")]
+    problems += [oracles.random_instance(rng)[0] for _ in range(10)]
+    for fp in problems:
+        bs = build_stationarity(fp)
+        for _ in range(50):
+            theta = rng.standard_normal(bs.n_features) * 10.0 ** rng.uniform(-3.0, 3.0)
+            theta[rng.random(theta.size) < 0.3] = 0.0
+            theta[rng.random(theta.size) < 0.1] = -0.0
+            got = bs.M_beta(theta)
+            want = _loop_m_beta(bs, theta)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable and got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("length", [0, 2, 4, 5])
+def test_m_beta_refuses_a_theta_without_one_weight_per_feature(length):
+    # zip would drop the surplus weights, or treat the missing ones as zero
+    bs = build_stationarity(oracles.spring_damper())
+    assert bs.n_features == 3
+    with pytest.raises(ValueError, match=rf"theta has shape \({length},\), expected \(3,\)"):
+        bs.M_beta(np.ones(length))
+    with pytest.raises(ValueError, match="expected"):
+        bs.M_beta(np.ones((3, 1)))
+    with pytest.raises(ValueError, match="expected"):
+        bs.stationarity(np.zeros(10), np.ones(length), np.zeros(11))
 
 
 def test_residual_doubles_with_parameters():
@@ -257,15 +293,15 @@ def test_lagrangian_is_objective_plus_constraint_term():
     theta = rng.uniform(0.5, 4.0, 3)
     lam = rng.uniform(0.0, 1.0, 11)
     U = rng.standard_normal(10)
-    value = lagrangian(fp, theta, lam, U)
+    value = oracles.lagrangian(fp, theta, lam, U)
     assert value == objective(fp, theta, U) + float(lam @ constraint_values(fp, U))
-    assert lagrangian(fp, theta, np.zeros(11), U) == objective(fp, theta, U)
+    assert oracles.lagrangian(fp, theta, np.zeros(11), U) == objective(fp, theta, U)
     # the rollout cost has one definition, importable from its old homes too
     assert forward.objective is objective and ioc_eiv.objective is objective
     with pytest.raises(ValueError):
-        lagrangian(fp, theta, lam[:-1], U)
+        oracles.lagrangian(fp, theta, lam[:-1], U)
     with pytest.raises(ValueError):
-        lagrangian(fp, theta[:-1], lam, U)
+        oracles.lagrangian(fp, theta[:-1], lam, U)
 
 
 @pytest.mark.parametrize("field,bad", [

@@ -1,4 +1,4 @@
-"""Cholesky factorization and the dense active-set QP solver."""
+"""Cholesky factorization, the SPD inverse and the dense active-set QP solver."""
 
 import dataclasses
 import hashlib
@@ -24,7 +24,7 @@ from ioc_eiv import (
     cholesky_solve,
     solve_qp,
 )
-from ioc_eiv.numerics import cholesky_inverse
+from ioc_eiv.numerics import spd_inverse
 
 
 def _random_spd(rng, dim):
@@ -155,6 +155,131 @@ def test_cholesky_non_finite_and_huge_inputs_keep_their_outcome(M, error):
     assert L.tobytes() == np.ascontiguousarray(np.tril(ref)).tobytes()
 
 
+def _outcome(f, M):
+    """What ``f(M)`` gives: its bytes, shape and C-ordering, or its error."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            out = f(M)
+        except (ValueError, NotPositiveDefinite) as err:
+            return type(err), str(err), getattr(err, "minor_index", None)
+    return out.tobytes(), out.shape, out.flags.c_contiguous
+
+
+def _random_spd_of_every_order():
+    rng = np.random.default_rng(61)
+    scales = (1e-300, 1e-5, 1.0, 1e5, 1e300)
+    return [_random_spd(rng, n) * scales[n % len(scales)] for n in range(61)]
+
+
+def _asymmetric():
+    rng = np.random.default_rng(62)
+    out = []
+    for dim in (2, 5, 12):
+        for rel in (1e-14, 1e-11, 9e-11, 2e-10, 1e-8, 1e-3):
+            M = _random_spd(rng, dim)
+            i, j = sorted(rng.choice(dim, 2, replace=False))[::-1]
+            for row, col in ((i, j), (j, i)):
+                A = M.copy()
+                A[row, col] += rel * (1.0 + abs(M).max())
+                out.append(A)
+    return out
+
+
+def _not_positive_definite():
+    rng = np.random.default_rng(63)
+    out = [np.zeros((3, 3)), np.diag([1.0, 0.0, 1.0]), -np.eye(4)]
+    for dim in (1, 2, 5, 12):
+        for k in range(dim):
+            d = np.ones(dim)
+            d[k] = -1.0
+            out.append(np.diag(d))
+        G = rng.standard_normal((dim, dim))
+        S = G @ G.T
+        lam = np.linalg.eigvalsh(S)
+        out.append(S - 0.5 * (lam[0] + lam[-1]) * np.eye(dim))
+        low = rng.standard_normal((dim, max(dim - 2, 1)))
+        out.append(low @ low.T)  # rank deficient
+    return out
+
+
+def _non_finite():
+    out = []
+    for dim in (1, 2, 3, 5):
+        base = 2.0 * np.eye(dim) + 0.25 * np.ones((dim, dim))
+        for bad in (np.nan, np.inf, -np.inf):
+            for i in range(dim):
+                for j in range(dim):
+                    M = base.copy()
+                    M[i, j] = bad  # on the diagonal, or below it only, or above it only
+                    out.append(M)
+                    if i > j:
+                        S = M.copy()
+                        S[j, i] = bad  # a symmetric pair
+                        out.append(S)
+    return out
+
+
+def _huge():
+    big = 2.0**1023
+    top = np.finfo(float).max
+    out = []
+    for d in (1e305, 1e306, np.nextafter(1e306, 0.0), 3e306, 9.99e306, 1e307, 5e307, big, top):
+        out.append(np.diag([d, 1.0, 2.0]))
+        out.append(np.diag([d, d, d]))
+        M = np.diag([d, d, 1.0])
+        M[1, 0] = M[0, 1] = 0.5 * d
+        out.append(M)
+    for off in (1e306, 1e307, 9e307, big, top):
+        for diag in (1.0, 1e306, np.nextafter(1e307, 0.0), 1e308):
+            M = np.diag([diag, diag, 1.0])
+            M[1, 0] = M[0, 1] = off
+            out.append(M)
+    return out
+
+
+def _signed_zeros():
+    rng = np.random.default_rng(64)
+    out = [np.diag([-0.0, 1.0]), np.diag([1.0, -0.0])]
+    for dim in (2, 3, 6):
+        M = _random_spd(rng, dim)
+        for i in range(1, dim):
+            for j in range(i):
+                for lower, upper in ((-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+                    A = M.copy()
+                    A[i, j], A[j, i] = lower, upper
+                    out.append(A)
+    # a -0.0 facing a +0.0 next to an off-diagonal entry of 1e307
+    M = np.diag([np.nextafter(1e307, 0.0)] * 2 + [1.0])
+    M[1, 0] = M[0, 1] = 1e307
+    M[2, 0], M[0, 2] = -0.0, 0.0
+    out.append(M)
+    return out
+
+
+@pytest.mark.parametrize("inputs", [
+    _random_spd_of_every_order, _asymmetric, _not_positive_definite, _non_finite, _huge,
+    _signed_zeros,
+], ids=lambda f: f.__name__.lstrip("_"))
+def test_cholesky_and_spd_inverse_equal_their_oracles(inputs):
+    # bit for bit and error for error: the bound test after the factorization
+    # and the unchecked fast-path factor change no outcome
+    for M in inputs():
+        assert _outcome(cholesky, M) == _outcome(oracles.cholesky, M)
+        assert _outcome(spd_inverse, M) == _outcome(oracles.spd_inverse, M)
+
+
+def test_fast_path_takes_bounded_spd_matrices_and_refuses_non_finite_ones():
+    rng = np.random.default_rng(65)
+    for M in _random_spd_of_every_order()[1:]:
+        assert numerics._factor(M)[1]
+    M = _random_spd(rng, 4)
+    M[3, 1] = M[1, 3] = np.nan
+    assert lapack.dpotrf(M, lower=1)[1] == 0  # LAPACK accepts it
+    assert not numerics._factor(M)[1]
+    assert not numerics._factor(np.diag([1e306, 1.0]))[1]
+    assert numerics._factor(np.diag([np.nextafter(1e306, 0.0), 1.0]))[1]
+
+
 def test_cholesky_solve_bitwise_matches_scipy():
     rng = np.random.default_rng(6)
     for _ in range(200):
@@ -174,22 +299,22 @@ def test_cholesky_solve_bitwise_matches_scipy():
     assert cholesky_solve(np.eye(2), np.zeros((2, 0))).shape == (2, 0)
 
 
-def test_cholesky_inverse_is_the_symmetrized_solve_against_the_identity():
+def test_spd_inverse_is_the_symmetrized_solve_against_the_identity():
     rng = np.random.default_rng(7)
     for _ in range(200):
         dim = int(rng.integers(1, 13))
         M = _random_spd(rng, dim) * 10.0 ** rng.uniform(-6, 6)
         L = cholesky(M)
         C = scipy.linalg.cho_solve((L, True), np.eye(dim))
-        got = cholesky_inverse(L)
+        got = spd_inverse(M)
         assert np.array_equal(got, 0.5 * (C + C.T))
         assert np.array_equal(got, got.T)
         assert got.flags.writeable
         # an inverse of M to within rounding scaled by its condition number
         np.testing.assert_allclose(got @ M, np.eye(dim), atol=1e-8 * np.linalg.cond(M))
     # the shared identity behind the solve stays untouched
-    assert np.array_equal(cholesky_inverse(cholesky(4.0 * np.eye(3))), 0.25 * np.eye(3))
-    assert np.array_equal(cholesky_inverse(cholesky(np.eye(3))), np.eye(3))
+    assert np.array_equal(spd_inverse(4.0 * np.eye(3)), 0.25 * np.eye(3))
+    assert np.array_equal(spd_inverse(np.eye(3)), np.eye(3))
 
 
 def test_cholesky_solve_rejects_non_finite_and_mismatched_inputs():
@@ -570,13 +695,17 @@ def test_shared_identity_is_read_only_and_bounded():
     assert numerics._identity.cache_info().currsize <= numerics._IDENTITY_CACHE_SIZE
 
 
-def test_cholesky_inverse_checks_its_factor():
-    bad = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
-    bad[1, 0] = np.nan
+def test_spd_inverse_checks_its_factor():
+    # LAPACK accepts a NaN below the diagonal, with a NaN factor: the factor
+    # test refuses it, where the bounded fast path would not look
+    bad = np.array([[4.0, 2.0, 0.0], [2.0, 3.0, np.nan], [0.0, np.nan, 2.0]])
+    assert lapack.dpotrf(bad, lower=1)[1] == 0
     with pytest.raises(ValueError, match="NaNs"):
-        cholesky_inverse(bad)
-    with pytest.raises(ValueError, match="incompatible"):
-        cholesky_inverse(np.ones((2, 3)))
+        spd_inverse(bad)
+    with pytest.raises(ValueError, match="square"):
+        spd_inverse(np.ones((2, 3)))
+    with pytest.raises(NotPositiveDefinite):
+        spd_inverse(np.diag([1.0, -1.0]))
 
 
 def _qps_with_a_face(seed, count=10):
