@@ -54,6 +54,9 @@ __all__ = [
 # a constraint row whose coefficients on U are all at most this in magnitude
 # is treated as constant
 ZERO_ROW_TOL = 1e-13
+# a constant row is violated when its value exceeds this share of the size
+# of the terms that form it (BilinearStationarity.g_scale)
+CONST_ROW_TOL = 1e-9
 # activity tolerances of BilinearStationarity.active_rows: the inverse-KKT
 # baseline classifies noisy demonstrations with the looser one, MAP and TLS
 # classify their own iterates with the tighter one, which is also the
@@ -323,7 +326,12 @@ class BilinearStationarity:
     constants, never a constraint, never active and never given a free
     multiplier; ``g_scale`` is the size of the terms that form each
     ``g_offset`` entry, ``|Hx_i| |A^k x0| + |h_i|``, the scale against which
-    a constant row's value is read.  Which rows are faces:
+    a constant row's value is read.  The forward QP poses every nonconstant
+    row as an inequality: ``ineq_rows`` are their flat indices and
+    ``ineq_blocks`` their read-only :class:`~ioc_eiv.numerics.Qp` keyword
+    blocks ``Ain``, ``bin`` (empty when no row is nonconstant).  A constant
+    row must hold as it is, to ``CONST_ROW_TOL`` of ``g_scale``;
+    ``violated_row`` is the first that does not, or None.  Which rows are faces:
     :meth:`active_rows` are the rows active at ``U``,
     ``|g_i| <= tol * (1 + h_ref_i)`` with ``h_ref`` the per-row scale
     ``|h|`` tiled over steps ``0..N``; :meth:`held_rows` are the rows a
@@ -342,6 +350,9 @@ class BilinearStationarity:
     n_features: int = field(init=False)
     Ms: np.ndarray = field(init=False, repr=False)
     nonzero_rows: np.ndarray = field(init=False, repr=False)
+    ineq_rows: np.ndarray = field(init=False, repr=False)
+    ineq_blocks: dict = field(init=False, repr=False)
+    violated_row: int | None = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n_features", len(self.Mj))
@@ -351,6 +362,13 @@ class BilinearStationarity:
         nonzero = np.max(np.abs(self.J_lambda), axis=0, initial=0.0) > ZERO_ROW_TOL
         nonzero.flags.writeable = False
         object.__setattr__(self, "nonzero_rows", nonzero)
+        object.__setattr__(self, "ineq_rows", _frozen_array(np.flatnonzero(nonzero), int))
+        blocks = self.face_blocks(ineq=nonzero)
+        for a in blocks.values():
+            a.flags.writeable = False
+        object.__setattr__(self, "ineq_blocks", blocks)
+        violated = np.flatnonzero(~nonzero & (self.g_offset > CONST_ROW_TOL * self.g_scale))
+        object.__setattr__(self, "violated_row", int(violated[0]) if violated.size else None)
 
     @property
     def n_inputs(self) -> int:

@@ -1,32 +1,34 @@
 """Dense numerical kernels: SPD factorization and inverse, and a strictly convex QP solver.
 
-:func:`cholesky` is the package's one SPD factorization,
-:func:`cholesky_solve` its one solve with that factor and
-:func:`spd_inverse` its one SPD inverse.  The factor is a C-ordered
-lower-triangular array.  The ordering is part of the contract: numpy's
+The private :func:`_factor` is the package's one SPD factorization and
+:func:`_solve` its one solve with that factor.  :func:`cholesky` hands the
+factor out C-ordered, which is part of the contract: numpy's
 matrix-vector kernels round differently on a Fortran-ordered operand, so a
 sampler computing ``L @ z`` with the raw LAPACK output would draw different
-bits from the same random stream.  :func:`spd_inverse` never hands its
-factor out, so it passes LAPACK's Fortran-ordered factor straight back to
-the solve, which reads the same numbers as from the C-ordered copy.
+bits from the same random stream.  :func:`cholesky_solve` is the checked
+solve with a caller's factor.  :func:`spd_inverse` and :func:`solve_qp`
+keep their factor, so they pass LAPACK's Fortran-ordered one straight to
+the solve, which reads the same numbers without copying them back.
 
-Both factor through one kernel, which factors the symmetrized
-``0.5 * (M + M')``.  Most inputs are already exactly symmetric (an inverse
-symmetrized by its builder, ``X @ X.T``, ``W + R.T @ R``), and for those it
-factors ``M`` itself after comparing the bytes of ``M`` and ``M'``, with
-the elementwise ``M == M.T`` only when the bytes differ (a ``-0.0`` facing
-a ``+0.0``).  That fast path is exact, not approximate: equality passes the
-1e-10 symmetry test trivially, and ``0.5 * (M + M)`` equals ``M`` bitwise
-because doubling and halving a double are exact, unless ``M + M``
-overflows.  The path therefore needs every entry finite and below 1e307 in
-magnitude.  It is tested after factoring, on the factor: LAPACK accepting
-it, with a finite diagonal, proves every entry finite, since a NaN or an
-infinity in row ``i`` of ``M`` reaches ``L_ii`` through ``M_ii`` or
-``L_ij**2``; and an accepted factor bounds each ``|M_ij|`` by
-``sqrt(M_ii M_jj)`` up to rounding, so a largest diagonal entry below 1e306
-bounds them all below 1e307.  Any other outcome takes the general path,
-which behaves as before: a NaN or an infinity still reaches it.  A factor
-from the fast path is finite, so :func:`spd_inverse` tests only the others.
+:func:`_factor` factors the symmetrized ``0.5 * (M + M')``.  Most inputs
+are already exactly symmetric (an inverse symmetrized by its builder,
+``X @ X.T``, ``W + R.T @ R``), and for those it factors ``M`` itself after
+comparing the bytes of ``M`` and ``M'``, with the elementwise ``M == M.T``
+only when the bytes differ (a ``-0.0`` facing a ``+0.0``).  That fast path
+is exact, not approximate: equality passes the 1e-10 symmetry test
+trivially, and ``0.5 * (M + M)`` equals ``M`` bitwise because doubling and
+halving a double are exact, unless ``M + M`` overflows.  So every entry
+must lie below 1e307 in magnitude, which is tested on the factor: an
+accepted one bounds each ``|M_ij|`` by ``sqrt(M_ii M_jj)`` up to rounding,
+so a largest diagonal entry below 1e306 bounds them all.  Any other
+outcome takes the general path, which factors the symmetrized matrix.
+
+Every factor :func:`_factor` returns is finite, and nothing tests it
+again: the fast path returns only a factor with a finite diagonal, and the
+general path raises ValueError on any other.  A NaN or an infinity in row
+``i`` of the factor reaches ``L_ii`` through ``M_ii`` or ``L_ij**2``, so a
+finite diagonal proves the whole factor finite, where LAPACK's ``info``
+may accept a NaN below the diagonal.
 
 The QP solver is a textbook primal active-set method.  The choice is
 deliberate: every estimator in this package needs *exact* active sets and
@@ -62,6 +64,12 @@ interior answer keeps its bits; then, in this order:
 
 A solve names no active rows: the estimators take them from the one face
 model, :class:`ioc_eiv.model.BilinearStationarity`.
+
+QP data is checked once, when a :class:`Qp` is built: each of its six
+blocks must be finite, so no solve with the factor tests its operands.
+Finite data can still overflow on the way (``H @ z_part`` with entries
+near 1e300), so a solve whose answer is not finite raises ValueError
+instead of returning it.
 
 Each solve factors one Hessian: ``H`` itself without equalities, the
 reduced ``Z' H Z`` on the null space of the equalities with them.  If that
@@ -146,23 +154,23 @@ def cholesky(M) -> np.ndarray:
     """C-ordered lower-triangular factor L with ``L L' = M`` for symmetric PD ``M``.
 
     Raises :class:`NotPositiveDefinite` carrying the index of the first
-    non-positive leading minor, and ValueError for an asymmetric input.
+    non-positive leading minor, and ValueError for an asymmetric input or
+    a factor that is not finite.
     """
-    return np.ascontiguousarray(_factor(M)[0])
+    return np.ascontiguousarray(_factor(M))
 
 
-def _factor(M) -> tuple:
-    """The one SPD factorization: ``(L, bounded)`` for square ``M``.
+def _factor(M) -> np.ndarray:
+    """The one SPD factorization: LAPACK's Fortran-ordered lower factor of square ``M``.
 
-    ``L`` is LAPACK's Fortran-ordered lower factor; ``bounded`` says that
-    the fast path of the module docstring took it, which proves it finite.
-    Raises as :func:`cholesky` does.
+    The factor is always finite (see the module docstring).  Raises as
+    :func:`cholesky` does.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if M.shape[0] == 0:
-        return np.zeros((0, 0)), False
+        return np.zeros((0, 0))
     # equal bytes are exact symmetry; the elementwise test, which also
     # equates -0.0 and +0.0, runs only when they differ
     symmetric = M.tobytes() == M.T.tobytes() or (M == M.T).all()
@@ -171,7 +179,7 @@ def _factor(M) -> tuple:
         L, info = lapack.dpotrf(M, lower=1)
         if (info == 0 and math.isfinite(sum(L.diagonal().tolist()))
                 and max(M.diagonal().tolist()) < 1e306):
-            return L, True
+            return L
     if not (symmetric and abs(M).max() < 1e307):
         # not exactly symmetric, or too large for M + M to stay finite:
         # test the tolerance and factor the symmetrized matrix
@@ -182,35 +190,42 @@ def _factor(M) -> tuple:
         raise NotPositiveDefinite(info)
     if info < 0:
         raise ValueError(f"invalid input to factorization (argument {-info})")
-    return L, False
-
-
-def cholesky_solve(L: np.ndarray, rhs) -> np.ndarray:
-    """Solve ``(L L') x = rhs`` given the lower factor from :func:`cholesky`.
-
-    ``rhs`` may be a vector or a matrix of right-hand sides.  Raises
-    ValueError when ``L`` or ``rhs`` holds a NaN or an infinity.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if not np.isfinite(rhs).all():
+    if not math.isfinite(sum(L.diagonal().tolist())):
         raise ValueError("array must not contain infs or NaNs")
-    return _solve_finite_rhs(L, rhs)
+    return L
 
 
-def _solve_finite_rhs(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """:func:`cholesky_solve` for a float ``rhs`` already known to be finite."""
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float array ``a`` is finite."""
     # a finite sum proves every entry finite; an overflowing one does not
     # prove the opposite, so it takes the elementwise test
-    if not (math.isfinite(L.sum()) or np.isfinite(L).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[1] != rhs.shape[0]:
-        raise ValueError(f"incompatible dimensions ({L.shape} and {rhs.shape})")
+    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
+
+
+def _solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The one SPD solve: ``(L L') x = rhs`` for a finite lower factor ``L``
+    of matching order and a finite float ``rhs``, neither checked here."""
     if rhs.size == 0:
         return np.empty_like(rhs)
     x, info = lapack.dpotrs(L, rhs, lower=1)
     if info != 0:
         raise ValueError(f"invalid input to triangular solve (argument {-info})")
     return x
+
+
+def cholesky_solve(L: np.ndarray, rhs) -> np.ndarray:
+    """Solve ``(L L') x = rhs`` given the lower factor from :func:`cholesky`.
+
+    ``rhs`` may be a vector or a matrix of right-hand sides.  Raises
+    ValueError when ``L`` or ``rhs`` holds a NaN or an infinity, or when
+    their orders differ.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    if not (_finite(rhs) and _finite(L)):
+        raise ValueError("array must not contain infs or NaNs")
+    if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[1] != rhs.shape[0]:
+        raise ValueError(f"incompatible dimensions ({L.shape} and {rhs.shape})")
+    return _solve(L, rhs)
 
 
 # orders whose identity is kept: the shipped spring_damper and
@@ -230,19 +245,11 @@ def spd_inverse(M) -> np.ndarray:
     """Exactly symmetric inverse of symmetric PD ``M``.
 
     Factors ``M`` as :func:`cholesky` does, raising as it does, solves
-    against the identity and returns ``0.5 * (C + C')``, so the result
-    passes the exact-symmetry test when it is factored again.  A factor off
-    the fast path is checked as :func:`cholesky_solve` checks it; the shared
-    identity is finite by construction and is not.
+    against the shared identity and returns ``0.5 * (C + C')``, so the
+    result passes the exact-symmetry test when it is factored again.
     """
-    L, bounded = _factor(M)
-    eye = _identity(L.shape[0])
-    if bounded:
-        C, info = lapack.dpotrs(L, eye, lower=1)
-        if info != 0:
-            raise ValueError(f"invalid input to triangular solve (argument {-info})")
-    else:
-        C = _solve_finite_rhs(L, eye)
+    L = _factor(M)
+    C = _solve(L, _identity(L.shape[0]))
     return 0.5 * (C + C.T)
 
 
@@ -265,12 +272,10 @@ class Qp:
             raise ValueError(f"H has shape {H.shape}, expected ({n}, {n})")
         Aeq, beq = _normalize_block(self.Aeq, self.beq, n, "Aeq", "beq")
         Ain, bin_ = _normalize_block(self.Ain, self.bin, n, "Ain", "bin")
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "Aeq", Aeq)
-        object.__setattr__(self, "beq", beq)
-        object.__setattr__(self, "Ain", Ain)
-        object.__setattr__(self, "bin", bin_)
+        for name, a in zip(("H", "c", "Aeq", "beq", "Ain", "bin"), (H, c, Aeq, beq, Ain, bin_)):
+            if not _finite(a):
+                raise ValueError(f"{name} must not contain infs or NaNs")
+            object.__setattr__(self, name, a)
 
     @property
     def dim(self) -> int:
@@ -344,10 +349,10 @@ def _eqp(L, c, A, b):
 
     Returns (y, mu) with stationarity H y + c + A' mu = 0.
     """
-    Hinv_c = cholesky_solve(L, c)
+    Hinv_c = _solve(L, c)
     if A.shape[0] == 0:
         return -Hinv_c, np.zeros(0)
-    Hinv_At = cholesky_solve(L, A.T)
+    Hinv_At = _solve(L, A.T)
     S = A @ Hinv_At
     rhs = -(b + A @ Hinv_c)
     mu = np.linalg.solve(S, rhs)
@@ -503,7 +508,8 @@ def solve_qp(qp: Qp, start=None) -> QpSolution:
     held it; the module docstring gives the order in which it is tried.  A
     start on a QP with equalities raises ValueError.
 
-    Raises Infeasible, IterationLimit, or NotPositiveDefinite.
+    Raises Infeasible, IterationLimit, or NotPositiveDefinite, and
+    ValueError when the answer overflows.
     """
     n = qp.dim
     H, c = qp.H, qp.c
@@ -538,16 +544,16 @@ def solve_qp(qp: Qp, start=None) -> QpSolution:
             Ar = Ain @ Z
             br = bin_ - Ain @ z_part
         try:
-            Lr = cholesky(Hr)
+            Lr = _factor(Hr)
         except NotPositiveDefinite:
             # the documented diagonal bump; a second failure propagates
             bump = 1e-10 * np.trace(Hr) / nz
             if bump <= 0:
                 bump = 1e-10
             Hr = Hr + bump * np.eye(nz)
-            Lr = cholesky(Hr)
+            Lr = _factor(Hr)
 
-        y_unc = -cholesky_solve(Lr, cr)
+        y_unc = -_solve(Lr, cr)
         on_face = None
         if _feasible(Ar, br, y_unc, feas_scale):
             y0, W0 = y_unc, []
@@ -587,4 +593,6 @@ def solve_qp(qp: Qp, start=None) -> QpSolution:
         for i, mi in mu_map.items():
             mult_in[i] = max(mi, 0.0) if mi >= -_DUAL_TOL else mi
 
+    if not (_finite(z) and _finite(mult_in)):
+        raise ValueError("QP solution is not finite: the data overflows in the solve")
     return QpSolution(z, mult_in, n_iter)

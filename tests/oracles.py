@@ -304,7 +304,8 @@ def lagrangian(fp, theta, lam, U):
 
 def cholesky(M):
     """``numerics.cholesky`` as it was before its bound test moved after the
-    factorization: the bound ``|M| < 1e307`` is tested on ``M`` itself."""
+    factorization: the bound ``|M| < 1e307`` is tested on ``M`` itself, and
+    a factor holding a NaN or an infinity is refused entry by entry."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
@@ -320,6 +321,8 @@ def cholesky(M):
         raise NotPositiveDefinite(info)
     if info < 0:
         raise ValueError(f"invalid input to factorization (argument {-info})")
+    if not np.isfinite(L).all():
+        raise ValueError("array must not contain infs or NaNs")
     return np.ascontiguousarray(L)
 
 

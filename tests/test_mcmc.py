@@ -457,16 +457,23 @@ def test_gibbs_trace_is_bit_identical_to_golden():
 
 def test_gibbs_factors_six_exactly_symmetric_matrices_per_iteration(monkeypatch):
     # cholesky and spd_inverse share one factor kernel; no factorization of
-    # the chain takes its tolerance path, and each takes its bounded fast path
+    # the chain takes its tolerance path: each makes exactly one dpotrf call
     from ioc_eiv import numerics
 
     factored = []
     kernel = numerics._factor
+    dpotrf = lapack.dpotrf
+    calls = []
+
+    def count(*args, **kwargs):
+        calls.append(1)
+        return dpotrf(*args, **kwargs)
 
     def spy(M):
-        L, bounded = kernel(M)
-        factored.append(bool((np.asarray(M) == np.asarray(M).T).all()) and bounded)
-        return L, bounded
+        calls.clear()
+        L = kernel(M)
+        factored.append(bool((np.asarray(M) == np.asarray(M).T).all()) and len(calls) == 1)
+        return L
 
     fp = oracles.spring_damper()
     sol = solve_forward(fp, oracles.SPRING_THETA)
@@ -474,6 +481,7 @@ def test_gibbs_factors_six_exactly_symmetric_matrices_per_iteration(monkeypatch)
     ds = generate(sol.U, NoiseSpec.gaussian(np.diag(sig**2), seed=23), 6, fp)
     priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
     monkeypatch.setattr(numerics, "_factor", spy)
+    monkeypatch.setattr(lapack, "dpotrf", count)
     gibbs_run(ds, fp, priors, n_iter=60, n_keep=10, rng=np.random.default_rng(5))
     assert len(factored) == 6 * 59
     assert all(factored)

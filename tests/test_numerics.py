@@ -1,5 +1,6 @@
 """Cholesky factorization, the SPD inverse and the dense active-set QP solver."""
 
+import ast
 import dataclasses
 import hashlib
 import os
@@ -14,7 +15,7 @@ from scipy.linalg import lapack
 
 import ioc_eiv
 import oracles
-from ioc_eiv import numerics
+from ioc_eiv import mcmc, numerics
 from ioc_eiv import (
     Infeasible,
     IterationLimit,
@@ -126,20 +127,21 @@ def _diag2(a, b=1.0, off=0.0):
     return np.array([[a, off], [off, b]])
 
 
-# outcomes recorded before the fast path was added: these inputs fail its
-# guard and must keep their old result, a factor or an exception type.  For
-# the largest ones M + M overflows, so the old factor is inf where factoring
-# M itself would give a finite one.
+# inputs that fail the fast path's guard: each gives the symmetrized
+# matrix's factor or an exception type.  A factor that would hold a NaN or
+# an infinity is refused with ValueError; for the largest inputs M + M
+# overflows, so that factor is inf where factoring M itself would give a
+# finite one.
 _NON_FINITE_OR_HUGE = [
-    (_diag2(np.nan), None),
-    (_diag2(1.0, off=np.nan), None),
-    (_diag2(np.inf), None),
+    (_diag2(np.nan), ValueError),
+    (_diag2(1.0, off=np.nan), ValueError),
+    (_diag2(np.inf), ValueError),
     (_diag2(1.0, off=np.inf), NotPositiveDefinite),
     (_diag2(-np.inf), NotPositiveDefinite),
     (_diag2(1e307), None),
     (_diag2(5e307), None),
-    (_diag2(1e308, 1e308, 1e300), None),
-    (_diag2(np.finfo(float).max), None),
+    (_diag2(1e308, 1e308, 1e300), ValueError),
+    (_diag2(np.finfo(float).max), ValueError),
 ]
 
 
@@ -268,16 +270,48 @@ def test_cholesky_and_spd_inverse_equal_their_oracles(inputs):
         assert _outcome(spd_inverse, M) == _outcome(oracles.spd_inverse, M)
 
 
-def test_fast_path_takes_bounded_spd_matrices_and_refuses_non_finite_ones():
-    rng = np.random.default_rng(65)
+def test_fast_path_takes_bounded_spd_matrices_and_refuses_non_finite_ones(monkeypatch):
+    # the fast path factors M once; the general path factors the
+    # symmetrized matrix a second time
+    dpotrf = lapack.dpotrf
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return dpotrf(*args, **kwargs)
+
+    def factorizations(M):
+        calls.clear()
+        L = numerics._factor(M)
+        assert np.isfinite(L).all()
+        return len(calls)
+
+    monkeypatch.setattr(lapack, "dpotrf", spy)
     for M in _random_spd_of_every_order()[1:]:
-        assert numerics._factor(M)[1]
-    M = _random_spd(rng, 4)
+        assert factorizations(M) == 1
+    assert factorizations(np.diag([np.nextafter(1e306, 0.0), 1.0])) == 1
+    assert factorizations(np.diag([1e307, 1.0])) == 2
+    M = _random_spd(np.random.default_rng(65), 4)
     M[3, 1] = M[1, 3] = np.nan
-    assert lapack.dpotrf(M, lower=1)[1] == 0  # LAPACK accepts it
-    assert not numerics._factor(M)[1]
-    assert not numerics._factor(np.diag([1e306, 1.0]))[1]
-    assert numerics._factor(np.diag([np.nextafter(1e306, 0.0), 1.0]))[1]
+    assert dpotrf(M, lower=1)[1] == 0  # LAPACK accepts it
+    calls.clear()
+    with pytest.raises(ValueError, match="NaNs"):
+        numerics._factor(M)
+    assert len(calls) == 2
+
+
+def test_non_finite_factor_is_refused_before_any_draw():
+    # LAPACK accepts a NaN below the diagonal and returns a NaN factor; the
+    # factorization refuses it, so no sampler draws from it
+    bad = np.array([[4.0, 2.0, 0.0], [2.0, 3.0, np.nan], [0.0, np.nan, 2.0]])
+    assert lapack.dpotrf(bad, lower=1)[1] == 0
+    rng = np.random.default_rng(66)
+    with pytest.raises(ValueError, match="NaNs"):
+        cholesky(bad)
+    with pytest.raises(ValueError, match="NaNs"):
+        mcmc.sample_mvn(np.zeros(3), bad, rng)
+    with pytest.raises(ValueError, match="NaNs"):
+        mcmc.sample_inverse_wishart(bad, 5.0, rng)
 
 
 def test_cholesky_solve_bitwise_matches_scipy():
@@ -329,6 +363,86 @@ def test_cholesky_solve_rejects_non_finite_and_mismatched_inputs():
         cholesky_solve(bad, np.ones(2))
     with pytest.raises(ValueError):
         cholesky_solve(L, np.ones(3))
+
+
+# LAPACK's SPD factorization and solve, and scipy's wrappers of them
+_SPD_KERNELS = {"dpotrf", "dpotrs", "cho_factor", "cho_solve"}
+
+
+def _spd_kernel_uses(source):
+    """``(top-level definition, kernel)`` of every reference in ``source``
+    to a name in ``_SPD_KERNELS`` or to numpy's or scipy's
+    ``linalg.cholesky``; the definition is ``""`` at module level."""
+
+    def kernel(name, in_linalg):
+        if name in _SPD_KERNELS:
+            return name
+        return "linalg.cholesky" if name == "cholesky" and in_linalg else None
+
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                owner = getattr(node.value, "attr", getattr(node.value, "id", None))
+                hits = [kernel(node.attr, owner == "linalg")]
+            elif isinstance(node, ast.Name):
+                hits = [kernel(node.id, False)]
+            elif isinstance(node, ast.ImportFrom):
+                hits = [kernel(a.name, "linalg" in (node.module or "")) for a in node.names]
+            else:
+                hits = []
+            found += [(getattr(top, "name", ""), h) for h in hits if h]
+    return found
+
+
+def test_spd_guard_sees_every_kind_of_reference():
+    source = (
+        "import numpy as np\nfrom scipy import linalg\nfrom scipy.linalg import cho_solve\n"
+        "from numpy.linalg import cholesky\n"
+        "def f(M):\n    return lapack.dpotrf(M), np.linalg.cholesky(M), linalg.cho_factor(M)\n"
+        "def g(L, b):\n    return lapack.dpotrs(L, b)\n"
+    )
+    assert sorted(_spd_kernel_uses(source)) == sorted([
+        ("", "cho_solve"), ("", "linalg.cholesky"),
+        ("f", "dpotrf"), ("f", "linalg.cholesky"), ("f", "cho_factor"), ("g", "dpotrs"),
+    ])
+
+
+def test_one_spd_factorization_and_one_solve_in_the_package():
+    # lapack.dpotrf only in numerics._factor, lapack.dpotrs only in
+    # numerics._solve, and no other Cholesky routine anywhere
+    uses = {}
+    for path in sorted(Path(ioc_eiv.__file__).parent.glob("*.py")):
+        for func, name in _spd_kernel_uses(path.read_text()):
+            uses.setdefault(name, set()).add((path.stem, func))
+    assert uses == {"dpotrf": {("numerics", "_factor")}, "dpotrs": {("numerics", "_solve")}}
+
+
+def _finite_qp_blocks():
+    return dict(H=np.eye(2), c=np.zeros(2), Aeq=np.ones((1, 2)), beq=np.ones(1),
+                Ain=-np.eye(2), bin=np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("block", ["H", "c", "Aeq", "beq", "Ain", "bin"])
+def test_qp_refuses_a_non_finite_block_when_built(block, bad):
+    # the one finiteness check of QP data; a +inf in bin would otherwise
+    # pose a row that never binds
+    blocks = _finite_qp_blocks()
+    blocks[block] = blocks[block].copy()
+    blocks[block].flat[-1] = bad
+    with pytest.raises(ValueError, match=rf"^{block} must not contain infs or NaNs"):
+        Qp(**blocks)
+    sol = solve_qp(Qp(**_finite_qp_blocks()))
+    np.testing.assert_allclose(sol.z, [0.5, 0.5], atol=1e-12)
+
+
+def test_qp_that_overflows_in_the_solve_raises_instead_of_returning_nan():
+    # finite data whose particular solution times H overflows to inf
+    qp = Qp(H=1e300 * np.eye(3), c=np.zeros(3), Aeq=np.ones((1, 3)), beq=np.array([1e300]),
+            Ain=-np.eye(3), bin=np.full(3, -1e10))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        solve_qp(qp)
 
 
 def test_qp_scalar_bound():
@@ -615,13 +729,13 @@ def test_qp_solution_is_a_frozen_record_of_what_the_solve_computes():
 
 def test_qp_without_equalities_factors_the_hessian_once(monkeypatch):
     calls = []
-    chol = numerics.cholesky
+    factor = numerics._factor
 
     def spy(M):
         calls.append(M.shape)
-        return chol(M)
+        return factor(M)
 
-    monkeypatch.setattr(numerics, "cholesky", spy)
+    monkeypatch.setattr(numerics, "_factor", spy)
     rng = np.random.default_rng(11)
     qp, _ = oracles.random_feasible_qp(rng, dim=5, n_con=3)
     solve_qp(qp)
@@ -696,8 +810,8 @@ def test_shared_identity_is_read_only_and_bounded():
 
 
 def test_spd_inverse_checks_its_factor():
-    # LAPACK accepts a NaN below the diagonal, with a NaN factor: the factor
-    # test refuses it, where the bounded fast path would not look
+    # LAPACK accepts a NaN below the diagonal, with a NaN factor: the
+    # factorization's finite-diagonal test refuses it
     bad = np.array([[4.0, 2.0, 0.0], [2.0, 3.0, np.nan], [0.0, np.nan, 2.0]])
     assert lapack.dpotrf(bad, lower=1)[1] == 0
     with pytest.raises(ValueError, match="NaNs"):
