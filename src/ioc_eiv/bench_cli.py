@@ -684,6 +684,14 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------- entry point
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command line parser, built on the first call and shared by every later one."""
@@ -717,7 +725,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bench", help="full benchmark grid")
     pb.add_argument("--config", required=True, help="bench config JSON")
     pb.add_argument("--out-dir", required=True, help="directory for rows/timings/summary files")
-    pb.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    pb.add_argument("--jobs", type=_positive_int, default=1,
+                    help="parallel worker processes (at least 1)")
     return p
 
 

@@ -43,11 +43,11 @@ def solve(fp: model.ForwardProblem, theta, start: ForwardSolution | None = None
     feasibility blocks of :func:`ioc_eiv.model.kkt_residual` to 1e-6.
 
     ``start``, an earlier solution of the same problem at other weights,
-    warm-starts the QP, whose constraints do not depend on ``theta``: from
-    ``start.U`` and the rows ``BilinearStationarity.held_rows(start.lam)``
-    (see :func:`ioc_eiv.numerics.solve_qp` for the order it tries them in).
-    The answer is the same optimum; it has the cold solve's bits whenever
-    both end on the same face.
+    starts the QP, whose constraints do not depend on ``theta``, from the
+    face ``BilinearStationarity.held_rows(start.lam)`` (see
+    :func:`ioc_eiv.numerics.solve_qp` for how a face is tried).  The answer
+    is the same optimum; it has the cold solve's bits whenever both end on
+    the same face.
 
     Raises :class:`~ioc_eiv.numerics.Infeasible` when a constant row is
     violated by more than ``model.CONST_ROW_TOL`` of the terms that form it.
@@ -65,10 +65,8 @@ def solve(fp: model.ForwardProblem, theta, start: ForwardSolution | None = None
 
     H = bs.M_beta(theta)
     c = bs.E_theta @ theta
-    qp_start = None
-    if start is not None:
-        qp_start = (start.U, np.flatnonzero(bs.held_rows(start.lam)[bs.ineq_rows]))
-    sol = solve_qp(Qp(H=H, c=c, **bs.ineq_blocks), start=qp_start)
+    face = None if start is None else np.flatnonzero(bs.held_rows(start.lam)[bs.ineq_rows])
+    sol = solve_qp(Qp(H=H, c=c, **bs.ineq_blocks), face=face)
 
     lam = np.zeros(fp.n_multipliers)
     lam[bs.ineq_rows] = sol.mult_in

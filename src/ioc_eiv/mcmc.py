@@ -125,10 +125,13 @@ class ChainState:
 
 @dataclass
 class ChainOutput:
-    """Retained samples plus per-block acceptance and Monte Carlo means."""
+    """Retained samples, the U block's acceptance rate and Monte Carlo means.
+
+    The beta and Sigma_U blocks are exact draws, which are always accepted.
+    """
 
     samples: list
-    acceptance_rate: dict
+    acceptance_rate: float
     U_mean: np.ndarray
     Sigma_U_mean: np.ndarray
 
@@ -404,11 +407,7 @@ def gibbs_run(
     kept = list(states)
     return ChainOutput(
         samples=kept,
-        acceptance_rate={
-            "beta": 1.0,
-            "U": n_acc / (n_iter - 1),
-            "Sigma_U": 1.0,
-        },
+        acceptance_rate=n_acc / (n_iter - 1),
         U_mean=np.mean([s.U for s in kept], axis=0),
         Sigma_U_mean=np.mean([s.Sigma_U for s in kept], axis=0),
     )

@@ -40,27 +40,28 @@ give.  Determinism is pinned down by two rules:
 * a start found by phase 1 takes as its working set the rows with
   ``a z - b >= -1e-7 * (1 + |b|)``, pruned in index order to full row rank.
 
-A QP without equalities may be given ``start = (z, rows)``: the answer
-``z`` of an earlier QP with the same ``Ain`` and ``bin`` and the rows that
-held it.  Parametric QPs, whose optimal face moves little from one solve
-to the next, are solved this way by online active-set methods (Ferreau,
-Bock & Diehl, *Int. J. Robust Nonlinear Control* 18, 2008).  The start is
-tried after the unconstrained minimizer, which still comes first, so an
-interior answer keeps its bits; then, in this order:
+A QP may be started from a ``face``: rows of ``Ain``, such as those that
+held the answer of an earlier QP with the same constraints.  Parametric
+QPs, whose optimal face moves little from one solve to the next, are
+solved this way by online active-set methods (Ferreau, Bock & Diehl,
+*Int. J. Robust Nonlinear Control* 18, 2008).  The face is tried after the
+unconstrained minimizer, which still comes first, so an interior answer
+keeps its bits; then, in this order:
 
-1. **Face check.**  The equality-constrained minimizer on ``rows``.  A
-   solve ends with a polish, which recomputes the loop's last iterate as
-   that minimizer on its final working set, and the face check is the very
-   same call.  It is returned, as one iteration, when it lies on those
-   faces and inside every other row and no multiplier is below
-   ``-_DUAL_TOL``: that is the whole KKT system, so it is the optimum.
-   When the cold solve ends on the working set ``rows`` and its polish
-   holds, the two answers are one computation, so they agree bit for bit.
-2. **Warm loop.**  If ``z`` is feasible, the active-set loop starts from
-   it, with the rows of ``rows`` active at ``z`` (phase 1's rule) as its
-   working set; one rank test checks them, and they are pruned as phase 1
-   prunes only when it finds them rank-deficient.
-3. **Cold path.**  Otherwise the solve starts as it would without a start.
+1. **Face check.**  The equality-constrained minimizer on ``face``.  It is
+   returned, as one iteration, when it lies on those faces and inside
+   every other row and no multiplier is below ``-_DUAL_TOL``: that is the
+   whole KKT system, so it is the optimum.  A solve's polish is the same
+   check on the loop's final working set, so when the cold solve ends on
+   the working set ``face`` and its polish holds, the two answers are one
+   computation and agree bit for bit.  With equalities the check runs on
+   the reduced rows ``Ain @ Z``, as the loop does.
+2. **Cold path.**  Otherwise the solve starts as it would without a face.
+
+A caller's rank-deficient face is no answer when its face system is
+singular, but rounding may leave that system nonsingular: the point is
+then still the optimum to the tolerances, with its multiplier split among
+the dependent rows.
 
 A solve names no active rows: the estimators take them from the one face
 model, :class:`ioc_eiv.model.BilinearStationarity`.
@@ -452,7 +453,8 @@ def _active_set_loop(L, Hr, cr, Ar, br, y, W, max_iter):
 def _face_check(L, c, A, b, rows, feas_scale):
     """``(y, {row: multiplier})`` on the faces ``rows`` if that point solves the QP, else None.
 
-    The point is the polish's ``_eqp`` call on ``rows``.  Stationarity
+    This is both the check of a caller's face and the polish that ends a
+    cold solve.  The point is the ``_eqp`` call on ``rows``.  Stationarity
     holds by construction; the point is accepted when it also lies on its
     faces and inside every other row (both to ``feas_scale``) and no
     multiplier is below ``-_DUAL_TOL``.  A singular face system is no
@@ -473,28 +475,7 @@ def _face_check(L, c, A, b, rows, feas_scale):
     return None
 
 
-def _warm_working_set(A, b, z, rows):
-    """The rows of ``rows`` active at ``z`` (phase 1's rule), pruned to full
-    row rank only when one rank test finds them rank-deficient."""
-    W = [i for i in rows if A[i] @ z - b[i] >= -_ACTIVE_TOL * (1.0 + abs(b[i]))]
-    if W and np.linalg.matrix_rank(A[W]) < len(W):
-        W = _independent_rows(A, W)
-    return W
-
-
-def _check_start(start, n, n_in):
-    """``(z, sorted distinct rows)`` of a start ``(z, rows)``; ValueError if malformed."""
-    z, rows = start
-    z = np.asarray(z, dtype=float)
-    if z.shape != (n,):
-        raise ValueError(f"start point has shape {z.shape}, expected ({n},)")
-    rows = sorted({operator.index(i) for i in rows})
-    if rows and not (0 <= rows[0] and rows[-1] < n_in):
-        raise ValueError(f"start rows must lie in [0, {n_in}), got {rows}")
-    return z, rows
-
-
-def solve_qp(qp: Qp, start=None) -> QpSolution:
+def solve_qp(qp: Qp, face=None) -> QpSolution:
     """Solve a strictly convex QP with a primal active-set method.
 
     Equalities are eliminated through an orthonormal null-space basis from
@@ -503,10 +484,10 @@ def solve_qp(qp: Qp, start=None) -> QpSolution:
     as posed.  Only the Hessian the loop runs on is factored (see the module
     docstring for its regularization).
 
-    ``start = (z, rows)`` is an earlier solution ``z`` of a QP with the same
-    ``Ain`` and ``bin`` and the rows ``rows`` (indices into ``Ain``) that
-    held it; the module docstring gives the order in which it is tried.  A
-    start on a QP with equalities raises ValueError.
+    ``face`` names rows of ``Ain`` (indices) expected to hold the answer,
+    such as those that held an earlier solution of a QP with the same
+    constraints; the module docstring says how it is tried.  A face with a
+    non-integer or out-of-range index raises TypeError or ValueError.
 
     Raises Infeasible, IterationLimit, or NotPositiveDefinite, and
     ValueError when the answer overflows.
@@ -514,10 +495,10 @@ def solve_qp(qp: Qp, start=None) -> QpSolution:
     n = qp.dim
     H, c = qp.H, qp.c
     Aeq, beq, Ain, bin_ = qp.Aeq, qp.beq, qp.Ain, qp.bin
-    if start is not None:
-        if Aeq.shape[0]:
-            raise ValueError("a start is only taken by a QP without equalities")
-        z_start, rows = _check_start(start, n, Ain.shape[0])
+    if face is not None:
+        face = sorted({operator.index(i) for i in face})
+        if face and not (0 <= face[0] and face[-1] < Ain.shape[0]):
+            raise ValueError(f"face rows must lie in [0, {Ain.shape[0]}), got {face}")
 
     if Aeq.shape[0]:
         z_part, Z = _eliminate_equalities(Aeq, beq, n)
@@ -557,10 +538,8 @@ def solve_qp(qp: Qp, start=None) -> QpSolution:
         on_face = None
         if _feasible(Ar, br, y_unc, feas_scale):
             y0, W0 = y_unc, []
-        elif start is not None and (on_face := _face_check(Lr, cr, Ar, br, rows, feas_scale)):
-            pass  # solved on the start's faces: the loop does not run
-        elif start is not None and _feasible(Ar, br, z_start, feas_scale):
-            y0, W0 = z_start, _warm_working_set(Ar, br, z_start, rows)
+        elif face is not None and (on_face := _face_check(Lr, cr, Ar, br, face, feas_scale)):
+            pass  # solved on the given faces: the loop does not run
         elif _feasible(Ar, br, np.zeros(nz), feas_scale):
             y0, W0 = np.zeros(nz), []
         else:
@@ -577,14 +556,8 @@ def solve_qp(qp: Qp, start=None) -> QpSolution:
         else:
             max_iter = 100 * max(nz, 1)
             y, mu_map, n_iter = _active_set_loop(Lr, Hr, cr, Ar, br, y0, list(W0), max_iter)
-
             # polish: place the iterate exactly on its working faces
-            W = sorted(mu_map)
-            if W:
-                y_pol, mu_pol = _eqp(Lr, cr, Ar[W], br[W])
-                if _feasible(Ar, br, y_pol, feas_scale) and mu_pol.min() >= -_DUAL_TOL:
-                    y = y_pol
-                    mu_map = dict(zip(W, mu_pol))
+            y, mu_map = _face_check(Lr, cr, Ar, br, sorted(mu_map), feas_scale) or (y, mu_map)
 
         # with Z = I the zero z_part is still added: it turns a -0.0 in y
         # into +0.0, as Z @ y did, so the bytes of z do not change

@@ -14,10 +14,10 @@ Gauss-Newton:
 
 * each evaluation of ``f`` is one :func:`~ioc_eiv.forward.solve`, which
   gives ``U``, the multipliers and the demo cost at once; a backtracking
-  trial's solve is warm-started from the current solution, since the
-  forward QP's constraints do not depend on ``theta`` and a trial moves
-  its optimal face little, so most trials end after one face check with
-  the bits a cold solve would give;
+  trial's solve starts from the face the current solution's multipliers
+  hold, since the forward QP's constraints do not depend on ``theta`` and
+  a trial moves its optimal face little, so most trials end after one face
+  check with the bits a cold solve would give, and the rest solve cold;
 * the derivative ``G = dU*/dtheta`` is the sensitivity of the forward QP
   on the rows its multipliers hold (:func:`_sensitivity`);
 * each step solves the ``q``-variable QP ``min f`` with ``U*`` replaced by

@@ -301,6 +301,15 @@ def test_bench_parallel_matches_serial(tmp_path, capsys):
     assert (dir_s / "rows.csv").read_bytes() == (dir_p / "rows.csv").read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+    cfg = _write_config(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["bench", "--config", cfg, "--out-dir", str(out_dir), "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_bench_env_seed_overrides_config(tmp_path, capsys, monkeypatch):
     cfg = _write_config(tmp_path)
     dir_a, dir_b = tmp_path / "default", tmp_path / "env"

@@ -573,7 +573,7 @@ def test_mh_u_block_acceptance_strictly_inside_unit_interval():
         u_step="mh",
         mh_scale=1e-5,
     )
-    assert 0.0 < out.acceptance_rate["U"] < 1.0
+    assert 0.0 < out.acceptance_rate < 1.0
 
 
 def test_mh_u_target_differences_match_the_three_term_density():

@@ -823,17 +823,22 @@ def test_spd_inverse_checks_its_factor():
 
 
 def _qps_with_a_face(seed, count=10):
-    """``(qp, interior point, cold solution, held rows)`` of random QPs whose
-    unconstrained minimizer is infeasible, so that some row holds the optimum."""
+    """``(qp, cold solution, held rows)`` of random QPs whose unconstrained
+    minimizer is infeasible, so that some row holds the optimum; the second
+    half also carries equalities through the interior point."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
         qp, z0 = oracles.random_feasible_qp(rng, n_con=int(rng.integers(3, 8)))
-        qp = Qp(H=qp.H, c=5.0 * qp.c, Ain=qp.Ain, bin=qp.bin)
+        kw = {}
+        if 2 * len(out) >= count:
+            Aeq = rng.standard_normal((int(rng.integers(1, qp.dim)), qp.dim))
+            kw = dict(Aeq=Aeq, beq=Aeq @ z0)
+        qp = Qp(H=qp.H, c=5.0 * qp.c, Ain=qp.Ain, bin=qp.bin, **kw)
         sol = solve_qp(qp)
         face = np.flatnonzero(sol.mult_in > 0.0).tolist()
         if face:
-            out.append((qp, z0, sol, face))
+            out.append((qp, sol, face))
     return out
 
 
@@ -842,64 +847,40 @@ def _same_solution(a, b):
 
 
 def test_qp_start_on_its_own_face_is_one_iteration_with_the_cold_bits():
-    for qp, z0, cold, face in _qps_with_a_face(50):
-        warm = solve_qp(qp, start=(cold.z, face))
+    for qp, cold, face in _qps_with_a_face(50):
+        warm = solve_qp(qp, face=face)
         assert _same_solution(warm, cold)
         assert warm.n_iter == 1
 
 
 def test_qp_start_on_a_wrong_face_gives_the_cold_answer():
-    for qp, z0, cold, face in _qps_with_a_face(51):
+    for qp, cold, face in _qps_with_a_face(51):
         wrong = [i for i in range(qp.Ain.shape[0]) if i not in face]
-        # a feasible point off the optimum: the warm loop runs from it
-        for z in (cold.z, z0):
-            warm = solve_qp(qp, start=(z, wrong))
-            assert warm.n_iter > 1
-            assert _same_solution(warm, cold)
-
-
-def test_qp_start_from_an_infeasible_point_takes_the_cold_path(monkeypatch):
-    loops = []
-    loop = numerics._active_set_loop
-
-    def spy(L, Hr, cr, Ar, br, y, W, max_iter):
-        loops.append((y.copy(), list(W)))
-        return loop(L, Hr, cr, Ar, br, y, W, max_iter)
-
-    monkeypatch.setattr(numerics, "_active_set_loop", spy)
-    for qp, z0, cold, face in _qps_with_a_face(52):
-        wrong = [i for i in range(qp.Ain.shape[0]) if i not in face]
-        z = cold.z + 1e3 * qp.Ain[wrong[0] if wrong else 0]  # far outside a row
-        loops.clear()
-        warm = solve_qp(qp, start=(z, wrong))
-        # the loop started where the cold solve starts, not at z
-        assert loops and not np.array_equal(loops[0][0], z)
-        assert _same_solution(warm, solve_qp(qp))
+        # the face check fails, and the solve is the cold one
+        warm = solve_qp(qp, face=wrong)
+        assert warm.n_iter == cold.n_iter > 1
+        assert _same_solution(warm, cold)
 
 
 @pytest.mark.parametrize("factor", [1.0, 3.0])
 def test_qp_start_on_a_rank_deficient_face_gives_the_cold_answer(factor):
-    for qp, z0, cold, face in _qps_with_a_face(53):
+    for qp, _, face in _qps_with_a_face(53):
         # repeat a held row (exactly, or scaled): the face keeps its point
         # but the face system turns singular
         i = face[0]
         Ain = np.vstack([qp.Ain, factor * qp.Ain[i]])
         bin_ = np.append(qp.bin, factor * qp.bin[i])
-        qp2 = Qp(H=qp.H, c=qp.c, Ain=Ain, bin=bin_)
+        qp2 = Qp(H=qp.H, c=qp.c, Aeq=qp.Aeq, beq=qp.beq, Ain=Ain, bin=bin_)
         cold2 = solve_qp(qp2)
-        warm = solve_qp(qp2, start=(cold2.z, face + [Ain.shape[0] - 1]))
+        warm = solve_qp(qp2, face=face + [Ain.shape[0] - 1])
         np.testing.assert_allclose(warm.z, cold2.z, rtol=0, atol=1e-9 * (1 + abs(cold2.z).max()))
         _, _, kkt = oracles.qp_report(qp2, warm)
         assert kkt <= 1e-8
 
 
-def test_qp_start_is_refused_with_equalities_and_when_malformed():
-    qp = Qp(H=np.eye(2), c=np.ones(2), Aeq=np.array([[1.0, 1.0]]), beq=np.array([1.0]),
-            Ain=np.array([[1.0, 0.0]]), bin=np.array([0.0]))
-    with pytest.raises(ValueError, match="equalities"):
-        solve_qp(qp, start=(np.zeros(2), [0]))
-    qp = Qp(H=np.eye(2), c=np.ones(2), Ain=np.array([[1.0, 0.0]]), bin=np.array([0.0]))
-    for start in ((np.zeros(3), [0]), (np.zeros(2), [1]), (np.zeros(2), [-1]),
-                  (np.zeros(2), [0.5]), np.zeros(2)):
-        with pytest.raises((ValueError, TypeError)):
-            solve_qp(qp, start=start)
+def test_qp_face_is_refused_when_malformed():
+    for kw in ({}, dict(Aeq=np.array([[1.0, 1.0]]), beq=np.array([1.0]))):
+        qp = Qp(H=np.eye(2), c=np.ones(2), Ain=np.array([[1.0, 0.0]]), bin=np.array([0.0]), **kw)
+        for face in ([1], [-1], [0.5], np.zeros(2), 0):
+            with pytest.raises((ValueError, TypeError)):
+                solve_qp(qp, face=face)

@@ -105,8 +105,9 @@ def test_solve_qp_kkt_residual_is_small(case):
 
 @st.composite
 def warm_started_qps(draw):
-    """Two QPs ``H, c1`` and ``H, c2 = c1 + t d`` without equalities on one
-    polytope with an interior point; ``t = 0`` poses the same QP twice."""
+    """Two QPs ``H, c1`` and ``H, c2 = c1 + t d`` on one polytope, with or
+    without equalities, with a point strictly inside every inequality;
+    ``t = 0`` poses the same QP twice."""
     dim = draw(st.integers(1, 6))
     G = draw(_matrix(dim, dim))
     H = G @ G.T + 0.5 * np.eye(dim)
@@ -118,7 +119,12 @@ def warm_started_qps(draw):
     Ain = draw(_matrix(n_in, dim))
     slack = draw(hnp.arrays(float, n_in, elements=st.sampled_from([0.25, 1.0])))
     bin_ = Ain @ z0 + slack
-    return Qp(H=H, c=c1, Ain=Ain, bin=bin_), Qp(H=H, c=c1 + t * d, Ain=Ain, bin=bin_)
+    kw = dict(Ain=Ain, bin=bin_)
+    n_eq = draw(st.integers(0, dim - 1))
+    if n_eq:
+        Aeq = draw(_matrix(n_eq, dim))
+        kw.update(Aeq=Aeq, beq=Aeq @ z0)
+    return Qp(H=H, c=c1, **kw), Qp(H=H, c=c1 + t * d, **kw)
 
 
 @given(warm_started_qps())
@@ -126,7 +132,7 @@ def test_warm_start_reaches_the_cold_optimum(case):
     qp1, qp2 = case
     first = solve_qp(qp1)
     rows = np.flatnonzero(first.mult_in > 0.0)
-    warm = solve_qp(qp2, start=(first.z, rows))
+    warm = solve_qp(qp2, face=rows)
     cold = solve_qp(qp2)
     scale = 1.0 + np.max(np.abs(cold.z), initial=0.0)
     np.testing.assert_allclose(warm.z, cold.z, rtol=0, atol=1e-9 * scale)

@@ -379,8 +379,8 @@ def test_warm_started_fits_match_a_cold_start_oracle_in_fewer_iterations(monkeyp
     iters = []
     solve_qp = forward.solve_qp
 
-    def counting(qp, start=None):
-        sol = solve_qp(qp, start=start)
+    def counting(qp, face=None):
+        sol = solve_qp(qp, face=face)
         iters.append(sol.n_iter)
         return sol
 
