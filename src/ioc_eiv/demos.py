@@ -130,38 +130,30 @@ class DemoSet:
     """A set of noisy demonstrations of one forward problem.
 
     The demos are immutable: ``U_list`` holds read-only views of the given
-    arrays, and :meth:`stacked` and :meth:`demo_sum` each build their
-    array once and return that same read-only array on every later call.
+    arrays.  MAP, TLS and the Gibbs chain read them only through their
+    count ``n_demos`` (D), their sample ``mean`` (Ubar) and their ``scatter``
+    ``S = sum_d (U_d - Ubar)(U_d - Ubar)'``, since for every weight ``W``
+    ``sum_d |U - U_d|^2_W = D |U - Ubar|^2_W + tr(W S)``.  Both are built
+    once, at construction, and are read-only; ``S`` is exactly symmetric.
     """
 
     U_list: tuple
     fp_ref: ForwardProblem
     U_star: np.ndarray | None = None
-    _stacked: np.ndarray | None = field(default=None, init=False, repr=False)
-    _demo_sum: np.ndarray | None = field(default=None, init=False, repr=False)
+    mean: np.ndarray = field(init=False, repr=False)
+    scatter: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "U_list", tuple(_read_only(U) for U in self.U_list))
+        stacked = np.vstack(self.U_list)
+        mean = stacked.mean(axis=0)
+        R = stacked - mean
+        object.__setattr__(self, "mean", _read_only(mean))
+        object.__setattr__(self, "scatter", _read_only(R.T @ R))
 
     @property
     def n_demos(self) -> int:
         return len(self.U_list)
-
-    def stacked(self) -> np.ndarray:
-        """Demos as a read-only (D, mN) array, built on the first call."""
-        if self._stacked is None:
-            out = np.vstack(self.U_list)
-            out.flags.writeable = False
-            object.__setattr__(self, "_stacked", out)
-        return self._stacked
-
-    def demo_sum(self) -> np.ndarray:
-        """Sum of the demos as a read-only (mN,) array, built on the first call."""
-        if self._demo_sum is None:
-            out = self.stacked().sum(axis=0)
-            out.flags.writeable = False
-            object.__setattr__(self, "_demo_sum", out)
-        return self._demo_sum
 
 
 def _read_only(a) -> np.ndarray:
@@ -327,8 +319,8 @@ def noise_cov_stacked(spec: NoiseSpec, m: int, N: int) -> np.ndarray:
 
 
 def sample_mean(ds: DemoSet) -> np.ndarray:
-    """Entrywise mean of the demonstrations."""
-    return ds.stacked().mean(axis=0)
+    """Entrywise mean of the demonstrations, ``ds.mean``."""
+    return ds.mean
 
 
 def rmse(a, b) -> float:

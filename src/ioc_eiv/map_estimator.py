@@ -89,8 +89,8 @@ class MapResult:
 def map_cost(U, beta, Sigma_U, ds: DemoSet, priors: Priors, bs=None) -> float:
     """Twice the negative log posterior of ``(beta, U)``, up to an additive constant.
 
-    The demo term is weighted by ``Sigma_U``, the stationarity, U-prior and
-    beta-prior terms by the priors' precisions.
+    The demo term is ``tr(W S) + D |U - Ubar|^2_W`` with ``W = Sigma_U^{-1}``;
+    the stationarity, U-prior and beta-prior terms are weighted by the priors' precisions.
     """
     if bs is None:
         bs = model.build_stationarity(ds.fp_ref)
@@ -99,11 +99,13 @@ def map_cost(U, beta, Sigma_U, ds: DemoSet, priors: Priors, bs=None) -> float:
     q = bs.n_features
     theta, lam = beta[:q], beta[q:]
 
-    R = ds.stacked() - U
+    D = ds.n_demos
     L_SU = cholesky(np.asarray(Sigma_U, dtype=float))
-    total = float(np.sum(R * cholesky_solve(L_SU, R.T).T))
+    d = U - ds.mean
+    total = float(np.trace(cholesky_solve(L_SU, ds.scatter)))
+    total += D * float(d @ cholesky_solve(L_SU, d))
     s = bs.stationarity(U, theta, lam)
-    total += ds.n_demos * float(s @ priors.Sigma_Y_inv @ s)
+    total += D * float(s @ priors.Sigma_Y_inv @ s)
     dU = U - priors.U0
     total += float(dU @ priors.Sigma_U0_inv @ dU)
     db = beta - priors.beta0
@@ -226,6 +228,10 @@ def consistency_cost_check(
     ``theta_star`` and the multipliers ``lam_star``, and at random joint
     perturbations of the stated magnitudes, and reports the fraction of
     perturbations with strictly higher cost.
+
+    The demo term keeps the residual form, not the demo statistics, so that
+    noiseless demos cost exactly zero at ``U*``: the mean of many identical
+    demos can round away from ``U*``.
     """
     bs = model.build_stationarity(fp)
     theta_star = np.asarray(theta_star, dtype=float).ravel()
@@ -237,7 +243,7 @@ def consistency_cost_check(
     Sigma_U = Sigma_U + 1e-12 * np.eye(Sigma_U.shape[0])
     L_SU = cholesky(Sigma_U)
 
-    stackd = ds.stacked()
+    stackd = np.vstack(ds.U_list)
     q = fp.q
 
     def cost(U, beta):

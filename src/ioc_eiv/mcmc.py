@@ -19,6 +19,9 @@ that ``_u_information`` returns: the exact draw takes its mean and
 covariance from them, the Metropolis target is ``info' U - 0.5 U' prec U``,
 and the MAP estimator's U-step minimizes the negative of that target.
 
+The demos enter only through their count D, mean Ubar and scatter S
+(``DemoSet``): II reads ``D Ubar``, and III's scale ``S + D (Ubar - U)(Ubar - U)'``.
+
 Every matrix the chain factors is exactly symmetric, so the factorization
 never runs its tolerance test.  One exact iteration makes six
 factorizations: three ``spd_inverse`` calls (the beta precision, the
@@ -38,7 +41,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import model
-from .demos import DemoSet, sample_mean
+from .demos import DemoSet
 from .kkt_baseline import NormalizationRule, kkt_single
 from .numerics import cholesky, spd_inverse
 
@@ -117,7 +120,6 @@ class Priors:
 
 @dataclass
 class ChainState:
-    iteration: int
     U: np.ndarray
     beta: np.ndarray
     Sigma_U: np.ndarray
@@ -234,19 +236,19 @@ def _u_information(ds: DemoSet, theta, lam, SigU_inv, bs: model.BilinearStationa
     SigY_inv = priors.Sigma_Y_inv
     prec = priors.Sigma_U0_inv + D * (Mb.T @ SigY_inv @ Mb) + D * SigU_inv
     prec = 0.5 * (prec + prec.T)
-    info = priors.Sigma_U0_inv_U0 - D * (Mb.T @ (SigY_inv @ Ebeta)) + SigU_inv @ ds.demo_sum()
+    info = priors.Sigma_U0_inv_U0 - D * (Mb.T @ (SigY_inv @ Ebeta)) + D * (SigU_inv @ ds.mean)
     return prec, info
 
 
 def full_conditional_SigmaU(ds: DemoSet, U, priors: Priors):
     """Inverse-Wishart full conditional of the demo covariance.
 
-    Returns (scale, degrees of freedom) = (W_U + scatter about U, D + m_U).
+    Returns (scale, degrees of freedom) = (W_U + S + D (Ubar - U)(Ubar - U)',
+    D + m_U): the scale adds the demos' scatter about U, and is exactly symmetric.
     """
-    U = np.asarray(U, dtype=float).ravel()
-    R = ds.stacked() - U
-    scatter = R.T @ R
-    return priors.W_U + scatter, ds.n_demos + priors.m_U
+    D = ds.n_demos
+    d = ds.mean - np.asarray(U, dtype=float).ravel()
+    return priors.W_U + ds.scatter + D * (d[:, None] * d), D + priors.m_U
 
 
 def default_priors(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> Priors:
@@ -259,14 +261,9 @@ def default_priors(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRul
     variance ``SIGMA_Y``.  Sample-covariance-derived scales are floored so the
     priors stay positive definite on noiseless demo sets.
     """
-    mN = fp.n_inputs
-    U0 = sample_mean(ds)
-    stackd = ds.stacked()
-    if ds.n_demos > 1:
-        cov = np.cov(stackd, rowvar=False, ddof=1)
-        cov = np.atleast_2d(cov)
-    else:
-        cov = np.zeros((mN, mN))
+    mN, D = fp.n_inputs, ds.n_demos
+    U0 = ds.mean
+    cov = ds.scatter / (D - 1) if D > 1 else np.zeros((mN, mN))
     floor = 1e-8 * (1.0 + float(U0 @ U0) / mN)
     s2 = max(10.0 * np.trace(cov) / mN, 100.0 * floor)
     Sigma_U0 = s2 * np.eye(mN)
@@ -382,15 +379,15 @@ def gibbs_run(
     bs = model.build_stationarity(fp)
     mN = fp.n_inputs
 
-    U = sample_mean(ds)
+    U = ds.mean
     beta = priors.beta0.copy()
     Sigma_U = np.eye(mN)
     # states share the chain's arrays, which nothing writes to; only the
     # retained tail is kept
     states = deque(maxlen=n_keep)
-    states.append(ChainState(iteration=1, U=U, beta=beta, Sigma_U=Sigma_U))
+    states.append(ChainState(U=U, beta=beta, Sigma_U=Sigma_U))
     n_acc = 0
-    for it in range(2, n_iter + 1):
+    for _ in range(n_iter - 1):
         mean_b, cov_b = full_conditional_beta(ds, U, bs, priors)
         beta = sample_mvn(mean_b, cov_b, rng)
         if u_step == "exact":
@@ -402,7 +399,7 @@ def gibbs_run(
             n_acc += int(acc)
         W_post, nu_post = full_conditional_SigmaU(ds, U, priors)
         Sigma_U = sample_inverse_wishart(W_post, nu_post, rng)
-        states.append(ChainState(iteration=it, U=U, beta=beta, Sigma_U=Sigma_U))
+        states.append(ChainState(U=U, beta=beta, Sigma_U=Sigma_U))
 
     kept = list(states)
     return ChainOutput(

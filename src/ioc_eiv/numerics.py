@@ -12,16 +12,17 @@ the solve, which reads the same numbers without copying them back.
 
 :func:`_factor` factors the symmetrized ``0.5 * (M + M')``.  Most inputs
 are already exactly symmetric (an inverse symmetrized by its builder,
-``X @ X.T``, ``W + R.T @ R``), and for those it factors ``M`` itself after
-comparing the bytes of ``M`` and ``M'``, with the elementwise ``M == M.T``
-only when the bytes differ (a ``-0.0`` facing a ``+0.0``).  That fast path
-is exact, not approximate: equality passes the 1e-10 symmetry test
-trivially, and ``0.5 * (M + M)`` equals ``M`` bitwise because doubling and
-halving a double are exact, unless ``M + M`` overflows.  So every entry
-must lie below 1e307 in magnitude, which is tested on the factor: an
-accepted one bounds each ``|M_ij|`` by ``sqrt(M_ii M_jj)`` up to rounding,
-so a largest diagonal entry below 1e306 bounds them all.  Any other
-outcome takes the general path, which factors the symmetrized matrix.
+``X @ X.T``, the inverse-Wishart scale ``W + S + D d d'``), and for those
+it factors ``M`` itself after comparing the bytes of ``M`` and ``M'``,
+with the elementwise ``M == M.T`` only when the bytes differ (a ``-0.0``
+facing a ``+0.0``).  That fast path is exact, not approximate: equality
+passes the 1e-10 symmetry test trivially, and ``0.5 * (M + M)`` equals
+``M`` bitwise because doubling and halving a double are exact, unless
+``M + M`` overflows.  So every entry must lie below 1e307 in magnitude,
+which is tested on the factor: an accepted one bounds each ``|M_ij|`` by
+``sqrt(M_ii M_jj)`` up to rounding, so a largest diagonal entry below
+1e306 bounds them all.  Any other outcome takes the general path, which
+factors the symmetrized matrix.
 
 Every factor :func:`_factor` returns is finite, and nothing tests it
 again: the fast path returns only a factor with a finite diagonal, and the

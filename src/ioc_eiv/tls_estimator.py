@@ -9,8 +9,12 @@ covariance TLS is the fit in the ``q`` weights alone
 
     min_theta  f(theta) = sum_d (U*(theta) - U_d)' Sigma_U^{-1} (U*(theta) - U_d)
 
-over the normalization cone.  :func:`tls_inner` solves it by projected
-Gauss-Newton:
+over the normalization cone.  In the demo statistics (``DemoSet``), ``f`` is
+``D |U*(theta) - Ubar|^2_W + tr(W S)`` with ``W = Sigma_U^{-1}``, and
+``tr(W S)`` does not depend on ``theta``: TLS is a weighted forward fit to
+the sample mean.  With one input channel (both shipped configs) ``W`` is a
+multiple of the identity, so ``theta`` depends on ``Sigma_U`` only through
+the stop tests.  :func:`tls_inner` solves the fit by projected Gauss-Newton:
 
 * each evaluation of ``f`` is one :func:`~ioc_eiv.forward.solve`, which
   gives ``U``, the multipliers and the demo cost at once; a backtracking
@@ -54,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .demos import DemoSet, sample_mean
+from .demos import DemoSet
 from .forward import solve as forward_solve
 from .kkt_baseline import NormalizationRule, _require_rule, kkt_single
 from .numerics import Qp, _identity, solve_qp, spd_inverse
@@ -118,15 +122,15 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: Normalizatio
     bs = model.build_stationarity(fp)
     q, D = bs.n_features, ds.n_demos
     SU_inv = spd_inverse(Sigma_U)
-    stackd, demo_sum = ds.stacked(), ds.demo_sum()
+    tr_WS = float(np.sum(SU_inv * ds.scatter))  # tr(W S), both symmetric
     floor = _FLOOR * norm.value
     cone = norm.beta_blocks(q, q)
     cone["bin"] = np.full(q, -floor)
 
     def evaluate(theta, start=None):
         sol = forward_solve(fp, theta, start)
-        R = stackd - sol.U
-        return sol, float(((R @ SU_inv) * R).sum())
+        d = sol.U - ds.mean
+        return sol, D * float(d @ SU_inv @ d) + tr_WS
 
     start = np.asarray(init_theta, dtype=float).ravel()
     theta = solve_qp(Qp(H=_identity(q), c=-start, **cone)).z
@@ -135,7 +139,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: Normalizatio
     for _ in range(MAX_INNER_ITERS):
         G = _sensitivity(bs, theta, sol)
         WG = SU_inv @ G
-        grad = 2.0 * WG.T @ (D * sol.U - demo_sum)
+        grad = 2.0 * D * (WG.T @ (sol.U - ds.mean))
         H = 2.0 * D * (G.T @ WG)
         curvature = float(np.trace(H)) / q
         if curvature * norm.value**2 <= COST_TOL * max(1.0, cost):
@@ -166,16 +170,15 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: Normalizatio
 def estimate(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> TlsResult:
     """Full TLS pipeline: one inner solve at the per-step noise covariance."""
     m, N, D = fp.system.m, fp.horizon, ds.n_demos
-    mean = sample_mean(ds)
-    R = (ds.stacked() - mean).reshape(D * N, m)
-    Sigma_u = R.T @ R
+    # the sum of the scatter's N diagonal m x m blocks
+    Sigma_u = np.trace(ds.scatter.reshape(N, m, N, m), axis1=0, axis2=2)
     if np.trace(Sigma_u) == 0.0:  # one demo, or noiseless demos
         Sigma_u = np.eye(m)
     else:
         Sigma_u /= N * (D - 1)
         Sigma_u += RIDGE * np.trace(Sigma_u) / m * np.eye(m)
     Sigma_U = np.kron(np.eye(N), Sigma_u)
-    theta = kkt_single(mean, fp, norm).theta
+    theta = kkt_single(ds.mean, fp, norm).theta
     U, theta, lam, cost, path, steps = tls_inner(ds, fp, Sigma_U, norm, theta)
     return TlsResult(
         theta=theta,

@@ -340,3 +340,48 @@ def spd_inverse(M):
     if info != 0:
         raise ValueError(f"invalid input to triangular solve (argument {-info})")
     return 0.5 * (C + C.T)
+
+
+# Residual forms of the demo statistics' readers: each walks the demos one
+# at a time, as the estimators did before they read (D, Ubar, S).
+
+
+def demo_scatter(U_list, about):
+    """``sum_d (U_d - about)(U_d - about)'``, one outer product per demo."""
+    about = np.asarray(about, dtype=float)
+    out = np.zeros((about.shape[0], about.shape[0]))
+    for U_d in U_list:
+        r = U_d - about
+        out += np.outer(r, r)
+    return out
+
+
+def demo_term(U_list, U, W):
+    """``sum_d (U - U_d)' W (U - U_d)``: the demo term of the MAP and TLS costs."""
+    return sum(float((U - U_d) @ W @ (U - U_d)) for U_d in U_list)
+
+
+def inverse_wishart_scale(U_list, U, W_U):
+    """Scale of the Gibbs chain's Sigma_U conditional: ``W_U`` plus the scatter about ``U``."""
+    return W_U + demo_scatter(U_list, U)
+
+
+def sample_covariance(U_list):
+    """Unbiased sample covariance of the demos; zero for one demo."""
+    D = len(U_list)
+    mean = sum(U_list) / D
+    return demo_scatter(U_list, mean) / max(D - 1, 1)
+
+
+def per_step_covariance(U_list, m):
+    """TLS's per-step covariance: every step's m-vector of residuals about
+    the mean, pooled over the ``N`` steps and ``D`` demos, over ``N (D - 1)``."""
+    D = len(U_list)
+    mean = sum(U_list) / D
+    N = mean.shape[0] // m
+    out = np.zeros((m, m))
+    for U_d in U_list:
+        for k in range(N):
+            r = U_d[k * m:(k + 1) * m] - mean[k * m:(k + 1) * m]
+            out += np.outer(r, r)
+    return out / (N * (D - 1))

@@ -38,7 +38,7 @@ def test_gaussian_sample_moments():
     sigma = 0.3
     D = 10_000
     ds = generate(U_star, NoiseSpec.gaussian(np.array([[sigma**2]]), seed=2), D, fp)
-    stacked = ds.stacked()
+    stacked = np.vstack(ds.U_list)
     mean_err = np.linalg.norm(stacked.mean(axis=0) - U_star)
     assert mean_err <= 4.0 * sigma * np.sqrt(10.0 / D)
     var = stacked.var(axis=0, ddof=1)
@@ -69,7 +69,7 @@ def test_uniform_noise_zero_mean_and_bounded():
     hw = 0.25
     D = 10_000
     ds = generate(U_star, NoiseSpec.uniform(np.array([hw]), seed=5), D, fp)
-    noise = ds.stacked() - U_star
+    noise = np.vstack(ds.U_list) - U_star
     assert np.max(np.abs(noise)) <= hw
     se = hw / np.sqrt(3.0 * D)
     assert np.all(np.abs(noise.mean(axis=0)) <= 5.0 * se)
@@ -83,7 +83,7 @@ def test_truncated_noise_respects_bounds_and_biases():
         np.array([[0.09]]), lower=np.array([lower]), upper=np.array([upper]), seed=6
     )
     ds = generate(U_star, spec, 2000, fp)
-    stacked = ds.stacked()
+    stacked = np.vstack(ds.U_list)
     assert np.min(stacked) >= lower and np.max(stacked) <= upper
     # the last optimal input is 0, so the one-sided clip shifts its mean up
     assert stacked[:, 9].mean() > 0.05
@@ -164,28 +164,19 @@ def test_rmse_definition():
         rmse(np.ones(3), np.ones(4))
 
 
-def test_stacked_is_built_once_read_only_and_equal_to_vstack():
+def test_mean_and_scatter_are_read_only_and_equal_their_oracle():
     fp, U_star = _benchmark_setup()
     ds = generate(U_star, NoiseSpec.gaussian(np.array([[0.04]]), seed=12), 5, fp)
-    first = ds.stacked()
-    assert ds.stacked() is first
-    assert np.array_equal(first, np.vstack(ds.U_list))
-    assert first.shape == (5, 10)
-    with pytest.raises(ValueError):
-        first[0, 0] = 1.0
-    # the demos themselves are read-only too, so the cache cannot go stale
-    with pytest.raises(ValueError):
-        ds.U_list[0][0] = 1.0
-
-
-def test_demo_sum_is_built_once_read_only_and_equal_to_the_stacked_sum():
-    fp, U_star = _benchmark_setup()
-    ds = generate(U_star, NoiseSpec.gaussian(np.array([[0.04]]), seed=13), 4, fp)
-    first = ds.demo_sum()
-    assert ds.demo_sum() is first
-    assert first.tobytes() == ds.stacked().sum(axis=0).tobytes()
-    with pytest.raises(ValueError):
-        first[0] = 1.0
+    stacked = np.vstack(ds.U_list)
+    assert ds.mean.tobytes() == stacked.mean(axis=0).tobytes()
+    want = oracles.demo_scatter(ds.U_list, stacked.mean(axis=0))
+    np.testing.assert_allclose(ds.scatter, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    assert np.array_equal(ds.scatter, ds.scatter.T)
+    assert sample_mean(ds) is ds.mean
+    # the statistics and the demos they were built from are all read-only
+    for a in (ds.mean, ds.scatter, ds.U_list[0]):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def _assert_demos_equal(ds, expected):
@@ -267,7 +258,8 @@ def test_narrow_band_refills_blocks_within_a_step():
         spec = NoiseSpec.truncated_gaussian(np.array([[1.0]]), 0.45, 0.55, seed)
         ds = generate(U_star, spec, 5, fp)
         _assert_demos_equal(ds, oracles.per_try_demos(U_star, spec, 5, fp))
-        assert np.all((ds.stacked() >= 0.45) & (ds.stacked() <= 0.55))
+        stacked = np.vstack(ds.U_list)
+        assert np.all((stacked >= 0.45) & (stacked <= 0.55))
 
 
 @pytest.mark.parametrize("max_tries", [1, 5, 37])
@@ -283,7 +275,7 @@ def test_steps_out_of_tries_clip_and_later_steps_still_accept(monkeypatch, max_t
         spec = NoiseSpec.truncated_gaussian(np.array([[0.09]]), lower, upper, seed)
         ds = generate(U_star, spec, 5, fp)
         _assert_demos_equal(ds, oracles.per_try_demos(U_star, spec, 5, fp))
-        stacked = ds.stacked()
+        stacked = np.vstack(ds.U_list)
         assert np.all(stacked[:, 0::2] == np.clip(U_star[0::2], lower, upper))
         odd = stacked[:, 1::2]
         assert np.all((odd >= lower) & (odd <= upper))
