@@ -424,7 +424,7 @@ def _fit_mean(ds, fp, norm, gibbs, seed):
 
 
 def _fit_map(ds, fp, norm, gibbs, seed):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _MAP_STREAM]))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_MAP_STREAM,)))
     res = map_estimator.estimate(ds, fp, MapConfig(norm=norm, gibbs=gibbs), rng=rng)
     return res.theta, res.U_hat, {
         "Sigma_U": matrix_to_json(res.Sigma_U_hat),
@@ -442,8 +442,11 @@ def _fit_tls(ds, fp, norm, gibbs, seed):
 
 _METHODS = {"kkt": _fit_kkt, "mean": _fit_mean, "map": _fit_map, "tls": _fit_tls}
 # the bench passes repetition r's seed master + r and ``estimate --seed S`` passes
-# S, and the MAP chain draws from SeedSequence([seed, _MAP_STREAM]), so a rows.csv
-# seed reproduces its MAP row
+# S, so a rows.csv seed reproduces its MAP row.  Demo d draws from
+# SeedSequence([seed, d]); the MAP chain draws from SeedSequence(seed,
+# spawn_key=(_MAP_STREAM,)), whose entropy is padded to the 4-word pool before
+# the key, [seed, 0, 0, 0, 1], so it is no demo's stream.  ([seed, 1, 0] would
+# not do: trailing zero words hash like no words, which gives demo 1's stream.)
 _MAP_STREAM = 1
 
 

@@ -613,15 +613,16 @@ def test_forward_json_is_bit_identical_to_golden(tmp_path, config):
 # U-step precisions changed, and when MAP's cost and half-steps took the
 # Gibbs conditionals' Gaussian forms (a rounding-level move); the map and tls
 # pins moved again when the estimators read the demos through their count,
-# mean and scatter (a rounding-level move).
+# mean and scatter (a rounding-level move), and both map pins when the chain
+# left demo 1's random stream for a stream of its own.
 GOLDEN_ESTIMATE_SHA256 = {
     ("spring_damper", "mean"): "1789ebcecbf03730d23192bc5cf5cddb6fdbe7a2d7f5861e30bcb71b3362f6f2",
     ("spring_damper", "kkt"): "41ef5e1c6220f661b73847f171ec25403817e1288c80a47acc28fbd794c36513",
-    ("spring_damper", "map"): "9f57f15c54f99ef1633634d00d76acef3c2f353c3fa3912fccef43a2de18594f",
+    ("spring_damper", "map"): "264f0a74731bbe55b72a6694f214fee9a78cbe4d360eca4d8546deee243d1d97",
     ("spring_damper", "tls"): "1f7f2bbd390d7739a4376d40088f454c28a6c28b4eb8c2cd5f335e865a165f8e",
     ("tls_positivity", "mean"): "2d62d22d6acdab13e8cd4f225a4f9b9e9e0bd5dd156bb788844ae6df03117697",
     ("tls_positivity", "kkt"): "afd2e2bc29e32e52b51be2e895bbaf0f53661c0de0aa5798da972f2749d003a5",
-    ("tls_positivity", "map"): "7ba5e397883a0796f37cf4cae5aa38cdd8a1ee2df09cfe1f1ade52e5cb2c814c",
+    ("tls_positivity", "map"): "8d4f7a229ae4000dc41705c3b6a4a1a367f71ee7479fbdb81cd62c400d3ec2da",
     ("tls_positivity", "tls"): "7c2f7cba7cfaa4462c189f10fa235a869c220c70ef83cbb47b62d6f1bf533f66",
 }
 _GOLDEN_DEMOS = {"spring_damper": (10, 20260821), "tls_positivity": (10, 20260824)}
@@ -651,11 +652,12 @@ def test_estimate_json_is_bit_identical_to_golden(tmp_path, config, method):
 # against perfbench/pins.json; these pins let the test suite tell a
 # behaviour change from a speed change on its own.  Both moved when the
 # estimators read the demos through their count, mean and scatter (a
-# rounding-level move).  Like the other golden pins, they depend on the
+# rounding-level move), and spring_damper's again when the MAP chain left
+# demo 1's random stream.  Like the other golden pins, they depend on the
 # numpy/OpenBLAS build.
 GOLDEN_REFERENCE_ROWS_SHA256 = {
     "spring_damper": (("map",), 1, [5, 10, 20],
-                      "cb915ba27749be2c424293d4b73c365825f184e2fec7294715ff778937a46b6b"),
+                      "76e2389550506aa83f9a926cacfe54ff3a5475ed0540b726be128f4dd46f0204"),
     "tls_positivity": (("tls", "kkt", "mean"), 10, [5, 10, 20],
                        "2b8a89424e6c417a7037e50a53919526f1ce80ed061d533d99aeb39d0999e9bf"),
 }
@@ -771,3 +773,24 @@ def test_bench_seeds_a_chain_for_map_tasks_only(tmp_path, capsys, monkeypatch, m
     assert main(["bench", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
     # 2 levels x 2 reps per method, each drawing 4 demos from their own substreams
     assert len(seeded) == len(methods) * 4 * 4 + chains
+
+
+def test_map_chain_draws_from_no_demo_substream(monkeypatch):
+    # demo d draws from SeedSequence([seed, d]); a chain on one of those
+    # streams would start by repeating that demo's noise
+    from ioc_eiv import bench_cli, map_estimator
+
+    class Drawn(Exception):
+        pass
+
+    def first_draws(ds, fp, cfg, rng):
+        raise Drawn(rng.standard_normal(16))
+
+    monkeypatch.setattr(map_estimator, "estimate", first_draws)
+    for seed in (0, 20260819, 20260828):
+        with pytest.raises(Drawn) as drawn:
+            bench_cli._METHODS["map"](None, None, None, None, seed)
+        chain = drawn.value.args[0]
+        for d in range(64):
+            demo = np.random.default_rng(np.random.SeedSequence([seed, d])).standard_normal(16)
+            assert not np.array_equal(chain, demo), (seed, d)
