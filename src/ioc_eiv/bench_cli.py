@@ -442,11 +442,9 @@ def _fit_tls(ds, fp, norm, gibbs, seed):
 
 _METHODS = {"kkt": _fit_kkt, "mean": _fit_mean, "map": _fit_map, "tls": _fit_tls}
 # the bench passes repetition r's seed master + r and ``estimate --seed S`` passes
-# S, so a rows.csv seed reproduces its MAP row.  Demo d draws from
-# SeedSequence([seed, d]); the MAP chain draws from SeedSequence(seed,
-# spawn_key=(_MAP_STREAM,)), whose entropy is padded to the 4-word pool before
-# the key, [seed, 0, 0, 0, 1], so it is no demo's stream.  ([seed, 1, 0] would
-# not do: trailing zero words hash like no words, which gives demo 1's stream.)
+# S, so a rows.csv seed reproduces its MAP row.  Demo d draws from SeedSequence([seed, d]);
+# a spawn key is hashed after the seed padded to four words, so the chain's stream,
+# [seed, 0, 0, 0, 1], is no demo's ([seed, 1, 0] hashes like [seed, 1], demo 1's)
 _MAP_STREAM = 1
 
 

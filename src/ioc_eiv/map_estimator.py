@@ -229,9 +229,8 @@ def consistency_cost_check(
     perturbations of the stated magnitudes, and reports the fraction of
     perturbations with strictly higher cost.
 
-    The demo term keeps the residual form, not the demo statistics, so that
-    noiseless demos cost exactly zero at ``U*``: the mean of many identical
-    demos can round away from ``U*``.
+    The demo term keeps the residual form so that noiseless demos cost exactly
+    zero at ``U*``; the mean of many identical demos can round away from it.
     """
     bs = model.build_stationarity(fp)
     theta_star = np.asarray(theta_star, dtype=float).ravel()

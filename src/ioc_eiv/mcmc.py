@@ -19,8 +19,8 @@ that ``_u_information`` returns: the exact draw takes its mean and
 covariance from them, the Metropolis target is ``info' U - 0.5 U' prec U``,
 and the MAP estimator's U-step minimizes the negative of that target.
 
-The demos enter only through their count D, mean Ubar and scatter S
-(``DemoSet``): II reads ``D Ubar``, and III's scale ``S + D (Ubar - U)(Ubar - U)'``.
+The demos enter only through ``DemoSet``'s count D, mean Ubar and scatter S:
+II reads ``D Ubar``, and III adds ``S + D (Ubar - U)(Ubar - U)'`` to ``W_U``.
 
 Every matrix the chain factors is exactly symmetric, so the factorization
 never runs its tolerance test.  One exact iteration makes six
