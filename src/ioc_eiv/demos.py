@@ -145,7 +145,7 @@ class DemoSet:
 
     def __post_init__(self):
         object.__setattr__(self, "U_list", tuple(_read_only(U) for U in self.U_list))
-        stacked = np.vstack(self.U_list)
+        stacked = np.array(self.U_list)  # (D, mN); faster than vstack on small demos
         mean = stacked.mean(axis=0)
         R = stacked - mean
         object.__setattr__(self, "mean", _read_only(mean))
