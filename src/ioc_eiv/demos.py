@@ -144,6 +144,8 @@ class DemoSet:
     scatter: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if len(self.U_list) == 0:
+            raise ValueError("a demo set needs at least one demo")
         object.__setattr__(self, "U_list", tuple(_read_only(U) for U in self.U_list))
         stacked = np.array(self.U_list)  # (D, mN); faster than vstack on small demos
         mean = stacked.mean(axis=0)

@@ -99,13 +99,12 @@ def map_cost(U, beta, Sigma_U, ds: DemoSet, priors: Priors, bs=None) -> float:
     q = bs.n_features
     theta, lam = beta[:q], beta[q:]
 
-    D = ds.n_demos
     L_SU = cholesky(np.asarray(Sigma_U, dtype=float))
     d = U - ds.mean
     total = float(np.trace(cholesky_solve(L_SU, ds.scatter)))
-    total += D * float(d @ cholesky_solve(L_SU, d))
+    total += ds.n_demos * float(d @ cholesky_solve(L_SU, d))
     s = bs.stationarity(U, theta, lam)
-    total += D * float(s @ priors.Sigma_Y_inv @ s)
+    total += ds.n_demos * float(s @ priors.Sigma_Y_inv @ s)
     dU = U - priors.U0
     total += float(dU @ priors.Sigma_U0_inv @ dU)
     db = beta - priors.beta0

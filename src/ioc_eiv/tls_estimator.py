@@ -170,8 +170,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: Normalizatio
 def estimate(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> TlsResult:
     """Full TLS pipeline: one inner solve at the per-step noise covariance."""
     m, N, D = fp.system.m, fp.horizon, ds.n_demos
-    # the sum of the scatter's N diagonal m x m blocks
-    Sigma_u = np.trace(ds.scatter.reshape(N, m, N, m), axis1=0, axis2=2)
+    Sigma_u = np.trace(ds.scatter.reshape(N, m, N, m), axis1=0, axis2=2)  # sum of diagonal blocks
     if np.trace(Sigma_u) == 0.0:  # one demo, or noiseless demos
         Sigma_u = np.eye(m)
     else:

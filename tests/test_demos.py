@@ -177,6 +177,8 @@ def test_mean_and_scatter_are_read_only_and_equal_their_oracle():
     for a in (ds.mean, ds.scatter, ds.U_list[0]):
         with pytest.raises(ValueError):
             a[0] = 1.0
+    with pytest.raises(ValueError, match="at least one demo"):
+        demos.DemoSet(U_list=(), fp_ref=fp)
 
 
 def _assert_demos_equal(ds, expected):
