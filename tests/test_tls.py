@@ -80,13 +80,7 @@ def test_covariance_is_pooled_per_step_scatter_with_relative_ridge():
     norm = NormalizationRule("sum", value=float(np.sum(theta)))
     ds = generate(U_star, spec, 5, fp)
     res = tls_estimate(ds, fp, norm)
-    mean = sum(ds.U_list) / 5
-    scatter = np.zeros((m, m))
-    for U_d in ds.U_list:
-        for k in range(N):
-            r = U_d[k * m:(k + 1) * m] - mean[k * m:(k + 1) * m]
-            scatter += np.outer(r, r)
-    Sigma_u = scatter / (N * 4)
+    Sigma_u = oracles.per_step_covariance(ds.U_list, m)
     Sigma_u += tls_estimator.RIDGE * np.trace(Sigma_u) / m * np.eye(m)
     np.testing.assert_allclose(res.Sigma_U_hat, np.kron(np.eye(N), Sigma_u),
                                rtol=1e-12, atol=0.0)
