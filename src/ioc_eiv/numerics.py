@@ -1,7 +1,11 @@
-"""Dense numerical kernels: SPD factorization and inverse, and a strictly convex QP solver.
+"""Dense numerical kernels: SPD factorization and inverse, an LU solve, and a strictly convex QP solver.
 
 The private :func:`_factor` is the package's one SPD factorization and
-:func:`_solve` its one solve with that factor.  :func:`cholesky` hands the
+:func:`_solve` its one solve with that factor.  The private
+:func:`_lu_solve` is its one general solve, LAPACK's LU with partial
+pivoting: it solves the QP solver's face systems and the TLS sensitivity
+system, which are small enough that numpy's per-call overhead would cost
+several times the factorization itself.  :func:`cholesky` hands the
 factor out C-ordered, which is part of the contract: numpy's
 matrix-vector kernels round differently on a Fortran-ordered operand, so a
 sampler computing ``L @ z`` with the raw LAPACK output would draw different
@@ -215,6 +219,25 @@ def _solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The one LU solve: ``A x = b`` for a nonempty square float ``A`` and a
+    float ``b`` of matching order, one right-hand side or a matrix of them.
+
+    LAPACK's ``dgesv`` (LU with partial pivoting), called directly: the
+    same factorization as :func:`numpy.linalg.solve` without its per-call
+    overhead, which the small face and sensitivity systems are dominated
+    by.  An exactly zero pivot raises ``numpy.linalg.LinAlgError``
+    ("Singular matrix"), as :func:`numpy.linalg.solve` does.  A matrix
+    ``x`` comes back in LAPACK's Fortran order.
+    """
+    _, _, x, info = lapack.dgesv(A, b)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    if info < 0:
+        raise ValueError(f"invalid input to LU solve (argument {-info})")
+    return x
+
+
 def cholesky_solve(L: np.ndarray, rhs) -> np.ndarray:
     """Solve ``(L L') x = rhs`` given the lower factor from :func:`cholesky`.
 
@@ -357,7 +380,7 @@ def _eqp(L, c, A, b):
     Hinv_At = _solve(L, A.T)
     S = A @ Hinv_At
     rhs = -(b + A @ Hinv_c)
-    mu = np.linalg.solve(S, rhs)
+    mu = _lu_solve(S, rhs)
     y = -(Hinv_c + Hinv_At @ mu)
     return y, mu
 
@@ -490,8 +513,10 @@ def solve_qp(qp: Qp, face=None) -> QpSolution:
     constraints; the module docstring says how it is tried.  A face with a
     non-integer or out-of-range index raises TypeError or ValueError.
 
-    Raises Infeasible, IterationLimit, or NotPositiveDefinite, and
-    ValueError when the answer overflows.
+    Raises Infeasible, IterationLimit, or NotPositiveDefinite, ValueError
+    when the answer overflows, and ``numpy.linalg.LinAlgError`` when a
+    working set's face system is exactly singular (a row whose
+    ``a H^-1 a'`` underflows to zero, say).
     """
     n = qp.dim
     H, c = qp.H, qp.c

@@ -61,7 +61,7 @@ from . import model
 from .demos import DemoSet
 from .forward import solve as forward_solve
 from .kkt_baseline import NormalizationRule, _require_rule, kkt_single
-from .numerics import Qp, _identity, solve_qp, spd_inverse
+from .numerics import Qp, _identity, _lu_solve, solve_qp, spd_inverse
 
 __all__ = ["TlsResult", "tls_inner", "estimate"]
 
@@ -94,6 +94,8 @@ def _sensitivity(bs: model.BilinearStationarity, theta, sol) -> np.ndarray:
     Differentiates the forward KKT system with the rows ``A`` held by
     ``sol.lam`` kept as equalities:
     ``[[M_beta, J_A], [J_A', 0]] [G; dlam_A] = -[J_theta(U); 0]``.
+    That system is symmetric but indefinite, so it is solved by LU with
+    partial pivoting (``numerics._lu_solve``), all ``q`` columns at once.
     """
     held = np.flatnonzero(bs.held_rows(sol.lam))
     mN, k = bs.n_inputs, held.size
@@ -104,7 +106,7 @@ def _sensitivity(bs: model.BilinearStationarity, theta, sol) -> np.ndarray:
     K[mN:, :mN] = J_A.T
     rhs = np.zeros((mN + k, bs.n_features))
     rhs[:mN] = -bs.J_theta(sol.U)
-    return np.linalg.solve(K, rhs)[:mN]
+    return _lu_solve(K, rhs)[:mN]
 
 
 def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: NormalizationRule,

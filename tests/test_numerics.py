@@ -367,17 +367,30 @@ def test_cholesky_solve_rejects_non_finite_and_mismatched_inputs():
 
 # LAPACK's SPD factorization and solve, and scipy's wrappers of them
 _SPD_KERNELS = {"dpotrf", "dpotrs", "cho_factor", "cho_solve"}
+# LAPACK's general LU solve and its parts, and scipy's wrappers of them
+_LU_KERNELS = {"dgesv", "dgetrf", "dgetrs", "lu_factor", "lu_solve"}
 
 
 def _spd_kernel_uses(source):
     """``(top-level definition, kernel)`` of every reference in ``source``
     to a name in ``_SPD_KERNELS`` or to numpy's or scipy's
     ``linalg.cholesky``; the definition is ``""`` at module level."""
+    return _kernel_uses(source, _SPD_KERNELS, "cholesky")
+
+
+def _lu_kernel_uses(source):
+    """As :func:`_spd_kernel_uses`, for ``_LU_KERNELS`` and ``linalg.solve``."""
+    return _kernel_uses(source, _LU_KERNELS, "solve")
+
+
+def _kernel_uses(source, kernels, linalg_name):
+    """``(top-level definition, kernel)`` of every reference in ``source``
+    to a name in ``kernels`` or to ``linalg.<linalg_name>``."""
 
     def kernel(name, in_linalg):
-        if name in _SPD_KERNELS:
+        if name in kernels:
             return name
-        return "linalg.cholesky" if name == "cholesky" and in_linalg else None
+        return f"linalg.{linalg_name}" if name == linalg_name and in_linalg else None
 
     found = []
     for top in ast.parse(source).body:
@@ -416,6 +429,63 @@ def test_one_spd_factorization_and_one_solve_in_the_package():
         for func, name in _spd_kernel_uses(path.read_text()):
             uses.setdefault(name, set()).add((path.stem, func))
     assert uses == {"dpotrf": {("numerics", "_factor")}, "dpotrs": {("numerics", "_solve")}}
+
+
+def test_lu_guard_sees_every_kind_of_reference():
+    source = (
+        "import numpy as np\nfrom scipy import linalg\nfrom scipy.linalg import lu_solve\n"
+        "from numpy.linalg import solve\n"
+        "def f(A, b):\n    return lapack.dgesv(A, b), np.linalg.solve(A, b), linalg.solve(A, b)\n"
+        "def g(A, b):\n    return solve(A, b), _lu_solve(A, b)\n"
+    )
+    assert sorted(_lu_kernel_uses(source)) == sorted([
+        ("", "lu_solve"), ("", "linalg.solve"),
+        ("f", "dgesv"), ("f", "linalg.solve"), ("f", "linalg.solve"),
+    ])
+
+
+def test_one_lu_solve_in_the_package():
+    # lapack.dgesv only in numerics._lu_solve, and neither numpy's nor
+    # scipy's linalg.solve nor another LU routine anywhere
+    uses = {}
+    for path in sorted(Path(ioc_eiv.__file__).parent.glob("*.py")):
+        for func, name in _lu_kernel_uses(path.read_text()):
+            uses.setdefault(name, set()).add((path.stem, func))
+    assert uses == {"dgesv": {("numerics", "_lu_solve")}}
+
+
+@pytest.mark.parametrize("n_rhs", [None, 3])
+def test_lu_solve_agrees_with_numpy_solve(n_rhs):
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        dim = int(rng.integers(1, 12))
+        # diagonally dominant, so well conditioned
+        A = rng.standard_normal((dim, dim)) + 2.0 * dim * np.eye(dim)
+        b = rng.standard_normal(dim if n_rhs is None else (dim, n_rhs))
+        x = numerics._lu_solve(A, b)
+        ref = np.linalg.solve(A, b)
+        assert x.shape == ref.shape
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("A", [np.zeros((1, 1)), np.array([[1.0, 2.0], [2.0, 4.0]])])
+def test_lu_solve_raises_linalg_error_on_a_singular_matrix(A):
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        numerics._lu_solve(A, np.ones(A.shape[0]))
+
+
+def test_face_check_refuses_a_face_with_an_exact_repeat_of_a_row():
+    # min 0.5 z'Hz + c'z s.t. z1 + z2 <= 1, whose answer lies on that row;
+    # listing the row twice makes the face system exactly singular
+    H = np.array([[2.0, 0.5], [0.5, 1.0]])
+    c = np.array([-3.0, -2.0])
+    A = np.array([[1.0, 1.0], [1.0, 1.0]])
+    b = np.array([1.0, 1.0])
+    L = numerics._factor(H)
+    y, mu = numerics._face_check(L, c, A, b, [0], 1e-9)
+    np.testing.assert_allclose(A[0] @ y, 1.0)
+    assert mu[0] > 0.0
+    assert numerics._face_check(L, c, A, b, [0, 1], 1e-9) is None
 
 
 def _finite_qp_blocks():

@@ -13,12 +13,13 @@ import pytest
 import scipy.linalg
 
 pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import assume, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import oracles  # noqa: E402
 from ioc_eiv import Qp, solve_qp  # noqa: E402
+from ioc_eiv.numerics import _eqp, _factor  # noqa: E402
 
 # entries below 1e-3 in magnitude snap to zero: structural zeros are a case
 # worth drawing, while rows near underflow fail for a known reason, pinned by
@@ -150,3 +151,33 @@ def test_warm_start_reaches_the_cold_optimum(case):
     if strict and rows.tolist() == np.flatnonzero(held).tolist():
         assert warm.z.tobytes() == cold.z.tobytes()
         assert warm.mult_in.tobytes() == cold.mult_in.tobytes()
+
+
+@st.composite
+def equality_qps(draw):
+    """SPD ``H``, ``c`` and a full-row-rank ``A`` of 0 to ``dim - 1`` rows
+    with its ``b``: every shape of face system the active-set loop poses."""
+    dim = draw(st.integers(1, 6))
+    G = draw(_matrix(dim, dim))
+    H = G @ G.T + 0.5 * np.eye(dim)
+    c = draw(_matrix(1, dim))[0]
+    k = draw(st.integers(0, dim - 1))
+    A = draw(_matrix(k, dim))
+    b = draw(_matrix(1, k))[0]
+    if k:
+        s = np.linalg.svd(A, compute_uv=False)
+        assume(s[-1] > 1e-3 * s[0])
+    return H, c, A, b
+
+
+@given(equality_qps())
+def test_eqp_solves_its_kkt_system(case):
+    # the face solve: stationarity H y + c + A' mu = 0 and A y = b, each
+    # relative to the size of its terms
+    H, c, A, b = case
+    y, mu = _eqp(_factor(H), c, A, b)
+    assert y.shape == c.shape and mu.shape == b.shape
+    norm = lambda v: np.abs(v).max(initial=0.0)
+    stationarity = H @ y + c + A.T @ mu
+    assert norm(stationarity) <= 1e-9 * (norm(H @ y) + norm(c) + norm(A.T @ mu))
+    assert norm(A @ y - b) <= 1e-9 * (norm(A) * norm(y) + norm(b))
