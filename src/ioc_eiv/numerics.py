@@ -223,10 +223,9 @@ def _lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The one LU solve: ``A x = b`` for a nonempty square float ``A`` and a
     float ``b`` of matching order, one right-hand side or a matrix of them.
 
-    LAPACK's ``dgesv`` (LU with partial pivoting), called directly: the
-    same factorization as :func:`numpy.linalg.solve` without its per-call
-    overhead, which the small face and sensitivity systems are dominated
-    by.  An exactly zero pivot raises ``numpy.linalg.LinAlgError``
+    LAPACK's ``dgesv`` (LU with partial pivoting), the routine behind
+    :func:`numpy.linalg.solve`, called directly (see the module
+    docstring).  An exactly zero pivot raises ``numpy.linalg.LinAlgError``
     ("Singular matrix"), as :func:`numpy.linalg.solve` does.  A matrix
     ``x`` comes back in LAPACK's Fortran order.
     """
