@@ -14,7 +14,7 @@ from .demos import (
     DemoSet,
     NoiseSpec,
     generate,
-    noise_cov_stacked,
+    noise_cov,
     noise_scale_from_percent,
     rmse,
     sample_mean,
@@ -107,7 +107,7 @@ __all__ = [
     "map_estimate",
     "mh_step",
     "mh_within_gibbs_U",
-    "noise_cov_stacked",
+    "noise_cov",
     "noise_scale_from_percent",
     "objective",
     "rescale_to_l1",

@@ -435,7 +435,7 @@ def _fit_map(ds, fp, norm, gibbs, seed):
 def _fit_tls(ds, fp, norm, gibbs, seed):
     res = tls_estimator.estimate(ds, fp, norm)
     return res.theta, res.U_hat, {
-        "Sigma_U": matrix_to_json(res.Sigma_U_hat),
+        "Sigma_u": matrix_to_json(res.Sigma_u),
         "path": res.path,
     }
 

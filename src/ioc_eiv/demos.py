@@ -1,7 +1,7 @@
 """Synthetic demonstration sets: optimal inputs corrupted by stagewise noise.
 
 Each demonstration is ``U_d = U* + n_d`` with ``n_d`` drawn independently
-per stage.  Three noise kinds are supported:
+per stage, with the m x m covariance :func:`noise_cov`.  Three noise kinds:
 
 * ``gaussian``: zero-mean with per-stage covariance ``Sigma_u``;
 * ``truncated_gaussian``: the same draw, but resampled until the *noisy
@@ -40,7 +40,7 @@ __all__ = [
     "DemoSet",
     "generate",
     "noise_scale_from_percent",
-    "noise_cov_stacked",
+    "noise_cov",
     "sample_mean",
     "rmse",
 ]
@@ -304,20 +304,16 @@ def noise_scale_from_percent(U_star, pct: float, m: int = 1) -> np.ndarray:
     return (pct / 100.0) * np.abs(means)
 
 
-def noise_cov_stacked(spec: NoiseSpec, m: int, N: int) -> np.ndarray:
-    """Stacked (mN x mN) covariance implied by a noise spec.
+def noise_cov(spec: NoiseSpec, m: int) -> np.ndarray:
+    """Per-step (m x m) covariance of a noise spec's draw, the same at every step.
 
-    For the truncated kind this is the covariance of the *untruncated*
-    draw, which is what the estimators use as a working value.
+    For the truncated kind this is the covariance of the *untruncated* draw.
     """
     if spec.kind in _GAUSSIAN_KINDS:
-        per = spec.sigma_u
-    elif spec.kind == "uniform":
-        hw = np.broadcast_to(spec.halfwidth, (m,))
-        per = np.diag(hw**2 / 3.0)
-    else:
-        raise ValueError(f"unknown noise kind {spec.kind!r}")
-    return np.kron(np.eye(N), per)
+        return spec.sigma_u
+    if spec.kind == "uniform":
+        return np.diag(np.broadcast_to(spec.halfwidth, (m,)) ** 2 / 3.0)
+    raise ValueError(f"unknown noise kind {spec.kind!r}")
 
 
 def sample_mean(ds: DemoSet) -> np.ndarray:

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .demos import DemoSet, generate, noise_cov_stacked
+from .demos import DemoSet, generate, noise_cov
 from .kkt_baseline import NormalizationRule, _require_rule
 from .mcmc import SIGMA_Y, Priors, _u_information, default_priors, gibbs_run
 from .numerics import Infeasible, Qp, cholesky, cholesky_solve, solve_qp, spd_inverse
@@ -237,16 +237,15 @@ def consistency_cost_check(
     beta_star = np.concatenate([theta_star, np.asarray(lam_star, dtype=float).ravel()])
 
     ds = generate(U_star, noise, D_large, fp)
-    Sigma_U = noise_cov_stacked(noise, fp.system.m, fp.horizon)
-    Sigma_U = Sigma_U + 1e-12 * np.eye(Sigma_U.shape[0])
-    L_SU = cholesky(Sigma_U)
+    m = fp.system.m
+    L_u = cholesky(noise_cov(noise, m) + 1e-12 * np.eye(m))
 
     stackd = np.vstack(ds.U_list)
     q = fp.q
 
     def cost(U, beta):
-        R = stackd - U
-        val = float(np.sum(R * cholesky_solve(L_SU, R.T).T)) / ds.n_demos
+        R = (stackd - U).reshape(-1, m)  # one row per demo and step
+        val = float(np.sum(R * cholesky_solve(L_u, R.T).T)) / ds.n_demos
         s = bs.stationarity(U, beta[:q], beta[q:])
         return val + float(s @ s) / SIGMA_Y
 

@@ -1,20 +1,21 @@
 """Total least squares estimator with hard stationarity.
 
 TLS corrects the demonstrations as little as possible, in the metric
-``Sigma_U^{-1}``, so that the KKT conditions of the forward problem hold
-exactly at the corrected inputs ``U``.  For ``theta > 0`` those conditions
-are the optimality conditions of the strictly convex forward QP, so the
-only feasible ``U`` is the forward optimum ``U*(theta)``, and at a fixed
+``W = Sigma_u^{-1}`` of the per-step noise covariance ``Sigma_u`` (m x m),
+so that the KKT conditions of the forward problem hold exactly at the
+corrected inputs ``U``.  For ``theta > 0`` those conditions are the
+optimality conditions of the strictly convex forward QP, so the only
+feasible ``U`` is the forward optimum ``U*(theta)``, and at a fixed
 covariance TLS is the fit in the ``q`` weights alone
 
-    min_theta  f(theta) = sum_d (U*(theta) - U_d)' Sigma_U^{-1} (U*(theta) - U_d)
+    min_theta  f(theta) = sum_d sum_k |U*_k(theta) - U_dk|^2_W   (k: the step)
 
 over the normalization cone.  In the demo statistics (``DemoSet``), ``f`` is
-``D |U*(theta) - Ubar|^2_W + tr(W S)`` with ``W = Sigma_U^{-1}``, and
-``tr(W S)`` does not depend on ``theta``: TLS is a weighted forward fit to
-the sample mean.  With one input channel (both shipped configs) ``W`` is a
-multiple of the identity, so ``theta`` depends on ``Sigma_U`` only through
-the stop tests.  :func:`tls_inner` solves the fit by projected Gauss-Newton:
+``D sum_k |U*_k(theta) - Ubar_k|^2_W + tr(W sum_k S_kk)``, with ``S_kk`` the
+scatter's diagonal blocks, and the trace does not depend on ``theta``: TLS
+is a weighted forward fit to the sample mean.  With one input channel (both
+shipped configs) ``W`` is a scalar, so ``theta`` depends on ``Sigma_u`` only
+through the stop tests.  :func:`tls_inner` solves the fit by projected Gauss-Newton:
 
 * each evaluation of ``f`` is one :func:`~ioc_eiv.forward.solve`, which
   gives ``U``, the multipliers and the demo cost at once; a backtracking
@@ -43,12 +44,11 @@ so stationarity, complementarity, signs and feasibility hold to the
 forward solver's tolerance.
 
 :func:`estimate` runs :func:`tls_inner` once, from a
-:func:`~ioc_eiv.kkt_baseline.kkt_single` fit to the sample mean, at
-``Sigma_U = I_N (x) Sigma_u``.  The demos are drawn independently per step,
-so ``Sigma_u`` is identified without ``theta``: their scatter about the
-sample mean pooled over the ``N`` steps, over ``N (D - 1)``, plus ``RIDGE``
-times its mean variance; the identity when the scatter is zero (one demo,
-or noiseless demos).  It scales with the inputs, so ``theta`` is unit-free.
+:func:`~ioc_eiv.kkt_baseline.kkt_single` fit to the sample mean.  The demos
+are drawn independently per step, so ``Sigma_u`` is identified without
+``theta``: ``sum_k S_kk`` over ``N (D - 1)``, plus ``RIDGE`` times its mean
+variance; the identity when the scatter is zero (one demo, or noiseless
+demos).  It scales with the inputs, so ``theta`` is unit-free.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class TlsResult:
     theta: np.ndarray
     lam: np.ndarray
     U_hat: np.ndarray
-    Sigma_U_hat: np.ndarray
+    Sigma_u: np.ndarray
     path: str
     inner_traces: tuple
 
@@ -109,9 +109,15 @@ def _sensitivity(bs: model.BilinearStationarity, theta, sol) -> np.ndarray:
     return _lu_solve(K, rhs)[:mN]
 
 
-def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: NormalizationRule,
+def _pooled_scatter(ds: DemoSet, m: int) -> np.ndarray:
+    """``sum_k S_kk``: the sum of the scatter's ``m x m`` diagonal blocks."""
+    N = ds.mean.shape[0] // m
+    return np.trace(ds.scatter.reshape(N, m, N, m), axis1=0, axis2=2)
+
+
+def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_u, norm: NormalizationRule,
               init_theta):
-    """One inner solve at fixed covariance: projected Gauss-Newton in theta.
+    """One inner solve at the per-step covariance ``Sigma_u``: Gauss-Newton in theta.
 
     Starts from ``init_theta`` projected onto the floored weight cone.
     Returns ``(U, theta, lam, cost, path, step_trace)`` where ``cost`` is
@@ -122,17 +128,17 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: Normalizatio
     """
     _require_rule(norm)
     bs = model.build_stationarity(fp)
-    q, D = bs.n_features, ds.n_demos
-    SU_inv = spd_inverse(Sigma_U)
-    tr_WS = float(np.sum(SU_inv * ds.scatter))  # tr(W S), both symmetric
+    q, D, m = bs.n_features, ds.n_demos, fp.system.m
+    W = spd_inverse(Sigma_u)
+    tr_WS = float(np.sum(W * _pooled_scatter(ds, m)))  # tr(W sum_k S_kk), both symmetric
     floor = _FLOOR * norm.value
     cone = norm.beta_blocks(q, q)
     cone["bin"] = np.full(q, -floor)
 
     def evaluate(theta, start=None):
         sol = forward_solve(fp, theta, start)
-        d = sol.U - ds.mean
-        return sol, D * float(d @ SU_inv @ d) + tr_WS
+        d = (sol.U - ds.mean).reshape(-1, m)
+        return sol, D * float(np.vdot(d @ W, d)) + tr_WS
 
     start = np.asarray(init_theta, dtype=float).ravel()
     theta = solve_qp(Qp(H=_identity(q), c=-start, **cone)).z
@@ -140,7 +146,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: Normalizatio
     trace = [("gauss_newton", cost)]
     for _ in range(MAX_INNER_ITERS):
         G = _sensitivity(bs, theta, sol)
-        WG = SU_inv @ G
+        WG = (W @ G.reshape(-1, m, q)).reshape(G.shape)  # W applied step by step
         grad = 2.0 * D * (WG.T @ (sol.U - ds.mean))
         H = 2.0 * D * (G.T @ WG)
         curvature = float(np.trace(H)) / q
@@ -172,20 +178,19 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_U, norm: Normalizatio
 def estimate(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> TlsResult:
     """Full TLS pipeline: one inner solve at the per-step noise covariance."""
     m, N, D = fp.system.m, fp.horizon, ds.n_demos
-    Sigma_u = np.trace(ds.scatter.reshape(N, m, N, m), axis1=0, axis2=2)  # sum of diagonal blocks
+    Sigma_u = _pooled_scatter(ds, m)
     if np.trace(Sigma_u) == 0.0:  # one demo, or noiseless demos
         Sigma_u = np.eye(m)
     else:
         Sigma_u /= N * (D - 1)
         Sigma_u += RIDGE * np.trace(Sigma_u) / m * np.eye(m)
-    Sigma_U = np.kron(np.eye(N), Sigma_u)
     theta = kkt_single(ds.mean, fp, norm).theta
-    U, theta, lam, cost, path, steps = tls_inner(ds, fp, Sigma_U, norm, theta)
+    U, theta, lam, cost, path, steps = tls_inner(ds, fp, Sigma_u, norm, theta)
     return TlsResult(
         theta=theta,
         lam=lam,
         U_hat=U,
-        Sigma_U_hat=Sigma_U,
+        Sigma_u=Sigma_u,
         path=path,
         inner_traces=(steps,),
     )

@@ -218,7 +218,9 @@ def test_estimate_tls_reports_trace_and_path(tmp_path):
     rc = main(["estimate", "--demos", demos, "--method", "tls", "--out", str(out)])
     assert rc == 0
     res = json.loads(out.read_text())
-    assert res["Sigma_U"]["rows"] == res["Sigma_U"]["cols"] == 5
+    # the per-step covariance of the one input channel, not the stacked 5 x 5
+    assert res["Sigma_u"]["rows"] == res["Sigma_u"]["cols"] == 1
+    assert "Sigma_U" not in res
     assert res["path"] in ("exact", "floor")
     assert len(res["theta"]) == 2 and len(res["U_hat"]) == 5
 
@@ -603,9 +605,9 @@ def test_forward_json_is_bit_identical_to_golden(tmp_path, config):
 
 # sha256 of the ``estimate`` JSON for each method on one demo file per
 # shipped config, recorded before the method table replaced the per-method
-# branches; the rows.csv pins do not cover residual, Sigma_U, cost_trace or
-# path.  Like the other golden pins, these depend on the numpy/OpenBLAS
-# build.  tls_positivity-map was re-pinned when MAP's beta-step stopped
+# branches; the rows.csv pins do not cover residual, Sigma_U, Sigma_u,
+# cost_trace or path.  Like the other golden pins, these depend on the
+# numpy/OpenBLAS build.  tls_positivity-map was re-pinned when MAP's beta-step stopped
 # freeing the multiplier of the constant terminal row, both map pins when
 # ``estimate --seed`` took the bench's chain stream, both tls pins when
 # TLS dropped its covariance loop for one fit at the per-step covariance, and
@@ -614,16 +616,18 @@ def test_forward_json_is_bit_identical_to_golden(tmp_path, config):
 # Gibbs conditionals' Gaussian forms (a rounding-level move); the map and tls
 # pins moved again when the estimators read the demos through their count,
 # mean and scatter (a rounding-level move), and both map pins when the chain
-# left demo 1's random stream for a stream of its own.
+# left demo 1's random stream for a stream of its own.  Both tls pins moved
+# when a tls result wrote the m x m per-step "Sigma_u" in place of the
+# stacked "Sigma_U"; every other field stayed byte for byte.
 GOLDEN_ESTIMATE_SHA256 = {
     ("spring_damper", "mean"): "1789ebcecbf03730d23192bc5cf5cddb6fdbe7a2d7f5861e30bcb71b3362f6f2",
     ("spring_damper", "kkt"): "41ef5e1c6220f661b73847f171ec25403817e1288c80a47acc28fbd794c36513",
     ("spring_damper", "map"): "264f0a74731bbe55b72a6694f214fee9a78cbe4d360eca4d8546deee243d1d97",
-    ("spring_damper", "tls"): "1f7f2bbd390d7739a4376d40088f454c28a6c28b4eb8c2cd5f335e865a165f8e",
+    ("spring_damper", "tls"): "7e7e87a3b1e5e64d90c5166801984f536d44833f337a5cf3bf5cc0868a4d7721",
     ("tls_positivity", "mean"): "2d62d22d6acdab13e8cd4f225a4f9b9e9e0bd5dd156bb788844ae6df03117697",
     ("tls_positivity", "kkt"): "afd2e2bc29e32e52b51be2e895bbaf0f53661c0de0aa5798da972f2749d003a5",
     ("tls_positivity", "map"): "8d4f7a229ae4000dc41705c3b6a4a1a367f71ee7479fbdb81cd62c400d3ec2da",
-    ("tls_positivity", "tls"): "7c2f7cba7cfaa4462c189f10fa235a869c220c70ef83cbb47b62d6f1bf533f66",
+    ("tls_positivity", "tls"): "ea5dc1ca7407e1142ad83bddf1816b2fa5af7ab333af5ed6ddd996efbed90cfa",
 }
 _GOLDEN_DEMOS = {"spring_damper": (10, 20260821), "tls_positivity": (10, 20260824)}
 

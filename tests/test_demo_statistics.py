@@ -61,12 +61,14 @@ def test_map_cost_demo_term_matches_its_oracle(m, D):
 
 @CASES
 def test_tls_cost_matches_its_oracle(m, D):
+    # the oracle weighs every step's residual by the same Sigma_u^{-1}
     fp, theta, _, ds = _demos(m, D)
-    Sigma_U = _spd(np.random.default_rng(m * D), fp.n_inputs, 0.01)
+    Sigma_u = _spd(np.random.default_rng(m * D), m, 0.01)
     norm = NormalizationRule("sum", float(np.sum(theta)))
-    U, *_, cost, _, trace = tls_estimator.tls_inner(ds, fp, Sigma_U, norm, theta)
+    U, *_, cost, _, trace = tls_estimator.tls_inner(ds, fp, Sigma_u, norm, theta)
     assert trace[-1][1] == cost
-    _assert_close(cost, oracles.demo_term(ds.U_list, U, np.linalg.inv(Sigma_U)))
+    W = np.linalg.inv(np.kron(np.eye(fp.horizon), Sigma_u))
+    _assert_close(cost, oracles.demo_term(ds.U_list, U, W))
 
 
 @CASES
@@ -116,10 +118,9 @@ def test_prior_covariance_matches_its_oracle_and_is_exactly_symmetric(m, D):
 def test_tls_per_step_covariance_matches_its_oracle(m, D):
     fp, theta, _, ds = _demos(m, D)
     res = tls_estimator.estimate(ds, fp, NormalizationRule("sum", float(np.sum(theta))))
-    N = fp.horizon
     if D == 1:  # no scatter: the identity
-        np.testing.assert_array_equal(res.Sigma_U_hat, np.eye(m * N))
+        np.testing.assert_array_equal(res.Sigma_u, np.eye(m))
         return
     Sigma_u = oracles.per_step_covariance(ds.U_list, m)
     Sigma_u += tls_estimator.RIDGE * np.trace(Sigma_u) / m * np.eye(m)
-    _assert_close(res.Sigma_U_hat, np.kron(np.eye(N), Sigma_u))
+    _assert_close(res.Sigma_u, Sigma_u)

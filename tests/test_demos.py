@@ -17,7 +17,7 @@ from ioc_eiv import (
     sample_mean,
     solve_forward,
 )
-from ioc_eiv.demos import noise_cov_stacked
+from ioc_eiv.demos import noise_cov
 
 
 def _benchmark_setup():
@@ -130,10 +130,17 @@ def test_noise_scale_uses_signed_channel_means():
 
 
 def test_stacked_covariance_matches_kind():
+    # the per-step covariance: halfwidth^2 / 3 per channel for uniform noise
     spec = NoiseSpec.uniform(np.array([0.3]), seed=8)
-    np.testing.assert_allclose(noise_cov_stacked(spec, 1, 4), np.eye(4) * 0.03)
-    spec_g = NoiseSpec.gaussian(np.array([[0.04]]), seed=8)
-    np.testing.assert_allclose(noise_cov_stacked(spec_g, 1, 3), np.eye(3) * 0.04)
+    np.testing.assert_allclose(noise_cov(spec, 1), [[0.03]])
+    np.testing.assert_allclose(noise_cov(spec, 2), np.eye(2) * 0.03)
+    spec_u = NoiseSpec.uniform(np.array([0.3, 0.6]), seed=8)
+    np.testing.assert_allclose(noise_cov(spec_u, 2), np.diag([0.03, 0.12]))
+    sigma = np.array([[0.04, 0.01], [0.01, 0.09]])
+    spec_g = NoiseSpec.gaussian(sigma, seed=8)
+    np.testing.assert_array_equal(noise_cov(spec_g, 2), sigma)
+    spec_t = NoiseSpec.truncated_gaussian(sigma, lower=-1.0, upper=1.0, seed=8)
+    np.testing.assert_array_equal(noise_cov(spec_t, 2), sigma)
 
 
 def test_sample_mean_small_cases():

@@ -454,6 +454,27 @@ def test_one_lu_solve_in_the_package():
     assert uses == {"dgesv": {("numerics", "_lu_solve")}}
 
 
+def _kron_uses(source):
+    """As :func:`_spd_kernel_uses`, for numpy's and scipy's ``kron``."""
+    return _kernel_uses(source, {"kron"}, "kron")
+
+
+def test_kron_guard_sees_every_kind_of_reference():
+    source = (
+        "import numpy as np\nfrom numpy import kron\nfrom scipy import linalg\n"
+        "def f(a, b):\n    return np.kron(a, b), kron(a, b), linalg.kron(a, b)\n"
+    )
+    assert sorted(_kron_uses(source)) == [("", "kron")] + [("f", "kron")] * 3
+
+
+def test_no_kron_in_the_package():
+    # the noise covariance is the m x m Sigma_u of one step: nothing builds,
+    # inverts or writes the stacked I_N kron Sigma_u
+    uses = [(path.stem, func) for path in sorted(Path(ioc_eiv.__file__).parent.glob("*.py"))
+            for func, _ in _kron_uses(path.read_text())]
+    assert uses == []
+
+
 @pytest.mark.parametrize("n_rhs", [None, 3])
 def test_lu_solve_agrees_with_numpy_solve(n_rhs):
     rng = np.random.default_rng(7)

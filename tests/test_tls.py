@@ -17,6 +17,8 @@ from ioc_eiv import (
     PolytopicConstraints,
     QuadraticFeature,
     generate,
+    kkt_ls,
+    kkt_single,
     noise_scale_from_percent,
     rescale_to_l1,
     rmse,
@@ -67,13 +69,13 @@ def test_noiseless_demos_are_a_fixed_point():
     res = tls_estimate(ds, fp, _norm())
     assert rmse(res.U_hat, sol.U) <= 1e-8
     assert rmse(rescale_to_l1(res.theta, 22.0), oracles.SPRING_THETA) <= 1e-6
-    np.testing.assert_array_equal(res.Sigma_U_hat, np.eye(10))
+    np.testing.assert_array_equal(res.Sigma_u, np.eye(1))
     assert res.path == "exact"
 
 
 def test_covariance_is_pooled_per_step_scatter_with_relative_ridge():
     fp, theta = oracles.random_instance(np.random.default_rng(0))
-    m, N = fp.system.m, fp.horizon
+    m = fp.system.m
     assert m == 2
     U_star = solve_forward(fp, theta).U
     spec = NoiseSpec.gaussian(np.array([[0.04, 0.01], [0.01, 0.09]]), seed=31)
@@ -82,10 +84,9 @@ def test_covariance_is_pooled_per_step_scatter_with_relative_ridge():
     res = tls_estimate(ds, fp, norm)
     Sigma_u = oracles.per_step_covariance(ds.U_list, m)
     Sigma_u += tls_estimator.RIDGE * np.trace(Sigma_u) / m * np.eye(m)
-    np.testing.assert_allclose(res.Sigma_U_hat, np.kron(np.eye(N), Sigma_u),
-                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(res.Sigma_u, Sigma_u, rtol=1e-12, atol=0.0)
     one = generate(U_star, spec, 1, fp)
-    np.testing.assert_array_equal(tls_estimate(one, fp, norm).Sigma_U_hat, np.eye(m * N))
+    np.testing.assert_array_equal(tls_estimate(one, fp, norm).Sigma_u, np.eye(m))
 
 
 def _scaled_problem(fp, s):
@@ -96,8 +97,10 @@ def _scaled_problem(fp, s):
                           fp.horizon, s * fp.x0)
 
 
-@pytest.mark.parametrize("config", ["spring_damper", "tls_positivity"])
-def test_estimate_does_not_depend_on_units(config):
+def _assert_unit_free(config, fit):
+    """``fit(ds, fp, norm).theta`` moves by at most 1e-6 of its sum when the
+    bench demos of ``config`` (3 repetitions per level) and the problem are
+    given in input units 1e-6, 1e-3 and 1e3 times larger."""
     with open(f"configs/{config}.json", encoding="utf-8") as fh:
         cfg = json.load(fh)
     fp = bench_cli.parse_problem(cfg["problem"])
@@ -108,12 +111,28 @@ def test_estimate_does_not_depend_on_units(config):
             spec = bench_cli._noise_spec(cfg["noise"], U_star, fp.system.m, float(level),
                                          cfg["seed"] + rep)
             ds = generate(U_star, spec, cfg["n_demos"], fp)
-            theta = tls_estimate(ds, fp, norm).theta
+            theta = fit(ds, fp, norm).theta
             for s in (1e-6, 1e-3, 1e3):
                 scaled = DemoSet(U_list=tuple(s * U for U in ds.U_list),
                                  fp_ref=_scaled_problem(fp, s))
-                theta_s = tls_estimate(scaled, scaled.fp_ref, norm).theta
+                theta_s = fit(scaled, scaled.fp_ref, norm).theta
                 assert np.max(np.abs(theta_s - theta)) <= 1e-6 * np.sum(theta), (level, rep, s)
+
+
+@pytest.mark.parametrize("config", ["spring_damper", "tls_positivity"])
+def test_estimate_does_not_depend_on_units(config):
+    _assert_unit_free(config, tls_estimate)
+
+
+# kkt_ls decides which rows of each demo are active with the absolute
+# model.DEMO_ACTIVE_TOL, so its theta moves with the input units (by up to
+# 0.43 of its sum at 1e-6), and at 1e-6 some of its QPs overflow and raise
+# ValueError; making the activity test scale-free removes this marker
+@pytest.mark.xfail(strict=True, raises=(AssertionError, ValueError),
+                   reason="kkt_ls's activity tolerance is absolute")
+@pytest.mark.parametrize("config", ["spring_damper", "tls_positivity"])
+def test_kkt_baseline_does_not_depend_on_units(config):
+    _assert_unit_free(config, kkt_ls)
 
 
 def _far_cap_demos(pct, seed, D):
@@ -129,20 +148,18 @@ def _far_cap_demos(pct, seed, D):
 def test_inner_result_is_weighted_projection_of_demos():
     fp, sol, ds = _far_cap_demos(8.0, 3, 3)
     bs = build_stationarity(fp)
-    Sigma_U = 0.002 * np.eye(10)
+    Sigma_u = np.array([[0.002]])
     U0 = sample_mean(ds)
-    from ioc_eiv import kkt_single
-
     init = kkt_single(U0, fp, _norm())
     # the inner fit ends at the forward optimum of its weights, which with
     # every multiplier at zero is the equality-constrained solve checked here
-    U, theta, lam, cost, path, trace = tls_inner(ds, fp, Sigma_U, _norm(), init.theta)
+    U, theta, lam, cost, path, trace = tls_inner(ds, fp, Sigma_u, _norm(), init.theta)
     assert path == "exact"
     assert np.max(np.abs(lam), initial=0.0) <= 1e-12
     M_beta = sum(t * M for t, M in zip(theta, bs.Mj))
     rhs_con = -(bs.E_theta @ theta + bs.J_lambda @ lam)
     D = ds.n_demos
-    Si = np.linalg.inv(Sigma_U)
+    Si = np.eye(10) / 0.002
     kkt = np.block([[2.0 * D * Si, M_beta.T], [M_beta, np.zeros((10, 10))]])
     rhs = np.concatenate([2.0 * Si @ np.sum(np.vstack(ds.U_list), axis=0), rhs_con])
     U_oracle = np.linalg.solve(kkt, rhs)[:10]
@@ -152,10 +169,8 @@ def test_inner_result_is_weighted_projection_of_demos():
 def test_single_demo_euclidean_projection():
     fp, sol, ds = _far_cap_demos(8.0, 4, 1)
     bs = build_stationarity(fp)
-    from ioc_eiv import kkt_single
-
     init = kkt_single(ds.U_list[0], fp, _norm())
-    U, theta, lam, cost, path, trace = tls_inner(ds, fp, np.eye(10), _norm(), init.theta)
+    U, theta, lam, cost, path, trace = tls_inner(ds, fp, np.eye(1), _norm(), init.theta)
     M_beta = sum(t * M for t, M in zip(theta, bs.Mj))
     rhs = -(bs.E_theta @ theta + bs.J_lambda @ lam)
     # Euclidean projection of the lone demo onto {U : M_beta U = rhs}
@@ -202,10 +217,10 @@ def test_hard_stationarity_and_feasibility_at_output():
 
 def test_attained_cost_is_the_demo_correction_cost():
     # the last merit of the fit is its TLS cost: the demo corrections
-    # U_d - U_hat in the metric Sigma_U_hat^{-1}
+    # U_d - U_hat in the metric (I_N kron Sigma_u)^{-1}
     fp, sol, ds = _benchmark_demos(10.0, 6, 5)
     res = tls_estimate(ds, fp, _norm())
-    Si = np.linalg.inv(res.Sigma_U_hat)
+    Si = np.linalg.inv(np.kron(np.eye(fp.horizon), res.Sigma_u))
     corrections = [U_d - res.U_hat for U_d in ds.U_list]
     from_corrections = sum(float(r @ Si @ r) for r in corrections)
     assert np.isclose(res.inner_traces[-1][-1][1], from_corrections, rtol=1e-10)
@@ -269,6 +284,57 @@ def test_positivity_surrogate_beats_sample_mean():
     assert sum(wins) > 5
 
 
+def _median_theta_error(fp, theta, spec, D, seeds, fit):
+    """Median rmse against ``theta`` of the weights ``fit(ds)``, over one set of
+    ``D`` demos of ``fp`` at ``theta`` per seed."""
+    U_star = solve_forward(fp, theta).U
+    return float(np.median([rmse(fit(generate(U_star, spec.with_seed(s), D, fp)), theta)
+                            for s in seeds]))
+
+
+def test_tls_error_falls_like_a_consistent_estimator_and_kkt_does_not():
+    # the paper's consistency claim: zero-mean noise drawn independently per
+    # step; TLS's median error falls about like D^-1/2 (slope -0.61 over
+    # 0.747/0.249/0.112/0.059), while the KKT baseline's errors-in-variables
+    # bias does not average away (6.05 at D = 10, 6.34 at D = 160)
+    fp, theta = oracles.spring_damper(), oracles.SPRING_THETA
+    sig = noise_scale_from_percent(solve_forward(fp, theta).U, 10.0)
+    spec = NoiseSpec.gaussian(np.diag(sig**2), seed=0)
+    seeds = range(500, 510)
+    Ds = (10, 40, 160, 640)
+    tls = [_median_theta_error(fp, theta, spec, D, seeds,
+                               lambda ds: tls_estimate(ds, fp, _norm()).theta) for D in Ds]
+    slope = np.polyfit(np.log(Ds), np.log(tls), 1)[0]
+    assert slope <= -0.35, tls
+    kkt = [_median_theta_error(fp, theta, spec, D, seeds,
+                               lambda ds: kkt_ls(ds, fp, _norm()).theta) for D in (10, 160)]
+    assert kkt[1] >= 0.9 * kkt[0], kkt
+
+
+def test_per_step_covariance_weighting_matters_with_two_unequal_inputs():
+    # with one input channel W = Sigma_u^{-1} is a scalar and cannot move
+    # theta; on this two-input spring-damper, whose second channel is 10x
+    # noisier, weighting by the estimated Sigma_u beats the unweighted fit
+    # (0.151 against 0.536 at D = 10, 0.023 against 0.075 at D = 160)
+    B = np.array([[0.0099, 0.0], [0.0988, 0.05]])
+    feats = (QuadraticFeature("state", 0, 3.0), QuadraticFeature("state", 1, 0.0),
+             QuadraticFeature("input", 0, 0.0), QuadraticFeature("input", 1, 0.0))
+    con = PolytopicConstraints(np.zeros((2, 2)), np.eye(2), np.array([0.7, 0.7]))
+    fp = ForwardProblem(LinearSystem(oracles.SPRING_A, B), feats, con, 10, np.array([1.0, 0.1]))
+    theta = np.array([10.0, 5.0, 7.0, 3.0])
+    norm = NormalizationRule("sum", value=float(np.sum(theta)))
+    spec = NoiseSpec.gaussian(np.diag([0.01, 0.1]) ** 2, seed=0)
+
+    def unweighted(ds):  # from tls_estimate's start, at Sigma_u = I
+        return tls_inner(ds, fp, np.eye(2), norm, kkt_single(ds.mean, fp, norm).theta)[1]
+
+    for D in (10, 160):
+        weighted = _median_theta_error(fp, theta, spec, D, range(1000, 1010),
+                                       lambda ds: tls_estimate(ds, fp, norm).theta)
+        plain = _median_theta_error(fp, theta, spec, D, range(1000, 1010), unweighted)
+        assert weighted <= 0.5 * plain, (D, weighted, plain)
+
+
 @pytest.fixture(scope="module")
 def retry_fit():
     """TLS on spring_damper at N = 25, where an alternating projection
@@ -304,7 +370,7 @@ def _result_digest(res, ds):
     and the demo corrections ``U_d - U_hat``."""
     h = hashlib.sha256()
     corrections = [U_d - res.U_hat for U_d in ds.U_list]
-    for a in (res.theta, res.lam, res.U_hat, res.Sigma_U_hat, *corrections):
+    for a in (res.theta, res.lam, res.U_hat, res.Sigma_u, *corrections):
         h.update(np.ascontiguousarray(a, dtype=float).tobytes())
     h.update(res.path.encode())
     for steps in res.inner_traces:
@@ -315,7 +381,7 @@ def _result_digest(res, ds):
     return h.hexdigest()
 
 
-# sha256 of full TLS results (theta, lam, U_hat, Sigma_U_hat, the demo
+# sha256 of full TLS results (theta, lam, U_hat, Sigma_u, the demo
 # corrections, path and every merit value of the inner trace) on bench
 # demos of both shipped configs at each shipped level, and on the N = 25
 # retry fit above.
@@ -326,10 +392,13 @@ def _result_digest(res, ds):
 # move).  tls_positivity and retry moved again, by rounding, when the face
 # and sensitivity systems left numpy.linalg.solve for scipy's LAPACK dgesv;
 # like the other golden pins they depend on the numpy and scipy builds.
+# All three moved when the result carried the m x m Sigma_u in place of
+# I_N kron Sigma_u and the merit's trace term became tr(W sum_k S_kk):
+# theta, lam and U_hat stayed bit for bit, the merits moved by rounding.
 GOLDEN_TLS_SHA256 = {
-    "spring_damper": "a60e0ea2020f0cebedb8c2f0cc55f1878b5a3a9ea6755ced98fde1736c018d50",
-    "tls_positivity": "0fd8edbcd45195fba6e790a740c03c99cf25c0deb680aa682e786c41ef63cf4f",
-    "retry": "7b9e80c06100e15ab5305ce4a6ba457fb023ee904372674f1b324adb23b5803a",
+    "spring_damper": "9076a778a59aed2c47b20f9af98ddf55b62e4186ed58de4b7fe7a1f41b974eda",
+    "tls_positivity": "6feca8db281a61ee0dc1a6f116bca2c5abfc6bdaafd043188da66ace1605f55b",
+    "retry": "fc4f395c5a47a22a293f8e4dc4249b154aa5d05899660aad005e8dcd006bf759",
 }
 
 
