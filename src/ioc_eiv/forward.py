@@ -42,12 +42,12 @@ def solve(fp: model.ForwardProblem, theta, start: ForwardSolution | None = None
     The result satisfies the stationarity, complementarity, and
     feasibility blocks of :func:`ioc_eiv.model.kkt_residual` to 1e-6.
 
-    ``start``, an earlier solution of the same problem at other weights,
-    starts the QP, whose constraints do not depend on ``theta``, from the
-    face ``BilinearStationarity.held_rows(start.lam)`` (see
-    :func:`ioc_eiv.numerics.solve_qp` for how a face is tried).  The answer
-    is the same optimum; it has the cold solve's bits whenever both end on
-    the same face.
+    The QP's face search (:func:`ioc_eiv.numerics.solve_qp`) starts from
+    the rows the unconstrained minimizer violates.  ``start``, an earlier
+    solution of the same problem at other weights, starts it instead from
+    the face ``BilinearStationarity.held_rows(start.lam)``, since the QP's
+    constraints do not depend on ``theta``.  The answer is the same
+    optimum; it has the cold solve's bits whenever both end on the same face.
 
     Raises :class:`~ioc_eiv.numerics.Infeasible` when a constant row is
     violated by more than ``model.CONST_ROW_TOL`` of the terms that form it.

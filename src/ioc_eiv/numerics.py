@@ -35,38 +35,44 @@ general path raises ValueError on any other.  A NaN or an infinity in row
 finite diagonal proves the whole factor finite, where LAPACK's ``info``
 may accept a NaN below the diagonal.
 
-The QP solver is a textbook primal active-set method.  The choice is
-deliberate: every estimator in this package needs *exact* active sets and
-bit-reproducible solves, which first-order or interior-point methods do not
-give.  Determinism is pinned down by two rules:
+The QP solver is a textbook primal active-set method behind a face search.
+The choice is deliberate: every estimator in this package needs *exact*
+active sets and bit-reproducible solves, which first-order or
+interior-point methods do not give.  Determinism is pinned down by two rules:
 
 * the entering constraint is the lowest-index row among those blocking at
   the minimal step length;
 * a start found by phase 1 takes as its working set the rows with
   ``a z - b >= -1e-7 * (1 + |b|)``, pruned in index order to full row rank.
 
-A QP may be started from a ``face``: rows of ``Ain``, such as those that
-held the answer of an earlier QP with the same constraints.  Parametric
-QPs, whose optimal face moves little from one solve to the next, are
-solved this way by online active-set methods (Ferreau, Bock & Diehl,
-*Int. J. Robust Nonlinear Control* 18, 2008).  The face is tried after the
-unconstrained minimizer, which still comes first, so an interior answer
-keeps its bits; then, in this order:
+The unconstrained minimizer comes first, so an interior answer keeps its
+bits.  Otherwise, in this order:
 
-1. **Face check.**  The equality-constrained minimizer on ``face``.  It is
-   returned, as one iteration, when it lies on those faces and inside
-   every other row and no multiplier is below ``-_DUAL_TOL``: that is the
-   whole KKT system, so it is the optimum.  A solve's polish is the same
-   check on the loop's final working set, so when the cold solve ends on
-   the working set ``face`` and its polish holds, the two answers are one
-   computation and agree bit for bit.  With equalities the check runs on
-   the reduced rows ``Ain @ Z``, as the loop does.
-2. **Cold path.**  Otherwise the solve starts as it would without a face.
+1. **Face search.**  The primal-dual active-set step (Hintermüller, Ito &
+   Kunisch, *SIAM J. Optim.* 13, 2003): guess the optimal face, then
+   repair it.  The guess is the caller's ``face`` when it is nonempty:
+   rows of ``Ain``, such as those that held the answer of an earlier QP
+   with the same constraints, as online active-set methods start
+   parametric QPs (Ferreau, Bock & Diehl, *Int. J. Robust Nonlinear
+   Control* 18, 2008).  Otherwise it is the rows the unconstrained
+   minimizer violates.  Each try is the equality-constrained minimizer on
+   the face, accepted when it lies on those faces and inside every other
+   row and no multiplier is below ``-_DUAL_TOL``: that is the whole KKT
+   system, so it is the optimum.  A failed try keeps the rows whose
+   multiplier passes that test and adds the rows its point violates.
+   With equalities the search runs on the reduced rows ``Ain @ Z``, as
+   the loop does.
+2. **Cold path.**  The search gives up after ``_FACE_TRIES`` tries, on an
+   empty or repeated face, or on a face system whose LU has a pivot below
+   ``_FACE_RCOND`` times its largest: dependent rows, between which
+   rounding would split a multiplier.  The solve then starts from the
+   origin or phase 1, runs the loop, and polishes its answer with one try
+   on the loop's final working set.
 
-A caller's rank-deficient face is no answer when its face system is
-singular, but rounding may leave that system nonsingular: the point is
-then still the optimum to the tolerances, with its multiplier split among
-the dependent rows.
+An accepted face and the polish on that face are one computation, so
+whenever the cold loop ends on the face the search accepts, the two
+answers agree bit for bit.  ``n_iter`` counts the tries, plus the loop's
+iterations when the search gives up.
 
 A solve names no active rows: the estimators take them from the one face
 model, :class:`ioc_eiv.model.BilinearStationarity`.
@@ -133,6 +139,11 @@ _ACTIVE_TOL = 1e-7
 # inequality multipliers may dip this far below zero before we call it an error
 _DUAL_TOL = 1e-10
 _FEAS_TOL = 1e-9
+# tries of the face search before a solve goes cold
+_FACE_TRIES = 8
+# a face system whose LU has a pivot below this share of its largest is
+# refused by the face search
+_FACE_RCOND = 1e-10
 
 
 class NotPositiveDefinite(ValueError):
@@ -219,21 +230,26 @@ def _solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _lu_solve(A: np.ndarray, b: np.ndarray, rcond: float = 0.0) -> np.ndarray:
     """The one LU solve: ``A x = b`` for a nonempty square float ``A`` and a
     float ``b`` of matching order, one right-hand side or a matrix of them.
 
     LAPACK's ``dgesv`` (LU with partial pivoting), the routine behind
     :func:`numpy.linalg.solve`, called directly (see the module
     docstring).  An exactly zero pivot raises ``numpy.linalg.LinAlgError``
-    ("Singular matrix"), as :func:`numpy.linalg.solve` does.  A matrix
-    ``x`` comes back in LAPACK's Fortran order.
+    ("Singular matrix"), as :func:`numpy.linalg.solve` does, and so does a
+    pivot below ``rcond`` times the largest in magnitude.  A matrix ``x``
+    comes back in LAPACK's Fortran order.
     """
-    _, _, x, info = lapack.dgesv(A, b)
+    lu, _, x, info = lapack.dgesv(A, b)
     if info > 0:
         raise np.linalg.LinAlgError("Singular matrix")
     if info < 0:
         raise ValueError(f"invalid input to LU solve (argument {-info})")
+    if rcond:
+        pivots = np.abs(lu.diagonal()).tolist()
+        if min(pivots) < rcond * max(pivots):
+            raise np.linalg.LinAlgError("Singular matrix")
     return x
 
 
@@ -368,10 +384,11 @@ def _eliminate_equalities(Aeq, beq, n):
     return z_part, Z
 
 
-def _eqp(L, c, A, b):
+def _eqp(L, c, A, b, rcond=0.0):
     """Solve min 0.5 y'Hy + c'y s.t. A y = b given L = chol(H).
 
-    Returns (y, mu) with stationarity H y + c + A' mu = 0.
+    Returns (y, mu) with stationarity H y + c + A' mu = 0.  ``rcond`` is
+    the face system's singularity test (see :func:`_lu_solve`).
     """
     Hinv_c = _solve(L, c)
     if A.shape[0] == 0:
@@ -379,7 +396,7 @@ def _eqp(L, c, A, b):
     Hinv_At = _solve(L, A.T)
     S = A @ Hinv_At
     rhs = -(b + A @ Hinv_c)
-    mu = _lu_solve(S, rhs)
+    mu = _lu_solve(S, rhs, rcond)
     y = -(Hinv_c + Hinv_At @ mu)
     return y, mu
 
@@ -473,33 +490,40 @@ def _active_set_loop(L, Hr, cr, Ar, br, y, W, max_iter):
     raise IterationLimit(f"active-set loop exceeded {max_iter} iterations")
 
 
-def _face_check(L, c, A, b, rows, feas_scale):
-    """``(y, {row: multiplier})`` on the faces ``rows`` if that point solves the QP, else None.
+def _face_search(L, c, A, b, rows, feas_scale, tries):
+    """``((y, {row: multiplier}), n)`` on the first face of a search from
+    ``rows`` that solves the QP, or ``(None, n)``, after ``n`` tries.
 
-    This is both the check of a caller's face and the polish that ends a
-    cold solve.  The point is the ``_eqp`` call on ``rows``.  Stationarity
-    holds by construction; the point is accepted when it also lies on its
-    faces and inside every other row (both to ``feas_scale``) and no
-    multiplier is below ``-_DUAL_TOL``.  A singular face system is no
-    answer.  Dependent rows that rounding leaves nonsingular may pass: the
-    point is then still the optimum to those tolerances, with its
-    multiplier split among the dependent rows.
+    A try is the ``_eqp`` call on the sorted ``rows``.  Stationarity holds by
+    construction; the point is accepted when it also lies on its faces and
+    inside every other row (both to ``feas_scale``) and no multiplier is
+    below ``-_DUAL_TOL``.  Otherwise the next face keeps the rows whose
+    multiplier is not below ``-_DUAL_TOL`` and adds the rows the point
+    violates.  The search stops on an accepted face, an empty or repeated
+    face, a face system that fails the ``_FACE_RCOND`` pivot test, or after
+    ``tries`` tries.  With one try it is the polish that ends a cold solve.
     """
-    if not rows:
-        return None
-    A_F, b_F = A[rows], b[rows]
-    try:
-        y, mu = _eqp(L, c, A_F, b_F)
-    except np.linalg.LinAlgError:
-        return None
-    on_faces = np.abs(A_F @ y - b_F).max() <= feas_scale
-    if on_faces and _feasible(A, b, y, feas_scale) and mu.min() >= -_DUAL_TOL:
-        return y, dict(zip(rows, mu))
-    return None
+    seen = set()
+    for n in range(tries):
+        if not rows or tuple(rows) in seen:
+            return None, n
+        seen.add(tuple(rows))
+        A_F, b_F = A[rows], b[rows]
+        try:
+            y, mu = _eqp(L, c, A_F, b_F, _FACE_RCOND)
+        except np.linalg.LinAlgError:
+            return None, n + 1
+        resid = A @ y - b
+        on_faces = np.abs(A_F @ y - b_F).max() <= feas_scale
+        if on_faces and (resid <= feas_scale).all() and mu.min() >= -_DUAL_TOL:
+            return (y, dict(zip(rows, mu))), n + 1
+        kept = {i for i, m in zip(rows, mu.tolist()) if m >= -_DUAL_TOL}
+        rows = sorted(kept.union(np.flatnonzero(resid > feas_scale).tolist()))
+    return None, tries
 
 
 def solve_qp(qp: Qp, face=None) -> QpSolution:
-    """Solve a strictly convex QP with a primal active-set method.
+    """Solve a strictly convex QP by a face search, then a primal active-set method.
 
     Equalities are eliminated through an orthonormal null-space basis from
     the SVD of ``Aeq``; that SVD is cached (see the module docstring).
@@ -509,8 +533,9 @@ def solve_qp(qp: Qp, face=None) -> QpSolution:
 
     ``face`` names rows of ``Ain`` (indices) expected to hold the answer,
     such as those that held an earlier solution of a QP with the same
-    constraints; the module docstring says how it is tried.  A face with a
-    non-integer or out-of-range index raises TypeError or ValueError.
+    constraints: the face search starts there instead of from the rows the
+    unconstrained minimizer violates (see the module docstring).  A face
+    with a non-integer or out-of-range index raises TypeError or ValueError.
 
     Raises Infeasible, IterationLimit, or NotPositiveDefinite, ValueError
     when the answer overflows, and ``numpy.linalg.LinAlgError`` when a
@@ -560,29 +585,30 @@ def solve_qp(qp: Qp, face=None) -> QpSolution:
             Lr = _factor(Hr)
 
         y_unc = -_solve(Lr, cr)
-        on_face = None
-        if _feasible(Ar, br, y_unc, feas_scale):
-            y0, W0 = y_unc, []
-        elif face is not None and (on_face := _face_check(Lr, cr, Ar, br, face, feas_scale)):
-            pass  # solved on the given faces: the loop does not run
-        elif _feasible(Ar, br, np.zeros(nz), feas_scale):
-            y0, W0 = np.zeros(nz), []
+        inside = Ar @ y_unc - br <= feas_scale
+        found, n_iter = None, 0
+        if not inside.all():
+            start = face or np.flatnonzero(~inside).tolist()
+            found, n_iter = _face_search(Lr, cr, Ar, br, start, feas_scale, _FACE_TRIES)
+        if found:
+            y, mu_map = found
         else:
-            y0 = _phase1(Ar, br)
-            resid = Ar @ y0 - br
-            if resid.max(initial=0.0) > 1e-7 * (1.0 + np.abs(br).max(initial=0.0)):
-                raise Infeasible("inequality constraints have no feasible point")
-            cand = [i for i in range(n_in) if resid[i] >= -_ACTIVE_TOL * (1.0 + abs(br[i]))]
-            W0 = _independent_rows(Ar, cand)
-
-        if on_face:
-            y, mu_map = on_face
-            n_iter = 1
-        else:
+            if inside.all():
+                y0, W0 = y_unc, []
+            elif _feasible(Ar, br, np.zeros(nz), feas_scale):
+                y0, W0 = np.zeros(nz), []
+            else:
+                y0 = _phase1(Ar, br)
+                resid = Ar @ y0 - br
+                if resid.max(initial=0.0) > 1e-7 * (1.0 + np.abs(br).max(initial=0.0)):
+                    raise Infeasible("inequality constraints have no feasible point")
+                cand = [i for i in range(n_in) if resid[i] >= -_ACTIVE_TOL * (1.0 + abs(br[i]))]
+                W0 = _independent_rows(Ar, cand)
             max_iter = 100 * max(nz, 1)
-            y, mu_map, n_iter = _active_set_loop(Lr, Hr, cr, Ar, br, y0, list(W0), max_iter)
+            y, mu_map, n_loop = _active_set_loop(Lr, Hr, cr, Ar, br, y0, list(W0), max_iter)
+            n_iter += n_loop
             # polish: place the iterate exactly on its working faces
-            y, mu_map = _face_check(Lr, cr, Ar, br, sorted(mu_map), feas_scale) or (y, mu_map)
+            y, mu_map = _face_search(Lr, cr, Ar, br, sorted(mu_map), feas_scale, 1)[0] or (y, mu_map)
 
         # with Z = I the zero z_part is still added: it turns a -0.0 in y
         # into +0.0, as Z @ y did, so the bytes of z do not change

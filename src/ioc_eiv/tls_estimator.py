@@ -21,8 +21,9 @@ through the stop tests.  :func:`tls_inner` solves the fit by projected Gauss-New
   gives ``U``, the multipliers and the demo cost at once; a backtracking
   trial's solve starts from the face the current solution's multipliers
   hold, since the forward QP's constraints do not depend on ``theta`` and
-  a trial moves its optimal face little, so most trials end after one face
-  check with the bits a cold solve would give, and the rest solve cold;
+  a trial moves its optimal face little, so most trials end after one try
+  of the QP's face search, and the rest repair that face in a few more;
+  either way with the bits a cold solve would give;
 * the derivative ``G = dU*/dtheta`` is the sensitivity of the forward QP
   on the rows its multipliers hold (:func:`_sensitivity`);
 * each step solves the ``q``-variable QP ``min f`` with ``U*`` replaced by

@@ -5,6 +5,7 @@ and textbook algorithms that are slow but easy to audit, so the library can
 be checked against code that shares none of its internals.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -115,6 +116,32 @@ def dykstra(z, A, b, n_pass=100_000, tol=1e-15):
         if moved <= tol * (1.0 + np.linalg.norm(x)):
             break
     return x
+
+
+def project_by_enumeration(z, A, b, tol=1e-10):
+    """Projection onto {x : A x <= b} by brute force over the faces.
+
+    The projection lies on the affine hull of its active face, and no
+    feasible point is nearer, so it is the nearest feasible point among the
+    projections of ``z`` onto the affine hulls of every subset of rows (a
+    minimum-norm least-squares correction, skipped when the subset is
+    inconsistent).  Exact up to rounding for the few rows of a test
+    problem, where Dykstra's scheme can stall in a narrow wedge for more
+    than its pass budget.  ``tol`` scales the feasibility test.
+    """
+    z = np.asarray(z, dtype=float)
+    best, best_dist = None, math.inf
+    for k in range(A.shape[0] + 1):
+        for rows in itertools.combinations(range(A.shape[0]), k):
+            rows = list(rows)
+            x = z - np.linalg.lstsq(A[rows], A[rows] @ z - b[rows], rcond=None)[0] if rows else z
+            slack_tol = tol * (1.0 + np.abs(b).max(initial=0.0)
+                               + np.abs(A).max(initial=0.0) * np.abs(x).max(initial=0.0))
+            on_hull = np.abs(A[rows] @ x - b[rows]).max(initial=0.0) <= slack_tol
+            dist = float(np.linalg.norm(x - z))
+            if on_hull and (A @ x - b <= slack_tol).all() and dist < best_dist:
+                best, best_dist = x, dist
+    return best
 
 
 def pg_solve(H, c, A, b, n_iter=20000, tol=1e-12):

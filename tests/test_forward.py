@@ -196,3 +196,28 @@ def test_warm_started_solve_is_the_cold_solve(config):
         assert warm.U.tobytes() == cold.U.tobytes()
         assert warm.lam.tobytes() == cold.lam.tobytes()
         prev = warm
+
+
+@pytest.mark.parametrize("horizon", [50, 100])
+def test_cold_solve_at_long_horizons_ends_in_a_few_face_tries(monkeypatch, horizon):
+    # the unconstrained optimum breaks the input cap on a run of early steps;
+    # the QP's face search repairs that guess in a few tries, where a loop
+    # that adds one blocking row per iteration took 19 (N = 50) and 18
+    # (N = 100) iterations
+    from ioc_eiv import forward
+
+    iters = []
+    solve_qp = forward.solve_qp
+
+    def counting(qp, face=None):
+        sol = solve_qp(qp, face=face)
+        iters.append(sol.n_iter)
+        return sol
+
+    monkeypatch.setattr(forward, "solve_qp", counting)
+    fp = oracles.spring_damper(horizon=horizon)
+    sol = solve_forward(fp, oracles.SPRING_THETA)
+    assert len(iters) == 1 and iters[0] <= 5
+    res = kkt_residual(fp, oracles.SPRING_THETA, sol.lam, sol.U)
+    for block in (res.stationarity, res.complementarity, res.primal_violation, res.dual_violation):
+        assert np.max(np.abs(block)) <= 1e-6

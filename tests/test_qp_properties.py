@@ -5,7 +5,11 @@ optionally with duplicate or parallel inequality rows, rows active at
 ``z0`` and rank-deficient equality blocks.  The oracle shares no code with
 the solver: equalities are eliminated with ``scipy.linalg.null_space``, the
 metric is whitened with ``numpy.linalg.cholesky``, and the minimizer is
-then a Euclidean projection, computed by Dykstra's scheme.
+then a Euclidean projection, computed by brute force over the faces
+(``oracles.project_by_enumeration``).  Dykstra's scheme, the earlier
+oracle, can stall short of the projection in a narrow wedge: on one QP of
+the 500-example profile it stopped 9.5e-5 from it, outside a row by
+1.7e-6, after its 100,000 passes.
 """
 
 import numpy as np
@@ -61,7 +65,7 @@ def feasible_qps(draw):
 
 
 def _oracle(qp, z0):
-    """Minimizer by null-space elimination, whitening and Dykstra projection."""
+    """Minimizer by null-space elimination, whitening and projection."""
     if qp.Aeq.shape[0]:
         N = scipy.linalg.null_space(qp.Aeq)
         zp = z0
@@ -80,7 +84,7 @@ def _oracle(qp, z0):
     b = qp.bin - qp.Ain @ zp
     # rows constant on the equality set (zero up to rounding) hold at z0
     keep = np.abs(A).max(axis=1, initial=0.0) > 1e-12 * (1.0 + np.abs(qp.Ain).max(axis=1, initial=0.0))
-    v = oracles.dykstra(v_free, A[keep], b[keep])
+    v = oracles.project_by_enumeration(v_free, A[keep], b[keep])
     return zp + N @ (Rinv @ v)
 
 
@@ -99,6 +103,21 @@ def test_solve_qp_matches_the_projection_oracle(case):
 def test_solve_qp_kkt_residual_is_small(case):
     qp, _ = case
     sol = solve_qp(qp)
+    _, active_set, kkt_residual = oracles.qp_report(qp, sol)
+    assert kkt_residual <= 1e-6
+    assert set(active_set) >= {i for i, m in enumerate(sol.mult_in) if m > 1e-8}
+
+
+@given(feasible_qps(), st.data())
+def test_solve_qp_from_any_face_keeps_the_cold_guarantees(case, data):
+    # any subset of rows, right or wrong, is only where the face search starts
+    qp, z0 = case
+    n_in = qp.Ain.shape[0]
+    face = data.draw(st.lists(st.integers(0, n_in - 1), max_size=n_in) if n_in else st.just([]))
+    sol = solve_qp(qp, face=face)
+    ref = _oracle(qp, z0)
+    scale = 1.0 + np.max(np.abs(ref), initial=0.0)
+    np.testing.assert_allclose(sol.z, ref, atol=1e-6 * scale)
     _, active_set, kkt_residual = oracles.qp_report(qp, sol)
     assert kkt_residual <= 1e-6
     assert set(active_set) >= {i for i, m in enumerate(sol.mult_in) if m > 1e-8}
