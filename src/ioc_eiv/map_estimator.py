@@ -15,11 +15,11 @@ estimate and a good starting point, then maximizes the posterior over
 Both steps classify rows at ``model.ITERATE_ACTIVE_TOL``.
 
 Each step's objective is half the MAP cost, written in the Gaussian form
-the Gibbs sampler draws from.  The beta-step's Hessian is the beta full
-conditional's precision on the free coordinates.  The U-step's Hessian and
-linear term are the precision and the negated information vector that
-``mcmc._u_information`` returns for the demo precision fixed by the chain.
-:func:`map_cost` reads the same precisions from the priors.
+the Gibbs sampler draws from: its Hessian and linear term are the precision
+and the negated information vector that ``mcmc._beta_information`` returns
+on the beta-step's free coordinates, and that ``mcmc._u_information``
+returns for the demo precision fixed by the chain.  :func:`map_cost` reads
+the same precisions from the priors.
 
 The normalization equality in the beta-step anchors the scale that the
 stationarity term cannot see.  The residual ``J(U) beta`` is homogeneous
@@ -47,7 +47,7 @@ import numpy as np
 from . import model
 from .demos import DemoSet, generate, noise_cov
 from .kkt_baseline import NormalizationRule, _require_rule
-from .mcmc import SIGMA_Y, Priors, _u_information, default_priors, gibbs_run
+from .mcmc import SIGMA_Y, Priors, _beta_information, _u_information, default_priors, gibbs_run
 from .numerics import Infeasible, Qp, cholesky, cholesky_solve, solve_qp, spd_inverse
 
 __all__ = [
@@ -84,6 +84,9 @@ class MapResult:
     U_hat: np.ndarray
     Sigma_U_hat: np.ndarray
     cost_trace: tuple
+    # the alternation's exit: "cap" (all MAX_OUTER_ITERS iterations ran), "rise"
+    # (a half-step would raise the cost) or "tolerance" (COST_TOL was met)
+    stop_reason: str
 
 
 def map_cost(U, beta, Sigma_U, ds: DemoSet, priors: Priors, bs=None) -> float:
@@ -118,11 +121,8 @@ def _beta_step(bs, ds: DemoSet, priors: Priors, U, norm: NormalizationRule):
     act = np.flatnonzero(bs.active_rows(U, model.ITERATE_ACTIVE_TOL))
     B = np.hstack([bs.J_theta(U), bs.J_lambda[:, act]])
     free = np.concatenate([np.arange(q), q + act])
-
-    H = priors.Sigma_beta_inv[np.ix_(free, free)] + ds.n_demos * (B.T @ priors.Sigma_Y_inv @ B)
-    H = 0.5 * (H + H.T)
-    c = -priors.Sigma_beta_inv_beta0[free]
-    sol = solve_qp(Qp(H=H, c=c, **norm.beta_blocks(q, free.size)))
+    H, info = _beta_information(ds, B, priors, free)
+    sol = solve_qp(Qp(H=H, c=-info, **norm.beta_blocks(q, free.size)))
     beta = np.zeros(q + bs.n_multipliers)
     beta[free] = sol.z
     return beta
@@ -165,10 +165,12 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig,
     # an exact cost tie, which keeps the earlier: the tls_positivity bench
     # row map,20.0,5 ends on one, and the last iterate differs in its last bit
     best: tuple[float, np.ndarray, np.ndarray] | None = None
+    stop_reason = "cap"
     for it in range(MAX_OUTER_ITERS):
         beta_new = _beta_step(bs, ds, priors, U, norm)
         cost_b = map_cost(U, beta_new, Sigma_U, ds, priors, bs)
         if it > 0 and cost_b > trace[-1]:
+            stop_reason = "rise"
             break
         U_new, beta_new = _u_step(bs, ds, priors, SU_inv, beta_new)
         cost_u = map_cost(U_new, beta_new, Sigma_U, ds, priors, bs)
@@ -178,6 +180,7 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig,
             trace = [cost_u]
         else:
             if cost_u > cost_b:
+                stop_reason = "rise"
                 break
             trace.extend([cost_b, cost_u])
         U, beta = U_new, beta_new
@@ -185,6 +188,7 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig,
             best = (cost_u, U.copy(), beta.copy())
         # trace[-3] is the previous iteration's cost_u
         if it > 0 and trace[-3] - cost_u <= COST_TOL * max(1.0, abs(trace[-3])):
+            stop_reason = "tolerance"
             break
 
     _, U_best, beta_best = best
@@ -195,6 +199,7 @@ def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig,
         U_hat=U_best,
         Sigma_U_hat=Sigma_U,
         cost_trace=tuple(trace),
+        stop_reason=stop_reason,
     )
 
 

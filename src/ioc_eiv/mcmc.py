@@ -14,10 +14,12 @@ III. Sigma_U | U, data       (inverse-Wishart with D added degrees of freedom)
 sample mean.  ``mh_within_gibbs_U`` replaces the exact U draw with a
 random-walk Metropolis step on the same conditional density.
 
-Conditional II is written once, as the precision and information vector
-that ``_u_information`` returns: the exact draw takes its mean and
-covariance from them, the Metropolis target is ``info' U - 0.5 U' prec U``,
-and the MAP estimator's U-step minimizes the negative of that target.
+Conditionals I and II are each written once, as the precision and
+information vector ``(prec, info)`` of ``_beta_information`` and
+``_u_information``, with log density ``info' x - 0.5 x' prec x``.  One
+moments step, ``_moments``, gives the exact draws their mean and
+covariance; MAP's half-steps minimize the negative log densities, and the
+Metropolis U step targets the U one.
 
 The demos enter only through ``DemoSet``'s count D, mean Ubar and scatter S:
 II reads ``D Ubar``, and III adds ``S + D (Ubar - U)(Ubar - U)'`` to ``W_U``.
@@ -189,34 +191,38 @@ def _bartlett_indices(p: int) -> tuple:
 
 
 def full_conditional_beta(ds: DemoSet, U, bs: model.BilinearStationarity, priors: Priors):
-    """Gaussian full conditional of ``beta`` given the latent input.
+    """(mean, covariance) of the Gaussian full conditional of ``beta`` given ``U``."""
+    return _moments(*_beta_information(ds, bs.J(np.asarray(U, dtype=float)), priors))
 
-    All D pseudo-observations share the regression matrix J(U), so the
-    stacked system collapses to a factor of D on the information matrix.
-    Returns (mean, covariance).
+
+def _beta_information(ds: DemoSet, J, priors: Priors, free=slice(None)):
+    """Precision and information vector ``(prec, info)`` of beta given U, on ``free``.
+
+    ``J`` holds the Jacobian columns of the coordinates ``free``; the others
+    are held at zero.  The D pseudo-observations share J, which gives the
+    factor D, and their zero residual adds nothing to ``info``.  ``prec`` is
+    exactly symmetric.
     """
-    D = ds.n_demos
-    J = bs.J(np.asarray(U, dtype=float))
-    prec = priors.Sigma_beta_inv + D * (J.T @ priors.Sigma_Y_inv @ J)
-    prec = 0.5 * (prec + prec.T)
+    prec = priors.Sigma_beta_inv[free][:, free] + ds.n_demos * (J.T @ priors.Sigma_Y_inv @ J)
+    return 0.5 * (prec + prec.T), priors.Sigma_beta_inv_beta0[free]
+
+
+def _moments(prec, info):
+    """Mean and covariance ``(cov @ info, cov)`` of the Gaussian form ``(prec, info)``."""
     cov = spd_inverse(prec)
-    mean = cov @ priors.Sigma_beta_inv_beta0
-    return mean, cov
+    return cov @ info, cov
 
 
 def full_conditional_U(ds: DemoSet, beta, Sigma_U, bs: model.BilinearStationarity, priors: Priors):
-    """Gaussian full conditional of the latent input ``U``.
+    """(mean, covariance) of the Gaussian full conditional of the latent input ``U``."""
+    return _moments(*_u_form(ds, beta, Sigma_U, bs, priors))
 
-    Returns (mean, covariance) of the Gaussian form that
-    :func:`_u_information` writes down.
-    """
+
+def _u_form(ds: DemoSet, beta, Sigma_U, bs: model.BilinearStationarity, priors: Priors):
+    """:func:`_u_information` at the full weight vector and the demo covariance."""
     beta = np.asarray(beta, dtype=float).ravel()
     q = bs.n_features
-    SigU_inv = spd_inverse(Sigma_U)
-    prec, info = _u_information(ds, beta[:q], beta[q:], SigU_inv, bs, priors)
-    cov = spd_inverse(prec)
-    mean = cov @ info
-    return mean, cov
+    return _u_information(ds, beta[:q], beta[q:], spd_inverse(Sigma_U), bs, priors)
 
 
 def _u_information(ds: DemoSet, theta, lam, SigU_inv, bs: model.BilinearStationarity,
@@ -304,10 +310,7 @@ def mh_step(state, log_target, proposal_sampler, proposal_logpdf, rng: np.random
 
 def _u_log_conditional(ds, beta, Sigma_U, bs, priors):
     """Unnormalized log density ``info' U - 0.5 U' prec U`` of the U full conditional."""
-    beta = np.asarray(beta, dtype=float).ravel()
-    q = bs.n_features
-    SigU_inv = spd_inverse(Sigma_U)
-    prec, info = _u_information(ds, beta[:q], beta[q:], SigU_inv, bs, priors)
+    prec, info = _u_form(ds, beta, Sigma_U, bs, priors)
 
     def logp(U):
         U = np.asarray(U, dtype=float).ravel()
