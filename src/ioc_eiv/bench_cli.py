@@ -107,7 +107,7 @@ def _matrix(obj, name: str) -> np.ndarray:
         data = obj["data"]
     except KeyError as e:
         raise ConfigError(f"{name}: expected integer rows/cols and a data list") from e
-    arr = np.asarray(data, dtype=float).ravel()
+    arr = _numbers(data, f"{name}.data")
     if arr.shape[0] != r * c:
         raise ConfigError(
             f"{name}: data has {arr.shape[0]} entries, expected rows*cols = {r * c}"
@@ -140,7 +140,7 @@ def parse_problem(obj) -> model.ForwardProblem:
             _reject_unknown(f, f"problem.features[{i}]", ("kind", "index", "target"))
             features.append(model.QuadraticFeature(
                 kind=f["kind"], index=_parse(int, f["index"], f"problem.features[{i}].index"),
-                target=float(f.get("target", 0.0)),
+                target=_parse(float, f.get("target", 0.0), f"problem.features[{i}].target"),
             ))
         con = obj.get("constraints")
         if con:
@@ -148,7 +148,7 @@ def parse_problem(obj) -> model.ForwardProblem:
             constraints = model.PolytopicConstraints(
                 Hx=_matrix(con["Hx"], "problem.constraints.Hx"),
                 Hu=_matrix(con["Hu"], "problem.constraints.Hu"),
-                h=np.asarray(con["h"], dtype=float),
+                h=_numbers(con["h"], "problem.constraints.h"),
             )
         else:
             constraints = model.PolytopicConstraints.empty(system.n, system.m)
@@ -158,8 +158,8 @@ def parse_problem(obj) -> model.ForwardProblem:
             features=tuple(features),
             constraints=constraints,
             horizon=_parse(int, obj["horizon"], "problem.horizon"),
-            x0=np.asarray(obj["x0"], dtype=float),
-            theta_true=np.asarray(theta_true, dtype=float) if theta_true is not None else None,
+            x0=_numbers(obj["x0"], "problem.x0"),
+            theta_true=None if theta_true is None else _numbers(theta_true, "problem.theta_true"),
         )
     except ConfigError:
         raise
@@ -193,10 +193,9 @@ def _noise_spec(noise_obj, U_star, m: int, percent: float, seed: int) -> NoiseSp
     """Resolve a noise config at one percent level into a concrete spec.
 
     Level 0 means exact demonstrations (zero noise scale); negative levels
-    are rejected.
+    are rejected.  ``lower`` and ``upper`` are each a number or a list of
+    one per channel.
     """
-    if not isinstance(noise_obj, dict):
-        raise ConfigError("noise: expected a JSON object")
     kind = noise_obj.get("kind", "gaussian")
     try:
         scale = np.zeros(m) if percent == 0.0 else noise_scale_from_percent(U_star, percent, m)
@@ -208,9 +207,11 @@ def _noise_spec(noise_obj, U_star, m: int, percent: float, seed: int) -> NoiseSp
         if kind == "truncated_gaussian":
             if "lower" not in noise_obj or "upper" not in noise_obj:
                 raise ConfigError("noise: truncated_gaussian requires 'lower' and 'upper'")
-            return NoiseSpec.truncated_gaussian(
-                np.diag(scale**2), noise_obj["lower"], noise_obj["upper"], seed
+            lower, upper = (
+                _numbers(v if isinstance(v, list) else [v], f"noise.{k}")
+                for k, v in (("lower", noise_obj["lower"]), ("upper", noise_obj["upper"]))
             )
+            return NoiseSpec.truncated_gaussian(np.diag(scale**2), lower, upper, seed)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"noise: {e}") from e
     raise ConfigError(f"noise: unknown kind {kind!r}")
@@ -226,7 +227,7 @@ def _check_keys(cfg) -> None:
         ("problem", "noise", "n_demos", "n_reps", "seed", "methods", "gibbs", "norm"),
     )
     for where, known in (
-        ("noise", ("kind", "percent", "percent_levels", "lower", "upper")),
+        ("noise", ("kind", "percent_levels", "lower", "upper")),
         ("gibbs", ("n_iter", "n_keep")),
         ("norm", ("kind", "value", "index")),
     ):
@@ -234,18 +235,31 @@ def _check_keys(cfg) -> None:
 
 
 def _parse(kind, value, name: str):
-    """``kind(value)`` for the setting ``name``; ConfigError when it is no ``kind``.
+    """``kind(value)`` for the JSON setting ``name``; ConfigError unless it is a
+    JSON number of that ``kind``.
 
-    An ``int`` setting refuses a bool and a number with a fractional part
-    instead of truncating it.
+    A string or a bool is refused instead of converted, and so is a number
+    with a fractional part for an ``int`` setting instead of truncated.
     """
-    if kind is int and (isinstance(value, bool)
-                        or isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name}: expected int, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    """The JSON list of numbers ``name`` as a float array; ConfigError otherwise."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name}: expected a list of numbers")
+    return np.array([_parse(float, v, name) for v in value], dtype=float)
+
+
+def _parse_text(kind, text: str, name: str):
+    """``kind(text)`` for the command-line or environment text ``name``."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}") from e
+        return kind(text)
+    except ValueError as e:
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {text!r}") from e
 
 
 def _count(cfg, key: str) -> int:
@@ -276,7 +290,7 @@ def _parse_norm(cfg, fp: model.ForwardProblem) -> NormalizationRule:
     try:
         rule = NormalizationRule(
             kind=obj.get("kind", "sum"),
-            value=float(obj.get("value", 1.0)),
+            value=_parse(float, obj.get("value", 1.0), "norm.value"),
             index=_parse(int, obj.get("index", 0), "norm.index"),
         )
         rule.beta_blocks(fp.q, fp.q)  # checks a component index against q
@@ -296,7 +310,7 @@ def _seed(value, name: str) -> int:
 def _master_seed(cfg) -> int:
     env = os.environ.get("IOC_EIV_SEED")
     if env is not None:
-        return _seed(env, "IOC_EIV_SEED")
+        return _seed(_parse_text(int, env, "IOC_EIV_SEED"), "IOC_EIV_SEED")
     return _seed(cfg.get("seed", 0), "seed")
 
 
@@ -309,8 +323,29 @@ def _write_output(obj, path: str | None):
             fh.write(text)
 
 
-def _problem_from_config(cfg) -> model.ForwardProblem:
-    return parse_problem(cfg["problem"] if isinstance(cfg, dict) and "problem" in cfg else cfg)
+def _grid(cfg) -> tuple[model.ForwardProblem, dict, list[float]]:
+    """The problem, the noise object and its percent levels of a ``demos`` or
+    ``bench`` config, after :func:`_check_keys`.
+
+    The problem must carry ``theta_true``, and ``percent_levels`` must be a
+    nonempty list of nonnegative numbers.
+    """
+    _check_keys(cfg)
+    if "problem" not in cfg:
+        raise ConfigError("config needs a 'problem' object")
+    fp = parse_problem(cfg["problem"])
+    if fp.theta_true is None:
+        raise ConfigError("problem: theta_true is required to draw demonstrations")
+    noise_obj = cfg.get("noise")
+    if noise_obj is None:
+        raise ConfigError("config needs a 'noise' object")
+    levels = noise_obj.get("percent_levels")
+    if not isinstance(levels, list) or not levels:
+        raise ConfigError("noise.percent_levels: expected a nonempty list")
+    levels = [_parse(float, v, "noise.percent_levels") for v in levels]
+    if any(v < 0 for v in levels):
+        raise ConfigError("noise percent levels must be nonnegative")
+    return fp, noise_obj, levels
 
 
 # ---------------------------------------------------------------- commands
@@ -318,9 +353,9 @@ def _problem_from_config(cfg) -> model.ForwardProblem:
 
 def cmd_forward(args) -> int:
     cfg = _load_json(args.config)
-    fp = _problem_from_config(cfg)
+    fp = parse_problem(cfg["problem"] if isinstance(cfg, dict) and "problem" in cfg else cfg)
     if args.theta is not None:
-        theta = np.array([_parse(float, v, "--theta") for v in args.theta.split(",")])
+        theta = np.array([_parse_text(float, v, "--theta") for v in args.theta.split(",")])
         if theta.size != fp.q or not np.all((theta > 0) & np.isfinite(theta)):
             raise ConfigError(f"--theta: expected {fp.q} positive weights, got {args.theta!r}")
     elif fp.theta_true is not None:
@@ -346,22 +381,8 @@ def cmd_forward(args) -> int:
 
 def cmd_demos(args) -> int:
     cfg = _load_json(args.config)
-    _check_keys(cfg)
-    fp = _problem_from_config(cfg)
-    if fp.theta_true is None:
-        raise ConfigError("demo generation requires theta_true in the problem")
-    noise_obj = cfg.get("noise")
-    if noise_obj is None:
-        raise ConfigError("config needs a 'noise' object")
-    levels = noise_obj.get("percent_levels")
-    if levels is not None and not isinstance(levels, list):
-        raise ConfigError("noise.percent_levels: expected a list")
-    percent = args.level if args.level is not None else noise_obj.get("percent")
-    if percent is None and levels:
-        percent = levels[0]
-    if percent is None:
-        raise ConfigError("give --level or put noise.percent in the config")
-    percent = _parse(float, percent, "noise.percent")
+    fp, noise_obj, levels = _grid(cfg)
+    percent = args.level if args.level is not None else levels[0]
     D = _count(cfg, "n_demos")
     seed = _seed(args.seed, "--seed") if args.seed is not None else _master_seed(cfg)
     U_star = forward.solve(fp, fp.theta_true).U
@@ -381,16 +402,14 @@ def cmd_demos(args) -> int:
 
 def _inputs(value, name: str, n: int) -> np.ndarray:
     """The demo file's ``name`` as a flat input of ``n`` entries; ConfigError otherwise."""
-    try:
-        U = np.asarray(value, dtype=float).ravel()
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"demo file: {name}: expected a list of numbers") from e
+    U = _numbers(value, f"demo file: {name}")
     if U.size != n:
         raise ConfigError(f"demo file: {name} has {U.size} entries, expected m*N = {n}")
     return U
 
 
 def _demoset_from_json(obj) -> tuple[DemoSet, model.ForwardProblem]:
+    _reject_unknown(obj, "demo file", ("problem", "U_star", "noise", "demos"))
     try:
         fp = parse_problem(obj["problem"])
         demos = obj["demos"]
@@ -537,22 +556,8 @@ def _stats(values: list) -> dict | None:
 
 def cmd_bench(args) -> int:
     cfg = _load_json(args.config)
-    _check_keys(cfg)
-    if "problem" not in cfg:
-        raise ConfigError("bench config needs a 'problem' object")
-    fp = parse_problem(cfg["problem"])  # validate up front
-    if fp.theta_true is None:
-        raise ConfigError("bench requires theta_true in the problem")
+    fp, noise_obj, levels = _grid(cfg)
     norm, gibbs = _parse_norm(cfg, fp), _parse_gibbs(cfg)
-    noise_obj = cfg.get("noise")
-    if noise_obj is None:
-        raise ConfigError("bench config needs a 'noise' object")
-    levels = noise_obj.get("percent_levels")
-    if not isinstance(levels, list) or not levels:
-        raise ConfigError("noise needs a nonempty 'percent_levels' list")
-    levels = [_parse(float, v, "noise.percent_levels") for v in levels]
-    if any(v < 0 for v in levels):
-        raise ConfigError("noise percent levels must be nonnegative")
     methods = cfg.get("methods", list(_METHODS))
     if (not isinstance(methods, list) or not methods
             or not all(isinstance(m, str) and m in _METHODS for m in methods)
@@ -710,7 +715,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("demos", help="generate noisy demonstrations")
     pd.add_argument("--config", required=True, help="config with problem, noise, n_demos")
     pd.add_argument("--level", type=float, default=None,
-                    help="noise percent level (default: noise.percent from the config)")
+                    help="noise percent level (default: the first of noise.percent_levels)")
     pd.add_argument("--seed", type=int, default=None,
                     help="noise seed (default: master seed from config or IOC_EIV_SEED)")
     pd.add_argument("--out", default=None, help="output JSON path (default: stdout)")

@@ -45,8 +45,8 @@ interior-point methods do not give.  Determinism is pinned down by two rules:
 * a start found by phase 1 takes as its working set the rows with
   ``a z - b >= -1e-7 * (1 + |b|)``, pruned in index order to full row rank.
 
-The unconstrained minimizer comes first, so an interior answer keeps its
-bits.  Otherwise, in this order:
+An interior QP, whose unconstrained minimizer meets every inequality,
+gets that minimizer, no multipliers and ``n_iter = 0``.  Otherwise:
 
 1. **Face search.**  The primal-dual active-set step (Hintermüller, Ito &
    Kunisch, *SIAM J. Optim.* 13, 2003): guess the optimal face, then
@@ -586,16 +586,15 @@ def solve_qp(qp: Qp, face=None) -> QpSolution:
 
         y_unc = -_solve(Lr, cr)
         inside = Ar @ y_unc - br <= feas_scale
-        found, n_iter = None, 0
-        if not inside.all():
+        if inside.all():
+            found, n_iter = (y_unc, {}), 0  # interior: no multipliers, no tries
+        else:
             start = face or np.flatnonzero(~inside).tolist()
             found, n_iter = _face_search(Lr, cr, Ar, br, start, feas_scale, _FACE_TRIES)
         if found:
             y, mu_map = found
         else:
-            if inside.all():
-                y0, W0 = y_unc, []
-            elif _feasible(Ar, br, np.zeros(nz), feas_scale):
+            if _feasible(Ar, br, np.zeros(nz), feas_scale):
                 y0, W0 = np.zeros(nz), []
             else:
                 y0 = _phase1(Ar, br)

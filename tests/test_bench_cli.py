@@ -255,6 +255,57 @@ def test_estimate_wrong_length_demo_is_one_error_line(tmp_path, capsys, method, 
     assert lines == [f"error: demo file: {field} has 4 entries, expected m*N = 5"]
 
 
+@pytest.mark.parametrize("content,message", [
+    ([], "expected a JSON object"),
+    ("x", "expected a JSON object"),
+    ({"problem": {}, "demos": [], "level": 5}, "unknown key(s) 'level'"),
+], ids=["list", "string", "unknown-key"])
+def test_estimate_malformed_demo_file_is_one_error_line(tmp_path, capsys, content, message):
+    # a demo file that is not an object used to end in a TypeError traceback
+    path = tmp_path / "demos.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    assert main(["estimate", "--demos", str(path), "--method", "tls"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: demo file: {message}")
+
+
+@pytest.mark.parametrize("command", ["demos", "bench"])
+def test_config_without_a_problem_is_one_error_line(tmp_path, capsys, command):
+    # demos used to read the whole config as a bare problem, and named the
+    # config's own keys as unknown problem keys
+    cfg = _tiny_config()
+    del cfg["problem"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = str(tmp_path / "out")
+    argv = ["demos", "--config", str(path), "--out", out] if command == "demos" else [
+        "bench", "--config", str(path), "--out-dir", out]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: config needs a 'problem' object"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_demos_without_a_level_takes_the_first_grid_level(tmp_path):
+    cfg = _write_config(tmp_path, noise={"kind": "gaussian", "percent_levels": [10, 5]})
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["demos", "--config", cfg, "--seed", "5", "--out", str(a)]) == 0
+    assert main(["demos", "--config", cfg, "--seed", "5", "--level", "10", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(a.read_text())["noise"]["percent"] == 10.0
+
+
+@pytest.mark.parametrize("field,value", [("demos[1]", "1.0"), ("U_star", False)])
+def test_estimate_text_or_bool_in_a_demo_is_one_error_line(tmp_path, capsys, field, value):
+    path = _make_demo_file(tmp_path)
+    obj = json.loads(open(path, encoding="utf-8").read())
+    (obj["U_star"] if field == "U_star" else obj["demos"][1])[0] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    assert main(["estimate", "--demos", path, "--method", "mean"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: demo file: {field}: expected float, got {value!r}"]
+
+
 def test_bench_outputs_and_rerun_determinism(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     dir_a, dir_b = tmp_path / "out_a", tmp_path / "out_b"
@@ -367,6 +418,8 @@ def test_bench_records_zero_map_iterations_as_failed_row(tmp_path, capsys):
     ("demos", "config", "map", {"map": {"max_outer_iters": 100}}),
     ("estimate", "gibbs", "seed", {"gibbs": {"n_iter": 80, "seed": 2024}}),
     ("estimate", "norm", "total", {"norm": {"kind": "sum", "total": 4.0}}),
+    ("demos", "noise", "percent", {"noise": {"kind": "gaussian", "percent": 5,
+                                             "percent_levels": [5]}}),
 ])
 def test_unread_config_key_is_an_error(tmp_path, capsys, command, where, bad_key, over):
     if command == "estimate":
@@ -425,6 +478,20 @@ def test_misspelled_problem_or_noise_key_is_an_error(tmp_path, capsys, where, ba
     assert not (tmp_path / "out").exists()
 
 
+def _bad_problem(edit):
+    """The tiny config's problem after ``edit``, as a config override."""
+    problem = _tiny_config()["problem"]
+    edit(problem)
+    return {"problem": problem}
+
+
+_X0_TEXT = _bad_problem(lambda p: p.update(x0=["2.0"]))
+_H_BOOL = _bad_problem(lambda p: p["constraints"].update(h=[False]))
+_DATA_TEXT = _bad_problem(lambda p: p["system"]["A"].update(data=["0.8"]))
+_TARGET_TEXT = _bad_problem(lambda p: p["features"][0].update(target="1.0"))
+_NORM_BOOL = {"norm": {"kind": "sum", "value": True}}
+
+
 @pytest.mark.parametrize("command,name,over", [
     ("bench", "gibbs.n_iter", {"gibbs": {"n_iter": "many"}, "methods": ["kkt", "map"]}),
     ("estimate", "gibbs.n_iter", {"gibbs": {"n_iter": "many"}}),
@@ -433,12 +500,40 @@ def test_misspelled_problem_or_noise_key_is_an_error(tmp_path, capsys, where, ba
     ("bench", "n_demos", {"n_demos": 0}),
     ("demos", "n_demos", {"n_demos": 0}),
     ("demos", "noise.percent_levels", {"noise": {"kind": "gaussian", "percent_levels": 5}}),
+    ("bench", "n_demos", {"n_demos": "3"}),
+    ("demos", "n_demos", {"n_demos": "3"}),
+    ("bench", "norm.value", _NORM_BOOL),
+    ("estimate", "norm.value", _NORM_BOOL),
+    ("bench", "problem.x0", _X0_TEXT),
+    ("demos", "problem.x0", _X0_TEXT),
+    ("estimate", "problem.x0", _X0_TEXT),
+    ("bench", "problem.constraints.h", _H_BOOL),
+    ("demos", "problem.constraints.h", _H_BOOL),
+    ("estimate", "problem.constraints.h", _H_BOOL),
+    ("demos", "problem.system.A.data", _DATA_TEXT),
+    ("estimate", "problem.features[0].target", _TARGET_TEXT),
+    ("bench", "noise.lower", {"noise": {"kind": "truncated_gaussian", "lower": "0",
+                                        "upper": 1.0, "percent_levels": [5]}}),
+    ("demos", "noise.upper", {"noise": {"kind": "truncated_gaussian", "lower": 0.0,
+                                        "upper": [True], "percent_levels": [5]}}),
 ], ids=["bench-n_iter-many", "estimate-n_iter-many", "bench-n_demos-ten", "demos-n_demos-ten",
-        "bench-n_demos-0", "demos-n_demos-0", "demos-percent_levels-5"])
+        "bench-n_demos-0", "demos-n_demos-0", "demos-percent_levels-5", "bench-n_demos-text",
+        "demos-n_demos-text", "bench-norm-bool", "estimate-norm-bool", "bench-x0-text",
+        "demos-x0-text", "estimate-x0-text", "bench-h-bool", "demos-h-bool", "estimate-h-bool",
+        "demos-data-text", "estimate-target-text", "bench-lower-text", "demos-upper-bool"])
 def test_bad_setting_is_one_error_line_before_any_fit(tmp_path, capsys, command, name, over):
+    # a JSON string or bool where a number belongs used to be converted:
+    # n_demos "3" drew 3 demos and norm value true fitted under a sum of 1.0
     cfg, out = _write_config(tmp_path, "bad.json", **over), str(tmp_path / "out")
     if command == "estimate":
-        argv = ["estimate", "--demos", _make_demo_file(tmp_path), "--method", "map",
+        demos = _make_demo_file(tmp_path)
+        if "problem" in over:
+            # estimate reads the problem from the demo file
+            obj = json.loads(open(demos, encoding="utf-8").read())
+            obj["problem"] = over["problem"]
+            with open(demos, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        argv = ["estimate", "--demos", demos, "--method", "map",
                 "--config", cfg, "--out", out]
     elif command == "demos":
         argv = ["demos", "--config", cfg, "--level", "5", "--out", out]

@@ -747,8 +747,10 @@ def _golden_qp_batch():
 # The bytes depend on the floating-point kernels of the numpy/OpenBLAS build.
 # Re-pinned once when the face search replaced the cold start: z and mult_in
 # kept their bits on all 200 QPs, and only n_iter, which counts the
-# search's tries, moved.
-GOLDEN_QP_BATCH_SHA256 = "c0b7e3a1c3460848478dceff0d58fba84ef706fa508ca2cc418f42ac87caaafb"
+# search's tries, moved.  Re-pinned again when an interior QP stopped
+# entering the loop: z and mult_in kept their bits on all 200 QPs, and only
+# n_iter moved (an interior solve now reads 0 instead of 1).
+GOLDEN_QP_BATCH_SHA256 = "2d25a7819c9e976805a57f8c7d37ab122a581b8f92cf803050fdc5eb4306571d"
 
 
 def _qp_batch_digest(qps):
@@ -1009,6 +1011,67 @@ def test_qp_start_on_a_wrong_face_gives_the_cold_answer(monkeypatch):
         # the search ends without an answer
         assert len(tries) == 1 and 1 <= tries[0] <= numerics._FACE_TRIES
         assert warm.n_iter == tries[0] + sum(loops)
+
+
+def _spy_on_the_qp_paths(monkeypatch):
+    """Record each face search as ``("search", tries, answer or None)`` and
+    each active-set loop as ``("loop",)``, in call order."""
+    calls = []
+    search, loop = numerics._face_search, numerics._active_set_loop
+
+    def search_spy(*args):
+        out = search(*args)
+        calls.append(("search", args[-1], out[0]))
+        return out
+
+    def loop_spy(*args):
+        calls.append(("loop",))
+        return loop(*args)
+
+    monkeypatch.setattr(numerics, "_face_search", search_spy)
+    monkeypatch.setattr(numerics, "_active_set_loop", loop_spy)
+    return calls
+
+
+@pytest.mark.parametrize("n_eq", [0, 1, 2])
+def test_interior_qp_is_its_unconstrained_minimizer_with_no_search_or_loop(monkeypatch, n_eq):
+    calls = _spy_on_the_qp_paths(monkeypatch)
+    rng = np.random.default_rng(30 + n_eq)
+    for _ in range(10):
+        dim = int(rng.integers(3, 8))
+        H, c = _random_spd(rng, dim), rng.standard_normal(dim)
+        Aeq = rng.standard_normal((n_eq, dim))
+        beq = rng.standard_normal(n_eq)
+        # the unconstrained minimizer: the solution of the equality KKT system
+        kkt = np.block([[H, Aeq.T], [Aeq, np.zeros((n_eq, n_eq))]])
+        z_unc = np.linalg.solve(kkt, np.r_[-c, beq])[:dim]
+        Ain = rng.standard_normal((int(rng.integers(1, 6)), dim))
+        bin_ = Ain @ z_unc + rng.uniform(0.1, 1.0, Ain.shape[0])
+        eq = dict(Aeq=Aeq, beq=beq) if n_eq else {}
+        qp = Qp(H=H, c=c, Ain=Ain, bin=bin_, **eq)
+        for face in (None, [0]):
+            sol = solve_qp(qp, face=face)
+            np.testing.assert_allclose(sol.z, z_unc, rtol=1e-9, atol=1e-9)
+            assert sol.n_iter == 0
+            assert not sol.mult_in.any()
+    assert calls == []
+
+
+def test_qp_loop_runs_only_after_a_failed_face_search(monkeypatch):
+    calls = _spy_on_the_qp_paths(monkeypatch)
+    n_cold = 0
+    for qp in _golden_qp_batch():
+        calls.clear()
+        try:
+            solve_qp(qp)
+        except (Infeasible, IterationLimit, NotPositiveDefinite):
+            pass
+        if ("loop",) in calls:
+            n_cold += 1
+            first = calls.index(("loop",))
+            assert first >= 1 and calls[first - 1] == ("search", numerics._FACE_TRIES, None)
+    # the batch holds cold solves, so the loop is reached at all
+    assert n_cold > 0
 
 
 @pytest.mark.parametrize("factor", [1.0, 3.0])
