@@ -58,6 +58,7 @@ from .numerics import (
     IterationLimit,
     NotPositiveDefinite,
     Qp,
+    QpRows,
     QpSolution,
     cholesky,
     cholesky_solve,
@@ -89,6 +90,7 @@ __all__ = [
     "PolytopicConstraints",
     "Priors",
     "Qp",
+    "QpRows",
     "QpSolution",
     "QuadraticFeature",
     "StackedDynamics",

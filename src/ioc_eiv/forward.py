@@ -7,8 +7,10 @@ is positive definite (guaranteed in practice by giving every input channel
 its own quadratic feature).  The constrained problem is therefore one QP.
 Only its Hessian and linear term depend on the weights.  Its rows, and the
 first constant row that fails to hold, come from the face model,
-:class:`ioc_eiv.model.BilinearStationarity`, which builds them once per
-problem.
+:class:`ioc_eiv.model.BilinearStationarity`, which prepares the rows once
+per problem as a :class:`~ioc_eiv.numerics.QpRows`: every solve on a
+problem poses only ``(H, c)`` on them, and the first stores their
+reduction for the rest.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def solve(fp: model.ForwardProblem, theta, start: ForwardSolution | None = None
     H = bs.M_beta(theta)
     c = bs.E_theta @ theta
     face = None if start is None else np.flatnonzero(bs.held_rows(start.lam)[bs.ineq_rows])
-    sol = solve_qp(Qp(H=H, c=c, **bs.ineq_blocks), face=face)
+    sol = solve_qp(Qp(H=H, c=c, rows=bs.forward_rows), face=face)
 
     lam = np.zeros(fp.n_multipliers)
     lam[bs.ineq_rows] = sol.mult_in

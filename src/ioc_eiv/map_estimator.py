@@ -143,7 +143,7 @@ def _u_step(bs, ds: DemoSet, priors: Priors, SU_inv, beta):
     try:
         return solve_qp(Qp(H=H, c=-info, **bs.face_blocks(eq=held, ineq=~held))).z, beta
     except Infeasible:
-        U = solve_qp(Qp(H=H, c=-info, **bs.ineq_blocks)).z
+        U = solve_qp(Qp(H=H, c=-info, rows=bs.forward_rows)).z
         lam = np.where(bs.active_rows(U, model.ITERATE_ACTIVE_TOL), lam, 0.0)
         return U, np.concatenate([theta, lam])
 

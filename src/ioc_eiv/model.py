@@ -32,6 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .numerics import QpRows
+
 __all__ = [
     "LinearSystem",
     "QuadraticFeature",
@@ -328,8 +330,9 @@ class BilinearStationarity:
     ``g_offset`` entry, ``|Hx_i| |A^k x0| + |h_i|``, the scale against which
     a constant row's value is read.  The forward QP poses every nonconstant
     row as an inequality: ``ineq_rows`` are their flat indices and
-    ``ineq_blocks`` their read-only :class:`~ioc_eiv.numerics.Qp` keyword
-    blocks ``Ain``, ``bin`` (empty when no row is nonconstant).  A constant
+    ``forward_rows`` the forward QP's :class:`~ioc_eiv.numerics.QpRows`,
+    built once per problem, whose ``Ain``, ``bin`` hold those rows in that
+    order (empty when no row is nonconstant).  A constant
     row must hold as it is, to ``CONST_ROW_TOL`` of ``g_scale``;
     ``violated_row`` is the first that does not, or None.  Which rows are faces:
     :meth:`active_rows` are the rows active at ``U``,
@@ -351,7 +354,7 @@ class BilinearStationarity:
     Ms: np.ndarray = field(init=False, repr=False)
     nonzero_rows: np.ndarray = field(init=False, repr=False)
     ineq_rows: np.ndarray = field(init=False, repr=False)
-    ineq_blocks: dict = field(init=False, repr=False)
+    forward_rows: QpRows = field(init=False, repr=False)
     violated_row: int | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -363,10 +366,8 @@ class BilinearStationarity:
         nonzero.flags.writeable = False
         object.__setattr__(self, "nonzero_rows", nonzero)
         object.__setattr__(self, "ineq_rows", _frozen_array(np.flatnonzero(nonzero), int))
-        blocks = self.face_blocks(ineq=nonzero)
-        for a in blocks.values():
-            a.flags.writeable = False
-        object.__setattr__(self, "ineq_blocks", blocks)
+        rows = QpRows(self.n_inputs, **self.face_blocks(ineq=nonzero))
+        object.__setattr__(self, "forward_rows", rows)
         violated = np.flatnonzero(~nonzero & (self.g_offset > CONST_ROW_TOL * self.g_scale))
         object.__setattr__(self, "violated_row", int(violated[0]) if violated.size else None)
 

@@ -77,11 +77,12 @@ iterations when the search gives up.
 A solve names no active rows: the estimators take them from the one face
 model, :class:`ioc_eiv.model.BilinearStationarity`.
 
-QP data is checked once, when a :class:`Qp` is built: each of its six
-blocks must be finite, so no solve with the factor tests its operands.
-Finite data can still overflow on the way (``H @ z_part`` with entries
-near 1e300), so a solve whose answer is not finite raises ValueError
-instead of returning it.
+QP data is checked once per part: the four constraint blocks when their
+:class:`QpRows` are built, ``H`` and ``c`` when a :class:`Qp` is posed on
+them.  Every entry must be finite, so no solve with the factor tests its
+operands.  Finite data can still overflow on the way (``H @ z_part`` with
+entries near 1e300), so a solve whose answer is not finite raises
+ValueError instead of returning it.
 
 Each solve factors one Hessian: ``H`` itself without equalities, the
 reduced ``Z' H Z`` on the null space of the equalities with them.  If that
@@ -90,15 +91,25 @@ diagonal once and the factorization retried; a second failure raises
 :class:`NotPositiveDefinite`.  ``H`` need only be positive definite on the
 null space of the equalities.
 
-Each solve does only the work its callers read, without changing a bit
-of any result:
+Each solve does only the work that depends on its own data, without
+changing a bit of any result:
 
+* The rows' side of the reduction, the particular solution ``z_part`` of
+  the equalities, their null-space basis ``Z``, the reduced inequalities
+  ``Ain Z`` and ``bin - Ain z_part`` and the feasibility scale, is stored
+  on the :class:`QpRows` by the first solve that reads them.  A caller
+  that poses many QPs on the same rows (the forward solve on a problem's
+  rows, a TLS fit on its weight cone) prepares them once, and each of its
+  solves forms only ``Z' H Z`` and ``Z' (H z_part + c)``.  The six-keyword
+  :class:`Qp` builds fresh rows, so its solve reduces them.
 * Equalities are eliminated through the SVD of ``Aeq``.  The SVD, its rank
   cut and the null-space basis are cached in a private LRU cache of at most
   256 entries, keyed on ``Aeq``'s shape and exact bytes, and the cached
-  arrays are read-only.  The particular solution and its consistency check
-  depend on ``beq``, so they run on every call, and an inconsistent ``beq``
-  raises :class:`Infeasible` on a cache hit too.
+  arrays are read-only, so fresh rows with a block seen before skip the
+  SVD.  The particular solution and its consistency check depend on
+  ``beq``, so they run once per :class:`QpRows`; inconsistent equalities
+  store nothing, and every solve on them raises :class:`Infeasible`, on a
+  cache hit too.
 * Without equalities the null-space basis is the identity, so the
   active-set loop runs on ``H``, ``c``, ``Ain`` and ``bin`` as given,
   instead of forming ``Z' H Z``.
@@ -116,7 +127,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -127,6 +138,7 @@ __all__ = [
     "Infeasible",
     "IterationLimit",
     "Qp",
+    "QpRows",
     "QpSolution",
     "cholesky",
     "cholesky_solve",
@@ -294,8 +306,77 @@ def spd_inverse(M) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class QpRows:
+    """The constraint rows ``Aeq z = beq``, ``Ain z <= bin`` of QPs in ``n`` variables.
+
+    The rows do not depend on the objective, so a caller that poses many
+    QPs on the same rows prepares them once and poses each QP as
+    ``Qp(H, c, rows=rows)``.  The blocks are checked here, once: a pair
+    given together, of matching shapes, every entry finite; a pair left out
+    is an empty block.  They are kept as read-only copies, so a later write
+    into the caller's arrays cannot reach them or their stored reduction.
+
+    The first solve that reads the rows stores their reduction onto the
+    null space of the equalities (:meth:`_reduced`), and every later solve
+    reads it.  Inconsistent equalities store nothing, so each solve on them
+    raises :class:`Infeasible`.
+    """
+
+    n: int
+    Aeq: np.ndarray | None = None
+    beq: np.ndarray | None = None
+    Ain: np.ndarray | None = None
+    bin: np.ndarray | None = None
+    _reduction: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        n = operator.index(self.n)
+        object.__setattr__(self, "n", n)
+        Aeq, beq = _normalize_block(self.Aeq, self.beq, n, "Aeq", "beq")
+        Ain, bin_ = _normalize_block(self.Ain, self.bin, n, "Ain", "bin")
+        for name, a in zip(("Aeq", "beq", "Ain", "bin"), (Aeq, beq, Ain, bin_)):
+            if not _finite(a):
+                raise ValueError(f"{name} must not contain infs or NaNs")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def _reduced(self) -> tuple:
+        """Read-only ``(z_part, Z, Ar, br, feas_scale)`` of the rows, stored on first use.
+
+        ``z_part`` is the particular solution of the equalities and ``Z``
+        the orthonormal basis of their null space, or None (the identity)
+        without equalities; ``Ar = Ain Z`` and ``br = bin - Ain z_part`` are
+        the inequalities in the coordinates ``y`` of ``z = z_part + Z y``,
+        and ``feas_scale`` is a solve's feasibility tolerance.  Raises
+        :class:`Infeasible`, and stores nothing, when the equalities are
+        inconsistent.
+        """
+        if self._reduction is None:
+            Ain, bin_ = self.Ain, self.bin
+            z_part, Z, Ar, br = np.zeros(self.n), None, Ain, bin_  # identity basis
+            if self.Aeq.shape[0]:
+                z_part, Z = _eliminate_equalities(self.Aeq, self.beq, self.n)
+                if Z.shape[1]:  # a pinned point needs no reduced rows
+                    Ar, br = Ain @ Z, bin_ - Ain @ z_part
+            for a in (z_part, Ar, br):
+                a.setflags(write=False)
+            feas_scale = _FEAS_TOL * (1.0 + np.abs(bin_).max(initial=0.0))
+            object.__setattr__(self, "_reduction", (z_part, Z, Ar, br, feas_scale))
+        return self._reduction
+
+
+@dataclass(frozen=True, eq=False)
 class Qp:
-    """One strictly convex quadratic program."""
+    """One strictly convex QP: the objective ``(H, c)`` on constraint rows.
+
+    ``Qp(H, c, rows=rows)`` poses the objective on prepared
+    :class:`QpRows` and checks only ``H`` and ``c``: their shapes against
+    ``rows.n``, and that every entry is finite.  The six-keyword form
+    ``Qp(H, c, Aeq=, beq=, Ain=, bin=)`` builds fresh rows in ``len(c)``
+    variables, each pair optional; it takes the blocks or ``rows``, not
+    both.  Either way ``Aeq``, ``beq``, ``Ain`` and ``bin`` are the rows'
+    read-only blocks.
+    """
 
     H: np.ndarray
     c: np.ndarray
@@ -303,32 +384,43 @@ class Qp:
     beq: np.ndarray | None = None
     Ain: np.ndarray | None = None
     bin: np.ndarray | None = None
+    rows: QpRows | None = None
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float)
         c = np.asarray(self.c, dtype=float).ravel()
-        n = c.shape[0]
+        rows = self.rows
+        n = c.shape[0] if rows is None else rows.n
+        if c.shape[0] != n:
+            raise ValueError(f"c has length {c.shape[0]}, expected rows.n = {n}")
         if H.shape != (n, n):
             raise ValueError(f"H has shape {H.shape}, expected ({n}, {n})")
-        Aeq, beq = _normalize_block(self.Aeq, self.beq, n, "Aeq", "beq")
-        Ain, bin_ = _normalize_block(self.Ain, self.bin, n, "Ain", "bin")
-        for name, a in zip(("H", "c", "Aeq", "beq", "Ain", "bin"), (H, c, Aeq, beq, Ain, bin_)):
-            if not _finite(a):
-                raise ValueError(f"{name} must not contain infs or NaNs")
+        if rows is None:
+            rows = QpRows(n, self.Aeq, self.beq, self.Ain, self.bin)
+            object.__setattr__(self, "rows", rows)
+        elif not (self.Aeq is None and self.beq is None and self.Ain is None and self.bin is None):
+            raise ValueError("give either rows or the Aeq, beq, Ain, bin blocks, not both")
+        if not _finite(H):
+            raise ValueError("H must not contain infs or NaNs")
+        if not _finite(c):
+            raise ValueError("c must not contain infs or NaNs")
+        for name, a in (("H", H), ("c", c), ("Aeq", rows.Aeq), ("beq", rows.beq),
+                        ("Ain", rows.Ain), ("bin", rows.bin)):
             object.__setattr__(self, name, a)
 
     @property
     def dim(self) -> int:
-        return self.c.shape[0]
+        return self.rows.n
 
 
 def _normalize_block(A, b, n, a_name, b_name):
+    """``(A, b)`` as float copies of shapes ``(k, n)`` and ``(k,)``."""
     if A is None and b is None:
         return np.zeros((0, n)), np.zeros(0)
     if A is None or b is None:
         raise ValueError(f"{a_name} and {b_name} must be given together")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float)).ravel()
+    A = np.array(A, dtype=float, ndmin=2)
+    b = np.array(b, dtype=float).ravel()
     if A.shape != (b.shape[0], n):
         raise ValueError(
             f"{a_name} has shape {A.shape}, expected ({b.shape[0]}, {n})"
@@ -526,10 +618,11 @@ def solve_qp(qp: Qp, face=None) -> QpSolution:
     """Solve a strictly convex QP by a face search, then a primal active-set method.
 
     Equalities are eliminated through an orthonormal null-space basis from
-    the SVD of ``Aeq``; that SVD is cached (see the module docstring).
-    Without equalities the basis is the identity, so the problem is solved
-    as posed.  Only the Hessian the loop runs on is factored (see the module
-    docstring for its regularization).
+    the SVD of ``Aeq``.  The rows' side of that reduction is stored on
+    ``qp.rows`` by the first solve that reads them (see the module
+    docstring).  Without equalities the basis is the identity, so the
+    problem is solved as posed.  Only the Hessian the loop runs on is
+    factored (see the module docstring for its regularization).
 
     ``face`` names rows of ``Ain`` (indices) expected to hold the answer,
     such as those that held an earlier solution of a QP with the same
@@ -543,37 +636,28 @@ def solve_qp(qp: Qp, face=None) -> QpSolution:
     ``a H^-1 a'`` underflows to zero, say).
     """
     n = qp.dim
-    H, c = qp.H, qp.c
-    Aeq, beq, Ain, bin_ = qp.Aeq, qp.beq, qp.Ain, qp.bin
+    H, c, rows = qp.H, qp.c, qp.rows
+    n_in = rows.Ain.shape[0]
     if face is not None:
         face = sorted({operator.index(i) for i in face})
-        if face and not (0 <= face[0] and face[-1] < Ain.shape[0]):
-            raise ValueError(f"face rows must lie in [0, {Ain.shape[0]}), got {face}")
+        if face and not (0 <= face[0] and face[-1] < n_in):
+            raise ValueError(f"face rows must lie in [0, {n_in}), got {face}")
 
-    if Aeq.shape[0]:
-        z_part, Z = _eliminate_equalities(Aeq, beq, n)
-        nz = Z.shape[1]
-    else:
-        z_part, Z = np.zeros(n), None  # identity basis
-        nz = n
-
-    n_in = Ain.shape[0]
-    feas_scale = _FEAS_TOL * (1.0 + np.abs(bin_).max(initial=0.0))
+    z_part, Z, Ar, br, feas_scale = rows._reduced()
+    nz = n if Z is None else Z.shape[1]
 
     if nz == 0:
-        z = z_part
-        if not _feasible(Ain, bin_, z, feas_scale):
+        z = z_part.copy()  # the rows' z_part is shared by every solve on them
+        if not _feasible(rows.Ain, rows.bin, z, feas_scale):
             raise Infeasible("equality constraints pin an infeasible point")
         mult_in = np.zeros(n_in)
         n_iter = 0
     else:
         if Z is None:
-            Hr, cr, Ar, br = H, c, Ain, bin_
+            Hr, cr = H, c
         else:
             Hr = Z.T @ H @ Z
             cr = Z.T @ (H @ z_part + c)
-            Ar = Ain @ Z
-            br = bin_ - Ain @ z_part
         try:
             Lr = _factor(Hr)
         except NotPositiveDefinite:

@@ -34,6 +34,11 @@ through the stop tests.  :func:`tls_inner` solves the fit by projected Gauss-New
   backtracks from it until ``f`` falls by an Armijo fraction of the
   predicted decrease.
 
+The cone's rows are prepared once per fit, as a
+:class:`~ioc_eiv.numerics.QpRows`: the projection and every step QP pose
+only their ``(H, c)`` on them, as each forward QP does on the rows the face
+model prepared once per problem.
+
 The fit starts from the given weights projected onto the floored cone.  It
 stops after ``MAX_INNER_ITERS`` steps, when a step lowers ``f`` by at most
 ``COST_TOL`` relatively, when backtracking finds no decrease, or when
@@ -62,7 +67,7 @@ from . import model
 from .demos import DemoSet
 from .forward import solve as forward_solve
 from .kkt_baseline import NormalizationRule, _require_rule, kkt_single
-from .numerics import Qp, _identity, _lu_solve, solve_qp, spd_inverse
+from .numerics import Qp, QpRows, _identity, _lu_solve, solve_qp, spd_inverse
 
 __all__ = ["TlsResult", "tls_inner", "estimate"]
 
@@ -135,6 +140,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_u, norm: Normalizatio
     floor = _FLOOR * norm.value
     cone = norm.beta_blocks(q, q)
     cone["bin"] = np.full(q, -floor)
+    cone = QpRows(q, **cone)  # the rows of every QP of the fit
 
     def evaluate(theta, start=None):
         sol = forward_solve(fp, theta, start)
@@ -142,7 +148,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_u, norm: Normalizatio
         return sol, D * float(np.vdot(d @ W, d)) + tr_WS
 
     start = np.asarray(init_theta, dtype=float).ravel()
-    theta = solve_qp(Qp(H=_identity(q), c=-start, **cone)).z
+    theta = solve_qp(Qp(H=_identity(q), c=-start, rows=cone)).z
     sol, cost = evaluate(theta)
     trace = [("gauss_newton", cost)]
     for _ in range(MAX_INNER_ITERS):
@@ -155,7 +161,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_u, norm: Normalizatio
             break  # U* does not move with theta here
         # the step QP at unit mean curvature, so the solver sees one scale
         H = 0.5 * (H + H.T) / curvature + _DAMPING * _identity(q)
-        target = solve_qp(Qp(H=H, c=grad / curvature - H @ theta, **cone)).z
+        target = solve_qp(Qp(H=H, c=grad / curvature - H @ theta, rows=cone)).z
         step = target - theta
         slope = float(grad @ step)
         if not slope < 0.0:

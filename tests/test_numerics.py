@@ -21,6 +21,7 @@ from ioc_eiv import (
     IterationLimit,
     NotPositiveDefinite,
     Qp,
+    QpRows,
     cholesky,
     cholesky_solve,
     solve_qp,
@@ -475,6 +476,48 @@ def test_no_kron_in_the_package():
     assert uses == []
 
 
+# the constraint blocks of numerics.Qp, by keyword and by position
+_QP_BLOCKS = ("Aeq", "beq", "Ain", "bin")
+
+
+def _qp_calls_with_blocks(source):
+    """Source of every ``Qp(...)`` call in ``source`` that passes constraint
+    blocks: by keyword, by a third positional argument, or through a ``*``
+    or ``**`` argument, which may hold them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Qp"):
+            continue
+        if (len(node.args) > 2 or any(isinstance(a, ast.Starred) for a in node.args)
+                or any(k.arg is None or k.arg in _QP_BLOCKS for k in node.keywords)):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_qp_rows_guard_sees_every_way_to_pass_blocks():
+    source = (
+        "def f(H, c, A, b, rows, kw, args):\n"
+        "    return (Qp(H=H, c=c, rows=rows), Qp(H, c, rows=rows), QpRows(2, Ain=A, bin=b),\n"
+        "            Qp(H=H, c=c, Ain=A, bin=b), numerics.Qp(H, c, A, b), Qp(H=H, c=c, **kw),\n"
+        "            Qp(*args), Qp(H, c, beq=b))\n"
+    )
+    assert _qp_calls_with_blocks(source) == [
+        "Qp(H=H, c=c, Ain=A, bin=b)", "numerics.Qp(H, c, A, b)", "Qp(H=H, c=c, **kw)",
+        "Qp(*args)", "Qp(H, c, beq=b)",
+    ]
+
+
+@pytest.mark.parametrize("module", ["forward", "tls_estimator"])
+def test_forward_and_tls_pose_every_qp_on_prepared_rows(module):
+    # forward.solve poses its QP on the problem's rows and tls_inner its
+    # QPs on the fit's cone, both prepared once: a Qp built from blocks
+    # there would check and reduce the same rows again on every solve
+    source = (Path(ioc_eiv.__file__).parent / f"{module}.py").read_text()
+    assert "rows=" in source
+    assert _qp_calls_with_blocks(source) == []
+
+
 @pytest.mark.parametrize("n_rhs", [None, 3])
 def test_lu_solve_agrees_with_numpy_solve(n_rhs):
     rng = np.random.default_rng(7)
@@ -534,15 +577,84 @@ def _finite_qp_blocks():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("block", ["H", "c", "Aeq", "beq", "Ain", "bin"])
 def test_qp_refuses_a_non_finite_block_when_built(block, bad):
-    # the one finiteness check of QP data; a +inf in bin would otherwise
-    # pose a row that never binds
+    # the one finiteness check of QP data, in the six-keyword form and on
+    # prepared rows (the four row blocks when the rows are built, H and c
+    # when the QP is); a +inf in bin would otherwise pose a row that never
+    # binds
     blocks = _finite_qp_blocks()
     blocks[block] = blocks[block].copy()
     blocks[block].flat[-1] = bad
     with pytest.raises(ValueError, match=rf"^{block} must not contain infs or NaNs"):
         Qp(**blocks)
+    H, c = blocks.pop("H"), blocks.pop("c")
+    with pytest.raises(ValueError, match=rf"^{block} must not contain infs or NaNs"):
+        Qp(H=H, c=c, rows=QpRows(2, **blocks))
     sol = solve_qp(Qp(**_finite_qp_blocks()))
     np.testing.assert_allclose(sol.z, [0.5, 0.5], atol=1e-12)
+
+
+def test_qp_on_prepared_rows_refuses_an_objective_of_another_order():
+    blocks = _finite_qp_blocks()
+    H, c = blocks.pop("H"), blocks.pop("c")
+    rows = QpRows(2, **blocks)
+    with pytest.raises(ValueError, match=r"^c has length 3, expected rows.n = 2"):
+        Qp(H=np.eye(3), c=np.zeros(3), rows=rows)
+    with pytest.raises(ValueError, match=r"^H has shape \(3, 3\), expected \(2, 2\)"):
+        Qp(H=np.eye(3), c=c, rows=rows)
+    with pytest.raises(ValueError, match="not both"):
+        Qp(H=H, c=c, Ain=blocks["Ain"], bin=blocks["bin"], rows=rows)
+    with pytest.raises(ValueError, match=r"^Ain has shape \(2, 2\), expected \(2, 3\)"):
+        QpRows(3, Ain=blocks["Ain"], bin=blocks["bin"])
+    qp = Qp(H=H, c=c, rows=rows)
+    assert qp.dim == 2 and qp.rows is rows
+    assert all(getattr(qp, name) is getattr(rows, name) for name in ("Aeq", "beq", "Ain", "bin"))
+
+
+def test_prepared_rows_keep_their_own_read_only_copy_of_the_blocks():
+    # min 0.5 |z|^2 s.t. z1 + z2 = 3, z1 <= 1: the row holds, z = (1, 2)
+    Aeq, beq = np.ones((1, 2)), np.array([3.0])
+    Ain, bin_ = np.array([[1.0, 0.0]]), np.array([1.0])
+    rows = QpRows(2, Aeq=Aeq, beq=beq, Ain=Ain, bin=bin_)
+    qp = Qp(H=np.eye(2), c=np.zeros(2), rows=rows)
+    for a in (Aeq, beq, Ain, bin_):
+        a[...] = 0.0  # before the first solve stores the reduction
+    first = solve_qp(qp)
+    np.testing.assert_allclose(first.z, [1.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(first.mult_in, [1.0], atol=1e-12)
+    for a in (Aeq, beq, Ain, bin_):
+        a[...] = 7.0  # and after it
+    again = solve_qp(Qp(H=np.eye(2), c=np.zeros(2), rows=rows))
+    assert _same_solution(first, again)
+    for a in (rows.Aeq, rows.beq, rows.Ain, rows.bin, *rows._reduction[:4]):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("with_ineq", [False, True])
+def test_pinned_qp_returns_a_fresh_point_on_every_solve(with_ineq):
+    # the equalities pin z = (1, 2): z comes from the rows' shared z_part,
+    # so a write into one answer must not reach the next
+    ineq = dict(Ain=-np.eye(2), bin=np.zeros(2)) if with_ineq else {}
+    rows = QpRows(2, Aeq=np.array([[1.0, 0.0], [0.0, 2.0]]), beq=np.array([1.0, 4.0]), **ineq)
+    qp = Qp(H=np.eye(2), c=np.ones(2), rows=rows)
+    first = solve_qp(qp)
+    np.testing.assert_allclose(first.z, [1.0, 2.0], atol=1e-12)
+    assert first.n_iter == 0
+    ref = first.z.copy()
+    first.z[:] = -5.0
+    again = solve_qp(qp)
+    assert again.z.tobytes() == ref.tobytes()
+    assert again.z.flags.writeable and not np.shares_memory(again.z, first.z)
+    assert not np.shares_memory(again.z, rows._reduction[0])
+
+
+def test_pinned_qp_outside_an_inequality_raises_on_every_solve():
+    rows = QpRows(1, Aeq=np.array([[1.0]]), beq=np.array([1.0]),
+                  Ain=np.array([[1.0]]), bin=np.array([0.0]))
+    for _ in range(2):
+        with pytest.raises(Infeasible, match="pin an infeasible point"):
+            solve_qp(Qp(H=np.eye(1), c=np.zeros(1), rows=rows))
 
 
 def test_qp_that_overflows_in_the_solve_raises_instead_of_returning_nan():
@@ -770,6 +882,41 @@ def _qp_batch_digest(qps):
 
 def test_qp_batch_outputs_are_bit_identical_to_golden():
     assert _qp_batch_digest(_golden_qp_batch()) == GOLDEN_QP_BATCH_SHA256
+
+
+def test_prepared_rows_solve_the_golden_batch_bit_for_bit_twice(monkeypatch):
+    # the first solve on a QpRows stores its reduction and the second reads
+    # it: both must give the six-keyword solve's z, mult_in and n_iter, and
+    # inconsistent equalities must raise on both
+    calls = []
+    eliminate = numerics._eliminate_equalities
+
+    def spy(Aeq, beq, n):
+        calls.append(n)
+        return eliminate(Aeq, beq, n)
+
+    monkeypatch.setattr(numerics, "_eliminate_equalities", spy)
+
+    def outcome(qp):
+        try:
+            return solve_qp(qp)
+        except (Infeasible, IterationLimit, NotPositiveDefinite) as exc:
+            return type(exc)
+
+    for qp in _golden_qp_batch():
+        ref = outcome(qp)
+        rows = QpRows(qp.dim, qp.Aeq, qp.beq, qp.Ain, qp.bin)
+        for k in range(2):
+            calls.clear()
+            sol = outcome(Qp(H=qp.H, c=qp.c, rows=rows))
+            if isinstance(ref, type):
+                assert sol is ref
+                continue
+            assert _same_solution(sol, ref) and sol.n_iter == ref.n_iter
+            assert len(calls) == (k == 0 and qp.Aeq.shape[0] > 0)
+        # the batch's 19 raising QPs all have inconsistent equalities, whose
+        # reduction is never stored
+        assert (rows._reduction is not None) == (not isinstance(ref, type))
 
 
 def _direct_elimination(Aeq, beq, n):

@@ -246,6 +246,30 @@ def test_fit_makes_no_rollout(monkeypatch):
     assert calls == []
 
 
+def test_every_qp_of_a_fit_is_posed_on_rows_prepared_once(monkeypatch):
+    # the forward QPs read the problem's rows and the cone QPs (the
+    # projection and every step) one QpRows built for the fit, so each set
+    # of rows is checked and reduced once
+    def rows_posed_through(module):
+        solve_qp, seen = module.solve_qp, []
+
+        def spy(qp, face=None):
+            seen.append(qp.rows)
+            return solve_qp(qp, face=face)
+
+        monkeypatch.setattr(module, "solve_qp", spy)
+        return seen
+
+    forward_rows, cones = rows_posed_through(forward), rows_posed_through(tls_estimator)
+    fp, _, ds = _benchmark_demos(10.0, 3, 5)
+    for _ in range(2):  # two fits, which pose the same number of cone QPs
+        tls_estimate(ds, fp, _norm())
+    assert forward_rows and all(r is build_stationarity(fp).forward_rows for r in forward_rows)
+    half = len(cones) // 2
+    assert half >= 2 and cones == [cones[0]] * half + [cones[half]] * half
+    assert cones[0] is not cones[half]
+
+
 def test_inner_merit_monotone_within_phases():
     fp, sol, ds = _benchmark_demos(15.0, 7, 6)
     res = tls_estimate(ds, fp, _norm())
