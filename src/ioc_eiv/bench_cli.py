@@ -293,7 +293,7 @@ def _parse_norm(cfg, fp: model.ForwardProblem) -> NormalizationRule:
             value=_parse(float, obj.get("value", 1.0), "norm.value"),
             index=_parse(int, obj.get("index", 0), "norm.index"),
         )
-        rule.beta_blocks(fp.q, fp.q)  # checks a component index against q
+        rule.beta_rows(fp.q, fp.q)  # checks a component index against q
     except (TypeError, ValueError) as e:
         raise ConfigError(f"norm: {e}") from e
     return rule

@@ -68,7 +68,7 @@ def solve(fp: model.ForwardProblem, theta, start: ForwardSolution | None = None
     H = bs.M_beta(theta)
     c = bs.E_theta @ theta
     face = None if start is None else np.flatnonzero(bs.held_rows(start.lam)[bs.ineq_rows])
-    sol = solve_qp(Qp(H=H, c=c, rows=bs.forward_rows), face=face)
+    sol = solve_qp(Qp(H, c, bs.forward_rows), face=face)
 
     lam = np.zeros(fp.n_multipliers)
     lam[bs.ineq_rows] = sol.mult_in

@@ -17,13 +17,15 @@ noise-variance bias that does not average away with more demonstrations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import model
 from .demos import DemoSet
-from .numerics import Qp, solve_qp
+from .numerics import Qp, QpRows, solve_qp
 
 __all__ = ["NormalizationRule", "KktLsResult", "kkt_ls", "kkt_single"]
 
@@ -33,7 +35,9 @@ class NormalizationRule:
     """Scale anchor for the homogeneous stationarity fit.
 
     ``kind='sum'`` fixes ``sum(theta) = value``; ``kind='component'`` fixes
-    ``theta[index] = value``.
+    ``theta[index] = value``.  ``index`` must be an integer, or building
+    the rule raises TypeError; :meth:`beta_rows` checks that it names one
+    of the ``q`` weights.
     """
 
     kind: str
@@ -46,23 +50,39 @@ class NormalizationRule:
         if not (np.isfinite(self.value) and self.value > 0):
             raise ValueError(f"normalization value must be positive and finite, got {self.value}")
         object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "index", operator.index(self.index))
 
-    def beta_blocks(self, q: int, nv: int) -> dict:
-        """:class:`~ioc_eiv.numerics.Qp` keyword blocks of the weight cone.
+    def beta_rows(self, q: int, nv: int, floor: float = 0.0) -> QpRows:
+        """The weight cone: :class:`~ioc_eiv.numerics.QpRows` in ``(theta, free multipliers)``.
 
-        The variables are ``(theta, free multipliers)``, ``nv`` in all with
-        ``theta`` first: the rule is one equality on ``theta``, and every
-        variable is nonnegative.
+        The variables are ``nv`` in all with ``theta`` first: the rule is
+        one equality on ``theta``, and every variable is at least
+        ``floor``.  The rows depend only on the rule's values and the
+        arguments, so equal rules share one :class:`QpRows`, and with it
+        the reduction that the first solve on them stores, across QPs, fits
+        and estimators.
         """
         if self.kind == "component" and not 0 <= self.index < q:
             raise ValueError(f"component index {self.index} out of range for q = {q}")
-        row = np.zeros(nv)
-        if self.kind == "sum":
-            row[:q] = 1.0
-        else:
-            row[self.index] = 1.0
-        return {"Aeq": row[None, :], "beq": np.array([self.value]),
-                "Ain": -np.eye(nv), "bin": np.zeros(nv)}
+        return _cone(self.kind, self.value, self.index, q, nv, floor)
+
+
+# weight cones kept: the shipped bench grids pose their kkt, MAP and TLS
+# QPs on 5 to 7 distinct cones each; a cone holds about 3 nv**2 floats
+# (10 MB for the nv = 643 of a kkt fit to 320 noiseless demos)
+_CONE_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_CONE_CACHE_SIZE)
+def _cone(kind: str, value: float, index: int, q: int, nv: int, floor: float) -> QpRows:
+    """The rows of :meth:`NormalizationRule.beta_rows`, built once per distinct key."""
+    row = np.zeros(nv)
+    if kind == "sum":
+        row[:q] = 1.0
+    else:
+        row[index] = 1.0
+    # 0.0 - floor keeps the bounds of a zero floor +0.0
+    return QpRows(nv, row[None, :], [value], -np.eye(nv), np.zeros(nv) - floor)
 
 
 def _require_rule(norm) -> None:
@@ -97,13 +117,9 @@ def kkt_ls(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> Kk
                for E, M in zip(bs.E_theta.T, bs.Mj)):
         raise ValueError("all features have identically zero gradients")
 
-    blocks = []   # per demo: (J_theta_d, J_act_d, active_idx)
+    blocks = [bs.free_columns(U_d, model.DEMO_ACTIVE_TOL) for U_d in ds.U_list]
     offsets = [q]
-    for U_d in ds.U_list:
-        act = np.flatnonzero(bs.active_rows(U_d, model.DEMO_ACTIVE_TOL))
-        Jt = bs.J_theta(U_d)
-        Ja = bs.J_lambda[:, act]
-        blocks.append((Jt, Ja, act))
+    for _, _, act in blocks:
         offsets.append(offsets[-1] + act.size)
     nvar = offsets[-1]
 
@@ -117,7 +133,7 @@ def kkt_ls(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> Kk
             H[s, s] = 2.0 * Ja.T @ Ja
     c = np.zeros(nvar)
 
-    sol = solve_qp(Qp(H=H, c=c, **norm.beta_blocks(q, nvar)))
+    sol = solve_qp(Qp(H, c, norm.beta_rows(q, nvar)))
     theta = sol.z[:q].copy()
     lam_list = []
     for d, (_, _, act) in enumerate(blocks):

@@ -118,11 +118,10 @@ def map_cost(U, beta, Sigma_U, ds: DemoSet, priors: Priors, bs=None) -> float:
 def _beta_step(bs, ds: DemoSet, priors: Priors, U, norm: NormalizationRule):
     """Minimize the MAP cost over beta at fixed U. Returns full beta."""
     q = bs.n_features
-    act = np.flatnonzero(bs.active_rows(U, model.ITERATE_ACTIVE_TOL))
-    B = np.hstack([bs.J_theta(U), bs.J_lambda[:, act]])
+    Jt, Ja, act = bs.free_columns(U, model.ITERATE_ACTIVE_TOL)
     free = np.concatenate([np.arange(q), q + act])
-    H, info = _beta_information(ds, B, priors, free)
-    sol = solve_qp(Qp(H=H, c=-info, **norm.beta_blocks(q, free.size)))
+    H, info = _beta_information(ds, np.hstack([Jt, Ja]), priors, free)
+    sol = solve_qp(Qp(H, -info, norm.beta_rows(q, free.size)))
     beta = np.zeros(q + bs.n_multipliers)
     beta[free] = sol.z
     return beta
@@ -141,9 +140,9 @@ def _u_step(bs, ds: DemoSet, priors: Priors, SU_inv, beta):
     H, info = _u_information(ds, theta, lam, SU_inv, bs, priors)
     held = bs.held_rows(lam)
     try:
-        return solve_qp(Qp(H=H, c=-info, **bs.face_blocks(eq=held, ineq=~held))).z, beta
+        return solve_qp(Qp(H, -info, bs.face_rows(eq=held, ineq=~held))).z, beta
     except Infeasible:
-        U = solve_qp(Qp(H=H, c=-info, rows=bs.forward_rows)).z
+        U = solve_qp(Qp(H, -info, bs.forward_rows)).z
         lam = np.where(bs.active_rows(U, model.ITERATE_ACTIVE_TOL), lam, 0.0)
         return U, np.concatenate([theta, lam])
 

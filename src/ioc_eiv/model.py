@@ -331,17 +331,18 @@ class BilinearStationarity:
     a constant row's value is read.  The forward QP poses every nonconstant
     row as an inequality: ``ineq_rows`` are their flat indices and
     ``forward_rows`` the forward QP's :class:`~ioc_eiv.numerics.QpRows`,
-    built once per problem, whose ``Ain``, ``bin`` hold those rows in that
-    order (empty when no row is nonconstant).  A constant
+    built once per problem by :meth:`face_rows`, whose ``Ain``, ``bin``
+    hold those rows in that order (empty when no row is nonconstant).  A constant
     row must hold as it is, to ``CONST_ROW_TOL`` of ``g_scale``;
     ``violated_row`` is the first that does not, or None.  Which rows are faces:
     :meth:`active_rows` are the rows active at ``U``,
     ``|g_i| <= tol * (1 + h_ref_i)`` with ``h_ref`` the per-row scale
     ``|h|`` tiled over steps ``0..N``; :meth:`held_rows` are the rows a
     multiplier above ``ITERATE_ACTIVE_TOL`` holds.  How faces
-    enter a QP in ``U``: :meth:`face_blocks` poses one mask of rows as
+    enter a QP in ``U``: :meth:`face_rows` poses one mask of rows as
     equalities ``g_i(U) = 0`` and another as inequalities ``g_i(U) <= 0``.
-    A QP in ``beta`` frees the multipliers of the active rows only.
+    A QP in ``beta`` frees the weights and the multipliers of the active
+    rows only, whose Jacobian columns :meth:`free_columns` returns.
     """
 
     Mj: tuple
@@ -366,8 +367,7 @@ class BilinearStationarity:
         nonzero.flags.writeable = False
         object.__setattr__(self, "nonzero_rows", nonzero)
         object.__setattr__(self, "ineq_rows", _frozen_array(np.flatnonzero(nonzero), int))
-        rows = QpRows(self.n_inputs, **self.face_blocks(ineq=nonzero))
-        object.__setattr__(self, "forward_rows", rows)
+        object.__setattr__(self, "forward_rows", self.face_rows(ineq=nonzero))
         violated = np.flatnonzero(~nonzero & (self.g_offset > CONST_ROW_TOL * self.g_scale))
         object.__setattr__(self, "violated_row", int(violated[0]) if violated.size else None)
 
@@ -426,22 +426,29 @@ class BilinearStationarity:
         """Mask of the nonconstant rows whose multiplier exceeds ``ITERATE_ACTIVE_TOL``."""
         return (np.asarray(lam) > ITERATE_ACTIVE_TOL) & self.nonzero_rows
 
-    def face_blocks(self, eq=None, ineq=None) -> dict:
-        """:class:`~ioc_eiv.numerics.Qp` keyword blocks of constraint rows in ``U``.
+    def free_columns(self, U, tol: float) -> tuple:
+        """``(J_theta(U), J_lambda[:, act], act)`` of a QP in ``beta`` at ``U``.
+
+        Such a QP frees the weights and the multipliers of the rows active
+        at ``U`` (:meth:`active_rows` at ``tol``), whose flat indices are
+        ``act``; the two blocks are the stationarity Jacobian's columns of
+        those variables.
+        """
+        act = np.flatnonzero(self.active_rows(U, tol))
+        return self.J_theta(U), self.J_lambda[:, act], act
+
+    def face_rows(self, eq=None, ineq=None) -> QpRows:
+        """:class:`~ioc_eiv.numerics.QpRows` of constraint rows in ``U``.
 
         Rows in the mask ``eq`` become equalities ``g_i(U) = 0``, rows in
         the mask ``ineq`` inequalities ``g_i(U) <= 0``.  A constant row is
-        never posed, and a block without rows adds no key.
+        never posed, and a mask left out poses an empty block.
         """
-        blocks = {}
-        for a, b, rows in (("Aeq", "beq", eq), ("Ain", "bin", ineq)):
-            if rows is None:
-                continue
-            rows = rows & self.nonzero_rows
-            if rows.any():
-                blocks[a] = self.J_lambda.T[rows]
-                blocks[b] = -self.g_offset[rows]
-        return blocks
+        blocks = []
+        for rows in (eq, ineq):
+            rows = self.nonzero_rows & (False if rows is None else rows)
+            blocks += [self.J_lambda.T[rows], -self.g_offset[rows]]
+        return QpRows(self.n_inputs, *blocks)
 
 
 def _input_selector(k: int, m: int, n_inputs: int) -> np.ndarray:

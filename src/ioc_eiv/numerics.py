@@ -95,21 +95,16 @@ Each solve does only the work that depends on its own data, without
 changing a bit of any result:
 
 * The rows' side of the reduction, the particular solution ``z_part`` of
-  the equalities, their null-space basis ``Z``, the reduced inequalities
-  ``Ain Z`` and ``bin - Ain z_part`` and the feasibility scale, is stored
-  on the :class:`QpRows` by the first solve that reads them.  A caller
-  that poses many QPs on the same rows (the forward solve on a problem's
-  rows, a TLS fit on its weight cone) prepares them once, and each of its
-  solves forms only ``Z' H Z`` and ``Z' (H z_part + c)``.  The six-keyword
-  :class:`Qp` builds fresh rows, so its solve reduces them.
-* Equalities are eliminated through the SVD of ``Aeq``.  The SVD, its rank
-  cut and the null-space basis are cached in a private LRU cache of at most
-  256 entries, keyed on ``Aeq``'s shape and exact bytes, and the cached
-  arrays are read-only, so fresh rows with a block seen before skip the
-  SVD.  The particular solution and its consistency check depend on
-  ``beq``, so they run once per :class:`QpRows`; inconsistent equalities
-  store nothing, and every solve on them raises :class:`Infeasible`, on a
-  cache hit too.
+  the equalities, their null-space basis ``Z`` from the SVD of ``Aeq``,
+  the reduced inequalities ``Ain Z`` and ``bin - Ain z_part`` and the
+  feasibility scale, is stored on the :class:`QpRows` by the first solve
+  that reads them, and every later solve on them forms only ``Z' H Z`` and
+  ``Z' (H z_part + c)``.  So reuse lives with whoever keeps the rows: the
+  face model keeps the forward problem's rows once per problem, and
+  ``NormalizationRule.beta_rows`` keeps each weight cone once per rule and
+  size, for every kkt, MAP and TLS QP posed on it.  Inconsistent
+  equalities store nothing, so every solve on them raises
+  :class:`Infeasible`.
 * Without equalities the null-space basis is the identity, so the
   active-set loop runs on ``H``, ``c``, ``Ain`` and ``bin`` as given,
   instead of forming ``Z' H Z``.
@@ -311,7 +306,7 @@ class QpRows:
 
     The rows do not depend on the objective, so a caller that poses many
     QPs on the same rows prepares them once and poses each QP as
-    ``Qp(H, c, rows=rows)``.  The blocks are checked here, once: a pair
+    ``Qp(H, c, rows)``.  The blocks are checked here, once: a pair
     given together, of matching shapes, every entry finite; a pair left out
     is an empty block.  They are kept as read-only copies, so a later write
     into the caller's arrays cannot reach them or their stored reduction.
@@ -356,6 +351,7 @@ class QpRows:
             z_part, Z, Ar, br = np.zeros(self.n), None, Ain, bin_  # identity basis
             if self.Aeq.shape[0]:
                 z_part, Z = _eliminate_equalities(self.Aeq, self.beq, self.n)
+                Z.setflags(write=False)
                 if Z.shape[1]:  # a pinned point needs no reduced rows
                     Ar, br = Ain @ Z, bin_ - Ain @ z_part
             for a in (z_part, Ar, br):
@@ -367,50 +363,40 @@ class QpRows:
 
 @dataclass(frozen=True, eq=False)
 class Qp:
-    """One strictly convex QP: the objective ``(H, c)`` on constraint rows.
+    """One strictly convex QP: the objective ``(H, c)`` on prepared :class:`QpRows`.
 
-    ``Qp(H, c, rows=rows)`` poses the objective on prepared
-    :class:`QpRows` and checks only ``H`` and ``c``: their shapes against
-    ``rows.n``, and that every entry is finite.  The six-keyword form
-    ``Qp(H, c, Aeq=, beq=, Ain=, bin=)`` builds fresh rows in ``len(c)``
-    variables, each pair optional; it takes the blocks or ``rows``, not
-    both.  Either way ``Aeq``, ``beq``, ``Ain`` and ``bin`` are the rows'
-    read-only blocks.
+    ``Qp(H, c, rows)`` checks only ``H`` and ``c``: their shapes against
+    ``rows.n``, and that every entry is finite.  ``Aeq``, ``beq``, ``Ain``
+    and ``bin`` are the rows' read-only blocks.
     """
 
     H: np.ndarray
     c: np.ndarray
-    Aeq: np.ndarray | None = None
-    beq: np.ndarray | None = None
-    Ain: np.ndarray | None = None
-    bin: np.ndarray | None = None
-    rows: QpRows | None = None
+    rows: QpRows
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float)
         c = np.asarray(self.c, dtype=float).ravel()
-        rows = self.rows
-        n = c.shape[0] if rows is None else rows.n
+        n = self.rows.n
         if c.shape[0] != n:
             raise ValueError(f"c has length {c.shape[0]}, expected rows.n = {n}")
         if H.shape != (n, n):
             raise ValueError(f"H has shape {H.shape}, expected ({n}, {n})")
-        if rows is None:
-            rows = QpRows(n, self.Aeq, self.beq, self.Ain, self.bin)
-            object.__setattr__(self, "rows", rows)
-        elif not (self.Aeq is None and self.beq is None and self.Ain is None and self.bin is None):
-            raise ValueError("give either rows or the Aeq, beq, Ain, bin blocks, not both")
         if not _finite(H):
             raise ValueError("H must not contain infs or NaNs")
         if not _finite(c):
             raise ValueError("c must not contain infs or NaNs")
-        for name, a in (("H", H), ("c", c), ("Aeq", rows.Aeq), ("beq", rows.beq),
-                        ("Ain", rows.Ain), ("bin", rows.bin)):
-            object.__setattr__(self, name, a)
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "c", c)
 
     @property
     def dim(self) -> int:
         return self.rows.n
+
+    Aeq = property(lambda self: self.rows.Aeq)
+    beq = property(lambda self: self.rows.beq)
+    Ain = property(lambda self: self.rows.Ain)
+    bin = property(lambda self: self.rows.bin)
 
 
 def _normalize_block(A, b, n, a_name, b_name):
@@ -437,34 +423,14 @@ class QpSolution:
     n_iter: int
 
 
-# distinct equality blocks whose factorization is kept: the shipped
-# spring_damper bench grid poses about 5,000 QPs with equalities over 5 such
-# blocks, tls_positivity about 670 over 15
-_ELIMINATION_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_ELIMINATION_CACHE_SIZE)
-def _equality_svd(shape: tuple, data: bytes):
-    """Read-only ``(U, s, Vt, r)`` of the full SVD of an equality block.
-
-    Keyed on the block's exact bytes, so a hit returns the factorization
-    that block would get afresh; ``r`` is its numerical rank.
-    """
-    Aeq = np.frombuffer(data, dtype=float).reshape(shape)
-    U, s, Vt = np.linalg.svd(Aeq, full_matrices=True)
-    tol = max(shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    for a in (U, s, Vt):
-        a.flags.writeable = False
-    return U, s, Vt, int(np.sum(s > tol))
-
-
 def _eliminate_equalities(Aeq, beq, n):
-    """Particular solution plus orthonormal null-space basis.
+    """Particular solution plus orthonormal null-space basis, from the SVD of ``Aeq``.
 
-    The basis ``Z`` is a read-only view into the cached factorization.
     Raises Infeasible when the equalities are inconsistent.
     """
-    U, s, Vt, r = _equality_svd(Aeq.shape, Aeq.tobytes())
+    U, s, Vt = np.linalg.svd(Aeq, full_matrices=True)
+    tol = max(Aeq.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    r = int(np.sum(s > tol))
     if r == 0:
         z_part = np.zeros(n)
     else:

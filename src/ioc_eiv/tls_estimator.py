@@ -28,16 +28,16 @@ through the stop tests.  :func:`tls_inner` solves the fit by projected Gauss-New
   on the rows its multipliers hold (:func:`_sensitivity`);
 * each step solves the ``q``-variable QP ``min f`` with ``U*`` replaced by
   its linearization ``U + G (theta' - theta)``, plus a small
-  Levenberg-Marquardt term, on the weight cone of
-  ``NormalizationRule.beta_blocks`` with every weight floored at
+  Levenberg-Marquardt term, on the weight cone
+  ``NormalizationRule.beta_rows`` with every weight floored at
   ``_FLOOR * norm.value`` (``forward.solve`` needs ``theta > 0``), and
   backtracks from it until ``f`` falls by an Armijo fraction of the
   predicted decrease.
 
-The cone's rows are prepared once per fit, as a
-:class:`~ioc_eiv.numerics.QpRows`: the projection and every step QP pose
-only their ``(H, c)`` on them, as each forward QP does on the rows the face
-model prepared once per problem.
+The cone's :class:`~ioc_eiv.numerics.QpRows` are shared by every fit
+under an equal rule: the projection and every step QP pose only their
+``(H, c)`` on them, as each forward QP does on the rows the face model
+prepared once per problem.
 
 The fit starts from the given weights projected onto the floored cone.  It
 stops after ``MAX_INNER_ITERS`` steps, when a step lowers ``f`` by at most
@@ -67,7 +67,7 @@ from . import model
 from .demos import DemoSet
 from .forward import solve as forward_solve
 from .kkt_baseline import NormalizationRule, _require_rule, kkt_single
-from .numerics import Qp, QpRows, _identity, _lu_solve, solve_qp, spd_inverse
+from .numerics import Qp, _identity, _lu_solve, solve_qp, spd_inverse
 
 __all__ = ["TlsResult", "tls_inner", "estimate"]
 
@@ -138,9 +138,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_u, norm: Normalizatio
     W = spd_inverse(Sigma_u)
     tr_WS = float(np.sum(W * _pooled_scatter(ds, m)))  # tr(W sum_k S_kk), both symmetric
     floor = _FLOOR * norm.value
-    cone = norm.beta_blocks(q, q)
-    cone["bin"] = np.full(q, -floor)
-    cone = QpRows(q, **cone)  # the rows of every QP of the fit
+    cone = norm.beta_rows(q, q, floor)  # the rows of every QP of the fit
 
     def evaluate(theta, start=None):
         sol = forward_solve(fp, theta, start)
@@ -148,7 +146,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_u, norm: Normalizatio
         return sol, D * float(np.vdot(d @ W, d)) + tr_WS
 
     start = np.asarray(init_theta, dtype=float).ravel()
-    theta = solve_qp(Qp(H=_identity(q), c=-start, rows=cone)).z
+    theta = solve_qp(Qp(_identity(q), -start, cone)).z
     sol, cost = evaluate(theta)
     trace = [("gauss_newton", cost)]
     for _ in range(MAX_INNER_ITERS):
@@ -161,7 +159,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_u, norm: Normalizatio
             break  # U* does not move with theta here
         # the step QP at unit mean curvature, so the solver sees one scale
         H = 0.5 * (H + H.T) / curvature + _DAMPING * _identity(q)
-        target = solve_qp(Qp(H=H, c=grad / curvature - H @ theta, rows=cone)).z
+        target = solve_qp(Qp(H, grad / curvature - H @ theta, cone)).z
         step = target - theta
         slope = float(grad @ step)
         if not slope < 0.0:

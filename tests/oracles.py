@@ -18,6 +18,7 @@ from ioc_eiv import (
     NotPositiveDefinite,
     PolytopicConstraints,
     Qp,
+    QpRows,
     QuadraticFeature,
     solve_forward,
 )
@@ -197,6 +198,11 @@ def qp_report(qp, sol, active_tol=1e-7):
     return mult_eq, active_set, kkt
 
 
+def fresh_qp(H, c, **blocks):
+    """``Qp(H, c, rows)`` on rows built for this QP alone from the keyword blocks."""
+    return Qp(H, c, QpRows(len(c), **blocks))
+
+
 def random_feasible_qp(rng, dim=None, n_con=None):
     """Strictly convex QP with a guaranteed interior feasible point."""
     if dim is None:
@@ -209,7 +215,7 @@ def random_feasible_qp(rng, dim=None, n_con=None):
     A = rng.standard_normal((n_con, dim))
     z0 = rng.standard_normal(dim)
     b = A @ z0 + rng.uniform(0.1, 1.0, n_con)
-    return Qp(H=H, c=c, Ain=A, bin=b), z0
+    return fresh_qp(H, c, Ain=A, bin=b), z0
 
 
 def random_instance(rng):

@@ -1,14 +1,19 @@
 """Least-squares inversion of the optimality conditions (the comparison method)."""
 
+import json
+
 import numpy as np
 import pytest
 
 import oracles
+from ioc_eiv import bench_cli, kkt_baseline, map_estimator, tls_estimator
 from ioc_eiv import (
     GibbsConfig,
     MapConfig,
     NoiseSpec,
     NormalizationRule,
+    Qp,
+    QpRows,
     default_priors,
     generate,
     kkt_ls,
@@ -17,6 +22,7 @@ from ioc_eiv import (
     noise_scale_from_percent,
     rmse,
     solve_forward,
+    solve_qp,
     tls_estimate,
 )
 from ioc_eiv.model import (
@@ -150,15 +156,91 @@ def test_activity_classification_tolerance():
     (NormalizationRule("component", value=10.0, index=1), [0.0, 1.0, 0.0, 0.0, 0.0]),
 ])
 def test_beta_blocks_fix_the_rule_and_keep_every_variable_nonnegative(rule, row):
-    # q = 3 weights followed by 2 free multipliers
-    blocks = rule.beta_blocks(3, 5)
-    assert sorted(blocks) == ["Aeq", "Ain", "beq", "bin"]
-    np.testing.assert_array_equal(blocks["Aeq"], [row])
-    np.testing.assert_array_equal(blocks["beq"], [rule.value])
-    np.testing.assert_array_equal(blocks["Ain"], -np.eye(5))
-    np.testing.assert_array_equal(blocks["bin"], np.zeros(5))
+    # the blocks of the cone's rows: q = 3 weights followed by 2 free multipliers
+    rows = rule.beta_rows(3, 5)
+    assert isinstance(rows, QpRows) and rows.n == 5
+    np.testing.assert_array_equal(rows.Aeq, [row])
+    np.testing.assert_array_equal(rows.beq, [rule.value])
+    np.testing.assert_array_equal(rows.Ain, -np.eye(5))
+    np.testing.assert_array_equal(rows.bin, np.zeros(5))
+    # a floor bounds every variable below, at the same rule
+    floored = rule.beta_rows(3, 5, floor=0.25)
+    np.testing.assert_array_equal(floored.Aeq, [row])
+    np.testing.assert_array_equal(floored.bin, np.full(5, -0.25))
 
 
 def test_beta_blocks_reject_a_component_outside_the_weights():
     with pytest.raises(ValueError, match="out of range"):
-        NormalizationRule("component", index=3).beta_blocks(3, 5)
+        NormalizationRule("component", index=3).beta_rows(3, 5)
+
+
+@pytest.mark.parametrize("index", [1.5, -0.0, "1", None])
+def test_normalization_index_must_be_an_integer(index):
+    # these used to build a rule, then fail at its first QP
+    with pytest.raises(TypeError):
+        NormalizationRule("component", index=index)
+
+
+def test_normalization_index_is_kept_as_an_int():
+    rule = NormalizationRule("component", index=np.int64(1))
+    assert type(rule.index) is int and rule.index == 1
+
+
+def test_equal_rules_share_one_cone_that_solves_as_rows_built_alone(monkeypatch, tmp_path,
+                                                                      capsys):
+    # beta_rows is memoised by the rule's values: rules built apart share
+    # one QpRows, and a solve on it, whose reduction an earlier QP stored,
+    # has the bits of the same QP on rows built for it alone
+    rule = NormalizationRule("sum", 22.0)
+    assert NormalizationRule("sum", 22).beta_rows(3, 5) is rule.beta_rows(3, 5)
+    assert rule.beta_rows(3, 5) is not rule.beta_rows(3, 6)
+    assert rule.beta_rows(3, 5, floor=1e-5) is not rule.beta_rows(3, 5)
+    assert (NormalizationRule("component", 22.0, 1).beta_rows(3, 5)
+            is not NormalizationRule("component", 22.0, 2).beta_rows(3, 5))
+
+    posed = {}
+    for module in (kkt_baseline, map_estimator, tls_estimator):
+        seen = posed.setdefault(module.__name__.rsplit(".", 1)[1], [])
+
+        def spy(qp, face=None, solve=module.solve_qp, seen=seen):
+            seen.append(qp)
+            return solve(qp, face=face)
+
+        monkeypatch.setattr(module, "solve_qp", spy)
+    fp, U_star = _benchmark()
+    ds = _noisy_set(fp, U_star, 10.0, 3, 5)
+    q = fp.q
+    kkt_ls(ds, fp, NormalizationRule("sum", 22.0))
+    map_estimate(ds, fp, MapConfig(norm=NormalizationRule("sum", 22.0),
+                                   gibbs=GibbsConfig(n_iter=200, n_keep=100)),
+                 rng=np.random.default_rng(4))
+    tls_estimate(ds, fp, NormalizationRule("sum", 22.0))
+    cones = {
+        "kkt_baseline": [qp for qp in posed["kkt_baseline"]
+                         if qp.rows is rule.beta_rows(q, qp.dim)],
+        "map_estimator": [qp for qp in posed["map_estimator"]
+                          if qp.rows is rule.beta_rows(q, qp.dim)],
+        "tls_estimator": [qp for qp in posed["tls_estimator"]
+                          if qp.rows is rule.beta_rows(q, q, tls_estimator._FLOOR * 22.0)],
+    }
+    assert cones["kkt_baseline"] == posed["kkt_baseline"]
+    assert cones["tls_estimator"] == posed["tls_estimator"]
+    assert len(cones["map_estimator"]) >= 2 and len(cones["tls_estimator"]) >= 2
+    for qps in cones.values():
+        for qp in qps:
+            shared = solve_qp(qp)
+            alone = solve_qp(Qp(qp.H, qp.c, QpRows(qp.dim, qp.Aeq, qp.beq, qp.Ain, qp.bin)))
+            assert shared.z.tobytes() == alone.z.tobytes()
+            assert shared.mult_in.tobytes() == alone.mult_in.tobytes()
+            assert shared.n_iter == alone.n_iter
+
+    # the memo does not skip the range check: the CLI still refuses the rule
+    with open("configs/spring_damper.json", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["norm"] = {"kind": "component", "index": 5, "value": 1.0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    capsys.readouterr()
+    assert bench_cli.main(["bench", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: norm: component index 5 out of range for q = {q}"]

@@ -252,8 +252,7 @@ def test_beta_step_minimizes_the_gibbs_beta_conditional_on_its_face():
     mean, cov = full_conditional_beta(ds, sol.U, bs, priors)
     P = np.linalg.inv(cov)
     H = P[np.ix_(free, free)]
-    z = solve_qp(Qp(H=0.5 * (H + H.T), c=-(P @ mean)[free],
-                    **norm.beta_blocks(q, free.size))).z
+    z = solve_qp(Qp(0.5 * (H + H.T), -(P @ mean)[free], norm.beta_rows(q, free.size))).z
     np.testing.assert_allclose(beta[free], z, rtol=0.0, atol=1e-8 * np.max(np.abs(z)))
     assert not np.any(np.delete(beta, free))
 

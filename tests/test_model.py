@@ -12,6 +12,7 @@ from ioc_eiv import (
     ForwardProblem,
     LinearSystem,
     PolytopicConstraints,
+    QpRows,
     QuadraticFeature,
     build_stationarity,
     forward,
@@ -374,29 +375,54 @@ def test_held_rows_ignore_constant_rows_and_compare_strictly():
 
 
 def test_face_blocks_pose_chosen_rows_and_skip_empty_blocks():
+    # the blocks of face_rows' QpRows; a mask left out or without rows
+    # poses an empty block
     fp = _shipped_problem("tls_positivity")
     bs = build_stationarity(fp)
-    L = fp.n_multipliers
+    L, mN = fp.n_multipliers, fp.n_inputs
     none = np.zeros(L, dtype=bool)
-    assert bs.face_blocks() == {}
-    assert bs.face_blocks(eq=none, ineq=none) == {}
+
+    def shapes(rows):
+        return rows.Aeq.shape, rows.beq.shape, rows.Ain.shape, rows.bin.shape
+
+    empty = ((0, mN), (0,), (0, mN), (0,))
+    assert shapes(bs.face_rows()) == empty
+    assert shapes(bs.face_rows(eq=none, ineq=none)) == empty
     G, g0 = bs.J_lambda.T, bs.g_offset
     # every row as an inequality poses the nonconstant ones only
-    rows = bs.face_blocks(ineq=~none)
-    assert sorted(rows) == ["Ain", "bin"]
-    np.testing.assert_array_equal(rows["Ain"], G[: L - 1])
-    np.testing.assert_array_equal(rows["bin"], -g0[: L - 1])
+    rows = bs.face_rows(ineq=~none)
+    assert isinstance(rows, QpRows) and rows.n == mN and rows.Aeq.shape == (0, mN)
+    np.testing.assert_array_equal(rows.Ain, G[: L - 1])
+    np.testing.assert_array_equal(rows.bin, -g0[: L - 1])
     # faces 1 and 3 (and the constant row, dropped) as equalities, the rest
     # as inequalities
     eq = none.copy()
     eq[[1, 3, L - 1]] = True
-    rows = bs.face_blocks(eq=eq, ineq=~eq)
+    rows = bs.face_rows(eq=eq, ineq=~eq)
     others = [i for i in range(L - 1) if i not in (1, 3)]
-    np.testing.assert_array_equal(rows["Aeq"], G[[1, 3]])
-    np.testing.assert_array_equal(rows["beq"], -g0[[1, 3]])
-    np.testing.assert_array_equal(rows["Ain"], G[others])
-    np.testing.assert_array_equal(rows["bin"], -g0[others])
-    assert sorted(bs.face_blocks(eq=eq)) == ["Aeq", "beq"]
+    np.testing.assert_array_equal(rows.Aeq, G[[1, 3]])
+    np.testing.assert_array_equal(rows.beq, -g0[[1, 3]])
+    np.testing.assert_array_equal(rows.Ain, G[others])
+    np.testing.assert_array_equal(rows.bin, -g0[others])
+    assert shapes(bs.face_rows(eq=eq))[2:] == ((0, mN), (0,))
+    # the forward QP's rows are every nonconstant row as an inequality
+    forward = bs.forward_rows
+    assert forward.Aeq.shape == (0, mN)
+    np.testing.assert_array_equal(forward.Ain, G[: L - 1])
+    np.testing.assert_array_equal(forward.bin, -g0[: L - 1])
+
+
+def test_free_columns_are_the_weights_and_the_active_rows_multipliers():
+    fp = _shipped_problem("tls_positivity")
+    bs = build_stationarity(fp)
+    U = solve_forward(fp, fp.theta_true).U
+    for tol in (DEMO_ACTIVE_TOL, ITERATE_ACTIVE_TOL):
+        Jt, Ja, act = bs.free_columns(U, tol)
+        assert act.size and act.tolist() == np.flatnonzero(bs.active_rows(U, tol)).tolist()
+        assert Jt.tobytes() == bs.J_theta(U).tobytes()
+        assert Ja.tobytes() == bs.J_lambda[:, act].tobytes()
+        free = np.concatenate([np.arange(fp.q), fp.q + act])
+        np.testing.assert_array_equal(np.hstack([Jt, Ja]), bs.J(U)[:, free])
 
 
 def test_face_blocks_are_new_on_every_call():
@@ -405,16 +431,18 @@ def test_face_blocks_are_new_on_every_call():
     L = fp.n_multipliers
     eq = np.zeros(L, dtype=bool)
     eq[[1, 3]] = True
-    rows = bs.face_blocks(eq=eq, ineq=~eq)
-    # replacing an entry of the returned dict leaves the next call intact
-    rows["Aeq"] = np.vstack([np.ones((1, fp.n_inputs)), rows["Aeq"]])
-    del rows["Ain"]
-    again = bs.face_blocks(eq=eq, ineq=~eq)
-    assert sorted(again) == ["Aeq", "Ain", "beq", "bin"]
-    np.testing.assert_array_equal(again["Aeq"], bs.J_lambda.T[[1, 3]])
+    rows = bs.face_rows(eq=eq, ineq=~eq)
+    # each call builds its own rows, holding read-only copies of the
+    # model's arrays
+    again = bs.face_rows(eq=eq, ineq=~eq)
+    assert again is not rows
+    assert not np.shares_memory(rows.Aeq, again.Aeq)
+    assert not np.shares_memory(rows.Aeq, bs.J_lambda)
+    np.testing.assert_array_equal(again.Aeq, bs.J_lambda.T[[1, 3]])
+    assert again.Ain.shape[0] == L - 3
     # a later change to the caller's mask poses the new faces
     eq[5] = True
-    np.testing.assert_array_equal(bs.face_blocks(eq=eq)["Aeq"], bs.J_lambda.T[[1, 3, 5]])
+    np.testing.assert_array_equal(bs.face_rows(eq=eq).Aeq, bs.J_lambda.T[[1, 3, 5]])
 
 
 def test_problems_with_equal_bytes_are_equal_and_share_one_decomposition():

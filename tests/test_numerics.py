@@ -15,6 +15,7 @@ from scipy.linalg import lapack
 
 import ioc_eiv
 import oracles
+from oracles import fresh_qp
 from ioc_eiv import mcmc, numerics
 from ioc_eiv import (
     Infeasible,
@@ -476,48 +477,6 @@ def test_no_kron_in_the_package():
     assert uses == []
 
 
-# the constraint blocks of numerics.Qp, by keyword and by position
-_QP_BLOCKS = ("Aeq", "beq", "Ain", "bin")
-
-
-def _qp_calls_with_blocks(source):
-    """Source of every ``Qp(...)`` call in ``source`` that passes constraint
-    blocks: by keyword, by a third positional argument, or through a ``*``
-    or ``**`` argument, which may hold them."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.Call)
-                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Qp"):
-            continue
-        if (len(node.args) > 2 or any(isinstance(a, ast.Starred) for a in node.args)
-                or any(k.arg is None or k.arg in _QP_BLOCKS for k in node.keywords)):
-            found.append(ast.unparse(node))
-    return found
-
-
-def test_qp_rows_guard_sees_every_way_to_pass_blocks():
-    source = (
-        "def f(H, c, A, b, rows, kw, args):\n"
-        "    return (Qp(H=H, c=c, rows=rows), Qp(H, c, rows=rows), QpRows(2, Ain=A, bin=b),\n"
-        "            Qp(H=H, c=c, Ain=A, bin=b), numerics.Qp(H, c, A, b), Qp(H=H, c=c, **kw),\n"
-        "            Qp(*args), Qp(H, c, beq=b))\n"
-    )
-    assert _qp_calls_with_blocks(source) == [
-        "Qp(H=H, c=c, Ain=A, bin=b)", "numerics.Qp(H, c, A, b)", "Qp(H=H, c=c, **kw)",
-        "Qp(*args)", "Qp(H, c, beq=b)",
-    ]
-
-
-@pytest.mark.parametrize("module", ["forward", "tls_estimator"])
-def test_forward_and_tls_pose_every_qp_on_prepared_rows(module):
-    # forward.solve poses its QP on the problem's rows and tls_inner its
-    # QPs on the fit's cone, both prepared once: a Qp built from blocks
-    # there would check and reduce the same rows again on every solve
-    source = (Path(ioc_eiv.__file__).parent / f"{module}.py").read_text()
-    assert "rows=" in source
-    assert _qp_calls_with_blocks(source) == []
-
-
 @pytest.mark.parametrize("n_rhs", [None, 3])
 def test_lu_solve_agrees_with_numpy_solve(n_rhs):
     rng = np.random.default_rng(7)
@@ -577,19 +536,16 @@ def _finite_qp_blocks():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("block", ["H", "c", "Aeq", "beq", "Ain", "bin"])
 def test_qp_refuses_a_non_finite_block_when_built(block, bad):
-    # the one finiteness check of QP data, in the six-keyword form and on
-    # prepared rows (the four row blocks when the rows are built, H and c
-    # when the QP is); a +inf in bin would otherwise pose a row that never
-    # binds
+    # the one finiteness check of QP data (the four row blocks when the
+    # rows are built, H and c when the QP is posed on them); a +inf in bin
+    # would otherwise pose a row that never binds
     blocks = _finite_qp_blocks()
     blocks[block] = blocks[block].copy()
     blocks[block].flat[-1] = bad
-    with pytest.raises(ValueError, match=rf"^{block} must not contain infs or NaNs"):
-        Qp(**blocks)
     H, c = blocks.pop("H"), blocks.pop("c")
     with pytest.raises(ValueError, match=rf"^{block} must not contain infs or NaNs"):
-        Qp(H=H, c=c, rows=QpRows(2, **blocks))
-    sol = solve_qp(Qp(**_finite_qp_blocks()))
+        Qp(H, c, QpRows(2, **blocks))
+    sol = solve_qp(fresh_qp(**_finite_qp_blocks()))
     np.testing.assert_allclose(sol.z, [0.5, 0.5], atol=1e-12)
 
 
@@ -598,16 +554,29 @@ def test_qp_on_prepared_rows_refuses_an_objective_of_another_order():
     H, c = blocks.pop("H"), blocks.pop("c")
     rows = QpRows(2, **blocks)
     with pytest.raises(ValueError, match=r"^c has length 3, expected rows.n = 2"):
-        Qp(H=np.eye(3), c=np.zeros(3), rows=rows)
+        Qp(np.eye(3), np.zeros(3), rows)
     with pytest.raises(ValueError, match=r"^H has shape \(3, 3\), expected \(2, 2\)"):
-        Qp(H=np.eye(3), c=c, rows=rows)
-    with pytest.raises(ValueError, match="not both"):
-        Qp(H=H, c=c, Ain=blocks["Ain"], bin=blocks["bin"], rows=rows)
+        Qp(np.eye(3), c, rows)
     with pytest.raises(ValueError, match=r"^Ain has shape \(2, 2\), expected \(2, 3\)"):
         QpRows(3, Ain=blocks["Ain"], bin=blocks["bin"])
     qp = Qp(H=H, c=c, rows=rows)
     assert qp.dim == 2 and qp.rows is rows
     assert all(getattr(qp, name) is getattr(rows, name) for name in ("Aeq", "beq", "Ain", "bin"))
+
+
+def test_qp_is_posed_only_on_prepared_rows():
+    # one way to pose a QP: the rows are required, and blocks are not a
+    # keyword of Qp
+    blocks = _finite_qp_blocks()
+    H, c = blocks.pop("H"), blocks.pop("c")
+    rows = QpRows(2, **blocks)
+    with pytest.raises(TypeError):
+        Qp(H, c, Ain=blocks["Ain"], bin=blocks["bin"])
+    with pytest.raises(TypeError):
+        Qp(H, c)
+    with pytest.raises(TypeError):
+        Qp(H, c, rows, Aeq=blocks["Aeq"], beq=blocks["beq"])
+    assert [f.name for f in dataclasses.fields(Qp)] == ["H", "c", "rows"]
 
 
 def test_prepared_rows_keep_their_own_read_only_copy_of_the_blocks():
@@ -659,15 +628,16 @@ def test_pinned_qp_outside_an_inequality_raises_on_every_solve():
 
 def test_qp_that_overflows_in_the_solve_raises_instead_of_returning_nan():
     # finite data whose particular solution times H overflows to inf
-    qp = Qp(H=1e300 * np.eye(3), c=np.zeros(3), Aeq=np.ones((1, 3)), beq=np.array([1e300]),
-            Ain=-np.eye(3), bin=np.full(3, -1e10))
+    qp = fresh_qp(H=1e300 * np.eye(3), c=np.zeros(3), Aeq=np.ones((1, 3)), beq=np.array([1e300]),
+                  Ain=-np.eye(3), bin=np.full(3, -1e10))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
         solve_qp(qp)
 
 
 def test_qp_scalar_bound():
     # min 0.5 z^2 subject to z >= 1
-    sol = solve_qp(Qp(H=np.eye(1), c=np.zeros(1), Ain=np.array([[-1.0]]), bin=np.array([-1.0])))
+    sol = solve_qp(fresh_qp(H=np.eye(1), c=np.zeros(1), Ain=np.array([[-1.0]]),
+                            bin=np.array([-1.0])))
     np.testing.assert_allclose(sol.z, [1.0], atol=1e-10)
     np.testing.assert_allclose(sol.mult_in, [1.0], atol=1e-10)
 
@@ -677,7 +647,7 @@ def test_qp_unconstrained_normal_equations():
     G = rng.standard_normal((5, 5))
     H = G @ G.T + np.eye(5)
     c = rng.standard_normal(5)
-    qp = Qp(H=H, c=c)
+    qp = fresh_qp(H=H, c=c)
     sol = solve_qp(qp)
     np.testing.assert_allclose(sol.z, -np.linalg.solve(H, c), atol=1e-9)
     assert oracles.qp_report(qp, sol)[1] == ()
@@ -690,7 +660,7 @@ def test_qp_equality_constrained_matches_kkt_system():
     c = rng.standard_normal(6)
     Aeq = rng.standard_normal((2, 6))
     beq = rng.standard_normal(2)
-    sol = solve_qp(Qp(H=H, c=c, Aeq=Aeq, beq=beq))
+    sol = solve_qp(fresh_qp(H=H, c=c, Aeq=Aeq, beq=beq))
     kkt = np.block([[H, Aeq.T], [Aeq, np.zeros((2, 2))]])
     zl = np.linalg.solve(kkt, np.concatenate([-c, beq]))
     np.testing.assert_allclose(sol.z, zl[:6], atol=1e-8)
@@ -707,7 +677,7 @@ def test_qp_box_constrained_matches_projected_gradient():
         A = np.zeros((3, dim))
         A[np.arange(3), idx] = rng.choice([-1.0, 1.0], 3)
         b = rng.uniform(-0.5, 0.5, 3)
-        sol = solve_qp(Qp(H=H, c=c, Ain=A, bin=b))
+        sol = solve_qp(fresh_qp(H=H, c=c, Ain=A, bin=b))
         z_pg = oracles.pg_solve(H, c, A, b)
         f = lambda z: 0.5 * z @ H @ z + c @ z
         assert f(sol.z) <= f(z_pg) + 1e-8 * (1.0 + abs(f(z_pg)))
@@ -732,7 +702,7 @@ def test_qp_random_instances_optimality_and_duals():
 
 
 def test_qp_detects_empty_region():
-    qp = Qp(
+    qp = fresh_qp(
         H=np.eye(1),
         c=np.zeros(1),
         Ain=np.array([[1.0], [-1.0]]),
@@ -755,8 +725,8 @@ def test_qp_phase1_finds_a_start_when_both_guesses_are_infeasible(monkeypatch):
         return phase1(Ar, br)
 
     monkeypatch.setattr(numerics, "_phase1", spy)
-    qp = Qp(H=np.eye(1), c=np.zeros(1), Ain=np.array([[-1.0], [-1.0], [1.0]]),
-            bin=np.array([-1.0, -1.0, 2.0]))
+    qp = fresh_qp(H=np.eye(1), c=np.zeros(1), Ain=np.array([[-1.0], [-1.0], [1.0]]),
+                  bin=np.array([-1.0, -1.0, 2.0]))
     sol = solve_qp(qp)
     assert calls == [1]
     np.testing.assert_allclose(sol.z, [1.0], atol=1e-10)
@@ -785,7 +755,7 @@ def test_qp_semidefinite_hessian_recovered_by_ridge():
     H = G @ G.T
     z_target = rng.standard_normal(8)
     c = -H @ z_target
-    sol = solve_qp(Qp(H=H, c=c, Ain=-np.eye(8), bin=np.zeros(8)))
+    sol = solve_qp(fresh_qp(H=H, c=c, Ain=-np.eye(8), bin=np.zeros(8)))
     grad = H @ sol.z + c
     act = np.abs(sol.z) <= 1e-9
     assert np.max(np.abs(grad[~act])) <= 1e-5
@@ -847,7 +817,7 @@ def _golden_qp_batch():
             if k % 8 == 7 and Aeq.shape[0] >= 3:
                 beq = beq + np.r_[np.zeros(Aeq.shape[0] - 1), 1.0]  # inconsistent
             kw.update(Aeq=Aeq, beq=beq)
-        out.append(Qp(H=H, c=c, **kw))
+        out.append(fresh_qp(H=H, c=c, **kw))
     return out
 
 
@@ -886,8 +856,8 @@ def test_qp_batch_outputs_are_bit_identical_to_golden():
 
 def test_prepared_rows_solve_the_golden_batch_bit_for_bit_twice(monkeypatch):
     # the first solve on a QpRows stores its reduction and the second reads
-    # it: both must give the six-keyword solve's z, mult_in and n_iter, and
-    # inconsistent equalities must raise on both
+    # it: both must give the z, mult_in and n_iter of the solve on the
+    # batch's own rows, and inconsistent equalities must raise on both
     calls = []
     eliminate = numerics._eliminate_equalities
 
@@ -920,7 +890,7 @@ def test_prepared_rows_solve_the_golden_batch_bit_for_bit_twice(monkeypatch):
 
 
 def _direct_elimination(Aeq, beq, n):
-    """The equality elimination as computed before its SVD was cached."""
+    """The equality elimination, written out from the SVD of ``Aeq``."""
     U, s, Vt = np.linalg.svd(Aeq, full_matrices=True)
     tol = max(Aeq.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     r = int(np.sum(s > tol))
@@ -933,7 +903,8 @@ def _same_bits(a, b):
 
 
 def test_equality_elimination_cache_hit_is_bitwise_the_direct_svd():
-    numerics._equality_svd.cache_clear()
+    # the elimination a QpRows stores on its first use, and every later
+    # solve on the rows reads, has the bits of the SVD written out
     rng = np.random.default_rng(8)
     for k in range(50):
         n = int(rng.integers(2, 10))
@@ -941,48 +912,35 @@ def test_equality_elimination_cache_hit_is_bitwise_the_direct_svd():
         if Aeq.shape[0] >= 3:
             Aeq[-1] = Aeq[0] - 0.5 * Aeq[1]  # rank-deficient
         if k % 2:
-            Aeq = np.asfortranarray(Aeq)  # same bytes key, other layout
-        for _ in range(2):  # the first beq misses, the second hits
+            Aeq = np.asfortranarray(Aeq)  # the other layout
+        for _ in range(2):
             beq = Aeq @ rng.standard_normal(n)
             ref_z, ref_Z = _direct_elimination(Aeq, beq, n)
             z_part, Z = numerics._eliminate_equalities(Aeq, beq, n)
             assert _same_bits(z_part, ref_z)
             assert _same_bits(Z, ref_Z)
-    info = numerics._equality_svd.cache_info()
-    assert (info.misses, info.hits) == (50, 50)
+            rows = QpRows(n, Aeq, beq)
+            stored = rows._reduced()
+            assert rows._reduced() is stored
+            assert _same_bits(stored[0], ref_z)
+            assert _same_bits(stored[1], ref_Z)
 
 
-def test_equality_elimination_cache_hit_still_raises_infeasible():
+def test_rank_deficient_inconsistent_equalities_raise_infeasible():
     Aeq = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])  # rank one
     z_part, _ = numerics._eliminate_equalities(Aeq, np.array([1.0, 2.0]), 3)
     np.testing.assert_allclose(Aeq @ z_part, [1.0, 2.0])
-    hits = numerics._equality_svd.cache_info().hits
     with pytest.raises(Infeasible):
         numerics._eliminate_equalities(Aeq, np.array([1.0, 3.0]), 3)
-    assert numerics._equality_svd.cache_info().hits == hits + 1
-    qp = Qp(H=np.eye(3), c=np.zeros(3), Aeq=Aeq, beq=np.array([1.0, 3.0]))
+    qp = fresh_qp(H=np.eye(3), c=np.zeros(3), Aeq=Aeq, beq=np.array([1.0, 3.0]))
     with pytest.raises(Infeasible):
         solve_qp(qp)
-    assert numerics._equality_svd.cache_info().hits == hits + 2
-
-
-def test_cached_equality_factorization_is_read_only_and_bounded():
-    rng = np.random.default_rng(9)
-    Aeq = rng.standard_normal((2, 5))
-    U, s, Vt, r = numerics._equality_svd(Aeq.shape, Aeq.tobytes())
-    assert r == 2
-    _, Z = numerics._eliminate_equalities(Aeq, Aeq @ rng.standard_normal(5), 5)
-    for a in (U, s, Vt, Z):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 0.0
-    assert numerics._equality_svd.cache_info().maxsize == numerics._ELIMINATION_CACHE_SIZE
-    assert 0 < numerics._ELIMINATION_CACHE_SIZE <= 1024
 
 
 def test_qp_solution_is_a_frozen_record_of_what_the_solve_computes():
     # min 0.5|z|^2 - z1 - z2 s.t. z1 <= 0.5: the row holds with multiplier 0.5
-    sol = solve_qp(Qp(H=np.eye(2), c=-np.ones(2), Ain=np.array([[1.0, 0.0]]), bin=np.array([0.5])))
+    sol = solve_qp(fresh_qp(H=np.eye(2), c=-np.ones(2), Ain=np.array([[1.0, 0.0]]),
+                            bin=np.array([0.5])))
     assert [f.name for f in dataclasses.fields(sol)] == ["z", "mult_in", "n_iter"]
     np.testing.assert_allclose(sol.z, [0.5, 1.0], atol=1e-12)
     np.testing.assert_allclose(sol.mult_in, [0.5], atol=1e-12)
@@ -1004,15 +962,15 @@ def test_qp_without_equalities_factors_the_hessian_once(monkeypatch):
     solve_qp(qp)
     assert calls == [(5, 5)]
     calls.clear()
-    solve_qp(Qp(H=qp.H, c=qp.c, Aeq=np.ones((1, 5)), beq=np.zeros(1), Ain=qp.Ain, bin=qp.bin))
+    solve_qp(fresh_qp(H=qp.H, c=qp.c, Aeq=np.ones((1, 5)), beq=np.zeros(1), Ain=qp.Ain, bin=qp.bin))
     assert calls == [(4, 4)]  # only the reduced Hessian on the null space
 
 
 def test_qp_hessian_singular_off_the_equality_null_space_solves_exactly():
     # H = diag(1, 0) is singular, but on the null space {z2 = 0} of the
     # equality it is 1, so nothing is bumped and z1 = -1 exactly
-    sol = solve_qp(Qp(H=np.diag([1.0, 0.0]), c=np.array([1.0, 0.0]),
-                      Aeq=np.array([[0.0, 1.0]]), beq=np.array([1.0])))
+    sol = solve_qp(fresh_qp(H=np.diag([1.0, 0.0]), c=np.array([1.0, 0.0]),
+                            Aeq=np.array([[0.0, 1.0]]), beq=np.array([1.0])))
     assert sol.z.tolist() == [-1.0, 1.0]
 
 
@@ -1024,9 +982,9 @@ def test_qp_row_near_underflow_solves_like_its_rescaled_copy():
     # face, and at a = 1e-197 phase 1 puts the tiny row alone in the working
     # set, where a Hinv a' = 2a^2 underflows to a singular 0.
     a = 1e-197
-    sol = solve_qp(Qp(H=np.eye(2), c=np.zeros(2),
-                      Ain=np.array([[a, a], [-1.0, 0.0], [-1.0, 0.0]]),
-                      bin=np.array([2.0 * a, -1.0, -1.0])))
+    sol = solve_qp(fresh_qp(H=np.eye(2), c=np.zeros(2),
+                            Ain=np.array([[a, a], [-1.0, 0.0], [-1.0, 0.0]]),
+                            bin=np.array([2.0 * a, -1.0, -1.0])))
     np.testing.assert_allclose(sol.z, [1.0, 0.0], atol=1e-10)
 
 
@@ -1035,8 +993,8 @@ def test_qp_row_near_underflow_solves_in_one_try_from_its_violated_row():
     # violates only that row, whose face holds the answer, so phase 1 and
     # the tiny row's singular working set are never reached
     a = 1e-197
-    sol = solve_qp(Qp(H=np.eye(2), c=np.zeros(2),
-                      Ain=np.array([[a, a], [-1.0, 0.0]]), bin=np.array([2.0 * a, -1.0])))
+    sol = solve_qp(fresh_qp(H=np.eye(2), c=np.zeros(2),
+                            Ain=np.array([[a, a], [-1.0, 0.0]]), bin=np.array([2.0 * a, -1.0])))
     assert sol.z.tolist() == [1.0, 0.0]
     assert sol.n_iter == 1
 
@@ -1058,7 +1016,8 @@ def test_qp_reduced_hessian_gets_the_regularization_retry():
     H[:, 0], H[:, 1] = h0, h1
     Aeq = np.zeros((1, 10))
     Aeq[0, :2] = 1.0
-    qp = Qp(H=H, c=np.zeros(10), Aeq=Aeq, beq=np.array([5.0]), Ain=-np.eye(10), bin=np.zeros(10))
+    qp = fresh_qp(H=H, c=np.zeros(10), Aeq=Aeq, beq=np.array([5.0]),
+                  Ain=-np.eye(10), bin=np.zeros(10))
     sol = solve_qp(qp)
     assert sol.z.min() >= -1e-12
     assert oracles.qp_report(qp, sol)[2] <= 1e-9
@@ -1071,8 +1030,8 @@ def test_qp_with_nearly_singular_hessian_keeps_its_bounds():
     # returns z = (-0.0180, 16.343, 0.0247) without an error
     H = np.array([[7.56e-29, 6.28e-30, 0.0], [6.28e-30, 1.47e-29, 0.0], [0.0, 0.0, 3.0e-39]])
     c = np.array([8.27e-15, -3.00e-15, -2.47e-38])
-    sol = solve_qp(Qp(H=H, c=c, Aeq=np.ones((1, 3)), beq=np.array([16.35]),
-                      Ain=-np.eye(3), bin=np.full(3, -1.63e-5)))
+    sol = solve_qp(fresh_qp(H=H, c=c, Aeq=np.ones((1, 3)), beq=np.array([16.35]),
+                            Ain=-np.eye(3), bin=np.full(3, -1.63e-5)))
     assert sol.z.min() >= 1.63e-5 - 1e-9
 
 
@@ -1110,7 +1069,7 @@ def _qps_with_a_face(seed, count=10):
         if 2 * len(out) >= count:
             Aeq = rng.standard_normal((int(rng.integers(1, qp.dim)), qp.dim))
             kw = dict(Aeq=Aeq, beq=Aeq @ z0)
-        qp = Qp(H=qp.H, c=5.0 * qp.c, Ain=qp.Ain, bin=qp.bin, **kw)
+        qp = fresh_qp(H=qp.H, c=5.0 * qp.c, Ain=qp.Ain, bin=qp.bin, **kw)
         sol = solve_qp(qp)
         face = np.flatnonzero(sol.mult_in > 0.0).tolist()
         if face:
@@ -1195,7 +1154,7 @@ def test_interior_qp_is_its_unconstrained_minimizer_with_no_search_or_loop(monke
         Ain = rng.standard_normal((int(rng.integers(1, 6)), dim))
         bin_ = Ain @ z_unc + rng.uniform(0.1, 1.0, Ain.shape[0])
         eq = dict(Aeq=Aeq, beq=beq) if n_eq else {}
-        qp = Qp(H=H, c=c, Ain=Ain, bin=bin_, **eq)
+        qp = fresh_qp(H=H, c=c, Ain=Ain, bin=bin_, **eq)
         for face in (None, [0]):
             sol = solve_qp(qp, face=face)
             np.testing.assert_allclose(sol.z, z_unc, rtol=1e-9, atol=1e-9)
@@ -1230,7 +1189,7 @@ def test_qp_start_on_a_rank_deficient_face_gives_the_cold_answer(factor):
         i = face[0]
         Ain = np.vstack([qp.Ain, factor * qp.Ain[i]])
         bin_ = np.append(qp.bin, factor * qp.bin[i])
-        qp2 = Qp(H=qp.H, c=qp.c, Aeq=qp.Aeq, beq=qp.beq, Ain=Ain, bin=bin_)
+        qp2 = fresh_qp(H=qp.H, c=qp.c, Aeq=qp.Aeq, beq=qp.beq, Ain=Ain, bin=bin_)
         cold2 = solve_qp(qp2)
         warm = solve_qp(qp2, face=face + [Ain.shape[0] - 1])
         assert _same_solution(warm, cold2)
@@ -1240,7 +1199,8 @@ def test_qp_start_on_a_rank_deficient_face_gives_the_cold_answer(factor):
 
 def test_qp_face_is_refused_when_malformed():
     for kw in ({}, dict(Aeq=np.array([[1.0, 1.0]]), beq=np.array([1.0]))):
-        qp = Qp(H=np.eye(2), c=np.ones(2), Ain=np.array([[1.0, 0.0]]), bin=np.array([0.0]), **kw)
+        qp = fresh_qp(H=np.eye(2), c=np.ones(2), Ain=np.array([[1.0, 0.0]]), bin=np.array([0.0]),
+                      **kw)
         for face in ([1], [-1], [0.5], np.zeros(2), 0):
             with pytest.raises((ValueError, TypeError)):
                 solve_qp(qp, face=face)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import oracles  # noqa: E402
-from ioc_eiv import Qp, solve_qp  # noqa: E402
+from ioc_eiv import Qp, QpRows, solve_qp  # noqa: E402
 from ioc_eiv.numerics import _eqp, _factor  # noqa: E402
 
 # entries below 1e-3 in magnitude snap to zero: structural zeros are a case
@@ -61,7 +61,7 @@ def feasible_qps(draw):
         if n_eq >= 2 and draw(st.booleans()):
             Aeq[-1] = Aeq[0] - 2.0 * Aeq[1]  # rank-deficient, still consistent
         kw = dict(Aeq=Aeq, beq=Aeq @ z0)
-    return Qp(H=H, c=c, Ain=Ain, bin=bin_, **kw), z0
+    return oracles.fresh_qp(H, c, Ain=Ain, bin=bin_, **kw), z0
 
 
 def _oracle(qp, z0):
@@ -144,7 +144,8 @@ def warm_started_qps(draw):
     if n_eq:
         Aeq = draw(_matrix(n_eq, dim))
         kw.update(Aeq=Aeq, beq=Aeq @ z0)
-    return Qp(H=H, c=c1, **kw), Qp(H=H, c=c1 + t * d, **kw)
+    rows = QpRows(dim, **kw)
+    return Qp(H, c1, rows), Qp(H, c1 + t * d, rows)
 
 
 @given(warm_started_qps())

@@ -16,6 +16,7 @@ from ioc_eiv import (
     NormalizationRule,
     PolytopicConstraints,
     QuadraticFeature,
+    default_priors,
     generate,
     kkt_ls,
     kkt_single,
@@ -27,7 +28,7 @@ from ioc_eiv import (
     tls_estimate,
     tls_inner,
 )
-from ioc_eiv import bench_cli, forward, model, tls_estimator
+from ioc_eiv import bench_cli, forward, kkt_baseline, map_estimator, model, tls_estimator
 from ioc_eiv.model import build_stationarity, constraint_values, kkt_residual
 
 
@@ -246,10 +247,11 @@ def test_fit_makes_no_rollout(monkeypatch):
     assert calls == []
 
 
-def test_every_qp_of_a_fit_is_posed_on_rows_prepared_once(monkeypatch):
-    # the forward QPs read the problem's rows and the cone QPs (the
-    # projection and every step) one QpRows built for the fit, so each set
-    # of rows is checked and reduced once
+def test_fits_under_equal_rules_pose_every_qp_on_rows_prepared_once(monkeypatch):
+    # the forward QPs read the problem's rows; the cone QPs of TLS (the
+    # projection and every step), of its kkt start and of MAP's beta-step
+    # read the cone that beta_rows keeps per rule value and size, so fits
+    # under rules built apart share one QpRows, checked and reduced once
     def rows_posed_through(module):
         solve_qp, seen = module.solve_qp, []
 
@@ -261,13 +263,18 @@ def test_every_qp_of_a_fit_is_posed_on_rows_prepared_once(monkeypatch):
         return seen
 
     forward_rows, cones = rows_posed_through(forward), rows_posed_through(tls_estimator)
-    fp, _, ds = _benchmark_demos(10.0, 3, 5)
-    for _ in range(2):  # two fits, which pose the same number of cone QPs
+    kkt_cones, beta_cones = rows_posed_through(kkt_baseline), rows_posed_through(map_estimator)
+    fp, sol, ds = _benchmark_demos(10.0, 3, 5)
+    bs = build_stationarity(fp)
+    for _ in range(2):  # two fits, each under its own rule
         tls_estimate(ds, fp, _norm())
-    assert forward_rows and all(r is build_stationarity(fp).forward_rows for r in forward_rows)
-    half = len(cones) // 2
-    assert half >= 2 and cones == [cones[0]] * half + [cones[half]] * half
-    assert cones[0] is not cones[half]
+        map_estimator._beta_step(bs, ds, default_priors(ds, fp, _norm()), sol.U, _norm())
+    assert forward_rows and all(r is bs.forward_rows for r in forward_rows)
+    assert len(cones) >= 4 and all(r is cones[0] for r in cones)
+    # kkt_single starts TLS and kkt_ls sets MAP's priors: each round poses the same cones
+    half = len(kkt_cones) // 2
+    assert half >= 1 and all(a is b for a, b in zip(kkt_cones[:half], kkt_cones[half:]))
+    assert len(beta_cones) == 2 and beta_cones[0] is beta_cones[1]
 
 
 def test_inner_merit_monotone_within_phases():
