@@ -579,6 +579,35 @@ def test_qp_is_posed_only_on_prepared_rows():
     assert [f.name for f in dataclasses.fields(Qp)] == ["H", "c", "rows"]
 
 
+def _rows_built_at_the_call(source):
+    """Source of every ``QpRows(...)`` call in ``source``, and of every
+    ``Qp(...)`` call whose rows are built by a call in its own argument
+    list rather than passed in already prepared."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        rows = node.args[2:] + [k.value for k in node.keywords if k.arg in ("rows", None)]
+        if name == "QpRows" or (name == "Qp" and any(isinstance(r, ast.Call) for r in rows)):
+            found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("module", ["forward", "tls_estimator"])
+def test_forward_and_tls_pose_every_qp_on_prepared_rows(module):
+    # forward.solve poses its QP on the problem's rows and tls_inner its
+    # QPs on the fit's cone, both prepared once: rows built at the call
+    # would check and reduce the same blocks again on every solve
+    source = (Path(ioc_eiv.__file__).parent / f"{module}.py").read_text()
+    assert "Qp(" in source
+    assert _rows_built_at_the_call(source) == []
+    assert sorted(_rows_built_at_the_call(
+        "Qp(H, c, QpRows(2, Ain=A, bin=b)); numerics.QpRows(2); Qp(H, c, rows=make(A)); Qp(H, c, r)"
+    )) == sorted(["Qp(H, c, QpRows(2, Ain=A, bin=b))", "QpRows(2, Ain=A, bin=b)",
+                  "numerics.QpRows(2)", "Qp(H, c, rows=make(A))"])
+
+
 def test_prepared_rows_keep_their_own_read_only_copy_of_the_blocks():
     # min 0.5 |z|^2 s.t. z1 + z2 = 3, z1 <= 1: the row holds, z = (1, 2)
     Aeq, beq = np.ones((1, 2)), np.array([3.0])
