@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import ForwardProblem
+from .numerics import _finite
 
 __all__ = [
     "NoiseSpec",
@@ -147,7 +148,14 @@ class DemoSet:
         if len(self.U_list) == 0:
             raise ValueError("a demo set needs at least one demo")
         object.__setattr__(self, "U_list", tuple(_read_only(U) for U in self.U_list))
+        n = self.fp_ref.n_inputs
+        for d, U in enumerate(self.U_list):
+            if U.shape != (n,):
+                raise ValueError(f"demo {d} has shape {U.shape}, expected (m * N,) = ({n},)")
         stacked = np.array(self.U_list)  # (D, mN); faster than vstack on small demos
+        if not _finite(stacked):
+            d = int(np.flatnonzero(~np.isfinite(stacked).all(axis=1))[0])
+            raise ValueError(f"demo {d} must be finite")
         mean = stacked.mean(axis=0)
         R = stacked - mean
         object.__setattr__(self, "mean", _read_only(mean))

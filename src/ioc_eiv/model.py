@@ -26,13 +26,15 @@ to constraint row ``i`` at step ``k``, for ``k = 0..N``.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import QpRows
+from .numerics import QpRows, _finite
 
 __all__ = [
     "LinearSystem",
@@ -73,6 +75,13 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _check_finite(**arrays) -> None:
+    """Raise ValueError naming the first of the float ``arrays`` with a NaN or an infinity."""
+    for name, a in arrays.items():
+        if not _finite(a):
+            raise ValueError(f"{name} must be finite")
+
+
 def _exact(a: np.ndarray) -> tuple:
     """``(shape, bytes)`` of an array: equal exactly when the arrays are bit for bit."""
     return a.shape, a.tobytes()
@@ -94,6 +103,7 @@ class LinearSystem:
             raise ValueError(
                 f"B must have {A.shape[0]} rows to match A, got shape {B.shape}"
             )
+        _check_finite(A=A, B=B)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
@@ -121,9 +131,13 @@ class QuadraticFeature:
     def __post_init__(self):
         if self.kind not in ("state", "input"):
             raise ValueError(f"feature kind must be 'state' or 'input', got {self.kind!r}")
-        if self.index < 0:
-            raise ValueError(f"feature index must be nonnegative, got {self.index}")
-        object.__setattr__(self, "target", float(self.target))
+        index, target = operator.index(self.index), float(self.target)
+        if index < 0:
+            raise ValueError(f"feature index must be nonnegative, got {index}")
+        if not math.isfinite(target):
+            raise ValueError(f"feature target must be finite, got {target}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "target", target)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +156,7 @@ class PolytopicConstraints:
             raise ValueError(
                 f"constraint row counts disagree: Hx {Hx.shape[0]}, Hu {Hu.shape[0]}, h {h.shape[0]}"
             )
+        _check_finite(Hx=Hx, Hu=Hu, h=h)
         Hx.flags.writeable = False
         Hu.flags.writeable = False
         h.flags.writeable = False
@@ -177,8 +192,10 @@ class ForwardProblem:
     _hash: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        horizon = operator.index(self.horizon)
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        object.__setattr__(self, "horizon", horizon)
         feats = tuple(self.features)
         if not feats:
             raise ValueError("at least one feature is required")

@@ -35,15 +35,17 @@ general path raises ValueError on any other.  A NaN or an infinity in row
 finite diagonal proves the whole factor finite, where LAPACK's ``info``
 may accept a NaN below the diagonal.
 
-The QP solver is a textbook primal active-set method behind a face search.
-The choice is deliberate: every estimator in this package needs *exact*
-active sets and bit-reproducible solves, which first-order or
-interior-point methods do not give.  Determinism is pinned down by two rules:
+The QP solver is a face search behind the dual active-set method of
+Goldfarb & Idnani (*Math. Programming* 27, 1983).  The choice is
+deliberate: every estimator in this package needs *exact* active sets and
+bit-reproducible solves, which first-order or interior-point methods do not
+give.  Determinism is pinned down by three rules of the dual loop:
 
-* the entering constraint is the lowest-index row among those blocking at
-  the minimal step length;
-* a start found by phase 1 takes as its working set the rows with
-  ``a z - b >= -1e-7 * (1 + |b|)``, pruned in index order to full row rank.
+* the entering row is the most violated one, the lowest-index one on ties;
+* the leaving row is the working row whose multiplier reaches zero first
+  along the step, the lowest-index one on ties;
+* when entering and leaving come at the same step length, the row enters
+  and none leaves.
 
 An interior QP, whose unconstrained minimizer meets every inequality,
 gets that minimizer, no multipliers and ``n_iter = 0``.  Otherwise:
@@ -65,14 +67,18 @@ gets that minimizer, no multipliers and ``n_iter = 0``.  Otherwise:
 2. **Cold path.**  The search gives up after ``_FACE_TRIES`` tries, on an
    empty or repeated face, or on a face system whose LU has a pivot below
    ``_FACE_RCOND`` times its largest: dependent rows, between which
-   rounding would split a multiplier.  The solve then starts from the
-   origin or phase 1, runs the loop, and polishes its answer with one try
-   on the loop's final working set.
+   rounding would split a multiplier.  The solve then runs the dual loop
+   (:func:`_dual_loop`) from the unconstrained minimizer, which needs no
+   feasible start: it adds violated rows one at a time and keeps every
+   multiplier nonnegative, and it raises :class:`Infeasible` when the
+   working rows prove a violated row unreachable.  One try on the loop's
+   final working set polishes its answer.
 
 An accepted face and the polish on that face are one computation, so
 whenever the cold loop ends on the face the search accepts, the two
-answers agree bit for bit.  ``n_iter`` counts the tries, plus the loop's
-iterations when the search gives up.
+answers agree bit for bit.  ``n_iter`` counts the tries, plus the dual
+loop's steps (one face solve each) when the search gives up; the polish
+is not counted.
 
 A solve names no active rows: the estimators take them from the one face
 model, :class:`ioc_eiv.model.BilinearStationarity`.
@@ -105,9 +111,9 @@ changing a bit of any result:
   size, for every kkt, MAP and TLS QP posed on it.  Inconsistent
   equalities store nothing, so every solve on them raises
   :class:`Infeasible`.
-* Without equalities the null-space basis is the identity, so the
-  active-set loop runs on ``H``, ``c``, ``Ain`` and ``bin`` as given,
-  instead of forming ``Z' H Z``.
+* Without equalities the null-space basis is the identity, so the search
+  and the loop run on ``H``, ``c``, ``Ain`` and ``bin`` as given, instead
+  of forming ``Z' H Z``.
 
 Solves the problem
 
@@ -141,8 +147,6 @@ __all__ = [
     "solve_qp",
 ]
 
-# phase 1's working set: the rows with a_i z - b_i >= -_ACTIVE_TOL * (1 + |b_i|)
-_ACTIVE_TOL = 1e-7
 # inequality multipliers may dip this far below zero before we call it an error
 _DUAL_TOL = 1e-10
 _FEAS_TOL = 1e-9
@@ -171,7 +175,7 @@ class Infeasible(RuntimeError):
 
 
 class IterationLimit(RuntimeError):
-    """Active-set loop exceeded its iteration budget (100 * dim)."""
+    """Dual active-set loop exceeded its step budget (100 * dim)."""
 
 
 def cholesky(M) -> np.ndarray:
@@ -459,93 +463,64 @@ def _eqp(L, c, A, b, rcond=0.0):
     return y, mu
 
 
-def _independent_rows(A, rows):
-    """Greedy prune of ``rows`` so that A[rows] has full row rank."""
-    kept = []
-    for i in rows:
-        cand = A[kept + [i]]
-        if np.linalg.matrix_rank(cand) == len(kept) + 1:
-            kept.append(i)
-    return kept
-
-
 def _feasible(A, b, y, tol):
     return bool((A @ y - b <= tol).all())
 
 
-def _phase1(Ar, br):
-    """LP feasibility: min sum(s) s.t. Ar y - s <= br, s >= 0."""
-    # imported here: scipy.optimize costs a large share of the package import
-    # and only this rarely taken path needs it
-    from scipy.optimize import linprog
+def _dual_loop(L, c, A, b, feas_scale, max_iter):
+    """``(y, {row: multiplier}, n)`` of min 0.5 y'Hy + c'y s.t. A y <= b,
+    given L = chol(H), after ``n`` steps of the dual active-set method.
 
-    ni, nz = Ar.shape
-    cost = np.concatenate([np.zeros(nz), np.ones(ni)])
-    A_ub = np.hstack([Ar, -np.eye(ni)])
-    bounds = [(None, None)] * nz + [(0, None)] * ni
-    res = linprog(cost, A_ub=A_ub, b_ub=br, bounds=bounds, method="highs")
-    scale = 1.0 + np.abs(br).max(initial=0.0)
-    if not res.success or res.fun > 1e-7 * scale:
-        raise Infeasible("inequality constraints have no feasible point")
-    return res.x[:nz]
-
-
-def _active_set_loop(L, Hr, cr, Ar, br, y, W, max_iter):
-    """Primal active-set iteration on the reduced (equality-free) problem."""
-    n_in = Ar.shape[0]
-    row_max = np.abs(Ar).max(axis=1, initial=0.0)  # max is exact: same as row by row
-    W = sorted(W)
-    stall = 0
-    full_prev = False
-    for it in range(1, max_iter + 1):
-        g = Hr @ y + cr
-        A_W = Ar[W] if W else np.zeros((0, y.shape[0]))
-        p, mu = _eqp(L, g, A_W, np.zeros(len(W)))
-        p_max = float(np.abs(p).max(initial=0.0))
-        at_minimum = p_max <= 1e-10 * (1.0 + np.abs(y).max(initial=0.0))
-        alpha = 1.0
-        blocker = -1
-        if not at_minimum:
-            # step length to the nearest blocking constraint; one dot per
-            # row, since a stacked Ar @ p may round differently
-            for i in range(n_in):
-                if i in W:
-                    continue
-                ai_p = float(Ar[i] @ p)
-                denom = 1.0 + float(row_max[i]) * p_max
-                if ai_p <= 1e-12 * denom:
-                    continue
-                slack = max(float(br[i] - Ar[i] @ y), 0.0)
-                a = slack / ai_p
-                if a < alpha - 1e-13 * (1.0 + alpha):
-                    alpha, blocker = a, i
-                # ties resolve to the lowest index automatically (ascending scan)
-            if full_prev and blocker < 0:
-                # the previous iteration already took an exact full Newton
-                # step on this working set, so a second unblocked direction
-                # is round-off at the current conditioning, not descent
-                at_minimum = True
-        if at_minimum:
-            if not W or mu.min() >= -_DUAL_TOL:
-                return y, dict(zip(W, mu)), it
-            # drop the most negative multiplier; once degenerate pivots pile
-            # up, drop the lowest-indexed negative one instead, which cannot
-            # revisit a working set
-            if stall > n_in + 20:
-                j = int(np.flatnonzero(mu < -_DUAL_TOL)[0])
+    Goldfarb & Idnani's method: start at the unconstrained minimizer with
+    no working rows, and while some row is violated by more than
+    ``feas_scale``, take the most violated one, ``p``, to its face.  A step
+    is the ``_eqp`` call for the direction ``z`` that lowers ``a_p y`` on
+    the working faces, and the rate ``r`` at which it moves their
+    multipliers ``u``.  It is the shorter of two: the primal step
+    ``viol_p / -a_p z``, which puts ``p`` on its face and adds it, and the
+    dual step ``min u_j / -r_j``, which drops the working row whose
+    multiplier reaches zero first.  Every iterate is stationary with
+    nonnegative multipliers, so the first feasible one is the optimum.
+    When ``-a_p z`` is at most ``1e-12 a_p H^-1 a_p'``, ``a_p`` lies in the
+    span of the working rows and the step is dual only; with no dual step
+    either, the working rows prove ``p`` unreachable, and the loop raises
+    :class:`Infeasible`.  A working row that rounding moved off its face
+    is released, with its multiplier, and taken to its face again.
+    """
+    y = -_solve(L, c)
+    u = {}
+    n = 0
+    while True:
+        viol = A @ y - b
+        p = int(np.argmax(viol))
+        if not viol[p] > feas_scale:  # a NaN stops here too
+            return y, u, n
+        a_p, u_p = A[p], u.pop(p, 0.0)
+        null_tol = 1e-12 * float(a_p @ _solve(L, a_p))
+        while p not in u:
+            if n == max_iter:
+                raise IterationLimit(f"dual active-set loop exceeded {max_iter} steps")
+            n += 1
+            W = sorted(u)
+            z, r = _eqp(L, a_p, A[W], np.zeros(len(W)))
+            r = r.tolist()
+            descent = -float(a_p @ z)
+            t_add = math.inf
+            if descent > null_tol:
+                t_add = float(a_p @ y - b[p]) / descent
+            t_drop, k = min(((u[j] / -rj, j) for j, rj in zip(W, r) if rj < 0.0),
+                            default=(math.inf, -1))
+            t = min(t_add, t_drop)
+            if t == math.inf:
+                raise Infeasible("inequality constraints have no feasible point")
+            if t_add < math.inf:
+                y = y + t * z
+            u = {j: max(u[j] + t * rj, 0.0) for j, rj in zip(W, r)}
+            u_p += t
+            if t_add <= t_drop:
+                u[p] = u_p
             else:
-                j = int(np.argmin(mu))
-            W.pop(j)
-            stall += 1
-            full_prev = False
-            continue
-        y = y + alpha * p
-        stall = stall + 1 if alpha <= 1e-13 else 0
-        full_prev = blocker < 0
-        if blocker >= 0:
-            W.append(blocker)
-            W.sort()
-    raise IterationLimit(f"active-set loop exceeded {max_iter} iterations")
+                del u[k]
 
 
 def _face_search(L, c, A, b, rows, feas_scale, tries):
@@ -581,7 +556,7 @@ def _face_search(L, c, A, b, rows, feas_scale, tries):
 
 
 def solve_qp(qp: Qp, face=None) -> QpSolution:
-    """Solve a strictly convex QP by a face search, then a primal active-set method.
+    """Solve a strictly convex QP by a face search, then a dual active-set method.
 
     Equalities are eliminated through an orthonormal null-space basis from
     the SVD of ``Aeq``.  The rows' side of that reduction is stored on
@@ -596,10 +571,11 @@ def solve_qp(qp: Qp, face=None) -> QpSolution:
     unconstrained minimizer violates (see the module docstring).  A face
     with a non-integer or out-of-range index raises TypeError or ValueError.
 
-    Raises Infeasible, IterationLimit, or NotPositiveDefinite, ValueError
-    when the answer overflows, and ``numpy.linalg.LinAlgError`` when a
-    working set's face system is exactly singular (a row whose
-    ``a H^-1 a'`` underflows to zero, say).
+    ``n_iter`` counts the face search's tries, plus the dual loop's steps
+    when the search gives up.  Raises Infeasible, IterationLimit, or
+    NotPositiveDefinite, ValueError when the answer overflows, and
+    ``numpy.linalg.LinAlgError`` should a face system of the dual loop
+    come out exactly singular.
     """
     n = qp.dim
     H, c, rows = qp.H, qp.c, qp.rows
@@ -644,17 +620,7 @@ def solve_qp(qp: Qp, face=None) -> QpSolution:
         if found:
             y, mu_map = found
         else:
-            if _feasible(Ar, br, np.zeros(nz), feas_scale):
-                y0, W0 = np.zeros(nz), []
-            else:
-                y0 = _phase1(Ar, br)
-                resid = Ar @ y0 - br
-                if resid.max(initial=0.0) > 1e-7 * (1.0 + np.abs(br).max(initial=0.0)):
-                    raise Infeasible("inequality constraints have no feasible point")
-                cand = [i for i in range(n_in) if resid[i] >= -_ACTIVE_TOL * (1.0 + abs(br[i]))]
-                W0 = _independent_rows(Ar, cand)
-            max_iter = 100 * max(nz, 1)
-            y, mu_map, n_loop = _active_set_loop(Lr, Hr, cr, Ar, br, y0, list(W0), max_iter)
+            y, mu_map, n_loop = _dual_loop(Lr, cr, Ar, br, feas_scale, 100 * max(nz, 1))
             n_iter += n_loop
             # polish: place the iterate exactly on its working faces
             y, mu_map = _face_search(Lr, cr, Ar, br, sorted(mu_map), feas_scale, 1)[0] or (y, mu_map)

@@ -188,6 +188,21 @@ def test_mean_and_scatter_are_read_only_and_equal_their_oracle():
         demos.DemoSet(U_list=(), fp_ref=fp)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_demo_set_refuses_a_demo_of_the_wrong_length_or_not_finite(bad):
+    # a short demo used to build and fail inside numpy's matmul in kkt_ls,
+    # and a NaN demo to surface as "H must not contain infs or NaNs"
+    fp, U_star = _benchmark_setup()
+    with pytest.raises(ValueError, match=r"demo 1 has shape \(9,\), expected"):
+        demos.DemoSet(U_list=(U_star, U_star[:-1]), fp_ref=fp)
+    with pytest.raises(ValueError, match=r"demo 0 has shape \(1, 10\)"):
+        demos.DemoSet(U_list=(U_star[None, :],), fp_ref=fp)
+    U_bad = U_star.copy()
+    U_bad[3] = bad
+    with pytest.raises(ValueError, match="demo 2 must be finite"):
+        demos.DemoSet(U_list=(U_star, U_star, U_bad), fp_ref=fp)
+
+
 def _assert_demos_equal(ds, expected):
     assert len(ds.U_list) == len(expected)
     for got, want in zip(ds.U_list, expected):

@@ -322,6 +322,43 @@ def test_forward_problem_refuses_a_non_finite_weight_or_start(field, bad):
         ForwardProblem(**kw)
 
 
+def test_feature_index_and_horizon_must_be_integers():
+    # a float index used to build and raise IndexError at the first solve,
+    # and a float horizon TypeError inside build_stationarity
+    with pytest.raises(TypeError):
+        QuadraticFeature("state", 0.5)
+    fp = oracles.spring_damper()
+    with pytest.raises(TypeError):
+        ForwardProblem(fp.system, fp.features, fp.constraints, 8.0, fp.x0)
+    # integers of any type are taken, and kept as Python ints
+    feat = QuadraticFeature("state", np.int64(1))
+    assert type(feat.index) is int and feat.index == 1
+    fp2 = ForwardProblem(fp.system, fp.features, fp.constraints, np.int64(fp.horizon), fp.x0,
+                         fp.theta_true)
+    assert type(fp2.horizon) is int and fp2 == fp
+
+
+@pytest.mark.parametrize("field", ["A", "B", "Hx", "Hu", "h", "target"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_problem_data_must_be_finite_where_it_is_built(field, bad):
+    # a NaN in A or an infinite h used to surface from the first QP solve as
+    # "bin must not contain infs or NaNs"; now the constructor names the field
+    fp = oracles.spring_damper()
+    sys_, con = fp.system, fp.constraints
+    arrays = dict(A=sys_.A.copy(), B=sys_.B.copy(), Hx=con.Hx.copy(), Hu=con.Hu.copy(),
+                  h=con.h.copy())
+    match = f"{field} must be finite"
+    with pytest.raises(ValueError, match=match):
+        if field == "target":
+            QuadraticFeature("state", 0, bad)
+        elif field in ("A", "B"):
+            arrays[field].flat[-1] = bad
+            LinearSystem(arrays["A"], arrays["B"])
+        else:
+            arrays[field].flat[-1] = bad
+            PolytopicConstraints(arrays["Hx"], arrays["Hu"], arrays["h"])
+
+
 @pytest.mark.parametrize("tol", [DEMO_ACTIVE_TOL, ITERATE_ACTIVE_TOL])
 def test_active_rows_scale_each_row_by_its_own_bound(tol):
     # two input rows with different bounds, u <= 0.5 and -u <= 3, so a

@@ -741,31 +741,49 @@ def test_qp_detects_empty_region():
         solve_qp(qp)
 
 
-def test_qp_phase1_finds_a_start_when_both_guesses_are_infeasible(monkeypatch):
+def test_qp_with_a_repeated_row_goes_cold_and_holds_the_first_copy():
     # min 0.5 x^2 s.t. 1 <= x <= 2, with the row x >= 1 given twice: the face
     # search refuses the two copies' singular face, and neither the
-    # unconstrained minimizer nor the origin is feasible, so the LP of
-    # phase 1 supplies the start
-    calls = []
-    phase1 = numerics._phase1
-
-    def spy(Ar, br):
-        calls.append(1)
-        return phase1(Ar, br)
-
-    monkeypatch.setattr(numerics, "_phase1", spy)
+    # unconstrained minimizer nor the origin is feasible; the dual loop adds
+    # the first of the two equally violated copies, which then holds alone
     qp = fresh_qp(H=np.eye(1), c=np.zeros(1), Ain=np.array([[-1.0], [-1.0], [1.0]]),
                   bin=np.array([-1.0, -1.0, 2.0]))
     sol = solve_qp(qp)
-    assert calls == [1]
     np.testing.assert_allclose(sol.z, [1.0], atol=1e-10)
     assert oracles.qp_report(qp, sol)[1] == (0, 1)
     np.testing.assert_allclose(sol.mult_in, [1.0, 0.0, 0.0], atol=1e-10)
 
 
+@pytest.mark.parametrize("gap", [0.5, 1e-3, 5e-8])
+@pytest.mark.parametrize("n_eq", [0, 1])
+def test_qp_empty_polytope_with_dependent_rows_raises_infeasible(gap, n_eq):
+    # z1 + z2 <= 1, given three times (once doubled), against
+    # z1 + z2 >= 1 + gap: the face search refuses the copies' singular face,
+    # and the dual loop adds one copy and finds the last row a nonnegative
+    # combination of it, never a singular working set.  The LP phase 1 that
+    # the loop replaced took the 5e-8 gap, below its 1e-7 tolerance, as
+    # feasible, and the solve returned a point outside a row by 1e-7
+    Ain = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [-1.0, -1.0, 0.0]])
+    bin_ = np.array([1.0, 1.0, 2.0, -1.0 - gap])
+    eq = dict(Aeq=np.array([[0.0, 0.0, 1.0]]), beq=np.array([2.0])) if n_eq else {}
+    qp = fresh_qp(H=np.eye(3), c=np.array([-5.0, -5.0, 0.0]), Ain=Ain, bin=bin_, **eq)
+    with pytest.raises(Infeasible):
+        solve_qp(qp)
+
+
+def test_dual_loop_takes_each_violated_row_in_turn_within_its_step_budget():
+    # min 0.5|y|^2 s.t. y1 >= 1, y2 >= 1 from y = 0: the tied rows enter
+    # lowest index first, one step each, and a budget of one step raises
+    L, A, b = numerics._factor(np.eye(2)), -np.eye(2), -np.ones(2)
+    y, u, n = numerics._dual_loop(L, np.zeros(2), A, b, 1e-9, 2)
+    assert y.tolist() == [1.0, 1.0] and u == {0: 1.0, 1: 1.0} and n == 2
+    with pytest.raises(IterationLimit):
+        numerics._dual_loop(L, np.zeros(2), A, b, 1e-9, 1)
+
+
 def test_package_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is only needed by the rare phase-1 path and is a large
-    # share of the import time, so importing the CLI must not load it
+    # no module of the package needs scipy.optimize, a large share of the
+    # import time, so importing the CLI must not load it
     src = str(Path(ioc_eiv.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -860,8 +878,13 @@ def _golden_qp_batch():
 # kept their bits on all 200 QPs, and only n_iter, which counts the
 # search's tries, moved.  Re-pinned again when an interior QP stopped
 # entering the loop: z and mult_in kept their bits on all 200 QPs, and only
-# n_iter moved (an interior solve now reads 0 instead of 1).
-GOLDEN_QP_BATCH_SHA256 = "2d25a7819c9e976805a57f8c7d37ab122a581b8f92cf803050fdc5eb4306571d"
+# n_iter moved (an interior solve now reads 0 instead of 1).  Re-pinned a
+# third time when the dual loop replaced phase 1 and the primal loop on the
+# cold path: the 19 raising QPs raise the same types, z and mult_in keep
+# their bits on 179 of the 181 solved QPs, and the other two, degenerate,
+# put the multiplier on another copy of a repeated face, with z within
+# 1e-14 relative; the total n_iter fell from 241 to 218.
+GOLDEN_QP_BATCH_SHA256 = "5b04b995f66b36e836090a9c1abf94f393d37a5067107b3d3f5f29ff9641291e"
 
 
 def _qp_batch_digest(qps):
@@ -1003,13 +1026,12 @@ def test_qp_hessian_singular_off_the_equality_null_space_solves_exactly():
     assert sol.z.tolist() == [-1.0, 1.0]
 
 
-@pytest.mark.xfail(raises=np.linalg.LinAlgError, strict=True,
-                   reason="known defect: the absolute tolerances are not scale invariant")
 def test_qp_row_near_underflow_solves_like_its_rescaled_copy():
     # min 0.5|z|^2 s.t. a(z1 + z2) <= 2a, z1 >= 1 (given twice) has z = (1, 0)
     # for every a > 0.  The face search refuses the two copies' singular
-    # face, and at a = 1e-197 phase 1 puts the tiny row alone in the working
-    # set, where a Hinv a' = 2a^2 underflows to a singular 0.
+    # face, and the dual loop adds only the first copy: the tiny row, whose
+    # a Hinv a' = 2a^2 underflows to 0 at a = 1e-197, is never violated and
+    # never joins the working set.
     a = 1e-197
     sol = solve_qp(fresh_qp(H=np.eye(2), c=np.zeros(2),
                             Ain=np.array([[a, a], [-1.0, 0.0], [-1.0, 0.0]]),
@@ -1019,8 +1041,8 @@ def test_qp_row_near_underflow_solves_like_its_rescaled_copy():
 
 def test_qp_row_near_underflow_solves_in_one_try_from_its_violated_row():
     # the QP above with z1 >= 1 given once: the unconstrained minimizer
-    # violates only that row, whose face holds the answer, so phase 1 and
-    # the tiny row's singular working set are never reached
+    # violates only that row, whose face holds the answer, so the cold path
+    # is never reached
     a = 1e-197
     sol = solve_qp(fresh_qp(H=np.eye(2), c=np.zeros(2),
                             Ain=np.array([[a, a], [-1.0, 0.0]]), bin=np.array([2.0 * a, -1.0])))
@@ -1052,16 +1074,21 @@ def test_qp_reduced_hessian_gets_the_regularization_retry():
     assert oracles.qp_report(qp, sol)[2] <= 1e-9
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="known defect: a nearly singular H lets z leave its bounds")
-def test_qp_with_nearly_singular_hessian_keeps_its_bounds():
-    # a TLS Gauss-Newton step QP before scaling and damping; solve_qp
-    # returns z = (-0.0180, 16.343, 0.0247) without an error
+@pytest.mark.parametrize("scale", [1.0, 1e10, 1e20, 1e29, 1e35])
+def test_qp_with_nearly_singular_hessian_keeps_its_bounds(scale):
+    # a TLS Gauss-Newton step QP before scaling and damping, with its
+    # objective scaled: every scale has the same minimizers.  At scale 1 the
+    # unconstrained minimizer lies near 3e14, so a point on a face, formed
+    # from it, is off by a few hundredths; the face search refuses it, and
+    # the dual loop takes each working row that rounding moved off its face
+    # back to it
     H = np.array([[7.56e-29, 6.28e-30, 0.0], [6.28e-30, 1.47e-29, 0.0], [0.0, 0.0, 3.0e-39]])
     c = np.array([8.27e-15, -3.00e-15, -2.47e-38])
-    sol = solve_qp(fresh_qp(H=H, c=c, Aeq=np.ones((1, 3)), beq=np.array([16.35]),
-                            Ain=-np.eye(3), bin=np.full(3, -1.63e-5)))
+    sol = solve_qp(fresh_qp(H=scale * H, c=scale * c, Aeq=np.ones((1, 3)),
+                            beq=np.array([16.35]), Ain=-np.eye(3), bin=np.full(3, -1.63e-5)))
     assert sol.z.min() >= 1.63e-5 - 1e-9
+    assert abs(sol.z.sum() - 16.35) <= 1e-12 * 16.35
+    assert sol.mult_in.min() >= 0.0
 
 
 def test_shared_identity_is_read_only_and_bounded():
@@ -1119,9 +1146,9 @@ def test_qp_start_on_its_own_face_is_one_iteration_with_the_cold_bits():
 
 def test_qp_start_on_a_wrong_face_gives_the_cold_answer(monkeypatch):
     # spies record the tries of each face search (the polish's one try left
-    # out) and the iterations of each active-set loop
+    # out) and the steps of each dual loop
     tries, loops = [], []
-    search, loop = numerics._face_search, numerics._active_set_loop
+    search, loop = numerics._face_search, numerics._dual_loop
 
     def search_spy(*args):
         out = search(*args)
@@ -1135,24 +1162,24 @@ def test_qp_start_on_a_wrong_face_gives_the_cold_answer(monkeypatch):
         return out
 
     monkeypatch.setattr(numerics, "_face_search", search_spy)
-    monkeypatch.setattr(numerics, "_active_set_loop", loop_spy)
+    monkeypatch.setattr(numerics, "_dual_loop", loop_spy)
     for qp, cold, face in _qps_with_a_face(51):
         wrong = [i for i in range(qp.Ain.shape[0]) if i not in face]
         tries.clear()
         loops.clear()
         warm = solve_qp(qp, face=wrong)
         assert _same_solution(warm, cold)
-        # n_iter counts the search's tries, plus the loop's iterations when
-        # the search ends without an answer
+        # n_iter counts the search's tries, plus the loop's steps when the
+        # search ends without an answer
         assert len(tries) == 1 and 1 <= tries[0] <= numerics._FACE_TRIES
         assert warm.n_iter == tries[0] + sum(loops)
 
 
 def _spy_on_the_qp_paths(monkeypatch):
     """Record each face search as ``("search", tries, answer or None)`` and
-    each active-set loop as ``("loop",)``, in call order."""
+    each dual loop as ``("loop",)``, in call order."""
     calls = []
-    search, loop = numerics._face_search, numerics._active_set_loop
+    search, loop = numerics._face_search, numerics._dual_loop
 
     def search_spy(*args):
         out = search(*args)
@@ -1164,7 +1191,7 @@ def _spy_on_the_qp_paths(monkeypatch):
         return loop(*args)
 
     monkeypatch.setattr(numerics, "_face_search", search_spy)
-    monkeypatch.setattr(numerics, "_active_set_loop", loop_spy)
+    monkeypatch.setattr(numerics, "_dual_loop", loop_spy)
     return calls
 
 
