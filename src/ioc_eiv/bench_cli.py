@@ -511,7 +511,8 @@ def _run_task(payload: dict) -> dict:
     It parses nothing: :func:`cmd_bench` builds the grid's problem ``fp``,
     its read-only true inputs ``U_star``, the rule ``norm`` and the MAP
     budget ``gibbs`` once per call, and the level's noise ``spec`` once per
-    level; the task draws its demos from that spec at its own seed.
+    level; the task asks for its demos from that spec at its own seed, and
+    :func:`~ioc_eiv.demos.generate` draws each set once for all the methods.
     """
     fp, U_star = payload["fp"], payload["U_star"]
     method, seed_rep = payload["method"], payload["seed_rep"]
@@ -574,7 +575,10 @@ def cmd_bench(args) -> int:
     # ``build_stationarity`` and the forward rows built on it miss once per
     # distinct problem.  The truth ``U_star`` lasts one call, and each noise
     # spec one level of it (checked and factored once, reseeded per
-    # repetition).  The demos last one task.  ``U_star`` is not memoized
+    # repetition).  The demo sets last the process, up to the last
+    # ``demos._CACHE_SIZE`` drawn: each method's task at one level and
+    # repetition asks ``generate`` for an equal set and gets the one drawn
+    # first, which is read-only.  ``U_star`` is not memoized
     # across calls: it is one forward solve, and on perfbench's
     # map-spring-n10 workload it is the only ``forward.solve`` call, so a
     # process-level memo would leave that required traced layer without calls.

@@ -13,6 +13,13 @@ per stage, with the m x m covariance :func:`noise_cov`.  Three noise kinds:
 Demo ``d`` uses its own substream seeded by ``(seed, d)``, so generating
 demos in parallel or serially yields identical bits.
 
+A drawn set lasts the process: :func:`generate` keeps the last
+``_CACHE_SIZE`` sets it drew and answers a request equal to an earlier one,
+by value, with the set it already drew.  Estimators paired on the same
+seeds, as ``ioc-eiv bench`` pairs its methods, so share one draw; a set is
+read-only and owns its arrays, so sharing it lets no caller see another's
+writes.
+
 Each demo draws its noise in blocks rather than one step or one try at a
 time.  A ``Generator`` block of ``T`` draws of shape ``(m,)`` is the same
 stream as ``T`` single draws, so a block gives the bits of the per-try
@@ -29,11 +36,13 @@ block stopped, only when that block left a step unfilled.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .model import ForwardProblem
+from .model import ForwardProblem, _exact
 from .numerics import _finite
 
 __all__ = [
@@ -47,6 +56,9 @@ __all__ = [
 ]
 
 _MAX_REJECTION_TRIES = 100_000
+# drawn sets generate keeps: a shipped grid asks for its 3 levels x 10 reps
+# once per method
+_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +69,8 @@ class NoiseSpec:
     :meth:`factor` factors the Gaussian kinds' covariance once, and
     :meth:`with_seed` gives the same noise under another seed, sharing the
     arrays and the factor, so a grid checks and factors each level once.
+    Two specs are equal when their kind, their seed and every array's
+    shape and bytes are, however each was built.
     """
 
     kind: str
@@ -103,6 +117,20 @@ class NoiseSpec:
         object.__setattr__(out, "_factor", self.factor())
         return out
 
+    def _key(self) -> tuple:
+        arrays = (self.sigma_u, self.lower, self.upper, self.halfwidth)
+        return self.kind, self.seed, tuple(a if a is None else _exact(a) for a in arrays)
+
+    def __eq__(self, other):
+        if not isinstance(other, NoiseSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        # computed per call, not stored: a copy pickled into another process
+        # hashes the kind with that process's string hash seed
+        return hash(self._key())
+
 
 _GAUSSIAN_KINDS = ("gaussian", "truncated_gaussian")
 
@@ -130,8 +158,10 @@ def _cov_factor(sigma: np.ndarray) -> np.ndarray:
 class DemoSet:
     """A set of noisy demonstrations of one forward problem.
 
-    The demos are immutable: ``U_list`` holds read-only views of the given
-    arrays.  MAP, TLS and the Gibbs chain read them only through their
+    The set owns its arrays, and they are read-only: ``U_list`` holds the
+    rows of one (D, mN) copy of the given demos, and ``U_star`` is a copy
+    of the given truth, so a later write to the caller's arrays changes
+    nothing here.  MAP, TLS and the Gibbs chain read them only through their
     count ``n_demos`` (D), their sample ``mean`` (Ubar) and their ``scatter``
     ``S = sum_d (U_d - Ubar)(U_d - Ubar)'``, since for every weight ``W``
     ``sum_d |U - U_d|^2_W = D |U - Ubar|^2_W + tr(W S)``.  Both are built
@@ -147,15 +177,19 @@ class DemoSet:
     def __post_init__(self):
         if len(self.U_list) == 0:
             raise ValueError("a demo set needs at least one demo")
-        object.__setattr__(self, "U_list", tuple(_read_only(U) for U in self.U_list))
+        demos = [np.asarray(U, dtype=float) for U in self.U_list]
         n = self.fp_ref.n_inputs
-        for d, U in enumerate(self.U_list):
+        for d, U in enumerate(demos):
             if U.shape != (n,):
                 raise ValueError(f"demo {d} has shape {U.shape}, expected (m * N,) = ({n},)")
-        stacked = np.array(self.U_list)  # (D, mN); faster than vstack on small demos
+        stacked = np.array(demos)  # (D, mN), a copy; faster than vstack on small demos
         if not _finite(stacked):
             d = int(np.flatnonzero(~np.isfinite(stacked).all(axis=1))[0])
             raise ValueError(f"demo {d} must be finite")
+        stacked.flags.writeable = False
+        object.__setattr__(self, "U_list", tuple(stacked))
+        if self.U_star is not None:
+            object.__setattr__(self, "U_star", _read_only(np.array(self.U_star, dtype=float)))
         mean = stacked.mean(axis=0)
         R = stacked - mean
         object.__setattr__(self, "mean", _read_only(mean))
@@ -172,8 +206,19 @@ def _read_only(a) -> np.ndarray:
     return view
 
 
+def _require_problem(ds: DemoSet, fp: ForwardProblem) -> None:
+    """Raise ValueError unless ``ds`` was built for ``fp``, compared by value."""
+    if ds.fp_ref is not fp and ds.fp_ref != fp:
+        raise ValueError("the demo set was built for another problem")
+
+
 def generate(U_star, spec: NoiseSpec, D: int, fp: ForwardProblem) -> DemoSet:
     """Draw ``D`` noisy demonstrations around ``U_star``.
+
+    A request equal to one of the last ``_CACHE_SIZE`` gets the set drawn
+    for it: equal problems, ``U_star`` of the same bytes, equal specs, the
+    same ``D`` and the same ``_MAX_REJECTION_TRIES``.  The set is read-only,
+    so callers that share it see the same demos.
 
     Deterministic given ``spec.seed``; demo ``d`` consumes only its own
     substream.  Each demo draws its noise in blocks (see the module
@@ -184,6 +229,7 @@ def generate(U_star, spec: NoiseSpec, D: int, fp: ForwardProblem) -> DemoSet:
     the last bit.  Rejects a spec whose channel count is not
     ``fp.system.m``.
     """
+    D = operator.index(D)
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
     U_star = np.asarray(U_star, dtype=float).ravel()
@@ -193,8 +239,17 @@ def generate(U_star, spec: NoiseSpec, D: int, fp: ForwardProblem) -> DemoSet:
             f"U_star has length {U_star.shape[0]}, expected m * N = {m * N}"
         )
     _check_channels(spec, m)
+    # bytes, not the caller's array, so a later write to it cannot change a key
+    return _draw(fp, U_star.tobytes(), spec, D, _MAX_REJECTION_TRIES)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _draw(fp: ForwardProblem, U_bytes: bytes, spec: NoiseSpec, D: int,
+          max_tries: int) -> DemoSet:
+    """The demos of one checked :func:`generate` request; ``max_tries`` only keys it."""
+    U_star = np.frombuffer(U_bytes)
     F = spec.factor()
-    base = U_star.reshape(N, m)
+    base = U_star.reshape(fp.horizon, fp.system.m)
     rngs = [np.random.default_rng(np.random.SeedSequence([spec.seed, d])) for d in range(D)]
     if spec.kind == "truncated_gaussian":
         demos = _truncated_demos(base, spec, F, rngs)

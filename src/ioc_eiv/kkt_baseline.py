@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import model
-from .demos import DemoSet
+from .demos import DemoSet, _require_problem
 from .numerics import Qp, QpRows, solve_qp
 
 __all__ = ["NormalizationRule", "KktLsResult", "kkt_ls", "kkt_single"]
@@ -109,7 +109,9 @@ def kkt_ls(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> Kk
     demonstrations subject to ``theta >= 0``, active multipliers >= 0, and
     the normalization rule.  Returns full-length multiplier vectors with
     zeros on inactive rows; ``residual`` is the attained sum of squares.
+    Raises ValueError when ``ds`` was built for another problem.
     """
+    _require_problem(ds, fp)
     _require_rule(norm)
     bs = model.build_stationarity(fp)
     q, L = fp.q, fp.n_multipliers

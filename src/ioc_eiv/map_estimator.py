@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .demos import DemoSet, generate, noise_cov
+from .demos import DemoSet, _require_problem, generate, noise_cov
 from .kkt_baseline import NormalizationRule, _require_rule
 from .mcmc import SIGMA_Y, Priors, _beta_information, _u_information, default_priors, gibbs_run
 from .numerics import Infeasible, Qp, cholesky, cholesky_solve, solve_qp, spd_inverse
@@ -149,7 +149,11 @@ def _u_step(bs, ds: DemoSet, priors: Priors, SU_inv, beta):
 
 def estimate(ds: DemoSet, fp: model.ForwardProblem, cfg: MapConfig,
              rng: np.random.Generator) -> MapResult:
-    """Run the full MAP pipeline: Gibbs warm start, then QP alternation."""
+    """Run the full MAP pipeline: Gibbs warm start, then QP alternation.
+
+    Raises ValueError when ``ds`` was built for another problem.
+    """
+    _require_problem(ds, fp)
     norm = cfg.norm
     _require_rule(norm)
     bs = model.build_stationarity(fp)

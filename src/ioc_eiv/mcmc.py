@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import model
-from .demos import DemoSet
+from .demos import DemoSet, _require_problem
 from .kkt_baseline import NormalizationRule, kkt_single
 from .numerics import cholesky, spd_inverse
 
@@ -265,8 +265,10 @@ def default_priors(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRul
     inverse-KKT fit at that mean under ``norm``; the weight prior is wide
     (ten standard deviations per component); each stationarity row has
     variance ``SIGMA_Y``.  Sample-covariance-derived scales are floored so the
-    priors stay positive definite on noiseless demo sets.
+    priors stay positive definite on noiseless demo sets.  Raises ValueError
+    when ``ds`` was built for another problem.
     """
+    _require_problem(ds, fp)
     mN, D = fp.n_inputs, ds.n_demos
     U0 = ds.mean
     cov = ds.scatter / (D - 1) if D > 1 else np.zeros((mN, mN))
@@ -371,8 +373,10 @@ def gibbs_run(
     ``Sigma_U = I``; each subsequent iteration draws beta, then U, then
     Sigma_U from their full conditionals.  ``u_step='mh'`` swaps the exact
     U draw for :func:`mh_within_gibbs_U` with scale ``mh_scale``.
-    Deterministic given ``rng``.
+    Deterministic given ``rng``.  Raises ValueError when ``ds`` was built
+    for another problem.
     """
+    _require_problem(ds, fp)
     if n_iter < 2:
         raise ValueError(f"n_iter must be >= 2, got {n_iter}")
     if not 1 <= n_keep <= n_iter:

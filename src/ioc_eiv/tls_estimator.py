@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .demos import DemoSet
+from .demos import DemoSet, _require_problem
 from .forward import solve as forward_solve
 from .kkt_baseline import NormalizationRule, _require_rule, kkt_single
 from .numerics import Qp, _identity, _lu_solve, solve_qp, spd_inverse
@@ -130,8 +130,10 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_u, norm: Normalizatio
     the attained demo term, ``path`` is ``"floor"`` when a weight ends on
     the floor and ``"exact"`` otherwise, and ``step_trace`` records
     ``("gauss_newton", cost)`` at the start and after every accepted step,
-    so it is strictly decreasing.
+    so it is strictly decreasing.  Raises ValueError when ``ds`` was built
+    for another problem.
     """
+    _require_problem(ds, fp)
     _require_rule(norm)
     bs = model.build_stationarity(fp)
     q, D, m = bs.n_features, ds.n_demos, fp.system.m
@@ -181,7 +183,11 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_u, norm: Normalizatio
 
 
 def estimate(ds: DemoSet, fp: model.ForwardProblem, norm: NormalizationRule) -> TlsResult:
-    """Full TLS pipeline: one inner solve at the per-step noise covariance."""
+    """Full TLS pipeline: one inner solve at the per-step noise covariance.
+
+    Raises ValueError when ``ds`` was built for another problem.
+    """
+    _require_problem(ds, fp)
     m, N, D = fp.system.m, fp.horizon, ds.n_demos
     Sigma_u = _pooled_scatter(ds, m)
     if np.trace(Sigma_u) == 0.0:  # one demo, or noiseless demos

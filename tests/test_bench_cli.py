@@ -862,6 +862,9 @@ def test_parser_is_built_once_and_reaches_a_rebound_command(monkeypatch):
 
 @pytest.mark.parametrize("methods, chains", [(["kkt", "mean"], 0), (["mean", "map"], 4)])
 def test_bench_seeds_a_chain_for_map_tasks_only(tmp_path, capsys, monkeypatch, methods, chains):
+    from ioc_eiv import demos
+
+    demos._draw.cache_clear()
     seeded = []
     default_rng = np.random.default_rng
 
@@ -872,8 +875,9 @@ def test_bench_seeds_a_chain_for_map_tasks_only(tmp_path, capsys, monkeypatch, m
     monkeypatch.setattr(np.random, "default_rng", spy)
     cfg = _write_config(tmp_path, methods=methods, gibbs={"n_iter": 20, "n_keep": 10})
     assert main(["bench", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
-    # 2 levels x 2 reps per method, each drawing 4 demos from their own substreams
-    assert len(seeded) == len(methods) * 4 * 4 + chains
+    # 2 levels x 2 reps, each set drawn once for every method: 4 demos from
+    # their own substreams
+    assert len(seeded) == 4 * 4 + chains
 
 
 def test_map_chain_draws_from_no_demo_substream(monkeypatch):

@@ -341,3 +341,101 @@ def test_with_seed_shares_the_checked_arrays_and_the_factor():
         assert a.tobytes() == b.tobytes()
     uniform = NoiseSpec.uniform([0.1], seed=1)
     assert uniform.factor() is None and uniform.with_seed(2).factor() is None
+
+
+def test_demo_set_owns_its_arrays():
+    # kkt reads U_list and MAP and TLS read mean and scatter, so a demo set
+    # that kept the caller's arrays would show them different data after a
+    # write to those arrays
+    _, fp, _ = _shipped("tls_positivity")
+    U = [np.ones(8), np.zeros(8)]
+    U_star = np.full(8, 0.5)
+    ds = demos.DemoSet(tuple(U), fp, U_star=U_star)
+    U[0][0] = 100.0
+    U_star[0] = 100.0
+    assert ds.U_list[0][0] == 1.0 and ds.mean[0] == 0.5 and ds.U_star[0] == 0.5
+    for a in (*ds.U_list, ds.U_star):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_noise_specs_compare_by_value():
+    sigma = np.diag([0.04])
+    spec = NoiseSpec.truncated_gaussian(sigma, 0.0, 0.6, seed=3)
+    again = NoiseSpec.truncated_gaussian(sigma.copy(), [0.0], [0.6], seed=3)
+    assert spec == again and hash(spec) == hash(again)
+    assert spec.with_seed(5) == NoiseSpec.truncated_gaussian(sigma, 0.0, 0.6, seed=5)
+    assert spec != spec.with_seed(4)
+    assert spec != NoiseSpec.truncated_gaussian(sigma, 0.0, 0.7, seed=3)
+    assert spec != NoiseSpec.gaussian(sigma, seed=3)
+    assert NoiseSpec.gaussian(sigma, seed=3) != NoiseSpec.uniform([0.2], seed=3)
+    assert NoiseSpec.uniform([0.2], seed=3) == NoiseSpec.uniform(0.2, seed=3)
+    assert spec != "truncated_gaussian"
+
+
+def test_generate_draws_an_equal_request_once():
+    # a problem parsed twice, a copy of the truth and a spec built again
+    # ask for the same demos, so they get the set already drawn
+    cfg, fp, U_star = _shipped("tls_positivity")
+    noise = cfg["noise"]
+    spec = bench_cli._noise_spec(noise, U_star, fp.system.m, 10.0, 123)
+    ds = generate(U_star, spec, 10, fp)
+    fp_again = bench_cli.parse_problem(cfg["problem"])
+    spec_again = bench_cli._noise_spec(noise, U_star.copy(), fp.system.m, 10.0, 123)
+    assert fp_again is not fp and spec_again is not spec
+    assert generate(U_star.copy(), spec_again, 10, fp_again) is ds
+    # any other seed, count, truth or problem draws anew
+    assert generate(U_star, spec.with_seed(124), 10, fp) is not ds
+    assert generate(U_star, spec, 9, fp).n_demos == 9
+    moved = U_star.copy()
+    moved[0] = np.nextafter(moved[0], 1.0)
+    assert generate(moved, spec, 10, fp) is not ds
+    cfg["problem"]["x0"] = [2.5]
+    assert generate(U_star, spec, 10, bench_cli.parse_problem(cfg["problem"])) is not ds
+
+
+def test_generate_keys_on_the_truth_as_it_was_given():
+    fp, U_star = _benchmark_setup()
+    U = U_star.copy()
+    spec = NoiseSpec.gaussian(np.array([[0.01]]), seed=8)
+    ds = generate(U, spec, 3, fp)
+    U[:] = 0.0
+    assert ds.U_star.tobytes() == U_star.tobytes()
+    assert generate(U_star, spec, 3, fp) is ds
+    assert generate(U, spec, 3, fp) is not ds
+
+
+def test_generate_keeps_a_bounded_number_of_sets():
+    fp, U_star = _benchmark_setup()
+    spec = NoiseSpec.gaussian(np.array([[0.01]]), seed=0)
+    for seed in range(2 * demos._CACHE_SIZE):
+        generate(U_star, spec.with_seed(seed), 2, fp)
+    assert demos._draw.cache_info().currsize == demos._CACHE_SIZE
+
+
+@pytest.mark.parametrize("entry", ["kkt_ls", "default_priors", "gibbs_run",
+                                   "map_estimator.estimate", "tls_inner", "tls_estimator.estimate"])
+def test_estimators_refuse_a_demo_set_of_another_problem(entry):
+    from ioc_eiv import kkt_baseline, map_estimator, mcmc, tls_estimator
+
+    cfg, fp, U_star = _shipped("tls_positivity")
+    spec = bench_cli._noise_spec(cfg["noise"], U_star, fp.system.m, 10.0, cfg["seed"])
+    ds = generate(U_star, spec, cfg["n_demos"], fp)
+    norm = bench_cli._parse_norm(cfg, fp)
+    priors = mcmc.default_priors(ds, fp, norm)
+    gibbs = map_estimator.GibbsConfig(n_iter=20, n_keep=10)
+    rng = np.random.default_rng(0)
+    cfg["problem"]["x0"] = [2.5]
+    other = bench_cli.parse_problem(cfg["problem"])
+    fits = {
+        "kkt_ls": lambda: kkt_baseline.kkt_ls(ds, other, norm),
+        "default_priors": lambda: mcmc.default_priors(ds, other, norm),
+        "gibbs_run": lambda: mcmc.gibbs_run(ds, other, priors, 20, 10, rng),
+        "map_estimator.estimate": lambda: map_estimator.estimate(
+            ds, other, map_estimator.MapConfig(norm=norm, gibbs=gibbs), rng),
+        "tls_inner": lambda: tls_estimator.tls_inner(ds, other, np.eye(1), norm, fp.theta_true),
+        "tls_estimator.estimate": lambda: tls_estimator.estimate(ds, other, norm),
+    }
+    with pytest.raises(ValueError, match="demo set was built for another problem"):
+        fits[entry]()

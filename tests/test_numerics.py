@@ -787,10 +787,12 @@ def test_package_import_leaves_scipy_optimize_unloaded():
     src = str(Path(ioc_eiv.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, ioc_eiv.bench_cli; print('scipy.optimize' in sys.modules)"
+    # nor scipy.stats, which costs about as much to import
+    code = ("import sys, ioc_eiv.bench_cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_qp_semidefinite_hessian_recovered_by_ridge():
@@ -1089,6 +1091,24 @@ def test_qp_with_nearly_singular_hessian_keeps_its_bounds(scale):
     assert sol.z.min() >= 1.63e-5 - 1e-9
     assert abs(sol.z.sum() - 16.35) <= 1e-12 * 16.35
     assert sol.mult_in.min() >= 0.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: the face solve forms points from terms near the "
+    "unconstrained minimizer's 3e14, so a multiplier stays on a row off its face"))
+@pytest.mark.parametrize("scale", [1.0, 1e10, 1e20, 1e29, 1e35])
+def test_qp_with_nearly_singular_hessian_is_complementary(scale):
+    # the QP above: every multiplier that is not negligible beside the
+    # largest must sit on a row held to the solver's feasibility tolerance
+    H = np.array([[7.56e-29, 6.28e-30, 0.0], [6.28e-30, 1.47e-29, 0.0], [0.0, 0.0, 3.0e-39]])
+    c = np.array([8.27e-15, -3.00e-15, -2.47e-38])
+    bin_ = np.full(3, -1.63e-5)
+    sol = solve_qp(fresh_qp(H=scale * H, c=scale * c, Aeq=np.ones((1, 3)),
+                            beq=np.array([16.35]), Ain=-np.eye(3), bin=bin_))
+    slack = bin_ + sol.z
+    held = sol.mult_in > 1e-9 * sol.mult_in.max()
+    feas_scale = numerics._FEAS_TOL * (1.0 + np.abs(bin_).max())
+    assert np.all(np.abs(slack[held]) <= feas_scale), (sol.mult_in, slack)
 
 
 def test_shared_identity_is_read_only_and_bounded():
