@@ -323,12 +323,20 @@ def _write_output(obj, path: str | None):
             fh.write(text)
 
 
+def _write_csv(path: str, header: list, rows) -> None:
+    """The CSV file ``path``: ``header``, then ``rows``, each line ending in a bare newline."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _grid(cfg) -> tuple[model.ForwardProblem, dict, list[float]]:
     """The problem, the noise object and its percent levels of a ``demos`` or
     ``bench`` config, after :func:`_check_keys`.
 
     The problem must carry ``theta_true``, and ``percent_levels`` must be a
-    nonempty list of nonnegative numbers.
+    nonempty list of distinct nonnegative numbers.
     """
     _check_keys(cfg)
     if "problem" not in cfg:
@@ -345,6 +353,8 @@ def _grid(cfg) -> tuple[model.ForwardProblem, dict, list[float]]:
     levels = [_parse(float, v, "noise.percent_levels") for v in levels]
     if any(v < 0 for v in levels):
         raise ConfigError("noise percent levels must be nonnegative")
+    if len(set(levels)) < len(levels):
+        raise ConfigError(f"noise.percent_levels: expected distinct levels, got {levels!r}")
     return fp, noise_obj, levels
 
 
@@ -611,81 +621,53 @@ def cmd_bench(args) -> int:
         rows = [_run_task(p) for p in payloads]
 
     os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "rows.csv"), "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["method", "noise_percent", "rep", "seed", "rmse_theta", "rmse_U", "status"])
-        for r in rows:
-            w.writerow(
-                [
-                    r["method"],
-                    repr(r["noise_percent"]),
-                    r["rep"],
-                    r["seed"],
-                    _fmt(r["rmse_theta"]),
-                    _fmt(r["rmse_U"]),
-                    r["status"],
-                ]
-            )
-    with open(os.path.join(args.out_dir, "timings.csv"), "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["method", "noise_percent", "rep", "wall_time_s"])
-        for r in rows:
-            w.writerow([r["method"], repr(r["noise_percent"]), r["rep"], repr(r["wall_time_s"])])
+    _write_csv(os.path.join(args.out_dir, "rows.csv"),
+               ["method", "noise_percent", "rep", "seed", "rmse_theta", "rmse_U", "status"],
+               ([r["method"], repr(r["noise_percent"]), r["rep"], r["seed"],
+                 _fmt(r["rmse_theta"]), _fmt(r["rmse_U"]), r["status"]] for r in rows))
+    _write_csv(os.path.join(args.out_dir, "timings.csv"),
+               ["method", "noise_percent", "rep", "wall_time_s"],
+               ([r["method"], repr(r["noise_percent"]), r["rep"], repr(r["wall_time_s"])]
+                for r in rows))
 
+    groups = {(method, level): [] for method in methods for level in levels}
+    for r in rows:
+        groups[r["method"], r["noise_percent"]].append(r)
     cells = []
-    all_ok = True
-    for method in methods:
-        for level in levels:
-            cell = [r for r in rows if r["method"] == method and r["noise_percent"] == level]
-            ok = [r for r in cell if r["status"] == "ok"]
-            if not ok:
-                all_ok = False
-            cells.append(
-                {
-                    "method": method,
-                    "noise_percent": level,
-                    "n_ok": len(ok),
-                    "n_total": len(cell),
-                    "rmse_theta": _stats([r["rmse_theta"] for r in ok if r["rmse_theta"] is not None]),
-                    "rmse_U": _stats([r["rmse_U"] for r in ok if r["rmse_U"] is not None]),
-                }
-            )
-    with open(os.path.join(args.out_dir, "summary.csv"), "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            [
-                "method", "level",
-                "rmse_theta_mean", "rmse_theta_std",
-                "rmse_U_mean", "rmse_U_std", "n_ok",
-            ]
+    for (method, level), cell in groups.items():
+        ok = [r for r in cell if r["status"] == "ok"]
+        cells.append(
+            {
+                "method": method,
+                "noise_percent": level,
+                "n_ok": len(ok),
+                "n_total": len(cell),
+                "rmse_theta": _stats([r["rmse_theta"] for r in ok if r["rmse_theta"] is not None]),
+                "rmse_U": _stats([r["rmse_U"] for r in ok if r["rmse_U"] is not None]),
+            }
         )
-        for cell in cells:
-            st, su = cell["rmse_theta"], cell["rmse_U"]
-            w.writerow(
-                [
-                    cell["method"],
-                    repr(cell["noise_percent"]),
-                    _fmt(st and st["mean"]),
-                    _fmt(st and st["std"]),
-                    _fmt(su and su["mean"]),
-                    _fmt(su and su["std"]),
-                    cell["n_ok"],
-                ]
-            )
-    summary = {
-        "master_seed": master,
-        "n_demos": n_demos,
-        "n_reps": n_reps,
-        "methods": list(methods),
-        "noise_percent_levels": levels,
-        "cells": cells,
-    }
-    with open(os.path.join(args.out_dir, "summary.json"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(summary, indent=2) + "\n")
+    _write_csv(os.path.join(args.out_dir, "summary.csv"),
+               ["method", "level", "rmse_theta_mean", "rmse_theta_std",
+                "rmse_U_mean", "rmse_U_std", "n_ok"],
+               ([cell["method"], repr(cell["noise_percent"]),
+                 *(_fmt(st and st[key]) for st in (cell["rmse_theta"], cell["rmse_U"])
+                   for key in ("mean", "std")),
+                 cell["n_ok"]] for cell in cells))
+    _write_output(
+        {
+            "master_seed": master,
+            "n_demos": n_demos,
+            "n_reps": n_reps,
+            "methods": list(methods),
+            "noise_percent_levels": levels,
+            "cells": cells,
+        },
+        os.path.join(args.out_dir, "summary.json"),
+    )
 
     n_ok_rows = sum(1 for r in rows if r["status"] == "ok")
     print(f"bench: {n_ok_rows}/{len(rows)} runs ok -> {args.out_dir}")
-    if not all_ok:
+    if not all(cell["n_ok"] for cell in cells):
         print("bench: at least one (method, level) cell has no successful run", file=sys.stderr)
         return EXIT_FAIL
     return EXIT_OK

@@ -351,7 +351,9 @@ def test_bench_parallel_matches_serial(tmp_path, capsys):
     assert main(["bench", "--config", cfg, "--out-dir", str(dir_s)]) == 0
     assert main(["bench", "--config", cfg, "--out-dir", str(dir_p), "--jobs", "2"]) == 0
     capsys.readouterr()
-    assert (dir_s / "rows.csv").read_bytes() == (dir_p / "rows.csv").read_bytes()
+    # timings.csv holds wall times, so only the deterministic files compare
+    for name in ("rows.csv", "summary.csv", "summary.json"):
+        assert (dir_s / name).read_bytes() == (dir_p / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -396,6 +398,24 @@ def test_bench_negative_level_fails(tmp_path, capsys):
     rc = main(["bench", "--config", cfg, "--out-dir", str(tmp_path / "neg")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", [[10, 10], [5, 10, 10.0]], ids=["same", "int-and-float"])
+@pytest.mark.parametrize("command", ["bench", "demos"])
+def test_repeated_noise_level_is_one_error_line(tmp_path, capsys, command, levels):
+    # a repeated level used to run every repetition twice and write two equal
+    # summary cells, each counting and averaging the duplicated rows
+    cfg = _write_config(tmp_path, noise={"kind": "gaussian", "percent_levels": levels})
+    out = tmp_path / "out"
+    if command == "bench":
+        argv = ["bench", "--config", cfg, "--out-dir", str(out)]
+    else:
+        argv = ["demos", "--config", cfg, "--out", str(out)]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: noise.percent_levels: expected distinct levels")
+    assert not out.exists()
 
 
 def test_bench_records_zero_map_iterations_as_failed_row(tmp_path, capsys):
@@ -762,6 +782,18 @@ GOLDEN_REFERENCE_ROWS_SHA256 = {
     "tls_positivity": (("tls", "kkt", "mean"), 10, [5, 10, 20],
                        "309850c7e25e7b86c46fb0da3066d9a75f5619c34f289c09519156d0a18a49a8"),
 }
+# sha256 of the same grids' summary.csv and summary.json: the statistics
+# and the file formats of the summary, taken from the rows pinned above
+GOLDEN_REFERENCE_SUMMARY_SHA256 = {
+    "spring_damper": {
+        "summary.csv": "41fcacb3aa21e9d235c93008328683ded48ece0b04824a31701dc88b207e2fe0",
+        "summary.json": "5b5ae6386e452722d25ab8d74475ac04ea1f2e1f584f3cfd088e519bbbc0cd6d",
+    },
+    "tls_positivity": {
+        "summary.csv": "a12142a140677410ef69df6d711ad2874710ff32de2d7d0912a223bd0d6bcc3d",
+        "summary.json": "93b0f298637c87bf1033187bad6d49e8af6e0e90fb52f98b6bc12edc34878619",
+    },
+}
 
 
 @pytest.mark.parametrize("config", sorted(GOLDEN_REFERENCE_ROWS_SHA256))
@@ -777,6 +809,8 @@ def test_reference_grid_rows_are_bit_identical_to_golden(tmp_path, capsys, monke
     out_dir = tmp_path / "grid"
     assert main(["bench", "--config", str(path), "--out-dir", str(out_dir), "--jobs", "1"]) == 0
     assert hashlib.sha256((out_dir / "rows.csv").read_bytes()).hexdigest() == digest
+    for name, pin in GOLDEN_REFERENCE_SUMMARY_SHA256[config].items():
+        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == pin, name
 
 
 @pytest.mark.parametrize("config,norm", [

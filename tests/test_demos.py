@@ -127,6 +127,8 @@ def test_noise_scale_uses_signed_channel_means():
     # channel 1 alternates around zero: signed mean is 0, so scale is 0
     U = np.array([1.0, 1.0, 1.0, -1.0])
     np.testing.assert_allclose(noise_scale_from_percent(U, 10.0, m=2), [0.1, 0.0])
+    # the absolute value of the mean, not the mean absolute input: (1 + 3) / 2 would be 2
+    np.testing.assert_allclose(noise_scale_from_percent(np.array([1.0, -3.0]), 100.0), [1.0])
 
 
 def test_stacked_covariance_matches_kind():
