@@ -61,7 +61,6 @@ from .numerics import (
     QpRows,
     QpSolution,
     cholesky,
-    cholesky_solve,
     solve_qp,
 )
 from .tls_estimator import TlsResult, tls_inner
@@ -97,7 +96,6 @@ __all__ = [
     "TlsResult",
     "build_stationarity",
     "cholesky",
-    "cholesky_solve",
     "consistency_cost_check",
     "default_priors",
     "generate",

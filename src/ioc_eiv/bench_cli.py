@@ -193,10 +193,14 @@ def _noise_spec(noise_obj, U_star, m: int, percent: float, seed: int) -> NoiseSp
     """Resolve a noise config at one percent level into a concrete spec.
 
     Level 0 means exact demonstrations (zero noise scale); negative levels
-    are rejected.  ``lower`` and ``upper`` are each a number or a list of
-    one per channel.
+    are rejected.  ``lower`` and ``upper`` belong to ``truncated_gaussian``
+    only, which requires both; each is a number or a list of one per
+    channel.
     """
     kind = noise_obj.get("kind", "gaussian")
+    if kind in ("gaussian", "uniform") and ("lower" in noise_obj or "upper" in noise_obj):
+        raise ConfigError(f"noise: kind {kind!r} takes no box; 'lower' and 'upper' "
+                          "belong to truncated_gaussian only")
     try:
         scale = np.zeros(m) if percent == 0.0 else noise_scale_from_percent(U_star, percent, m)
         if kind == "gaussian":
@@ -273,12 +277,15 @@ def _count(cfg, key: str) -> int:
 def _parse_gibbs(cfg) -> GibbsConfig:
     """The config's MAP chain budget; a key it leaves out keeps the ``GibbsConfig`` default.
 
-    Only types are checked here: :func:`ioc_eiv.mcmc.gibbs_run` rejects a
-    budget out of range, in the fit, as it does for a library caller.
+    ``GibbsConfig`` checks the range, as :func:`ioc_eiv.mcmc.gibbs_run`
+    does for a library caller, so a budget out of range (``n_iter`` below
+    2, ``n_keep`` outside ``[1, n_iter]``) is one error before any fit.
     """
-    return GibbsConfig(
-        **{k: _parse(int, v, f"gibbs.{k}") for k, v in cfg.get("gibbs", {}).items()}
-    )
+    budget = {k: _parse(int, v, f"gibbs.{k}") for k, v in cfg.get("gibbs", {}).items()}
+    try:
+        return GibbsConfig(**budget)
+    except ValueError as e:
+        raise ConfigError(f"gibbs: {e}") from e
 
 
 def _parse_norm(cfg, fp: model.ForwardProblem) -> NormalizationRule:

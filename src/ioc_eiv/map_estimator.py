@@ -47,8 +47,9 @@ import numpy as np
 from . import model
 from .demos import DemoSet, _require_problem, generate, noise_cov
 from .kkt_baseline import NormalizationRule, _require_rule
-from .mcmc import SIGMA_Y, Priors, _beta_information, _u_information, default_priors, gibbs_run
-from .numerics import Infeasible, Qp, cholesky, cholesky_solve, solve_qp, spd_inverse
+from .mcmc import (SIGMA_Y, Priors, _beta_information, _check_budget, _u_information,
+                   default_priors, gibbs_run)
+from .numerics import Infeasible, Qp, _factor, _finite, _solve, solve_qp, spd_inverse
 
 __all__ = [
     "GibbsConfig",
@@ -66,8 +67,13 @@ MAX_OUTER_ITERS = 100  # alternation iterations
 
 @dataclass(frozen=True, eq=False)
 class GibbsConfig:
+    """The chain budget; ValueError unless ``n_iter >= 2`` and ``1 <= n_keep <= n_iter``."""
+
     n_iter: int = 2000
     n_keep: int = 300
+
+    def __post_init__(self):
+        _check_budget(self.n_iter, self.n_keep)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,10 +108,12 @@ def map_cost(U, beta, Sigma_U, ds: DemoSet, priors: Priors, bs=None) -> float:
     q = bs.n_features
     theta, lam = beta[:q], beta[q:]
 
-    L_SU = cholesky(np.asarray(Sigma_U, dtype=float))
+    L_SU = _factor(Sigma_U)
     d = U - ds.mean
-    total = float(np.trace(cholesky_solve(L_SU, ds.scatter)))
-    total += ds.n_demos * float(d @ cholesky_solve(L_SU, d))
+    if not _finite(d):
+        raise ValueError("array must not contain infs or NaNs")
+    total = float(np.trace(_solve(L_SU, ds.scatter)))
+    total += ds.n_demos * float(d @ _solve(L_SU, d))
     s = bs.stationarity(U, theta, lam)
     total += ds.n_demos * float(s @ priors.Sigma_Y_inv @ s)
     dU = U - priors.U0
@@ -246,14 +254,14 @@ def consistency_cost_check(
 
     ds = generate(U_star, noise, D_large, fp)
     m = fp.system.m
-    L_u = cholesky(noise_cov(noise, m) + 1e-12 * np.eye(m))
+    L_u = _factor(noise_cov(noise, m) + 1e-12 * np.eye(m))
 
     stackd = np.vstack(ds.U_list)
     q = fp.q
 
     def cost(U, beta):
         R = (stackd - U).reshape(-1, m)  # one row per demo and step
-        val = float(np.sum(R * cholesky_solve(L_u, R.T).T)) / ds.n_demos
+        val = float(np.sum(R * _solve(L_u, R.T).T)) / ds.n_demos
         s = bs.stationarity(U, beta[:q], beta[q:])
         return val + float(s @ s) / SIGMA_Y
 

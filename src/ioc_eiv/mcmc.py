@@ -40,12 +40,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import model
 from .demos import DemoSet, _require_problem
 from .kkt_baseline import NormalizationRule, kkt_single
-from .numerics import cholesky, spd_inverse
+from .numerics import _factor, _tri_solve, cholesky, spd_inverse
 
 __all__ = [
     "Priors",
@@ -105,7 +104,7 @@ class Priors:
                 raise ValueError(f"{name} has shape {mat.shape}, expected ({dim}, {dim})")
             # the factorization checks each one SPD and raises otherwise
             if name == "W_U":
-                cholesky(mat)
+                _factor(mat)
             else:
                 object.__setattr__(self, f"{name}_inv", spd_inverse(mat))
             object.__setattr__(self, name, mat)
@@ -169,9 +168,7 @@ def sample_inverse_wishart(W, nu: float, rng: np.random.Generator) -> np.ndarray
     A = np.zeros((p, p), order="F")
     A[lower] = rng.standard_normal(p * (p - 1) // 2)
     A[steps, steps] = np.sqrt(rng.chisquare(nu - steps))
-    Ct, info = lapack.dtrtrs(A, L.T, lower=1, overwrite_b=1)
-    if info != 0:
-        raise ValueError(f"triangular solve with the Bartlett factor failed (info {info})")
+    Ct = _tri_solve(A, L.T)
     return Ct.T @ Ct
 
 
@@ -357,6 +354,14 @@ def mh_within_gibbs_U(
     return mh_step(U_prev, logp, sampler, logq, rng)
 
 
+def _check_budget(n_iter: int, n_keep: int) -> None:
+    """Raise ValueError unless ``n_iter >= 2`` and ``1 <= n_keep <= n_iter``."""
+    if n_iter < 2:
+        raise ValueError(f"n_iter must be >= 2, got {n_iter}")
+    if not 1 <= n_keep <= n_iter:
+        raise ValueError(f"n_keep must be in [1, n_iter], got {n_keep}")
+
+
 def gibbs_run(
     ds: DemoSet,
     fp: model.ForwardProblem,
@@ -377,10 +382,7 @@ def gibbs_run(
     for another problem.
     """
     _require_problem(ds, fp)
-    if n_iter < 2:
-        raise ValueError(f"n_iter must be >= 2, got {n_iter}")
-    if not 1 <= n_keep <= n_iter:
-        raise ValueError(f"n_keep must be in [1, n_iter], got {n_keep}")
+    _check_budget(n_iter, n_keep)
     if u_step not in ("exact", "mh"):
         raise ValueError(f"u_step must be 'exact' or 'mh', got {u_step!r}")
     bs = model.build_stationarity(fp)

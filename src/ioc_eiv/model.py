@@ -468,12 +468,6 @@ class BilinearStationarity:
         return QpRows(self.n_inputs, *blocks)
 
 
-def _input_selector(k: int, m: int, n_inputs: int) -> np.ndarray:
-    S = np.zeros((m, n_inputs))
-    S[:, k * m : (k + 1) * m] = np.eye(m)
-    return S
-
-
 @lru_cache(maxsize=64)
 def build_stationarity(fp: ForwardProblem) -> BilinearStationarity:
     """Assemble the constant stationarity decomposition for a problem.
@@ -491,51 +485,45 @@ def build_stationarity(fp: ForwardProblem) -> BilinearStationarity:
     n, m = sys_.n, sys_.m
     mN = fp.n_inputs
     stacked = stack_dynamics(sys_, N)
-    ax0 = stacked.Abar @ fp.x0
+    # step k's free response x_k = X0[k] + Bx[k] @ U
+    X0 = (stacked.Abar @ fp.x0).reshape(N + 1, n)
+    Bx = stacked.Bbar.reshape(N + 1, n, mN)
 
     Mj = []
     E_cols = []
     for f in fp.features:
         if f.kind == "state":
-            # rows of Bbar selecting coordinate f.index at steps 0..N-1
-            rows = [k * n + f.index for k in range(N)]
-            P = stacked.Bbar[rows, :]
-            offs = ax0[rows] - f.target
+            # coordinate f.index of x_k at steps 0..N-1
+            P = Bx[:N, f.index]
+            offs = X0[:N, f.index] - f.target
         else:
             P = np.zeros((N, mN))
-            for k in range(N):
-                P[k, k * m + f.index] = 1.0
+            P[np.arange(N), np.arange(f.index, mN, m)] = 1.0
             offs = np.full(N, -f.target)
         Mj.append(2.0 * P.T @ P)
         E_cols.append(2.0 * P.T @ offs)
     E_theta = np.column_stack(E_cols)
 
+    # row i at step k reads x_k, and u_k before the terminal step
     con = fp.constraints
     I = con.n_rows
-    L = I * (N + 1)
-    J_lambda = np.zeros((mN, L))
-    g_offset = np.zeros(L)
-    g_scale = np.zeros(L)
+    J_steps = np.empty((N + 1, I, mN))
+    g_offset = np.empty((N + 1, I))
+    g_scale = np.empty((N + 1, I))
     for k in range(N + 1):
-        Bk = stacked.Bbar[k * n : (k + 1) * n, :]
-        Sk = _input_selector(k, m, mN) if k < N else None
         for i in range(I):
-            col = Bk.T @ con.Hx[i]
-            if Sk is not None:
-                col = col + Sk.T @ con.Hu[i]
-            idx = multiplier_index(i, k, I)
-            J_lambda[:, idx] = col
-            g_offset[idx] = con.Hx[i] @ ax0[k * n : (k + 1) * n] - con.h[i]
-            g_scale[idx] = np.abs(con.Hx[i]) @ np.abs(ax0[k * n : (k + 1) * n]) + abs(con.h[i])
+            J_steps[k, i] = Bx[k].T @ con.Hx[i]
+            g_offset[k, i] = con.Hx[i] @ X0[k] - con.h[i]
+            g_scale[k, i] = np.abs(con.Hx[i]) @ np.abs(X0[k]) + abs(con.h[i])
+        if k < N:
+            J_steps[k, :, k * m : (k + 1) * m] += con.Hu
+    # flat multiplier index k * I + i (multiplier_index)
+    J_lambda = np.ascontiguousarray(J_steps.reshape(I * (N + 1), mN).T)
+    g_offset, g_scale = g_offset.ravel(), g_scale.ravel()
 
-    for M in Mj:
-        M.flags.writeable = False
-    E_theta.flags.writeable = False
-    J_lambda.flags.writeable = False
-    g_offset.flags.writeable = False
-    g_scale.flags.writeable = False
     h_ref = np.abs(np.tile(con.h, N + 1))
-    h_ref.flags.writeable = False
+    for a in (*Mj, E_theta, J_lambda, g_offset, g_scale, h_ref):
+        a.flags.writeable = False
     return BilinearStationarity(
         Mj=tuple(Mj), E_theta=E_theta, J_lambda=J_lambda, g_offset=g_offset, h_ref=h_ref,
         g_scale=g_scale,

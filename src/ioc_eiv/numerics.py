@@ -1,18 +1,17 @@
 """Dense numerical kernels: SPD factorization and inverse, an LU solve, and a strictly convex QP solver.
 
-The private :func:`_factor` is the package's one SPD factorization and
-:func:`_solve` its one solve with that factor.  The private
-:func:`_lu_solve` is its one general solve, LAPACK's LU with partial
-pivoting: it solves the QP solver's face systems and the TLS sensitivity
-system, which are small enough that numpy's per-call overhead would cost
-several times the factorization itself.  :func:`cholesky` hands the
+This module is the package's only caller of LAPACK.  The private
+:func:`_factor` is its one SPD factorization and :func:`_solve` its one
+solve with that factor, :func:`_lu_solve` its one general solve (LU with
+partial pivoting, for the QP solver's face systems and the TLS sensitivity
+system, so small that numpy's per-call overhead would cost several times
+the factorization) and :func:`_tri_solve` its one triangular solve, for
+the inverse-Wishart draw's Bartlett factor.  :func:`cholesky` hands the
 factor out C-ordered, which is part of the contract: numpy's
 matrix-vector kernels round differently on a Fortran-ordered operand, so a
 sampler computing ``L @ z`` with the raw LAPACK output would draw different
-bits from the same random stream.  :func:`cholesky_solve` is the checked
-solve with a caller's factor.  :func:`spd_inverse` and :func:`solve_qp`
-keep their factor, so they pass LAPACK's Fortran-ordered one straight to
-the solve, which reads the same numbers without copying them back.
+bits from the same random stream.  Every solve with a factor passes
+LAPACK's Fortran-ordered one, which it reads without copying.
 
 :func:`_factor` factors the symmetrized ``0.5 * (M + M')``.  Most inputs
 are already exactly symmetric (an inverse symmetrized by its builder,
@@ -142,7 +141,6 @@ __all__ = [
     "QpRows",
     "QpSolution",
     "cholesky",
-    "cholesky_solve",
     "spd_inverse",
     "solve_qp",
 ]
@@ -241,6 +239,15 @@ def _solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _tri_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The one triangular solve: ``A X = B`` for lower-triangular ``A`` by LAPACK's
+    ``dtrtrs``, which may overwrite ``B``; ValueError on a zero diagonal entry."""
+    X, info = lapack.dtrtrs(A, B, lower=1, overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"triangular solve failed (info {info})")
+    return X
+
+
 def _lu_solve(A: np.ndarray, b: np.ndarray, rcond: float = 0.0) -> np.ndarray:
     """The one LU solve: ``A x = b`` for a nonempty square float ``A`` and a
     float ``b`` of matching order, one right-hand side or a matrix of them.
@@ -262,21 +269,6 @@ def _lu_solve(A: np.ndarray, b: np.ndarray, rcond: float = 0.0) -> np.ndarray:
         if min(pivots) < rcond * max(pivots):
             raise np.linalg.LinAlgError("Singular matrix")
     return x
-
-
-def cholesky_solve(L: np.ndarray, rhs) -> np.ndarray:
-    """Solve ``(L L') x = rhs`` given the lower factor from :func:`cholesky`.
-
-    ``rhs`` may be a vector or a matrix of right-hand sides.  Raises
-    ValueError when ``L`` or ``rhs`` holds a NaN or an infinity, or when
-    their orders differ.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if not (_finite(rhs) and _finite(L)):
-        raise ValueError("array must not contain infs or NaNs")
-    if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[1] != rhs.shape[0]:
-        raise ValueError(f"incompatible dimensions ({L.shape} and {rhs.shape})")
-    return _solve(L, rhs)
 
 
 # orders whose identity is kept: the shipped spring_damper and

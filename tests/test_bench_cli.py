@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ioc_eiv import forward
+from ioc_eiv import Infeasible, forward, map_estimator
 from ioc_eiv.bench_cli import main, parse_problem, problem_to_json
 
 
@@ -418,19 +418,22 @@ def test_repeated_noise_level_is_one_error_line(tmp_path, capsys, command, level
     assert not out.exists()
 
 
-def test_bench_records_zero_map_iterations_as_failed_row(tmp_path, capsys):
-    # a one-iteration chain is refused with ValueError inside the fit
-    cfg = _write_config(
-        tmp_path, methods=["kkt", "map"], gibbs={"n_iter": 1, "n_keep": 1},
-    )
-    out_dir = tmp_path / "zero"
+def test_bench_records_a_failed_map_fit_as_failed_row(tmp_path, capsys, monkeypatch):
+    # a fit that raises one of the numerical errors is recorded and the grid
+    # runs to the end; the method table looks the estimator up at call time
+    def infeasible(*args, **kwargs):
+        raise Infeasible("no feasible point")
+
+    monkeypatch.setattr(map_estimator, "estimate", infeasible)
+    cfg = _write_config(tmp_path, methods=["kkt", "map"])
+    out_dir = tmp_path / "failed"
     rc = main(["bench", "--config", cfg, "--out-dir", str(out_dir)])
     capsys.readouterr()
     assert rc == 1  # every map cell failed, but the grid ran to the end
     rows = _read_rows(out_dir)[1:]
     assert len(rows) == 8
     assert {r[6] for r in rows if r[0] == "kkt"} == {"ok"}
-    assert {r[6] for r in rows if r[0] == "map"} == {"failed:ValueError"}
+    assert {r[6] for r in rows if r[0] == "map"} == {"failed:Infeasible"}
 
 
 @pytest.mark.parametrize("command,where,bad_key,over", [
@@ -510,6 +513,16 @@ _H_BOOL = _bad_problem(lambda p: p["constraints"].update(h=[False]))
 _DATA_TEXT = _bad_problem(lambda p: p["system"]["A"].update(data=["0.8"]))
 _TARGET_TEXT = _bad_problem(lambda p: p["features"][0].update(target="1.0"))
 _NORM_BOOL = {"norm": {"kind": "sum", "value": True}}
+_KEEP_ABOVE_ITER = "gibbs: n_keep must be in [1, n_iter], got 50"
+
+
+def _box_error(kind):
+    return (f"noise: kind {kind!r} takes no box; "
+            "'lower' and 'upper' belong to truncated_gaussian only")
+
+
+def _boxed(kind, **box):
+    return {"noise": {"kind": kind, "percent_levels": [5], **box}}
 
 
 @pytest.mark.parametrize("command,name,over", [
@@ -536,14 +549,31 @@ _NORM_BOOL = {"norm": {"kind": "sum", "value": True}}
                                         "upper": 1.0, "percent_levels": [5]}}),
     ("demos", "noise.upper", {"noise": {"kind": "truncated_gaussian", "lower": 0.0,
                                         "upper": [True], "percent_levels": [5]}}),
+    ("bench", _KEEP_ABOVE_ITER, {"gibbs": {"n_iter": 10, "n_keep": 50},
+                                 "methods": ["kkt", "map"]}),
+    ("estimate", _KEEP_ABOVE_ITER, {"gibbs": {"n_iter": 10, "n_keep": 50}}),
+    ("bench", "gibbs: n_iter must be >= 2, got 1", {"gibbs": {"n_iter": 1, "n_keep": 1},
+                                                    "methods": ["kkt", "map"]}),
+    ("estimate", "gibbs: n_keep must be in [1, n_iter], got 2001", {"gibbs": {"n_keep": 2001}}),
+    ("bench", _box_error("gaussian"), _boxed("gaussian", lower=0.0, upper=0.5)),
+    ("demos", _box_error("gaussian"), _boxed("gaussian", lower=0.0, upper=0.5)),
+    ("bench", _box_error("uniform"), _boxed("uniform", upper=0.5)),
+    ("demos", _box_error("uniform"), _boxed("uniform", lower=0.0)),
 ], ids=["bench-n_iter-many", "estimate-n_iter-many", "bench-n_demos-ten", "demos-n_demos-ten",
         "bench-n_demos-0", "demos-n_demos-0", "demos-percent_levels-5", "bench-n_demos-text",
         "demos-n_demos-text", "bench-norm-bool", "estimate-norm-bool", "bench-x0-text",
         "demos-x0-text", "estimate-x0-text", "bench-h-bool", "demos-h-bool", "estimate-h-bool",
-        "demos-data-text", "estimate-target-text", "bench-lower-text", "demos-upper-bool"])
+        "demos-data-text", "estimate-target-text", "bench-lower-text", "demos-upper-bool",
+        "bench-n_keep-above-n_iter", "estimate-n_keep-above-n_iter", "bench-n_iter-1",
+        "estimate-n_keep-above-default", "bench-gaussian-box", "demos-gaussian-box",
+        "bench-uniform-upper", "demos-uniform-lower"])
 def test_bad_setting_is_one_error_line_before_any_fit(tmp_path, capsys, command, name, over):
     # a JSON string or bool where a number belongs used to be converted:
-    # n_demos "3" drew 3 demos and norm value true fitted under a sum of 1.0
+    # n_demos "3" drew 3 demos and norm value true fitted under a sum of 1.0.
+    # A chain budget out of range used to end estimate in a traceback and to
+    # run the whole bench grid, recording every MAP row failed:ValueError; a
+    # box on an untruncated kind was ignored (gaussian demos at 20% on
+    # spring_damper reached -0.13 and 0.83 under a box of [0, 0.5])
     cfg, out = _write_config(tmp_path, "bad.json", **over), str(tmp_path / "out")
     if command == "estimate":
         demos = _make_demo_file(tmp_path)

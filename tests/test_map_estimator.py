@@ -21,6 +21,7 @@ from ioc_eiv import (
     consistency_cost_check,
     default_priors,
     generate,
+    gibbs_run,
     map_cost,
     map_estimate,
     noise_scale_from_percent,
@@ -63,6 +64,31 @@ def test_cost_zero_at_consistent_point():
         Sigma_Y=0.01 * np.eye(10),
     )
     assert map_cost(U, np.zeros(dim_beta), np.eye(10), ds, priors) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cost_refuses_a_non_finite_latent_input(bad):
+    fp, sol, ds = _benchmark_demos(10.0, 1, 3)
+    priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
+    U = sol.U.copy()
+    U[4] = bad
+    with pytest.raises(ValueError, match="NaNs"):
+        map_cost(U, priors.beta0, np.eye(fp.n_inputs), ds, priors)
+
+
+@pytest.mark.parametrize("n_iter,n_keep,message", [
+    (1, 1, "n_iter must be >= 2"),
+    (10, 50, r"n_keep must be in \[1, n_iter\]"),
+    (10, 0, r"n_keep must be in \[1, n_iter\]"),
+])
+def test_gibbs_config_refuses_the_budgets_the_chain_refuses(n_iter, n_keep, message):
+    # one rule for both: a config the chain would refuse is refused when built
+    with pytest.raises(ValueError, match=message):
+        GibbsConfig(n_iter=n_iter, n_keep=n_keep)
+    fp, _, ds = _benchmark_demos(10.0, 1, 3)
+    priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
+    with pytest.raises(ValueError, match=message):
+        gibbs_run(ds, fp, priors, n_iter, n_keep, np.random.default_rng(0))
 
 
 def test_cost_gradient_matches_finite_differences():

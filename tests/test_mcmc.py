@@ -468,7 +468,8 @@ def test_gibbs_factors_six_exactly_symmetric_matrices_per_iteration(monkeypatch)
 
     factored = []
     kernel = numerics._factor
-    dpotrf = lapack.dpotrf
+    # the package's own LAPACK handle, the module numerics calls through
+    dpotrf = numerics.lapack.dpotrf
     calls = []
 
     def count(*args, **kwargs):
@@ -487,7 +488,7 @@ def test_gibbs_factors_six_exactly_symmetric_matrices_per_iteration(monkeypatch)
     ds = generate(sol.U, NoiseSpec.gaussian(np.diag(sig**2), seed=23), 6, fp)
     priors = default_priors(ds, fp, NormalizationRule("sum", float(fp.q)))
     monkeypatch.setattr(numerics, "_factor", spy)
-    monkeypatch.setattr(lapack, "dpotrf", count)
+    monkeypatch.setattr(numerics.lapack, "dpotrf", count)
     gibbs_run(ds, fp, priors, n_iter=60, n_keep=10, rng=np.random.default_rng(5))
     assert len(factored) == 6 * 59
     assert all(factored)

@@ -24,7 +24,6 @@ from ioc_eiv import (
     Qp,
     QpRows,
     cholesky,
-    cholesky_solve,
     solve_qp,
 )
 from ioc_eiv.numerics import spd_inverse
@@ -274,8 +273,9 @@ def test_cholesky_and_spd_inverse_equal_their_oracles(inputs):
 
 def test_fast_path_takes_bounded_spd_matrices_and_refuses_non_finite_ones(monkeypatch):
     # the fast path factors M once; the general path factors the
-    # symmetrized matrix a second time
-    dpotrf = lapack.dpotrf
+    # symmetrized matrix a second time; the spy sits on the package's own
+    # LAPACK handle, the module numerics calls through
+    dpotrf = numerics.lapack.dpotrf
     calls = []
 
     def spy(*args, **kwargs):
@@ -288,7 +288,7 @@ def test_fast_path_takes_bounded_spd_matrices_and_refuses_non_finite_ones(monkey
         assert np.isfinite(L).all()
         return len(calls)
 
-    monkeypatch.setattr(lapack, "dpotrf", spy)
+    monkeypatch.setattr(numerics.lapack, "dpotrf", spy)
     for M in _random_spd_of_every_order()[1:]:
         assert factorizations(M) == 1
     assert factorizations(np.diag([np.nextafter(1e306, 0.0), 1.0])) == 1
@@ -316,23 +316,68 @@ def test_non_finite_factor_is_refused_before_any_draw():
         mcmc.sample_inverse_wishart(bad, 5.0, rng)
 
 
-def test_cholesky_solve_bitwise_matches_scipy():
+def test_solve_bitwise_matches_scipy():
     rng = np.random.default_rng(6)
     for _ in range(200):
         dim = int(rng.integers(1, 13))
-        L = cholesky(_random_spd(rng, dim))
+        L = numerics._factor(_random_spd(rng, dim))
         for rhs in (
             rng.standard_normal(dim),
             rng.standard_normal((dim, int(rng.integers(1, 4)))),
             np.eye(dim),
         ):
             ref = scipy.linalg.cho_solve((L, True), rhs)
-            got = cholesky_solve(L, rhs)
+            got = numerics._solve(L, rhs)
             assert got.shape == ref.shape
             assert np.array_equal(got, ref)
     # LAPACK rejects empty operands; the solve returns an empty result
-    assert cholesky_solve(cholesky(np.zeros((0, 0))), np.zeros(0)).shape == (0,)
-    assert cholesky_solve(np.eye(2), np.zeros((2, 0))).shape == (2, 0)
+    assert numerics._solve(numerics._factor(np.zeros((0, 0))), np.zeros(0)).shape == (0,)
+    assert numerics._solve(np.eye(2), np.zeros((2, 0))).shape == (2, 0)
+
+
+def _bartlett_factor(rng, p, nu):
+    """A lower Bartlett factor as the inverse-Wishart draw builds it, Fortran-ordered."""
+    A = np.zeros((p, p), order="F")
+    A[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
+    A[np.diag_indices(p)] = np.sqrt(rng.chisquare(nu - np.arange(p)))
+    return A
+
+
+def test_tri_solve_bitwise_matches_lapack_on_bartlett_factors():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        p = int(rng.integers(1, 13))
+        A = _bartlett_factor(rng, p, p + 3.5)
+        B = cholesky(_random_spd(rng, p)).T  # L', as the draw solves against
+        ref, info = lapack.dtrtrs(A, B.copy(order="F"), lower=1)
+        assert info == 0
+        got = numerics._tri_solve(A, B.copy(order="F"))
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+
+def test_tri_solve_refuses_a_zero_diagonal():
+    A = _bartlett_factor(np.random.default_rng(10), 4, 7.5)
+    A[2, 2] = 0.0
+    with pytest.raises(ValueError, match=r"info 3"):
+        numerics._tri_solve(A, np.eye(4, order="F"))
+
+
+def test_inverse_wishart_refuses_a_singular_bartlett_factor():
+    # a chi-squared variate of exactly zero leaves the Bartlett factor
+    # singular; the draw raises instead of returning infinities
+    class ZeroChiSquare:
+        def __init__(self):
+            self.rng = np.random.default_rng(11)
+
+        def standard_normal(self, size):
+            return self.rng.standard_normal(size)
+
+        def chisquare(self, df):
+            return np.zeros_like(df, dtype=float)
+
+    with pytest.raises(ValueError, match="triangular solve"):
+        mcmc.sample_inverse_wishart(np.eye(3), 5.0, ZeroChiSquare())
 
 
 def test_spd_inverse_is_the_symmetrized_solve_against_the_identity():
@@ -351,20 +396,6 @@ def test_spd_inverse_is_the_symmetrized_solve_against_the_identity():
     # the shared identity behind the solve stays untouched
     assert np.array_equal(spd_inverse(4.0 * np.eye(3)), 0.25 * np.eye(3))
     assert np.array_equal(spd_inverse(np.eye(3)), np.eye(3))
-
-
-def test_cholesky_solve_rejects_non_finite_and_mismatched_inputs():
-    L = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
-    with pytest.raises(ValueError):
-        cholesky_solve(L, np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        cholesky_solve(L, np.array([[np.inf], [0.0]]))
-    bad = L.copy()
-    bad[1, 0] = np.nan
-    with pytest.raises(ValueError):
-        cholesky_solve(bad, np.ones(2))
-    with pytest.raises(ValueError):
-        cholesky_solve(L, np.ones(3))
 
 
 # LAPACK's SPD factorization and solve, and scipy's wrappers of them
@@ -454,6 +485,75 @@ def test_one_lu_solve_in_the_package():
         for func, name in _lu_kernel_uses(path.read_text()):
             uses.setdefault(name, set()).add((path.stem, func))
     assert uses == {"dgesv": {("numerics", "_lu_solve")}}
+
+
+def _tri_kernel_uses(source):
+    """As :func:`_spd_kernel_uses`, for LAPACK's triangular solve and scipy's
+    ``linalg.solve_triangular``."""
+    return _kernel_uses(source, {"dtrtrs", "solve_triangular"}, "solve_triangular")
+
+
+def test_tri_guard_sees_every_kind_of_reference():
+    source = (
+        "from scipy import linalg\nfrom scipy.linalg.lapack import dtrtrs\n"
+        "from scipy.linalg import solve_triangular\n"
+        "def f(A, B):\n    return lapack.dtrtrs(A, B), linalg.solve_triangular(A, B)\n"
+        "def g(A, B):\n    return dtrtrs(A, B), _tri_solve(A, B)\n"
+    )
+    assert sorted(_tri_kernel_uses(source)) == sorted([
+        ("", "dtrtrs"), ("", "solve_triangular"),
+        ("f", "dtrtrs"), ("f", "solve_triangular"), ("g", "dtrtrs"),
+    ])
+
+
+def test_one_triangular_solve_in_the_package():
+    # lapack.dtrtrs only in numerics._tri_solve, and no other triangular
+    # solve anywhere
+    uses = {}
+    for path in sorted(Path(ioc_eiv.__file__).parent.glob("*.py")):
+        for func, name in _tri_kernel_uses(path.read_text()):
+            uses.setdefault(name, set()).add((path.stem, func))
+    assert uses == {"dtrtrs": {("numerics", "_tri_solve")}}
+
+
+def _scipy_imports(source):
+    """``(top-level definition, module)`` of every import of scipy or a
+    scipy module in ``source``, at any depth; the definition is ``""`` at
+    module level."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                modules = []
+            found += [(getattr(top, "name", ""), mod) for mod in modules
+                      if mod == "scipy" or mod.startswith("scipy.")]
+    return found
+
+
+def test_scipy_import_guard_sees_every_kind_of_reference():
+    source = (
+        "import scipy\nimport numpy as np, scipy.linalg as sl\n"
+        "from scipy.linalg import lapack\nfrom .scipy_like import x\nimport scipyx\n"
+        "def f():\n    from scipy import stats\n    return stats\n"
+        "class C:\n    def g(self):\n        import scipy.optimize\n"
+    )
+    assert sorted(_scipy_imports(source)) == sorted([
+        ("", "scipy"), ("", "scipy.linalg"), ("", "scipy.linalg"),
+        ("f", "scipy"), ("C", "scipy.optimize"),
+    ])
+
+
+def test_only_numerics_imports_scipy():
+    # numerics is the package's one door to LAPACK, and nothing else in
+    # the package reads scipy
+    uses = [(path.stem, func, mod)
+            for path in sorted(Path(ioc_eiv.__file__).parent.glob("*.py"))
+            for func, mod in _scipy_imports(path.read_text())]
+    assert uses == [("numerics", "", "scipy.linalg")]
 
 
 def _kron_uses(source):
