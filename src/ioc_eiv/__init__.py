@@ -47,11 +47,9 @@ from .model import (
     LinearSystem,
     PolytopicConstraints,
     QuadraticFeature,
-    StackedDynamics,
     build_stationarity,
     kkt_residual,
     rollout,
-    stack_dynamics,
 )
 from .numerics import (
     Infeasible,
@@ -92,7 +90,6 @@ __all__ = [
     "QpRows",
     "QpSolution",
     "QuadraticFeature",
-    "StackedDynamics",
     "TlsResult",
     "build_stationarity",
     "cholesky",
@@ -116,7 +113,6 @@ __all__ = [
     "sample_mean",
     "solve_forward",
     "solve_qp",
-    "stack_dynamics",
     "tls_estimate",
     "tls_inner",
     "__version__",

@@ -41,11 +41,9 @@ __all__ = [
     "QuadraticFeature",
     "PolytopicConstraints",
     "ForwardProblem",
-    "StackedDynamics",
     "BilinearStationarity",
     "KktResidual",
     "rollout",
-    "stack_dynamics",
     "build_stationarity",
     "feature_values",
     "constraint_values",
@@ -157,9 +155,6 @@ class PolytopicConstraints:
                 f"constraint row counts disagree: Hx {Hx.shape[0]}, Hu {Hu.shape[0]}, h {h.shape[0]}"
             )
         _check_finite(Hx=Hx, Hu=Hu, h=h)
-        Hx.flags.writeable = False
-        Hu.flags.writeable = False
-        h.flags.writeable = False
         object.__setattr__(self, "Hx", Hx)
         object.__setattr__(self, "Hu", Hu)
         object.__setattr__(self, "h", h)
@@ -209,8 +204,7 @@ class ForwardProblem:
         x0 = np.atleast_1d(_frozen_array(self.x0))
         if x0.shape != (n,):
             raise ValueError(f"x0 has length {x0.shape[0]}, expected n = {n}")
-        if not np.isfinite(x0).all():
-            raise ValueError("x0 must be finite")
+        _check_finite(x0=x0)
         if self.constraints.Hx.shape[1] != n or self.constraints.Hu.shape[1] != m:
             raise ValueError(
                 "constraint column counts disagree with system dimensions: "
@@ -269,19 +263,6 @@ class ForwardProblem:
         return self.constraints.n_rows * (self.horizon + 1)
 
 
-@dataclass(frozen=True, eq=False)
-class StackedDynamics:
-    """Stacked state response ``x_stack = Abar x0 + Bbar U``.
-
-    Block row ``k`` of ``Abar`` is ``A**k``; block ``(k, j)`` of ``Bbar``
-    is ``A**(k-1-j) B`` for ``j < k`` and zero otherwise, so the first
-    block rows are the identity and zero respectively.
-    """
-
-    Abar: np.ndarray
-    Bbar: np.ndarray
-
-
 def multiplier_index(i: int, k: int, n_rows: int) -> int:
     """Flat index of multiplier for constraint row ``i`` at step ``k``."""
     return k * n_rows + i
@@ -306,27 +287,6 @@ def rollout(system: LinearSystem, x0, U, horizon: int) -> np.ndarray:
     for k in range(horizon):
         X[k + 1] = system.A @ X[k] + system.B @ U[k * m : (k + 1) * m]
     return X
-
-
-def stack_dynamics(system: LinearSystem, horizon: int) -> StackedDynamics:
-    """Assemble the stacked response matrices for ``k = 0..N``."""
-    n, m, N = system.n, system.m, horizon
-    Abar = np.zeros(((N + 1) * n, n))
-    Bbar = np.zeros(((N + 1) * n, m * N))
-    Ak = np.eye(n)
-    Abar[0:n] = Ak
-    # powers[d] = A**d B
-    powers = [system.B.copy()]
-    for _ in range(N - 1):
-        powers.append(system.A @ powers[-1])
-    for k in range(1, N + 1):
-        Ak = system.A @ Ak
-        Abar[k * n : (k + 1) * n] = Ak
-        for j in range(k):
-            Bbar[k * n : (k + 1) * n, j * m : (j + 1) * m] = powers[k - 1 - j]
-    Abar.flags.writeable = False
-    Bbar.flags.writeable = False
-    return StackedDynamics(Abar=Abar, Bbar=Bbar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,17 +437,28 @@ def build_stationarity(fp: ForwardProblem) -> BilinearStationarity:
         stationarity(U, theta, lam) == grad_U L(theta, lam, U)
 
     where L is the Lagrangian of the forward problem (verified against
-    central finite differences in the tests).  The last 64 distinct
-    problems are cached; equal problems share one entry (see
-    :class:`ForwardProblem`), so a process builds each problem once.
+    central finite differences in the tests).  Every block reads the
+    states through their per-step response ``x_k = A**k x0 +
+    sum_{j<k} A**(k-1-j) B u_j``, built from the powers of ``A``.  The
+    last 64 distinct problems are cached; equal problems share one entry
+    (see :class:`ForwardProblem`), so a process builds each problem once.
     """
     sys_, N = fp.system, fp.horizon
     n, m = sys_.n, sys_.m
     mN = fp.n_inputs
-    stacked = stack_dynamics(sys_, N)
-    # step k's free response x_k = X0[k] + Bx[k] @ U
-    X0 = (stacked.Abar @ fp.x0).reshape(N + 1, n)
-    Bx = stacked.Bbar.reshape(N + 1, n, mN)
+    # step k's free response x_k = X0[k] + Bx[k] @ U: X0[k] = A**k x0, and
+    # block j < k of Bx[k] is A**(k-1-j) B, the others zero; B is taken
+    # C-ordered, as the bits of A @ B depend on its memory order
+    powers, AjB = [np.eye(n)], [np.ascontiguousarray(sys_.B)]
+    for _ in range(N):
+        powers.append(sys_.A @ powers[-1])
+    for _ in range(N - 1):
+        AjB.append(sys_.A @ AjB[-1])
+    X0 = (np.vstack(powers) @ fp.x0).reshape(N + 1, n)
+    Bx = np.zeros((N + 1, n, mN))
+    for k in range(1, N + 1):
+        for j in range(k):
+            Bx[k, :, j * m : (j + 1) * m] = AjB[k - 1 - j]
 
     Mj = []
     E_cols = []

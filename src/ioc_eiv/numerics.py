@@ -622,7 +622,7 @@ def solve_qp(qp: Qp, face=None) -> QpSolution:
         z = z_part + (y if Z is None else Z @ y)
         mult_in = np.zeros(n_in)
         for i, mi in mu_map.items():
-            mult_in[i] = max(mi, 0.0) if mi >= -_DUAL_TOL else mi
+            mult_in[i] = max(mi, 0.0)  # a NaN stays, for the check below
 
     if not (_finite(z) and _finite(mult_in)):
         raise ValueError("QP solution is not finite: the data overflows in the solve")

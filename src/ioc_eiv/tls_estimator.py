@@ -44,7 +44,9 @@ stops after ``MAX_INNER_ITERS`` steps, when a step lowers ``f`` by at most
 ``COST_TOL`` relatively, when backtracking finds no decrease, or when
 ``U*`` does not move with ``theta`` (every input held by a constraint,
 say), so that no step could lower ``f`` by ``COST_TOL``.  Its path is
-``"floor"`` when a weight ends on the floor and ``"exact"`` otherwise;
+``"floor"`` when a weight ends within ``model.ITERATE_ACTIVE_TOL *
+norm.value`` of the floor and ``"exact"`` otherwise, so it does not
+depend on the scale of ``norm.value``;
 either way the returned ``U`` is ``forward.solve(theta).U`` bit for bit,
 so stationarity, complementarity, signs and feasibility hold to the
 forward solver's tolerance.
@@ -127,8 +129,9 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_u, norm: Normalizatio
 
     Starts from ``init_theta`` projected onto the floored weight cone.
     Returns ``(U, theta, lam, cost, path, step_trace)`` where ``cost`` is
-    the attained demo term, ``path`` is ``"floor"`` when a weight ends on
-    the floor and ``"exact"`` otherwise, and ``step_trace`` records
+    the attained demo term, ``path`` is ``"floor"`` when a weight ends
+    within ``model.ITERATE_ACTIVE_TOL * norm.value`` of the floor and
+    ``"exact"`` otherwise, and ``step_trace`` records
     ``("gauss_newton", cost)`` at the start and after every accepted step,
     so it is strictly decreasing.  Raises ValueError when ``ds`` was built
     for another problem.
@@ -178,7 +181,7 @@ def tls_inner(ds: DemoSet, fp: model.ForwardProblem, Sigma_u, norm: Normalizatio
         trace.append(("gauss_newton", cost))
         if last - cost <= COST_TOL * max(1.0, last):
             break
-    on_floor = theta.min() - floor <= model.ITERATE_ACTIVE_TOL * (1.0 + floor)
+    on_floor = theta.min() - floor <= model.ITERATE_ACTIVE_TOL * norm.value
     return sol.U, theta, sol.lam, cost, "floor" if on_floor else "exact", tuple(trace)
 
 

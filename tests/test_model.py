@@ -1,5 +1,6 @@
-"""Rollout, stacked dynamics, stationarity assembly, and KKT residuals."""
+"""Rollout, stationarity assembly, and KKT residuals."""
 
+import hashlib
 import json
 import pickle
 
@@ -19,7 +20,6 @@ from ioc_eiv import (
     kkt_residual,
     rollout,
     solve_forward,
-    stack_dynamics,
 )
 from ioc_eiv.bench_cli import parse_problem
 from ioc_eiv.model import (
@@ -57,39 +57,6 @@ def test_rollout_matches_scalar_recursion():
     np.testing.assert_allclose(xs[N], x, rtol=0, atol=1e-14)
 
 
-def test_stack_dynamics_scalar_blocks():
-    a, b = 0.7, 1.3
-    sysd = LinearSystem(np.array([[a]]), np.array([[b]]))
-    sd = stack_dynamics(sysd, 2)
-    np.testing.assert_allclose(sd.Abar.ravel(), [1.0, a, a * a])
-    np.testing.assert_allclose(sd.Bbar, [[0.0, 0.0], [b, 0.0], [a * b, b]])
-
-
-def test_stack_dynamics_first_block_identity():
-    rng = np.random.default_rng(3)
-    n, m, N = 3, 2, 4
-    sysd = LinearSystem(rng.standard_normal((n, n)), rng.standard_normal((n, m)))
-    sd = stack_dynamics(sysd, N)
-    np.testing.assert_allclose(sd.Abar[:n], np.eye(n))
-    assert np.all(sd.Bbar[:n] == 0.0)
-
-
-def test_stack_dynamics_reproduces_rollout():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 3))
-        N = int(rng.integers(1, 7))
-        sysd = LinearSystem(rng.standard_normal((n, n)), rng.standard_normal((n, m)))
-        x0 = rng.standard_normal(n)
-        U = rng.standard_normal(m * N)
-        sd = stack_dynamics(sysd, N)
-        stacked = sd.Abar @ x0 + sd.Bbar @ U
-        np.testing.assert_allclose(
-            stacked, rollout(sysd, x0, U, N).ravel(), rtol=1e-12, atol=1e-12
-        )
-
-
 def _stationarity(bs, theta, lam, U):
     MU = sum(t * (M @ U) for t, M in zip(theta, bs.Mj))
     return MU + bs.E_theta @ theta + bs.J_lambda @ lam
@@ -97,17 +64,18 @@ def _stationarity(bs, theta, lam, U):
 
 def _gradient_oracle(fp, theta, lam, U):
     """Lagrangian gradient in U by explicit chain-rule loops."""
-    n = fp.system.A.shape[0]
-    m = fp.system.B.shape[1]
-    N = fp.horizon
-    sd = stack_dynamics(fp.system, N)
-    xs = (sd.Abar @ fp.x0 + sd.Bbar @ U).reshape(N + 1, n)
+    n, m, N = fp.system.n, fp.system.m, fp.horizon
+    xs = rollout(fp.system, fp.x0, U, N)
+    # row k * n + i is d x_k[i] / dU: rollouts from rest of each unit input
+    dxdU = np.column_stack(
+        [rollout(fp.system, np.zeros(n), e, N).ravel() for e in np.eye(m * N)]
+    )
     grad = np.zeros(m * N)
     for j, feat in enumerate(fp.features):
         for k in range(N):
             if feat.kind == "state":
                 dev = xs[k, feat.index] - feat.target
-                grad += 2.0 * theta[j] * dev * sd.Bbar[k * n + feat.index]
+                grad += 2.0 * theta[j] * dev * dxdU[k * n + feat.index]
             else:
                 dev = U[k * m + feat.index] - feat.target
                 grad[k * m + feat.index] += 2.0 * theta[j] * dev
@@ -116,7 +84,7 @@ def _gradient_oracle(fp, theta, lam, U):
     for k in range(N + 1):
         for i in range(n_rows):
             lam_ik = lam[multiplier_index(i, k, n_rows)]
-            grad += lam_ik * (Hx[i] @ sd.Bbar[k * n : (k + 1) * n])
+            grad += lam_ik * (Hx[i] @ dxdU[k * n : (k + 1) * n])
             if k < N:
                 grad[k * m : (k + 1) * m] += lam_ik * Hu[i]
     return grad
@@ -174,6 +142,60 @@ def test_J_theta_equals_the_per_column_formula_bytewise():
             got = bs.J_theta(U)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def _face_model_problems():
+    """Both shipped configs at N = 1, 3, 8, 10 and 50, and 200 seeded random
+    problems, some with -0.0 entries, zero columns, zero rows or no rows."""
+    problems = []
+    for config in ("spring_damper", "tls_positivity"):
+        with open(f"configs/{config}.json", encoding="utf-8") as fh:
+            obj = json.load(fh)["problem"]
+        problems += [parse_problem(dict(obj, horizon=N)) for N in (1, 3, 8, 10, 50)]
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        N, I = int(rng.integers(1, 30)), int(rng.integers(0, 6))
+        A = rng.standard_normal((n, n)) / np.sqrt(n)
+        B, x0 = rng.standard_normal((n, m)), rng.standard_normal(n)
+        Hx, Hu, h = rng.standard_normal((I, n)), rng.standard_normal((I, m)), rng.standard_normal(I)
+        for a in (A, B, x0, Hx, Hu, h):
+            a[rng.random(a.shape) < 0.2] = -0.0
+        for a in (B, Hx, Hu):
+            if rng.random() < 0.3:
+                a[:, rng.integers(a.shape[1])] = 0.0
+        if I and rng.random() < 0.3:
+            Hu[rng.integers(I)] = 0.0  # a constant row at step 0
+        kinds = rng.choice(["state", "input"], size=int(rng.integers(1, 4)))
+        feats = tuple(
+            QuadraticFeature(str(kind), int(rng.integers(n if kind == "state" else m)),
+                             float(rng.standard_normal()))
+            for kind in kinds
+        )
+        problems.append(ForwardProblem(LinearSystem(A, B), feats,
+                                       PolytopicConstraints(Hx, Hu, h), N, x0))
+    return problems
+
+
+# sha256 of every array build_stationarity returns (its shape, dtype, memory
+# order and bytes), nonzero_rows and violated_row over _face_model_problems.
+# Pinned before the stacked-dynamics intermediate was removed; a change to
+# how the face model is assembled must leave it as it is.  The bytes depend
+# on the floating-point kernels of the numpy/OpenBLAS build.
+GOLDEN_FACE_MODEL_SHA256 = "4170a48f7ee24d7b7ce204b70b71d388114b90b89335018a4412e64ee757b11f"
+
+
+def test_face_model_is_bit_identical_to_golden():
+    h = hashlib.sha256()
+    for fp in _face_model_problems():
+        bs = build_stationarity(fp)
+        arrays = (*bs.Mj, bs.E_theta, bs.J_lambda, bs.g_offset, bs.g_scale, bs.h_ref,
+                  bs.nonzero_rows)
+        for a in arrays:
+            h.update(repr((a.shape, a.dtype.str, a.flags.c_contiguous)).encode())
+            h.update(a.tobytes())
+        h.update(repr(bs.violated_row).encode())
+    assert h.hexdigest() == GOLDEN_FACE_MODEL_SHA256
 
 
 def _loop_m_beta(bs, theta):
@@ -234,8 +256,8 @@ def test_input_feature_hessian_is_two_identity():
     bs = build_stationarity(fp)
     # second feature is the input quadratic: curvature 2 on every input
     np.testing.assert_allclose(bs.Mj[1], 2.0 * np.eye(3))
-    # first feature is a state quadratic: no direct input curvature mixing
-    # with the input rows beyond what Bbar induces, checked by symmetry
+    # first feature is a state quadratic: its curvature comes through the
+    # dynamics only, checked by symmetry
     assert np.allclose(bs.Mj[0], bs.Mj[0].T)
 
 
@@ -357,6 +379,17 @@ def test_problem_data_must_be_finite_where_it_is_built(field, bad):
         else:
             arrays[field].flat[-1] = bad
             PolytopicConstraints(arrays["Hx"], arrays["Hu"], arrays["h"])
+
+
+def test_problem_arrays_are_read_only():
+    # every array is frozen where it is built, a one-row Hx given as a
+    # vector and a scalar h included
+    sysd = LinearSystem(np.eye(2), np.ones((2, 1)))
+    con = PolytopicConstraints([1.0, 2.0], [3.0], 4.0)
+    fp = ForwardProblem(sysd, (QuadraticFeature("input", 0),), con, 2, [0.0, 1.0], [1.0])
+    assert (con.Hx.shape, con.Hu.shape, con.h.shape) == ((1, 2), (1, 1), (1,))
+    for a in (sysd.A, sysd.B, con.Hx, con.Hu, con.h, fp.x0, fp.theta_true):
+        assert not a.flags.writeable
 
 
 @pytest.mark.parametrize("tol", [DEMO_ACTIVE_TOL, ITERATE_ACTIVE_TOL])

@@ -98,26 +98,34 @@ def _scaled_problem(fp, s):
                           fp.horizon, s * fp.x0)
 
 
-def _assert_unit_free(config, fit):
-    """``fit(ds, fp, norm).theta`` moves by at most 1e-6 of its sum when the
-    bench demos of ``config`` (3 repetitions per level) and the problem are
-    given in input units 1e-6, 1e-3 and 1e3 times larger."""
+def _shipped_tasks(config, reps):
+    """``(fp, norm, demo sets)`` of the bench tasks of ``config``: every
+    shipped level, repetitions ``0..reps-1``."""
     with open(f"configs/{config}.json", encoding="utf-8") as fh:
         cfg = json.load(fh)
     fp = bench_cli.parse_problem(cfg["problem"])
     norm = bench_cli._parse_norm(cfg, fp)
     U_star = solve_forward(fp, fp.theta_true).U
-    for level in cfg["noise"]["percent_levels"]:
-        for rep in range(3):
-            spec = bench_cli._noise_spec(cfg["noise"], U_star, fp.system.m, float(level),
-                                         cfg["seed"] + rep)
-            ds = generate(U_star, spec, cfg["n_demos"], fp)
-            theta = fit(ds, fp, norm).theta
-            for s in (1e-6, 1e-3, 1e3):
-                scaled = DemoSet(U_list=tuple(s * U for U in ds.U_list),
-                                 fp_ref=_scaled_problem(fp, s))
-                theta_s = fit(scaled, scaled.fp_ref, norm).theta
-                assert np.max(np.abs(theta_s - theta)) <= 1e-6 * np.sum(theta), (level, rep, s)
+    tasks = [
+        generate(U_star, bench_cli._noise_spec(cfg["noise"], U_star, fp.system.m, float(level),
+                                               cfg["seed"] + rep), cfg["n_demos"], fp)
+        for level in cfg["noise"]["percent_levels"] for rep in range(reps)
+    ]
+    return fp, norm, tasks
+
+
+def _assert_unit_free(config, fit):
+    """``fit(ds, fp, norm).theta`` moves by at most 1e-6 of its sum when the
+    bench demos of ``config`` (3 repetitions per level) and the problem are
+    given in input units 1e-6, 1e-3 and 1e3 times larger."""
+    fp, norm, tasks = _shipped_tasks(config, 3)
+    for i, ds in enumerate(tasks):
+        theta = fit(ds, fp, norm).theta
+        for s in (1e-6, 1e-3, 1e3):
+            scaled = DemoSet(U_list=tuple(s * U for U in ds.U_list),
+                             fp_ref=_scaled_problem(fp, s))
+            theta_s = fit(scaled, scaled.fp_ref, norm).theta
+            assert np.max(np.abs(theta_s - theta)) <= 1e-6 * np.sum(theta), (i, s)
 
 
 @pytest.mark.parametrize("config", ["spring_damper", "tls_positivity"])
@@ -134,6 +142,44 @@ def test_estimate_does_not_depend_on_units(config):
 @pytest.mark.parametrize("config", ["spring_damper", "tls_positivity"])
 def test_kkt_baseline_does_not_depend_on_units(config):
     _assert_unit_free(config, kkt_ls)
+
+
+def test_path_tests_the_floor_relative_to_the_normalisation_value():
+    # the 30 shipped tls_positivity tasks with norm.value 1e-8 times the
+    # shipped one: every fit's smallest weight sits near 0.2 of the value,
+    # far above the floor, and an absolute test read all 30 as "floor"
+    fp, norm, tasks = _shipped_tasks("tls_positivity", 10)
+    small = NormalizationRule(norm.kind, 1e-8 * norm.value, norm.index)
+    for ds in tasks:
+        res = tls_estimate(ds, fp, small)
+        assert res.theta.min() > 0.1 * small.value
+        assert res.path == "exact"
+
+
+# held_rows keeps a row whose multiplier exceeds the absolute
+# model.ITERATE_ACTIVE_TOL, but multipliers scale with theta, so below
+# norm.value x 1e-6 the sensitivity drops held rows and TLS's theta/value
+# moves (by 0.14 on spring_damper and 0.085 on tls_positivity at 1e-8);
+# scaling that threshold with norm.value removes this marker
+_HELD_ROWS_ABSOLUTE = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="held_rows' multiplier threshold is absolute")
+
+
+@pytest.mark.parametrize("method,scale", [
+    ("kkt", 1e-2), ("kkt", 1e2), ("kkt", 1e-8), ("tls", 1e-2), ("tls", 1e2),
+    pytest.param("tls", 1e-8, marks=_HELD_ROWS_ABSOLUTE),
+])
+@pytest.mark.parametrize("config", ["spring_damper", "tls_positivity"])
+def test_weights_are_equivariant_in_the_normalisation_value(config, method, scale):
+    # theta / norm.value does not depend on norm.value, on the shipped
+    # levels, repetitions 0-2
+    fit = {"kkt": kkt_ls, "tls": tls_estimate}[method]
+    fp, norm, tasks = _shipped_tasks(config, 3)
+    scaled = NormalizationRule(norm.kind, scale * norm.value, norm.index)
+    for ds in tasks:
+        theta = fit(ds, fp, norm).theta / norm.value
+        theta_s = fit(ds, fp, scaled).theta / scaled.value
+        assert np.max(np.abs(theta_s - theta)) <= 1e-12
 
 
 def _far_cap_demos(pct, seed, D):
@@ -462,16 +508,7 @@ def test_warm_started_fits_match_a_cold_start_oracle_in_fewer_iterations(monkeyp
     # the 30 shipped bench tasks (3 levels x 10 repetitions): each
     # backtracking trial's forward solve starts from the current solution;
     # the oracle drops that start
-    with open(f"configs/{config}.json", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    fp = bench_cli.parse_problem(cfg["problem"])
-    norm = bench_cli._parse_norm(cfg, fp)
-    U_star = solve_forward(fp, fp.theta_true).U
-    tasks = [
-        generate(U_star, bench_cli._noise_spec(cfg["noise"], U_star, fp.system.m, float(level),
-                                               cfg["seed"] + rep), cfg["n_demos"], fp)
-        for level in cfg["noise"]["percent_levels"] for rep in range(cfg["n_reps"])
-    ]
+    fp, norm, tasks = _shipped_tasks(config, 10)
     assert len(tasks) == 30
     iters = []
     solve_qp = forward.solve_qp
